@@ -59,6 +59,7 @@ COLLISION_TOL = 1e-9    # output distance counted as a collision
 INPUT_TOL = 1e-6        # input separation required to call it a collision
 BOUNDARY_FRAC = 0.05    # interval fraction treated as "near the endpoint"
 TENSOR_STEP = 1e-3      # second-difference stencil step in p or q
+ORTHO_TOL = 1e-12       # |xi.eta| allowed after normalizing both
 
 
 @dataclass(frozen=True)
@@ -181,7 +182,15 @@ def orthonormal_pair(rng, n: int):
         eta -= (eta @ xi) * xi
         nrm = np.linalg.norm(eta)
         if nrm >= 1e-6:
-            return xi, eta / nrm
+            eta = eta / nrm
+            # mtw_tensor renormalizes both vectors before its test
+            unit_xi = xi / np.linalg.norm(xi)
+            if abs(float(unit_xi @ (eta / np.linalg.norm(eta)))) > ORTHO_TOL:
+                # a large cancelled component leaves rounding along xi;
+                # projecting the unit vector again removes it
+                eta -= (eta @ xi) * xi
+                eta /= np.linalg.norm(eta)
+            return xi, eta
     raise GjetError("failed to draw an orthogonal pair")
 
 
@@ -375,7 +384,7 @@ def mtw_tensor(gf: GeneratingFunction, side: str, a, b, z, xi, eta, *,
     ena = np.linalg.norm(eta)
     if ena > 0:
         eta = eta / ena
-    if abs(float(xi @ eta)) > 1e-12:
+    if abs(float(xi @ eta)) > ORTHO_TOL:
         raise ValueError("xi and eta must be orthogonal")
     if side == "primal":
         x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)

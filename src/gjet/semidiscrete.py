@@ -212,25 +212,32 @@ def validate_problem(prob: SemiDiscreteProblem, *, raise_on_error: bool = False)
 # solver
 # --------------------------------------------------------------------------
 
-def _top2(values: np.ndarray):
-    """Columnwise largest value/index and second-largest value."""
+def _sweep_others(values: np.ndarray):
+    """Yield (i, max of the other rows, tie flag) for each row in order.
+
+    The caller may overwrite row i before it asks for row i + 1, as a
+    coordinate sweep does.  Rows after i are not touched until then, so
+    their suffix maxima are built once per sweep; the rows before i are
+    folded into a running prefix max.  The tie flag marks the cells where
+    no row before i attains the max of the others, i.e. where row i wins a
+    tie under the lowest-index rule.  O(N * M) per sweep.
+    """
     n_pieces, m = values.shape
-    arg1 = np.argmax(values, axis=0)
-    cols = np.arange(m)
-    top1 = values[arg1, cols]
-    if n_pieces == 1:
-        return arg1, top1, np.full(m, -np.inf), np.zeros(m, dtype=int)
-    tmp = values.copy()
-    tmp[arg1, cols] = -np.inf
-    arg2 = np.argmax(tmp, axis=0)
-    top2 = tmp[arg2, cols]
-    return arg1, top1, top2, arg2
+    after = np.empty_like(values)       # after[i] = max of rows i+1..
+    after[-1] = -np.inf
+    for k in range(n_pieces - 2, -1, -1):
+        np.maximum(values[k + 1], after[k + 1], out=after[k])
+    before = np.full(m, -np.inf)
+    for i in range(n_pieces):
+        if i > 0:
+            np.maximum(before, values[i - 1], out=before)
+        yield i, np.maximum(before, after[i]), after[i] > before
 
 
-def _mass_of(vals_i, i, m_other, arg_other, cell_mass):
-    """Mass captured by piece i (argmax with lowest-index tie rule)."""
+def _mass_of(vals_i, m_other, wins_ties, cell_mass):
+    """Mass captured by a piece (argmax with lowest-index tie rule)."""
     wins = vals_i > m_other
-    ties = (vals_i == m_other) & (i < arg_other)
+    ties = (vals_i == m_other) & wins_ties
     return float(cell_mass[wins | ties].sum())
 
 
@@ -238,8 +245,10 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
     """Coordinate bisection to the prescribed cell masses.
 
     Raises NoConvergence with the best state attached when the sweep
-    budget runs out, InfeasibleBracket when a target cell stays empty at
-    its clamp with no progress (unreachable at this anchor).
+    budget runs out, InfeasibleBracket on a certificate: a full sweep
+    moves no parameter while a clamped target's cell stays empty
+    (unreachable at this anchor).  A sweep costs O(N * M * bisect_steps)
+    for N pieces and M cells (see _sweep_others).
     """
     validate_problem(prob, raise_on_error=True)
     gf, grid = prob.gf, prob.grid
@@ -292,14 +301,11 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
 
     empty_at_clamp = np.zeros(n_pieces, dtype=bool)
     for sweep in range(1, tol.max_sweeps + 1):
-        for i in range(n_pieces):
-            arg1, top1, top2, arg2 = _top2(values)
-            m_other = np.where(arg1 == i, top2, top1)
-            arg_other = np.where(arg1 == i, arg2, arg1)
-
+        z_start = z.copy()
+        for i, m_other, wins_ties in _sweep_others(values):
             a = z_anchor[i]
             vals_a = fns[i](a)
-            mass_a = _mass_of(vals_a, i, m_other, arg_other, cell_mass)
+            mass_a = _mass_of(vals_a, m_other, wins_ties, cell_mass)
             if mass_a <= g[i]:
                 # even the highest admissible graph is under-massed: clamp
                 z[i] = a
@@ -312,14 +318,14 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
             if math.isfinite(z_hi[i]):
                 b = z_hi[i] - 1e-12 * max(1.0, abs(z_hi[i]))
                 vals_b = fns[i](b)
-                mass_b = _mass_of(vals_b, i, m_other, arg_other, cell_mass)
+                mass_b = _mass_of(vals_b, m_other, wins_ties, cell_mass)
             else:
                 b = max(2.0 * a, a + 1.0)
                 mass_b = math.inf
                 vals_b = None
                 for _ in range(80):
                     vals_b = fns[i](b)
-                    mass_b = _mass_of(vals_b, i, m_other, arg_other, cell_mass)
+                    mass_b = _mass_of(vals_b, m_other, wins_ties, cell_mass)
                     if mass_b <= g[i]:
                         break
                     b *= 2.0
@@ -335,7 +341,7 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
                     break
                 mid = 0.5 * (a + b)
                 vals_mid = fns[i](mid)
-                mass_mid = _mass_of(vals_mid, i, m_other, arg_other, cell_mass)
+                mass_mid = _mass_of(vals_mid, m_other, wins_ties, cell_mass)
                 if mass_mid >= g[i]:
                     a, vals_a, mass_a = mid, vals_mid, mass_mid
                 else:
@@ -363,9 +369,11 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
                 and abs(anchor_value() - u0) <= anchor_tol:
             return finish(sweep)
 
-        stalled = len(history) >= 2 and history[-1] >= history[-2] - 1e-15
-        if stalled and np.any(empty_at_clamp & (masses == 0) & (g > 0)):
-            idx = int(np.argmax(empty_at_clamp & (masses == 0)))
+        # certificate: a sweep that moves no parameter is a fixed point, so
+        # a clamped piece whose cell is still empty can never gain mass
+        stuck = empty_at_clamp & (masses == 0) & (g > 0)
+        if np.any(stuck) and np.array_equal(z, z_start):
+            idx = int(np.argmax(stuck))
             raise InfeasibleBracket(
                 f"target {idx} keeps an empty cell at its anchored parameter; "
                 f"it is unreachable at this normalization", piece_index=idx)

@@ -91,6 +91,21 @@ def test_check_quadratic_strict_demand_fails(tmp_path):
     assert doc["results"]["G3"]["details"]["weak_pass"] is True
 
 
+def test_check_point_source_orthogonality_seed_exits_2(tmp_path):
+    # at this seed a drawn (xi, eta) pair used to miss the tensor's
+    # orthogonality test by rounding and end the check with exit 4
+    cfg = write_config(
+        tmp_path,
+        generator={"kind": "point_source", "params": {"tau": -1.0}},
+        source={"box": {"lo": [-0.4, -0.4], "hi": [0.4, 0.4]},
+                "resolution": [16, 16]},
+        check={"samples": 200, "seed": 641987627})
+    out = str(tmp_path / "report.json")
+    assert main(["check", cfg, "--out", out]) == EXIT_CONDITION_FAIL
+    doc = json.loads(open(out).read())
+    assert doc["results"]["G4w"]["status"] == "fail"
+
+
 def test_check_unknown_key_exits_4(tmp_path):
     cfg = write_config(tmp_path, nonsense={"a": 1})
     assert main(["check", cfg, "--out", str(tmp_path / "r.json")]) \

@@ -24,6 +24,8 @@ from gjet.genfun import dual_H
 from gjet.semidiscrete import (
     SemiDiscreteProblem,
     SolverTolerances,
+    _mass_of,
+    _sweep_others,
     lipschitz_diagnostic,
     range_diagnostic,
     solution_function,
@@ -202,6 +204,78 @@ def test_duplicate_target_infeasible(pb2):
     with pytest.raises(InfeasibleBracket) as exc_info:
         solve(prob)
     assert exc_info.value.piece_index == 1
+
+
+def test_equal_mass_8x8_beam_converges(pb2):
+    # a sweep that does not lower the residual is no certificate of
+    # infeasibility: this feasible layout used to raise InfeasibleBracket
+    pts = [((i + 0.5) / 8, (j + 0.5) / 8) for i in range(8) for j in range(8)]
+    prob = unit_problem(pb2, pts, res=64)
+    state = solve(prob)
+    assert state.residual <= prob.tolerances.mass_tol_rel
+    assert abs(state.anchor_value - 0.75) <= 1e-8 * (1 + 0.75)
+
+
+# pinned on the solver that recomputed a full top-2 pass per coordinate:
+# the per-sweep max-of-others must reproduce it bit for bit
+PINNED_4X4_Z = bytes.fromhex(
+    "450b42b57909e53fc454debe6b12e53f9db0e93b8714e53f1a1cfc7b911de53f"
+    "962511db7212e53f2fcbe09e840be53f2fcbe09e840be53f9db0e93b8714e53f"
+    "9db0e93b8714e53f2fcbe09e840be53f2fcbe09e840be53f9db0e93b8714e53f"
+    "1a1cfc7b911de53f9db0e93b8714e53f9db0e93b8714e53f1a1cfc7b911de53f")
+PINNED_4X4_HISTORY = (
+    0.17626953125, 0.0625, 0.05859375, 0.05126953125, 0.04150390625,
+    0.032958984375, 0.021240234375, 0.0146484375, 0.007568359375,
+    0.007568359375, 0.0)
+
+
+def test_4x4_beam_solution_is_pinned(pb2):
+    pts = [((i + 0.5) / 4, (j + 0.5) / 4) for i in range(4) for j in range(4)]
+    state = solve(unit_problem(pb2, pts, res=64))
+    assert state.z.tobytes() == PINNED_4X4_Z
+    assert state.residual_history == PINNED_4X4_HISTORY
+
+
+def _top2(values):
+    """Oracle: columnwise largest value/index and second-largest value."""
+    n_pieces, m = values.shape
+    arg1 = np.argmax(values, axis=0)
+    cols = np.arange(m)
+    top1 = values[arg1, cols]
+    if n_pieces == 1:
+        return arg1, top1, np.full(m, -np.inf), np.zeros(m, dtype=int)
+    tmp = values.copy()
+    tmp[arg1, cols] = -np.inf
+    arg2 = np.argmax(tmp, axis=0)
+    top2 = tmp[arg2, cols]
+    return arg1, top1, top2, arg2
+
+
+def _oracle_mass(vals_i, i, values, cell_mass):
+    arg1, top1, top2, arg2 = _top2(values)
+    m_other = np.where(arg1 == i, top2, top1)
+    arg_other = np.where(arg1 == i, arg2, arg1)
+    wins = vals_i > m_other
+    ties = (vals_i == m_other) & (i < arg_other)
+    return float(cell_mass[wins | ties].sum())
+
+
+@pytest.mark.parametrize("n_pieces", [1, 2, 3, 16])
+def test_sweep_others_matches_top2_oracle(n_pieces):
+    # small integer values force ties everywhere; rows are replaced in
+    # sweep order, as solve does, and the captured mass of each trial row
+    # must agree with the full top-2 pass under both tie outcomes
+    rng = np.random.default_rng(n_pieces)
+    m = 500
+    cell_mass = rng.uniform(0.5, 1.5, m)
+    values = rng.integers(0, 4, (n_pieces, m)).astype(float)
+    for _sweep in range(3):
+        for i, m_other, wins_ties in _sweep_others(values):
+            for _trial in range(4):
+                vals_i = rng.integers(0, 4, m).astype(float)
+                assert _mass_of(vals_i, m_other, wins_ties, cell_mass) == \
+                    _oracle_mass(vals_i, i, values, cell_mass)
+            values[i] = vals_i
 
 
 def test_no_convergence_carries_best_state(pb2):
