@@ -292,19 +292,6 @@ def _write_grid_csv(path, prob, state, with_mass=False):
         fh.write("\n".join(lines) + "\n")
 
 
-def _threads_from_env() -> int:
-    """Worker cap from GJET_THREADS (0 = auto).  Kernels are vectorized
-    in-process, so the cap is recorded and reserved for worker pools."""
-    raw = os.environ.get("GJET_THREADS", "0")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ConfigError(f"GJET_THREADS: expected an integer, got {raw!r}")
-    if val < 0:
-        raise ConfigError("GJET_THREADS: must be >= 0")
-    return val
-
-
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
@@ -364,7 +351,6 @@ def cmd_check(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "condition_report",
-        "threads": _threads_from_env(),
         "config": cfg,
         "results": {k: r.to_jsonable() for k, r in reports.items()},
         "overall": overall,
@@ -462,7 +448,8 @@ def cmd_residual(args) -> int:
         sol = semidiscrete.solution_function(prob, z)
         vals = gconvex.values_matrix(sol, grid).max(axis=0)
         ufun = madiag.GridFunction(grid, vals.reshape(grid.res))
-        psi = lambda x, u, p: 0.0  # discrete image: the map is piecewise constant
+        # discrete image: the map is piecewise constant
+        psi = lambda xs, us, ps: np.zeros(len(xs))
         # difference quotients across kinks carry no information: mask them
         dec = gconvex.cell_masses(sol, grid)
         exclude = gconvex.interface_mask(grid, dec.assignment, widen=1)
@@ -553,7 +540,6 @@ def main(argv=None) -> int:
         # condition failures, so usage problems map to input errors
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT_ERROR
     try:
-        _threads_from_env()
         return args.fn(args)
     except ConfigError as exc:
         print(f"input error: {exc}", file=sys.stderr)

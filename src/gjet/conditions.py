@@ -398,7 +398,6 @@ def mtw_tensor(gf: GeneratingFunction, side: str, a, b, z, xi, eta, *,
 
     elif side == "dual":
         y, x = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        genfun.eval_bundle(gf, x, y, z)
         q = genfun.map_Q(gf, x, y, z)
         h = step * max(1.0, float(np.max(np.abs(q))))
 

@@ -38,6 +38,8 @@ __all__ = [
     "subdifferential",
     "support_check",
     "interface_point",
+    "interface_point_rows",
+    "interpolated_support_rows",
     "section_set",
     "section_convexity",
     "g_transform",
@@ -183,40 +185,110 @@ def subdifferential(sol: PiecewiseGSolution, x):
     return out
 
 
+def _pair_gap(sol: PiecewiseGSolution, pair: np.ndarray, xs) -> np.ndarray:
+    """G_i(x_k) - G_j(x_k) with (i, j) = pair[:, k]; one value_batch per
+    piece, on the rows that use it."""
+    vals = np.empty(pair.shape)
+    for p in np.unique(pair):
+        hit = pair == p
+        use = hit.any(axis=0)
+        piece = sol.pieces[p]
+        v = sol.gf.value_batch(xs[use], piece.y_vec(), piece.z)
+        vals[:, use] = np.where(hit[:, use], v, vals[:, use])
+    return vals[0] - vals[1]
+
+
+def interface_point_rows(sol: PiecewiseGSolution, i, j, x_a, x_b,
+                         tol: float = 1e-13):
+    """Points on the segments [x_a[k], x_b[k]] where pieces i[k], j[k] tie.
+
+    Every row follows the bisection of interface_point: an endpoint
+    where G_i - G_j vanishes is returned as is, else the sign must flip
+    between the endpoints, and the bisection stops where the gap
+    vanishes or the bracket is shorter than tol.  Returns (xs, exchange):
+    exchange is False (and xs NaN) where the sign does not flip.
+    """
+    pair = np.stack([np.asarray(i, dtype=int).reshape(-1),
+                     np.asarray(j, dtype=int).reshape(-1)])
+    x_a = np.atleast_2d(np.asarray(x_a, dtype=float))
+    x_b = np.atleast_2d(np.asarray(x_b, dtype=float))
+    d = x_b - x_a
+    fa = _pair_gap(sol, pair, x_a)
+    fb = _pair_gap(sol, pair, x_b)
+    s = np.full(len(x_a), np.nan)
+    exchange = ~(fa * fb > 0)
+    run = np.flatnonzero(exchange & (fa != 0.0) & (fb != 0.0))
+    a = np.zeros(len(run))
+    b = np.ones(len(run))
+    for _ in range(200):
+        if not len(run):
+            break
+        m = 0.5 * (a + b)
+        fm = _pair_gap(sol, pair[:, run], x_a[run] + m[:, None] * d[run])
+        stop = (fm == 0.0) | (b - a < tol)
+        s[run[stop]] = m[stop]
+        go = ~stop
+        run, a, b, m, fm = run[go], a[go], b[go], m[go], fm[go]
+        left = (fm > 0) == (fa[run] > 0)
+        a = np.where(left, m, a)
+        b = np.where(left, b, m)
+    s[run] = 0.5 * (a + b)
+    xs = x_a + s[:, None] * d
+    at_b = fb == 0.0
+    xs[at_b] = x_b[at_b]
+    at_a = fa == 0.0
+    xs[at_a] = x_a[at_a]
+    xs[~exchange] = np.nan
+    return xs, exchange
+
+
 def interface_point(sol: PiecewiseGSolution, i: int, j: int, x_a, x_b,
                     tol: float = 1e-13):
     """Point on the segment [x_a, x_b] where pieces i and j tie.
 
     Requires the sign of G_i - G_j to flip between the endpoints;
-    bisection, deterministic.
+    bisection, deterministic.  One row of interface_point_rows.
     """
-    gf = sol.gf
-    pi, pj = sol.pieces[i], sol.pieces[j]
-    x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
-
-    def diff(s):
-        x = x_a + s * (x_b - x_a)
-        return gf.value(x, pi.y_vec(), pi.z) - gf.value(x, pj.y_vec(), pj.z)
-
-    fa, fb = diff(0.0), diff(1.0)
-    if fa == 0.0:
-        return x_a.copy()
-    if fb == 0.0:
-        return x_b.copy()
-    if fa * fb > 0:
+    xs, exchange = interface_point_rows(sol, [i], [j], x_a, x_b, tol)
+    if not exchange[0]:
         raise ValueError("pieces do not exchange along the segment")
-    a, b = 0.0, 1.0
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        fm = diff(m)
-        if fm == 0.0 or b - a < tol:
-            return x_a + m * (x_b - x_a)
-        if (fm > 0) == (fa > 0):
-            a = m
-        else:
-            b = m
-    return x_a + 0.5 * (a + b) * (x_b - x_a)
+    return xs[0]
+
+
+def interpolated_support_rows(sol: PiecewiseGSolution, xs, t: float):
+    """Interpolated supports between the two pieces active at each row.
+
+    With p1, p2 the slopes of the two active pieces (lower index first),
+    p0 = (1-t) p1 + t p2 and y0 the forward target at (x, u(x), p0).
+    Returns (y0, u0, n_active, ok): ok marks rows with exactly two active
+    pieces, finite piece values and an admissible forward solution; y0
+    is NaN elsewhere.
+    """
+    if not 0.0 <= t <= 1.0:
+        raise ValueError("t must lie in [0, 1]")
+    gf = sol.gf
+    xs = np.atleast_2d(np.asarray(xs, dtype=float))
+    vals = np.stack([gf.value_batch(xs, p.y_vec(), p.z) for p in sol.pieces])
+    u0 = vals.max(axis=0)
+    active = u0 - vals <= ACTIVE_TOL * (1.0 + np.abs(u0))
+    n_active = active.sum(axis=0)
+    rows = np.flatnonzero((n_active == 2) & np.isfinite(vals).all(axis=0))
+    first = np.argmax(active[:, rows], axis=0)
+    second = len(sol.pieces) - 1 - np.argmax(active[::-1, rows], axis=0)
+    slopes = np.empty((2, len(rows), gf.dimension))
+    for k, idx in enumerate((first, second)):
+        for p in np.unique(idx):
+            use = idx == p
+            piece = sol.pieces[p]
+            slopes[k, use] = gf.grad_x_batch(xs[rows[use]], piece.y_vec(),
+                                             piece.z)
+    p0 = (1.0 - t) * slopes[0] + t * slopes[1]
+    y_rows, _z, fwd_ok = genfun.forward_YZ_rows(gf, xs[rows], u0[rows], p0)
+    y0 = np.full(xs.shape, np.nan)
+    y0[rows[fwd_ok]] = y_rows[fwd_ok]
+    ok = np.zeros(len(xs), dtype=bool)
+    ok[rows[fwd_ok]] = True
+    return y0, u0, n_active, ok
 
 
 def support_check(sol: PiecewiseGSolution, grid: SourceGrid, x0, t: float, *,
@@ -224,22 +296,22 @@ def support_check(sol: PiecewiseGSolution, grid: SourceGrid, x0, t: float, *,
     """Interpolated support between the two pieces active at x0.
 
     With p1, p2 the active slopes, sets p0 = (1-t) p1 + t p2, solves the
-    forward map at (x0, u(x0), p0) for the target y0, re-snaps the focal
-    parameter through the dual function so the candidate graph passes
-    exactly through (x0, u(x0)), and sweeps the grid for
-    G(x, y0, z0) <= u(x) + support_tol.  Returns (y0, z0, ok).
+    forward map at (x0, u(x0), p0) for the target y0 (one row of
+    interpolated_support_rows), re-snaps the focal parameter through the
+    dual function so the candidate graph passes exactly through
+    (x0, u(x0)), and sweeps the grid for G(x, y0, z0) <= u(x) +
+    support_tol.  Returns (y0, z0, ok).
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
     x0 = np.asarray(x0, dtype=float)
-    pairs = subdifferential(sol, x0)
-    if len(pairs) != 2:
+    y0, u0, n_active, ok = interpolated_support_rows(sol, x0, t)
+    if n_active[0] != 2:
         raise ValueError(
             f"support interpolation needs exactly two active pieces, "
-            f"found {len(pairs)}")
-    u0, _ = eval_piecewise(sol, x0)
-    p0 = (1.0 - t) * pairs[0][0] + t * pairs[1][0]
-    y0, _z = genfun.forward_YZ(sol.gf, x0, u0, p0)
+            f"found {n_active[0]}")
+    if not ok[0]:
+        raise DomainViolation(
+            "no admissible interpolated support at the query point")
+    y0, u0 = y0[0], float(u0[0])
     z0 = genfun.dual_H(sol.gf, x0, y0, u0).z_root
     if support_tol is None:
         support_tol = 1e-8 * (1.0 + abs(u0))

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import (
     DomainViolation,
+    GjetError,
     NoConvergence,
     NoRoot,
     OutOfImage,
@@ -59,13 +60,17 @@ __all__ = [
     "eval_bundle",
     "dual_H",
     "forward_YZ",
+    "forward_YZ_rows",
     "matrix_E",
     "matrix_A",
     "matrix_A_B",
     "matrix_A_via_yp",
     "map_Q",
     "map_X",
+    "map_X_rows",
     "dual_Astar_Bstar",
+    "dual_Astar_Bstar_rows",
+    "RowStatus",
     "fd_step",
 ]
 
@@ -191,6 +196,32 @@ def _rows(xs, n: int) -> np.ndarray:
     return a
 
 
+def _per_row(vals, m: int) -> np.ndarray:
+    """(m,) float values; a single value is broadcast."""
+    v = np.asarray(vals, dtype=float).reshape(-1)
+    return v if len(v) == m else np.broadcast_to(v, (m,))
+
+
+def _nans(shape) -> np.ndarray:
+    a = np.empty(shape)
+    a.fill(np.nan)
+    return a
+
+
+def _pair_rows(xs, ys, n: int) -> tuple:
+    """xs and ys as (m, n) rows; a single point on either side is broadcast."""
+    xs = _rows(xs, n)
+    ys = _rows(ys, n)
+    if len(xs) != len(ys):
+        if len(ys) == 1:
+            ys = np.broadcast_to(ys, xs.shape)
+        elif len(xs) == 1:
+            xs = np.broadcast_to(xs, ys.shape)
+        else:
+            raise ValueError(f"{len(xs)} x rows cannot pair with {len(ys)} y rows")
+    return xs, ys
+
+
 def _eye_batch(m: int, n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(n), (m, n, n)).copy()
 
@@ -225,20 +256,22 @@ class GeneratingFunction(abc.ABC):
         return bool(np.all(np.isfinite(x)) and np.all(np.isfinite(y)))
 
     def admissible_pair_batch(self, xs, y) -> np.ndarray:
-        xs = _rows(xs, self.dimension)
-        return np.array([self.admissible_pair(x, y) for x in xs], dtype=bool)
+        """Admissibility of the pairs (x_k, y_k); y is one point or rows."""
+        xs, ys = _pair_rows(xs, y, self.dimension)
+        return np.array([self.admissible_pair(x, yk) for x, yk in zip(xs, ys)],
+                        dtype=bool)
 
     @abc.abstractmethod
     def z_interval(self, x, y) -> tuple:
         """Open interval I(x, y) of admissible focal parameters."""
 
     def z_interval_batch(self, xs, y):
-        """(lo, hi) arrays of I(x_k, y) over rows of xs."""
-        xs = _rows(xs, self.dimension)
+        """(lo, hi) arrays of I(x_k, y_k); y is one point or rows."""
+        xs, ys = _pair_rows(xs, y, self.dimension)
         lo = np.empty(len(xs))
         hi = np.empty(len(xs))
-        for k, x in enumerate(xs):
-            lo[k], hi[k] = self.z_interval(x, y)
+        for k in range(len(xs)):
+            lo[k], hi[k] = self.z_interval(xs[k], ys[k])
         return lo, hi
 
     # -- derivatives -------------------------------------------------------
@@ -253,12 +286,8 @@ class GeneratingFunction(abc.ABC):
         return self._raw_batch(x[None, :], y[None, :], np.array([float(z)])).at(0)
 
     def bundle_batch(self, xs, ys, zs) -> BatchBundle:
-        xs = _rows(xs, self.dimension)
-        ys = _rows(ys, self.dimension)
-        if len(ys) == 1 and len(xs) > 1:
-            ys = np.broadcast_to(ys, xs.shape)
-        zs = np.broadcast_to(np.asarray(zs, dtype=float).reshape(-1), (len(xs),))
-        return self._raw_batch(xs, ys, zs)
+        xs, ys = _pair_rows(xs, ys, self.dimension)
+        return self._raw_batch(xs, ys, _per_row(zs, len(xs)))
 
     # -- fast closed-form paths (overridden by the built-in instances) ------
 
@@ -287,13 +316,8 @@ class GeneratingFunction(abc.ABC):
 
     def h_batch(self, xs, ys, us) -> np.ndarray:
         """Vectorized z-inverse; falls back to scalar root finding."""
-        xs = _rows(xs, self.dimension)
-        ys = _rows(ys, self.dimension)
-        if len(ys) == 1 and len(xs) > 1:
-            ys = np.broadcast_to(ys, xs.shape)
-        if len(xs) == 1 and len(ys) > 1:
-            xs = np.broadcast_to(xs, ys.shape)
-        us = np.broadcast_to(np.asarray(us, dtype=float).reshape(-1), (len(xs),))
+        xs, ys = _pair_rows(xs, ys, self.dimension)
+        us = _per_row(us, len(xs))
         out = np.empty(len(xs))
         for k in range(len(xs)):
             out[k] = dual_H(self, xs[k], ys[k], us[k]).z_root
@@ -441,7 +465,8 @@ class ParallelBeam(GeneratingFunction):
         return (0.0, math.inf if r == 0.0 else 1.0 / r)
 
     def z_interval_batch(self, xs, y):
-        d = _rows(xs, self.dimension) - _vec(y, self.dimension)
+        xs, ys = _pair_rows(xs, y, self.dimension)
+        d = xs - ys
         r = np.sqrt(np.einsum("ij,ij->i", d, d))
         hi = np.full(len(d), math.inf)
         np.divide(1.0, r, out=hi, where=r > 0)
@@ -648,13 +673,8 @@ class PointSourcePlane(GeneratingFunction):
         return (-y + (self.tau / w)[:, None] * xs) / float(z)
 
     def h_batch(self, xs, ys, us):
-        xs = _rows(xs, self.dimension)
-        ys = _rows(ys, self.dimension)
-        if len(ys) == 1 and len(xs) > 1:
-            ys = np.broadcast_to(ys, xs.shape)
-        if len(xs) == 1 and len(ys) > 1:
-            xs = np.broadcast_to(xs, ys.shape)
-        us = np.broadcast_to(np.asarray(us, dtype=float).reshape(-1), (len(xs),))
+        xs, ys = _pair_rows(xs, ys, self.dimension)
+        us = _per_row(us, len(xs))
         w = np.sqrt(1.0 - np.einsum("ij,ij->i", xs, xs))
         beta = np.einsum("ij,ij->i", xs, ys) + w * self.tau
         y2 = np.einsum("ij,ij->i", ys, ys)
@@ -918,6 +938,33 @@ def forward_YZ(gf: GeneratingFunction, x, u, p, *,
         f"forward map: iteration budget exhausted (residual {rnorm:.3e})")
 
 
+def forward_YZ_rows(gf: GeneratingFunction, xs, us, ps) -> tuple:
+    """(Y, Z) over rows: the instance's closed form when it has one, else
+    forward_YZ row by row.
+
+    Returns (ys (m, n), zs (m,), ok (m,) bool); rows without an
+    admissible solution are not ok and hold NaN or unchecked values.
+    """
+    n = gf.dimension
+    xs = _rows(xs, n)
+    ps = _rows(ps, n)
+    us = _per_row(us, len(xs))
+    closed = gf.forward_yz_batch(xs, us, ps)
+    if closed is not None:
+        return closed
+    m = len(xs)
+    ys = _nans((m, n))
+    zs = _nans(m)
+    ok = np.zeros(m, dtype=bool)
+    for k in range(m):
+        try:
+            ys[k], zs[k] = forward_YZ(gf, xs[k], float(us[k]), ps[k])
+            ok[k] = True
+        except GjetError:
+            pass
+    return ys, zs, ok
+
+
 def matrix_E(gf: GeneratingFunction, x, y, z, *,
              singular_tol: float = 1e-12) -> tuple:
     """Mixed matrix E = G_xy - (1/G_z) G_xz (x) G_y and its determinant.
@@ -925,16 +972,17 @@ def matrix_E(gf: GeneratingFunction, x, y, z, *,
     E inverts the p-derivative of the forward map: Y_p = E^{-1}.  Raises
     SingularE when |det E| falls below singular_tol.
     """
-    b = eval_bundle(gf, x, y, z)
-    e = b.hess_xy - np.outer(b.grad_xz, b.grad_y) / b.dz
+    e = _e_matrix(eval_bundle(gf, x, y, z))
     det = float(np.linalg.det(e))
     if abs(det) < singular_tol:
         raise SingularE(f"|det E| = {abs(det):.3e} below {singular_tol:.1e}")
     return e, det
 
 
-def _e_from_bundle(b: DerivativeBundle) -> np.ndarray:
-    return b.hess_xy - np.outer(b.grad_xz, b.grad_y) / b.dz
+def _e_matrix(b) -> np.ndarray:
+    """E from a DerivativeBundle (n, n) or a BatchBundle (m, n, n)."""
+    return b.hess_xy - b.grad_xz[..., :, None] * b.grad_y[..., None, :] \
+        / np.asarray(b.dz)[..., None, None]
 
 
 def matrix_A(gf: GeneratingFunction, x, u, p, **fw_kwargs) -> np.ndarray:
@@ -943,13 +991,27 @@ def matrix_A(gf: GeneratingFunction, x, u, p, **fw_kwargs) -> np.ndarray:
     return gf.bundle(_vec(x, gf.dimension), y, z).hess_xx
 
 
+def _psi_rows(psi: Callable, xs, us, ps) -> np.ndarray:
+    """Right-hand density psi over rows, as an (m,) array.
+
+    psi(xs, us, ps) takes (m, n) points, (m,) values and (m, n) slopes;
+    a scalar result is broadcast to every row.
+    """
+    return np.broadcast_to(np.asarray(psi(xs, us, ps), dtype=float), (len(xs),))
+
+
 def matrix_A_B(gf: GeneratingFunction, x, u, p, psi, **fw_kwargs) -> tuple:
-    """A and the right-hand side B = det E(x, Y, Z) * psi(x, u, p)."""
+    """A and the right-hand side B = det E(x, Y, Z) * psi(x, u, p).
+
+    psi is a row evaluator psi(xs, us, ps) -> (m,), called on one row.
+    """
     x = _vec(x, gf.dimension)
+    p = _vec(p, gf.dimension)
     y, z = forward_YZ(gf, x, u, p, **fw_kwargs)
     b = gf.bundle(x, y, z)
-    det = float(np.linalg.det(_e_from_bundle(b)))
-    return b.hess_xx, det * float(psi(x, float(u), _vec(p, gf.dimension)))
+    det = float(np.linalg.det(_e_matrix(b)))
+    psi_val = _psi_rows(psi, x[None, :], np.array([float(u)]), p[None, :])[0]
+    return b.hess_xx, det * float(psi_val)
 
 
 def matrix_A_via_yp(gf: GeneratingFunction, x, u, p, *,
@@ -986,70 +1048,253 @@ def map_Q(gf: GeneratingFunction, x, y, z) -> np.ndarray:
     return -b.grad_y / b.dz
 
 
+class RowStatus:
+    """Outcome codes of map_X_rows; only OK rows carry a result."""
+
+    OK = 0
+    OUT_OF_IMAGE = 1   # the closed form rules the slope out
+    BAD_START = 2      # the initial iterate is inadmissible
+    SINGULAR = 3       # singular Newton system
+    NO_STEP = 4        # no admissible decreasing step within 45 halvings
+    BUDGET = 5         # iteration budget exhausted
+
+
+_STATUS_ERRORS = {
+    RowStatus.OUT_OF_IMAGE: (
+        OutOfImage, "slope q = {q} outside the image of Q(., y, z)"),
+    RowStatus.BAD_START: (
+        DomainViolation, "slope inversion: initial iterate is inadmissible"),
+    RowStatus.SINGULAR: (NoConvergence, "slope inversion: singular Jacobian"),
+    RowStatus.NO_STEP: (
+        NoConvergence, "slope inversion: no admissible decreasing step found"),
+    RowStatus.BUDGET: (
+        NoConvergence,
+        "slope inversion: iteration budget exhausted (residual {rnorm:.3e})"),
+}
+
+
+def _raise_for_status(status: int, q, rnorm: float) -> None:
+    """Raise the exception map_X raises for a row with this status."""
+    if status != RowStatus.OK:
+        exc, msg = _STATUS_ERRORS[int(status)]
+        raise exc(msg.format(q=q, rnorm=rnorm))
+
+
+def _on_slice(gf: GeneratingFunction, xs, ys, zs) -> np.ndarray:
+    """Rows with (x, y) admissible and z inside I(x, y)."""
+    lo, hi = gf.z_interval_batch(xs, ys)
+    return gf.admissible_pair_batch(xs, ys) & (lo < zs) & (zs < hi)
+
+
+def _slope_residual(b: BatchBundle, qs) -> tuple:
+    """Residual Q - q and its max-norm per row."""
+    res = -b.grad_y / b.dz[:, None] - qs
+    return res, np.abs(res).max(axis=1)
+
+
+def _slope_jacobian(b: BatchBundle) -> np.ndarray:
+    """Q_x = -E^T / G_z per row."""
+    return -_e_matrix(b).transpose(0, 2, 1) / b.dz[:, None, None]
+
+
+def _solve_rows(a, rhs) -> tuple:
+    """Row-wise solve a_k s_k = rhs_k; returns (s, singular mask or None)."""
+    try:
+        return np.linalg.solve(a, rhs[:, :, None])[:, :, 0], None
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        singular = np.zeros(len(a), dtype=bool)
+        for k in range(len(a)):
+            try:
+                out[k] = np.linalg.solve(a[k], rhs[k])
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return out, singular
+
+
+def map_X_rows(gf: GeneratingFunction, ys, zs, qs, *,
+               tol: float = 1e-11, max_iter: int = 50, initial=None) -> tuple:
+    """Invert x -> Q(x, y_k, z_k) = q_k for every row at once.
+
+    Every row runs the damped Newton of map_X with exactly its
+    arithmetic: the same initial point (closed form, else the row of
+    initial, else y or 0), residual, Jacobian Q_x = -E^T / G_z, solve,
+    45 step halvings and acceptance test against tol * (1 + |q|_inf).
+    The kernel is evaluated on the still-active rows only.
+
+    Returns (xs, status, rnorm): xs is NaN where status is not
+    RowStatus.OK, and rnorm is each row's last residual norm (NaN for rows
+    that never reached the kernel).
+    """
+    n = gf.dimension
+    ys = _rows(ys, n)
+    qs = _rows(qs, n)
+    m = len(ys)
+    zs = _per_row(zs, m)
+    scale = 1.0 + np.abs(qs).max(axis=1)
+    status = np.zeros(m, dtype=int)    # RowStatus.OK
+    out = _nans((m, n))
+    rnorm = _nans(m)
+
+    x_of = gf.closed_forms.x_of if gf.closed_forms is not None else None
+    if x_of is not None:
+        xs = np.zeros((m, n))
+        for k in range(m):
+            cf = x_of(ys[k], float(zs[k]), qs[k])
+            if cf is None:
+                status[k] = RowStatus.OUT_OF_IMAGE
+            else:
+                xs[k] = cf
+    elif initial is not None:
+        xs = np.array(_pair_rows(initial, ys, n)[0])
+    else:
+        xs = np.where(gf.admissible_pair_batch(ys, ys)[:, None], ys, 0.0)
+    start = _on_slice(gf, xs, ys, zs)
+    if not start.all():
+        status[~start & (status == RowStatus.OK)] = RowStatus.BAD_START
+    act = (status == RowStatus.OK).nonzero()[0]
+
+    # per active row: x, y, z, q, threshold, residual and norm; the
+    # Jacobian is formed from the bundle bj when a Newton step needs it
+    thr = tol * scale
+    x, y, z, q, thr = (xs, ys, zs, qs, thr) if len(act) == m else \
+        (xs[act], ys[act], zs[act], qs[act], thr[act])
+    bj = gf._raw_batch(x, y, z)
+    res, rn = _slope_residual(bj, q)
+    jac = None
+
+    def jacobian():
+        nonlocal jac
+        if jac is None:
+            jac = _slope_jacobian(bj)
+        return jac
+
+    def finish(mask, code):
+        nonlocal act, x, y, z, q, thr, res, rn, jac
+        every = mask.all()
+        sel = slice(None) if every else mask
+        status[act[sel]] = code
+        rnorm[act[sel]] = rn[sel]
+        if code == RowStatus.OK:
+            out[act[sel]] = x[sel]
+        if every:
+            act = act[:0]
+        else:
+            keep = ~mask
+            act, x, y, z, q, thr, res, rn, jac = (
+                a[keep] for a in (act, x, y, z, q, thr, res, rn, jacobian()))
+
+    for it in range(max_iter + 1):
+        if not len(act):
+            break
+        done = rn <= thr
+        if done.any():
+            finish(done, RowStatus.OK)
+            if not len(act):
+                break
+        if it == max_iter:
+            finish(np.ones(len(act), dtype=bool), RowStatus.BUDGET)
+            break
+        step, singular = _solve_rows(jacobian(), -res)
+        if singular is not None:
+            finish(singular, RowStatus.SINGULAR)
+            step = step[~singular]
+        # line search over the rows that have not accepted a step yet;
+        # pend is None while that is every row
+        pend = None
+        lam = 1.0
+        for _ in range(45):
+            rows = slice(None) if pend is None else pend
+            x_try = x[rows] + lam * step[rows]
+            adm = _on_slice(gf, x_try, y[rows], z[rows])
+            if not adm.all():
+                if pend is None:
+                    pend = np.arange(len(act))
+                rows, x_try = pend[adm], x_try[adm]
+            if len(x_try):
+                bt = gf._raw_batch(x_try, y[rows], z[rows])
+                res_t, rn_t = _slope_residual(bt, q[rows])
+                acc = (rn_t < rn[rows]) | (rn_t <= thr[rows])
+                if pend is None and acc.all():
+                    # every row accepted its full step: swap, no gathers
+                    x, res, rn, jac, bj = x_try, res_t, rn_t, None, bt
+                    break
+                if acc.any():
+                    if pend is None:
+                        pend = rows = np.arange(len(act))
+                    sel = rows[acc]
+                    x[sel] = x_try[acc]
+                    res[sel] = res_t[acc]
+                    rn[sel] = rn_t[acc]
+                    jacobian()[sel] = _slope_jacobian(bt)[acc]
+                    pend = pend[~np.isin(pend, sel)]
+                    if not len(pend):
+                        break
+            lam *= 0.5
+        else:
+            failed = np.zeros(len(act), dtype=bool)
+            failed[slice(None) if pend is None else pend] = True
+            finish(failed, RowStatus.NO_STEP)
+    return out, status, rnorm
+
+
 def map_X(gf: GeneratingFunction, y, z, q, *,
           tol: float = 1e-11, max_iter: int = 50, initial=None) -> np.ndarray:
     """Invert x -> Q(x, y, z) on the admissible slice.
 
     Damped Newton with Jacobian Q_x = -E^T / G_z; the admissible-slice
     restriction z in I(x, y) pins the correct branch.  Raises OutOfImage
-    when the closed form rules the slope out, NoConvergence otherwise on
-    failure.
+    when the closed form rules the slope out, DomainViolation when the
+    initial iterate is inadmissible, NoConvergence otherwise on failure.
+    One row of map_X_rows.
     """
     n = gf.dimension
     y = _vec(y, n)
-    z = float(z)
     q = _vec(q, n)
-    scale = 1.0 + float(np.max(np.abs(q)))
+    init = None if initial is None else _vec(initial, n)[None, :]
+    xs, status, rnorm = map_X_rows(gf, y[None, :], float(z), q[None, :],
+                                   tol=tol, max_iter=max_iter, initial=init)
+    _raise_for_status(status[0], q, rnorm[0])
+    return xs[0]
 
-    x = None
-    if gf.closed_forms is not None and gf.closed_forms.x_of is not None:
-        cf = gf.closed_forms.x_of(y, z, q)
-        if cf is None:
-            raise OutOfImage(f"slope q = {q} outside the image of Q(., y, z)")
-        x = np.asarray(cf, dtype=float)
-    if x is None and initial is not None:
-        x = _vec(initial, n).copy()
-    if x is None:
-        x = np.zeros(n) if not gf.admissible_pair(y, y) else y.copy()
 
-    def admissible(xv):
-        if not gf.admissible_pair(xv, y):
-            return False
-        lo, hi = gf.z_interval(xv, y)
-        return lo < z < hi
+def dual_Astar_Bstar_rows(gf: GeneratingFunction, ys, zs, qs, f=None, g=None,
+                          *, x_initial=None) -> tuple:
+    """Dual Monge-Ampere coefficients at every row (y_k, z_k, q_k).
 
-    if not admissible(x):
-        raise DomainViolation("slope inversion: initial iterate is inadmissible")
-
-    bnd = gf.bundle(x, y, z)
-    res = -bnd.grad_y / bnd.dz - q
-    rnorm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
-        if rnorm <= tol * scale:
-            return x
-        jac = -_e_from_bundle(bnd).T / bnd.dz
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            raise NoConvergence("slope inversion: singular Jacobian")
-        lam = 1.0
-        for _ in range(45):
-            x_try = x + lam * step
-            if admissible(x_try):
-                bnd_try = gf.bundle(x_try, y, z)
-                res_try = -bnd_try.grad_y / bnd_try.dz - q
-                rn_try = float(np.max(np.abs(res_try)))
-                if rn_try < rnorm or rn_try <= tol * scale:
-                    x, bnd, res, rnorm = x_try, bnd_try, res_try, rn_try
-                    break
-            lam *= 0.5
-        else:
-            raise NoConvergence(
-                "slope inversion: no admissible decreasing step found")
-    if rnorm <= tol * scale:
-        return x
-    raise NoConvergence(
-        f"slope inversion: iteration budget exhausted (residual {rnorm:.3e})")
+    X comes from map_X_rows; A* and B* are assembled from one kernel call
+    over the rows it inverted.  f and g are pointwise densities (default
+    1).  Returns (astar (m, n, n), bstar (m,), status, rnorm); A* and B*
+    are NaN where status is not RowStatus.OK.
+    """
+    n = gf.dimension
+    ys = _rows(ys, n)
+    qs = _rows(qs, n)
+    m = len(ys)
+    zs = _per_row(zs, m)
+    xs, status, rnorm = map_X_rows(gf, ys, zs, qs, initial=x_initial)
+    ok = status == RowStatus.OK
+    every = ok.all()
+    x, y, z, q = (xs, ys, zs, qs) if every else (xs[ok], ys[ok], zs[ok], qs[ok])
+    b = gf._raw_batch(x, y, z)
+    gz = b.dz
+    # float_power is the C pow of the scalar formula; ** 2 would square
+    gz2 = np.float_power(gz, 2)
+    q_y = -b.hess_yy / gz[:, None, None] \
+        + b.grad_y[:, :, None] * b.grad_yz[:, None, :] / gz2[:, None, None]
+    q_z = -b.grad_yz / gz[:, None] + b.grad_y * (b.dzz / gz2)[:, None]
+    astar = q_y + q_z[:, :, None] * q[:, None, :]
+    det = np.linalg.det(_e_matrix(b))
+    fx = 1.0 if f is None else np.array([float(f(v)) for v in x])
+    gy = 1.0 if g is None else np.array([float(g(v)) for v in y])
+    bstar = np.float_power(-1.0 / gz, n) * np.abs(det) * gy / fx
+    if every:
+        return astar, bstar, status, rnorm
+    astar_all = _nans((m, n, n))
+    bstar_all = _nans(m)
+    astar_all[ok] = astar
+    bstar_all[ok] = bstar
+    return astar_all, bstar_all, status, rnorm
 
 
 def dual_Astar_Bstar(gf: GeneratingFunction, y, z, q, f=None, g=None, *,
@@ -1061,20 +1306,14 @@ def dual_Astar_Bstar(gf: GeneratingFunction, y, z, q, f=None, g=None, *,
         A*(y, z, q) = Q_y(X, y, z) + Q_z(X, y, z) (x) q,
 
     assembled from exact second derivatives at X = X(y, z, q); B* is
-    (-1/G_z)^n |det E| g(y) / f(X).  Densities default to 1.
+    (-1/G_z)^n |det E| g(y) / f(X).  Densities default to 1.  One row of
+    dual_Astar_Bstar_rows; raises as map_X does.
     """
     n = gf.dimension
     y = _vec(y, n)
-    z = float(z)
     q = _vec(q, n)
-    x = map_X(gf, y, z, q, initial=x_initial)
-    b = gf.bundle(x, y, z)
-    gz = b.dz
-    q_y = -b.hess_yy / gz + np.outer(b.grad_y, b.grad_yz) / gz ** 2
-    q_z = -b.grad_yz / gz + b.grad_y * (b.dzz / gz ** 2)
-    astar = q_y + np.outer(q_z, q)
-    det = float(np.linalg.det(_e_from_bundle(b)))
-    fx = 1.0 if f is None else float(f(x))
-    gy = 1.0 if g is None else float(g(y))
-    bstar = (-1.0 / gz) ** n * abs(det) * gy / fx
-    return astar, bstar
+    init = None if x_initial is None else _vec(x_initial, n)[None, :]
+    astar, bstar, status, rnorm = dual_Astar_Bstar_rows(
+        gf, y[None, :], float(z), q[None, :], f, g, x_initial=init)
+    _raise_for_status(status[0], q, rnorm[0])
+    return astar[0], float(bstar[0])

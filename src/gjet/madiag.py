@@ -13,9 +13,12 @@ excluded (two for the Jacobian residual, which differentiates the
 composed map).  Nodes where the forward map has no admissible solution
 are masked and counted, never silently filled.
 
-The right-hand density psi is a caller-supplied evaluator
-psi(x, u, p) -> float.  For separable data the sign convention is
-psi = f/(g o Y) * sign(det E), which makes B = det E * psi nonnegative.
+The right-hand density psi is a caller-supplied row evaluator
+psi(xs, us, ps) -> (m,) over (m, n) points, (m,) values and (m, n)
+slopes, called once per residual on the evaluated nodes (a scalar
+result is broadcast); pointwise(fn) adapts a scalar fn(x, u, p).  For
+separable data the sign convention is psi = f/(g o Y) * sign(det E),
+which makes B = det E * psi nonnegative.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import genfun
-from .errors import GjetError
+from .errors import DomainViolation
 from .gconvex import SourceGrid
 from .genfun import GeneratingFunction
 
@@ -39,6 +42,7 @@ __all__ = [
     "ellipticity_check",
     "dual_residual",
     "make_separable_psi",
+    "pointwise",
     "manufactured_case",
     "MANUFACTURED_NAMES",
 ]
@@ -134,28 +138,9 @@ def _interior_mask(res, margin: int) -> np.ndarray:
     return mask
 
 
-def _forward_fields(gf, grid, u_flat, p_flat):
-    """Y, Z and validity per node, vectorized when the instance allows."""
-    m = len(u_flat)
-    closed = gf.forward_yz_batch(grid.centers, u_flat, p_flat)
-    if closed is not None:
-        return closed
-    ys = np.full((m, grid.n), np.nan)
-    zs = np.full(m, np.nan)
-    ok = np.zeros(m, dtype=bool)
-    for k in range(m):
-        try:
-            ys[k], zs[k] = genfun.forward_YZ(gf, grid.centers[k],
-                                             float(u_flat[k]), p_flat[k])
-            ok[k] = True
-        except GjetError:
-            pass
-    return ys, zs, ok
-
-
 def _coeff_fields(gf, grid, u_flat, p_flat):
     """A, det E and validity fields along (x, u(x), Du(x))."""
-    ys, zs, ok = _forward_fields(gf, grid, u_flat, p_flat)
+    ys, zs, ok = genfun.forward_YZ_rows(gf, grid.centers, u_flat, p_flat)
     m = len(u_flat)
     n = grid.n
     a = np.full((m, n, n), np.nan)
@@ -163,10 +148,8 @@ def _coeff_fields(gf, grid, u_flat, p_flat):
     idx = np.flatnonzero(ok)
     if len(idx):
         bb = gf.bundle_batch(grid.centers[idx], ys[idx], zs[idx])
-        e = bb.hess_xy - np.einsum("ki,kj->kij", bb.grad_xz,
-                                   bb.grad_y) / bb.dz[:, None, None]
         a[idx] = bb.hess_xx
-        det[idx] = np.linalg.det(e)
+        det[idx] = np.linalg.det(genfun._e_matrix(bb))
         bad = ~(bb.dz < 0)
         if bad.any():
             ok = ok.copy()
@@ -196,8 +179,8 @@ def ma_residual(gf: GeneratingFunction, ufun: GridFunction,
     idx = np.flatnonzero(ok_grid.ravel())
     if len(idx):
         m = d2u.reshape(grid.n, grid.n, -1).transpose(2, 0, 1)[idx] - a[idx]
-        psi_vals = np.array([psi(grid.centers[k], float(u_flat[k]), p_flat[k])
-                             for k in idx])
+        psi_vals = genfun._psi_rows(psi, grid.centers[idx], u_flat[idx],
+                                   p_flat[idx])
         res.ravel()[idx] = np.linalg.det(m) - det[idx] * psi_vals
     masked = int(interior.sum() - ok_grid.sum())
     return ResidualField(grid, res, ok_grid, masked)
@@ -215,7 +198,7 @@ def pje_residual(gf: GeneratingFunction, ufun: GridFunction,
     du = _gradient(u, grid.h)
     u_flat = u.ravel()
     p_flat = du.reshape(grid.n, -1).T
-    ys, _zs, ok = _forward_fields(gf, grid, u_flat, p_flat)
+    ys, _zs, ok = genfun.forward_YZ_rows(gf, grid.centers, u_flat, p_flat)
     t_field = ys.T.reshape((grid.n,) + grid.res)
     # margin 2: the map itself already used one node of differences
     interior = _interior_mask(grid.res, 2)
@@ -232,8 +215,8 @@ def pje_residual(gf: GeneratingFunction, ufun: GridFunction,
     idx = np.flatnonzero(valid.ravel())
     if len(idx):
         mats = dt.reshape(grid.n, grid.n, -1).transpose(2, 0, 1)[idx]
-        psi_vals = np.array([psi(grid.centers[k], float(u_flat[k]), p_flat[k])
-                             for k in idx])
+        psi_vals = genfun._psi_rows(psi, grid.centers[idx], u_flat[idx],
+                                   p_flat[idx])
         res.ravel()[idx] = np.linalg.det(mats) - psi_vals
     masked = int(interior.sum() - valid.sum())
     return ResidualField(grid, res, valid, masked)
@@ -280,50 +263,61 @@ def dual_residual(gf: GeneratingFunction, vfun: GridFunction,
 
     Per node: z = v(y), q = Dv(y); X solves the slope inversion; then
     det[D^2 v - A*(y, z, q)] - B*(y, z, q) with the dual coefficients
-    assembled from exact derivatives at (X, y, z).  Densities default
-    to 1; pass g = 0 for graphs of the dual function itself.
+    assembled from exact derivatives at (X, y, z).  All interior nodes go
+    through one dual_Astar_Bstar_rows call, each node Newton-started on
+    its own (no warm start from a neighbour).  Densities are pointwise
+    callables, default 1; pass g = 0 for graphs of the dual function
+    itself.  Nodes whose slope inversion fails are masked.
     """
     grid = vfun.grid
     v = vfun.values
     dv = _gradient(v, grid.h)
     d2v = _hessian(v, grid.h)
     interior = _interior_mask(grid.res, 1)
-    v_flat = v.ravel()
+    idx = np.flatnonzero(interior.ravel())
     q_flat = dv.reshape(grid.n, -1).T
+    d2_flat = d2v.reshape(grid.n, grid.n, -1).transpose(2, 0, 1)
+    astar, bstar, status, _rnorm = genfun.dual_Astar_Bstar_rows(
+        gf, grid.centers[idx], v.ravel()[idx], q_flat[idx], f=f, g=g)
+    good = status == genfun.RowStatus.OK
+    k = idx[good]
     res = np.full(grid.res, np.nan)
     ok = np.zeros(grid.size, dtype=bool)
-    d2_flat = d2v.reshape(grid.n, grid.n, -1).transpose(2, 0, 1)
-    interior_flat = interior.ravel()
-    x_warm = None
-    for k in range(grid.size):
-        if not interior_flat[k]:
-            continue
-        y = grid.centers[k]
-        try:
-            x_k = genfun.map_X(gf, y, float(v_flat[k]), q_flat[k],
-                               initial=x_warm)
-            astar, bstar = genfun.dual_Astar_Bstar(
-                gf, y, float(v_flat[k]), q_flat[k], f=f, g=g, x_initial=x_k)
-            x_warm = x_k
-        except GjetError:
-            x_warm = None
-            continue
-        ok[k] = True
-        res.ravel()[k] = float(np.linalg.det(d2_flat[k] - astar)) - bstar
+    ok[k] = True
+    res.ravel()[k] = np.linalg.det(d2_flat[k] - astar[good]) - bstar[good]
     ok_grid = ok.reshape(grid.res)
     masked = int(interior.sum() - ok_grid.sum())
     return ResidualField(grid, res, ok_grid, masked)
 
 
-def make_separable_psi(gf: GeneratingFunction, f: Callable, g: Callable):
-    """psi(x, u, p) = f(x) / g(Y(x, u, p)) * sign(det E at (x, Y, Z))."""
+def pointwise(fn: Callable) -> Callable:
+    """Row evaluator psi(xs, us, ps) from a scalar fn(x, u, p) -> float."""
 
-    def psi(x, u, p):
-        y, z = genfun.forward_YZ(gf, x, u, p)
-        b = gf.bundle(np.asarray(x, dtype=float), y, z)
-        det = float(np.linalg.det(
-            b.hess_xy - np.outer(b.grad_xz, b.grad_y) / b.dz))
-        return float(f(x)) / float(g(y)) * math.copysign(1.0, det)
+    def psi(xs, us, ps):
+        return np.array([float(fn(x, float(u), p))
+                         for x, u, p in zip(xs, us, ps)], dtype=float)
+
+    return psi
+
+
+def make_separable_psi(gf: GeneratingFunction, f: Callable, g: Callable):
+    """psi = f(x) / g(Y(x, u, p)) * sign(det E at (x, Y, Z)) over rows.
+
+    f and g are pointwise densities.  Y, Z come from the batched forward
+    map; a row without an admissible forward solution raises
+    DomainViolation.
+    """
+
+    def psi(xs, us, ps):
+        xs = np.asarray(xs, dtype=float).reshape(-1, gf.dimension)
+        ys, zs, ok = genfun.forward_YZ_rows(gf, xs, us, ps)
+        if not np.all(ok):
+            raise DomainViolation(
+                "separable psi: no admissible forward solution at some rows")
+        det = np.linalg.det(genfun._e_matrix(gf.bundle_batch(xs, ys, zs)))
+        fx = np.array([float(f(x)) for x in xs])
+        gy = np.array([float(g(y)) for y in ys])
+        return fx / gy * np.copysign(1.0, det)
 
     return psi
 
@@ -366,22 +360,22 @@ def manufactured_case(name: str, gf: GeneratingFunction, grid: SourceGrid):
         y0, z0 = _default_affine_piece(gf, grid)
         vals = gf.value_batch(grid.centers, y0, z0)
         return GridFunction(grid, vals.reshape(grid.res)), \
-            (lambda x, u, p: 0.0)
+            (lambda xs, us, ps: np.zeros(len(xs)))
     if name == "quadratic_ot_identity":
         if gf.name != "quadratic_ot":
             raise ValueError(f"case {name!r} requires the quadratic generator")
         sign = (-1.0) ** n
         vals = np.einsum("ij,ij->i", grid.centers, grid.centers)
         return GridFunction(grid, vals.reshape(grid.res)), \
-            (lambda x, u, p: sign)
+            (lambda xs, us, ps: np.full(len(xs), sign))
     if name == "quadratic_ot_cosh":
         if gf.name != "quadratic_ot":
             raise ValueError(f"case {name!r} requires the quadratic generator")
         sign = (-1.0) ** n
         vals = 2.0 * np.cosh(grid.centers).sum(axis=1)
 
-        def psi(x, u, p):
-            return sign * float(np.prod(2.0 * np.cosh(np.asarray(x)) - 1.0))
+        def psi(xs, us, ps):
+            return sign * np.prod(2.0 * np.cosh(np.asarray(xs)) - 1.0, axis=1)
 
         return GridFunction(grid, vals.reshape(grid.res)), psi
     raise ValueError(f"unknown manufactured case {name!r}; "

@@ -44,7 +44,8 @@ from .gconvex import (
     PiecewiseGSolution,
     SourceGrid,
     interface_cell_count,
-    support_check,
+    interface_point_rows,
+    interpolated_support_rows,
     values_matrix,
 )
 from .genfun import GeneratingFunction
@@ -413,24 +414,29 @@ def lipschitz_diagnostic(state: SolutionState, prob: SemiDiscreteProblem) -> flo
     return float(np.sqrt(sq.max()))
 
 
-def _hull_membership(points: np.ndarray, queries: np.ndarray,
-                     tol: float = 1e-9) -> np.ndarray:
+def _hull_test(points: np.ndarray, tol: float = 1e-9):
+    """Membership test in the convex hull of points, padded by tol.
+
+    The hull is built once; the returned function maps (k, n) queries to
+    a (k,) bool array.
+    """
     from scipy.spatial import ConvexHull, QhullError
 
     points = np.asarray(points, dtype=float)
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    lo, hi = points.min(axis=0), points.max(axis=0)
+
+    def in_box(queries):
+        return np.all((queries >= lo - tol) & (queries <= hi + tol), axis=1)
+
     if points.shape[1] == 1:
-        lo, hi = points.min(), points.max()
-        return (queries[:, 0] >= lo - tol) & (queries[:, 0] <= hi + tol)
+        return in_box
     try:
-        hull = ConvexHull(points)
+        eq = ConvexHull(points).equations
     except QhullError:
         # degenerate hull: fall back to bounding box membership
-        lo, hi = points.min(axis=0), points.max(axis=0)
-        return np.all((queries >= lo - tol) & (queries <= hi + tol), axis=1)
-    eq = hull.equations
-    vals = queries @ eq[:, :-1].T + eq[:, -1]
-    return np.all(vals <= tol, axis=1)
+        return in_box
+    return lambda queries: np.all(queries @ eq[:, :-1].T + eq[:, -1] <= tol,
+                                  axis=1)
 
 
 def range_diagnostic(state: SolutionState, prob: SemiDiscreteProblem,
@@ -447,6 +453,13 @@ def range_diagnostic(state: SolutionState, prob: SemiDiscreteProblem,
     the hull diameter: interpolated supports trace curved slope-segment
     images whose chords bow outside the Euclidean hull at second order
     in the slope gap.
+
+    At most about max_interfaces adjacent-cell pairs with different
+    owners are sampled (every stride-th in axis order).  Each sampled
+    interface point (interface_point_rows) whose two active pieces give
+    an admissible interpolated target y0 (interpolated_support_rows) is
+    checked: y0 must lie in the padded hull.  All sampled interfaces go
+    through those two row calls at once.
     """
     grid = prob.grid
     hull_pts = prob.targets if omega_star_hull is None \
@@ -455,44 +468,40 @@ def range_diagnostic(state: SolutionState, prob: SemiDiscreteProblem,
         hull_pts[:, None, :] - hull_pts[None, :, :], axis=-1)))
     pad = hull_pad_rel * max(diam, 1e-12)
     sol = solution_function(prob, state.z)
-    inside = _hull_membership(hull_pts, prob.targets, tol=pad)
+    in_hull = _hull_test(hull_pts, tol=pad)
+    inside = in_hull(prob.targets)
     witness = None
     samples = len(prob.targets)
     if not np.all(inside):
         k = int(np.argmin(inside))
         witness = {"target": prob.targets[k], "kind": "declared_target_outside"}
 
-    u_grid = values_matrix(sol, grid).max(axis=0)
     lab = state.decomposition.assignment.reshape(grid.res)
     centers = grid.centers.reshape(grid.res + (grid.n,))
-    pairs = []
+    la, lb, ca, cb = [], [], [], []
     for ax in range(grid.n):
         sl_a = [slice(0, r) for r in grid.res]
         sl_b = [slice(0, r) for r in grid.res]
         sl_a[ax] = slice(0, grid.res[ax] - 1)
         sl_b[ax] = slice(1, grid.res[ax])
-        la = lab[tuple(sl_a)].ravel()
-        lb = lab[tuple(sl_b)].ravel()
-        ca = centers[tuple(sl_a)].reshape(-1, grid.n)
-        cb = centers[tuple(sl_b)].reshape(-1, grid.n)
-        diff = la != lb
-        for k in np.flatnonzero(diff):
-            pairs.append((int(la[k]), int(lb[k]), ca[k], cb[k]))
-    stride = max(1, len(pairs) // max_interfaces)
-    checked = 0
-    ok_all = witness is None
-    from .gconvex import interface_point
-    for i, j, ca, cb in pairs[::stride]:
-        try:
-            x_star = interface_point(sol, i, j, ca, cb)
-            y0, _z0, _ok = support_check(sol, grid, x_star, interp_t,
-                                         u_grid=u_grid)
-        except (ValueError, GjetError):
-            continue
-        checked += 1
-        if not _hull_membership(hull_pts, y0[None, :], tol=pad)[0]:
-            ok_all = False
-            witness = {"x": x_star, "y0": y0, "kind": "interpolated_outside"}
+        diff = (lab[tuple(sl_a)] != lab[tuple(sl_b)]).ravel()
+        la.append(lab[tuple(sl_a)].ravel()[diff])
+        lb.append(lab[tuple(sl_b)].ravel()[diff])
+        ca.append(centers[tuple(sl_a)].reshape(-1, grid.n)[diff])
+        cb.append(centers[tuple(sl_b)].reshape(-1, grid.n)[diff])
+    la, lb, ca, cb = (np.concatenate(v) for v in (la, lb, ca, cb))
+    stride = max(1, len(la) // max_interfaces)
+    x_star, exchange = interface_point_rows(
+        sol, la[::stride], lb[::stride], ca[::stride], cb[::stride])
+    x_star = x_star[exchange]
+    y0, _u0, _n_active, ok = interpolated_support_rows(sol, x_star, interp_t)
+    x_star, y0 = x_star[ok], y0[ok]
+    checked = len(y0)
+    outside = np.flatnonzero(~in_hull(y0))
+    ok_all = witness is None and not len(outside)
+    if len(outside):
+        k = outside[-1]
+        witness = {"x": x_star[k], "y0": y0[k], "kind": "interpolated_outside"}
     samples += checked
     status = "pass" if ok_all else "fail"
     return ConditionReport(

@@ -269,10 +269,16 @@ def test_usage_errors_map_to_input_error():
     assert main(["solve"]) == EXIT_INPUT_ERROR  # missing required args
 
 
-def test_gjet_threads_env_validation(tmp_path, monkeypatch):
+def test_gjet_threads_env_is_ignored(tmp_path, monkeypatch, capsys):
+    # GJET_THREADS is no setting of gjet: it changes neither the exit code
+    # nor the report, which carries no threads key
     cfg = write_config(tmp_path)
+    monkeypatch.delenv("GJET_THREADS", raising=False)
+    assert main(["check", cfg, "--out", str(tmp_path / "a.json")]) == EXIT_OK
+    plain = capsys.readouterr().out
     monkeypatch.setenv("GJET_THREADS", "not-a-number")
-    assert main(["check", cfg, "--out", str(tmp_path / "r.json")]) \
-        == EXIT_INPUT_ERROR
-    monkeypatch.setenv("GJET_THREADS", "2")
-    assert main(["check", cfg, "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    assert main(["check", cfg, "--out", str(tmp_path / "b.json")]) == EXIT_OK
+    assert capsys.readouterr().out == plain
+    report = (tmp_path / "b.json").read_bytes()
+    assert report == (tmp_path / "a.json").read_bytes()
+    assert "threads" not in json.loads(report)

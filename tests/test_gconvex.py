@@ -15,6 +15,8 @@ from gjet.gconvex import (
     g_transform,
     interface_cell_count,
     interface_point,
+    interface_point_rows,
+    interpolated_support_rows,
     section_convexity,
     section_set,
     subdifferential,
@@ -137,6 +139,92 @@ def test_support_check_midpoints(pb2, qot2, t):
     x_star = interface_point(sol, 0, 1, [0.45, 0.5], [0.55, 0.5])
     _y0, _z0, ok = support_check(sol, grid, x_star, t)
     assert ok
+
+
+def reference_interface_point(sol, i, j, x_a, x_b, tol=1e-13):
+    """The per-segment bisection that interface_point_rows replaced, kept
+    as the oracle."""
+    gf = sol.gf
+    pi, pj = sol.pieces[i], sol.pieces[j]
+    x_a = np.asarray(x_a, dtype=float)
+    x_b = np.asarray(x_b, dtype=float)
+
+    def diff(s):
+        x = x_a + s * (x_b - x_a)
+        return gf.value(x, pi.y_vec(), pi.z) - gf.value(x, pj.y_vec(), pj.z)
+
+    fa, fb = diff(0.0), diff(1.0)
+    if fa == 0.0:
+        return x_a.copy()
+    if fb == 0.0:
+        return x_b.copy()
+    if fa * fb > 0:
+        raise ValueError("pieces do not exchange along the segment")
+    a, b = 0.0, 1.0
+    for _ in range(200):
+        m = 0.5 * (a + b)
+        fm = diff(m)
+        if fm == 0.0 or b - a < tol:
+            return x_a + m * (x_b - x_a)
+        if (fm > 0) == (fa > 0):
+            a = m
+        else:
+            b = m
+    return x_a + 0.5 * (a + b) * (x_b - x_a)
+
+
+def test_interface_rows_match_scalar_reference(pb2, qot2):
+    # the batched bisection against the per-segment loop it replaced and
+    # against its own one-row calls, with a segment the pieces do not
+    # exchange on and, where the tie at x1 = 0.5 is exact (quadratic
+    # pieces at 0.25 and 0.75), segments that start or end on it
+    rng = np.random.default_rng(43)
+    x_a = np.array([[0.45, 0.5], [0.45, 0.2], [0.1, 0.5], [0.5, 0.3],
+                    [0.4, 0.5]])
+    x_b = np.array([[0.55, 0.5], [0.52, 0.9], [0.2, 0.5], [0.6, 0.3],
+                    [0.5, 0.7]])
+    i, j = np.array([0, 0, 0, 0, 1]), np.array([1, 1, 1, 1, 0])
+    # plus random segments across x1 = 0.5, in both piece orders
+    k = 40
+    x_a = np.vstack([x_a, np.c_[rng.uniform(0.3, 0.48, k), rng.uniform(0, 1, k)]])
+    x_b = np.vstack([x_b, np.c_[rng.uniform(0.52, 0.7, k), rng.uniform(0, 1, k)]])
+    i = np.concatenate([i, np.arange(k) % 2])
+    j = np.concatenate([j, 1 - np.arange(k) % 2])
+    for sol in (pb_two_piece(pb2, unit_grid()),
+                PiecewiseGSolution(qot2, [((0.25, 0.5), -0.1),
+                                          ((0.75, 0.5), -0.1)],
+                                   ((0.5, 0.5), 0.0))):
+        xs, exchange = interface_point_rows(sol, i, j, x_a, x_b)
+        assert not exchange[2] and exchange[[0, 1]].all()
+        for r in range(len(x_a)):
+            if exchange[r]:
+                ref = reference_interface_point(sol, i[r], j[r], x_a[r], x_b[r])
+                assert np.array_equal(xs[r], ref), r
+                assert np.array_equal(
+                    xs[r], interface_point(sol, i[r], j[r], x_a[r], x_b[r]))
+            else:
+                assert np.all(np.isnan(xs[r]))
+                with pytest.raises(ValueError):
+                    reference_interface_point(sol, i[r], j[r], x_a[r], x_b[r])
+                with pytest.raises(ValueError):
+                    interface_point(sol, i[r], j[r], x_a[r], x_b[r])
+    assert np.array_equal(xs[3], x_a[3])
+    assert np.array_equal(xs[4], x_b[4])
+
+
+def test_interpolated_support_rows_flags_rows(pb2):
+    # one row on the interface (two active pieces), one inside a cell
+    sol = pb_two_piece(pb2, unit_grid())
+    x_star = interface_point(sol, 0, 1, [0.45, 0.5], [0.55, 0.5])
+    y0, u0, n_active, ok = interpolated_support_rows(
+        sol, np.stack([x_star, [0.2, 0.2]]), 0.0)
+    assert n_active.tolist() == [2, 1]
+    assert ok.tolist() == [True, False]
+    assert np.allclose(y0[0], sol.pieces[0].y_vec(), atol=1e-7)
+    assert np.all(np.isnan(y0[1]))
+    assert u0[1] == pytest.approx(eval_piecewise(sol, [0.2, 0.2])[0])
+    with pytest.raises(ValueError):
+        interpolated_support_rows(sol, x_star, 1.5)
 
 
 def test_support_check_needs_two_active(pb2):

@@ -5,6 +5,7 @@ from the defining formulas; everything else is checked against an
 independent finite-difference oracle of G itself.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from gjet.errors import (
     DomainViolation,
     GjetError,
+    NoConvergence,
     OutOfImage,
     RangeViolation,
     SingularE,
@@ -22,12 +24,15 @@ from gjet.genfun import (
     ParallelBeam,
     PointSourcePlane,
     QuadraticOT,
+    RowStatus,
     dual_Astar_Bstar,
+    dual_Astar_Bstar_rows,
     dual_H,
     eval_bundle,
     forward_YZ,
     map_Q,
     map_X,
+    map_X_rows,
     matrix_A,
     matrix_A_B,
     matrix_A_via_yp,
@@ -393,6 +398,195 @@ def test_xq_jacobian_relation(gf):
         ref = -b.dz * np.linalg.inv(e).T
         assert np.allclose(xq, ref, atol=1e-5 * max(1, np.max(np.abs(ref)))), \
             gf.name
+
+
+class NewtonBeam(ParallelBeam):
+    """The parallel beam without its closed-form slope inverse: map_X runs
+    the damped Newton, and far starts need step halvings."""
+
+    name = "parallel_beam_newton"
+
+    def __init__(self, dimension):
+        super().__init__(dimension)
+        self.closed_forms = dataclasses.replace(self.closed_forms, x_of=None)
+
+
+ROW_INSTANCES = [cls(n) for cls in (QuadraticOT, ParallelBeam, NewtonBeam)
+                 for n in (1, 2, 3)] \
+    + [PointSourcePlane(n, tau=-1.0) for n in (1, 2, 3)]
+STATUS_ERRORS = {RowStatus.OUT_OF_IMAGE: OutOfImage,
+                 RowStatus.BAD_START: DomainViolation,
+                 RowStatus.SINGULAR: NoConvergence,
+                 RowStatus.NO_STEP: NoConvergence,
+                 RowStatus.BUDGET: NoConvergence}
+
+
+def reference_map_X(gf, y, z, q, initial=None, tol=1e-11, max_iter=50):
+    """The per-point slope inversion that map_X_rows replaced, kept as the
+    oracle: scalar bundles, scalar admissibility, one row at a time."""
+    n = gf.dimension
+    y, q, z = np.asarray(y, dtype=float), np.asarray(q, dtype=float), float(z)
+    scale = 1.0 + float(np.max(np.abs(q)))
+    if gf.closed_forms is not None and gf.closed_forms.x_of is not None:
+        x = gf.closed_forms.x_of(y, z, q)
+        if x is None:
+            raise OutOfImage("closed form rules the slope out")
+        x = np.asarray(x, dtype=float)
+    elif initial is not None:
+        x = np.asarray(initial, dtype=float).copy()
+    else:
+        x = np.zeros(n) if not gf.admissible_pair(y, y) else y.copy()
+
+    def admissible(xv):
+        if not gf.admissible_pair(xv, y):
+            return False
+        lo, hi = gf.z_interval(xv, y)
+        return lo < z < hi
+
+    if not admissible(x):
+        raise DomainViolation("initial iterate is inadmissible")
+    bnd = gf.bundle(x, y, z)
+    res = -bnd.grad_y / bnd.dz - q
+    rnorm = float(np.max(np.abs(res)))
+    for _ in range(max_iter):
+        if rnorm <= tol * scale:
+            return x
+        e = bnd.hess_xy - np.outer(bnd.grad_xz, bnd.grad_y) / bnd.dz
+        step = np.linalg.solve(-e.T / bnd.dz, -res)
+        lam = 1.0
+        for _ in range(45):
+            x_try = x + lam * step
+            if admissible(x_try):
+                bnd_try = gf.bundle(x_try, y, z)
+                res_try = -bnd_try.grad_y / bnd_try.dz - q
+                rn_try = float(np.max(np.abs(res_try)))
+                if rn_try < rnorm or rn_try <= tol * scale:
+                    x, bnd, res, rnorm = x_try, bnd_try, res_try, rn_try
+                    break
+            lam *= 0.5
+        else:
+            raise NoConvergence("no admissible decreasing step")
+    if rnorm <= tol * scale:
+        return x
+    raise NoConvergence("iteration budget exhausted")
+
+
+def reference_dual_coefficients(gf, x, y, z, q, f, g):
+    """The scalar A*/B* assembly that dual_Astar_Bstar_rows replaced."""
+    b = gf.bundle(x, y, z)
+    gz = b.dz
+    q_y = -b.hess_yy / gz + np.outer(b.grad_y, b.grad_yz) / gz ** 2
+    q_z = -b.grad_yz / gz + b.grad_y * (b.dzz / gz ** 2)
+    det = float(np.linalg.det(
+        b.hess_xy - np.outer(b.grad_xz, b.grad_y) / b.dz))
+    bstar = (-1.0 / gz) ** gf.dimension * abs(det) * float(g(y)) / float(f(x))
+    return q_y + np.outer(q_z, q), bstar
+
+
+@pytest.mark.parametrize("with_initial", [False, True], ids=["cold", "initial"])
+@pytest.mark.parametrize("gf", ROW_INSTANCES,
+                         ids=lambda g: f"{g.name}{g.dimension}")
+def test_row_cores_match_scalar_reference(gf, with_initial):
+    # map_X_rows and dual_Astar_Bstar_rows over all rows must equal, bit
+    # for bit, both the per-point loop they replaced and their own one-row
+    # calls (map_X, dual_Astar_Bstar); a failing row must report the
+    # status whose exception the one-row call and the loop raise
+    rng = np.random.default_rng(31)
+    n = gf.dimension
+    m = 16
+    x_box, y_box = instance_boxes(gf)
+    pts = [sample_admissible(gf, rng, x_box, y_box) for _ in range(m)]
+    ys = np.array([p[1] for p in pts])
+    zs = np.array([p[2] for p in pts])
+    qs = np.array([map_Q(gf, *p) for p in pts])
+    qs[5:] += rng.normal(0.0, 0.02, qs[5:].shape)
+    init = None
+    if with_initial:
+        # far starts make rows accept damped steps at different halvings
+        spread = np.where(np.arange(m) % 2 == 0, 0.05, 0.6)[:, None]
+        init = np.array([p[0] for p in pts]) \
+            + spread * rng.normal(0.0, 1.0, (m, n))
+    expect_fail = {}
+    if gf.name.startswith("parallel_beam"):
+        # the image of Q(., y, z) is the open ball of radius z^2
+        qs[0] = 2.0 * zs[0] ** 2 * np.ones(n) / math.sqrt(n)
+        if gf.name == "parallel_beam":
+            expect_fail[0] = RowStatus.OUT_OF_IMAGE
+    if gf.name == "point_source" and with_initial:
+        init[1] = np.full(n, 1.5 / math.sqrt(n))    # |x| > 1: inadmissible
+        expect_fail[1] = RowStatus.BAD_START
+
+    def f(x):
+        return 1.0 + float(x @ x)
+
+    def g(y):
+        return 2.0 + float(y[0])
+
+    xs, status, _ = map_X_rows(gf, ys, zs, qs, initial=init)
+    astar, bstar, dstatus, _ = dual_Astar_Bstar_rows(gf, ys, zs, qs, f, g,
+                                                     x_initial=init)
+    assert np.array_equal(status, dstatus)
+    for k, code in expect_fail.items():
+        assert status[k] == code
+    ok = status == RowStatus.OK
+    assert not ok[0] or not gf.name.startswith("parallel_beam")
+    assert ok[[2, 4]].all()     # exact slopes, near starts
+    for k in range(m):
+        x_k = None if init is None else init[k]
+        one = map_X_rows(gf, ys[k:k + 1], zs[k:k + 1], qs[k:k + 1],
+                         initial=None if init is None else init[k:k + 1])
+        assert one[1][0] == status[k]
+        if not ok[k]:
+            error = STATUS_ERRORS[status[k]]
+            with pytest.raises(error):
+                reference_map_X(gf, ys[k], zs[k], qs[k], initial=x_k)
+            with pytest.raises(error):
+                map_X(gf, ys[k], zs[k], qs[k], initial=x_k)
+            with pytest.raises(error):
+                dual_Astar_Bstar(gf, ys[k], zs[k], qs[k], f, g, x_initial=x_k)
+            assert np.all(np.isnan(xs[k])) and np.isnan(bstar[k])
+            continue
+        x_ref = reference_map_X(gf, ys[k], zs[k], qs[k], initial=x_k)
+        a_ref, b_ref = reference_dual_coefficients(gf, x_ref, ys[k], zs[k],
+                                                   qs[k], f, g)
+        assert np.array_equal(xs[k], x_ref)
+        assert np.array_equal(astar[k], a_ref) and bstar[k] == b_ref
+        assert np.array_equal(map_X(gf, ys[k], zs[k], qs[k], initial=x_k),
+                              x_ref)
+        a, b = dual_Astar_Bstar(gf, ys[k], zs[k], qs[k], f, g, x_initial=x_k)
+        assert np.array_equal(a, a_ref) and b == b_ref
+
+
+@pytest.mark.parametrize("gf", [ParallelBeam(2), PointSourcePlane(2, tau=-1.0)],
+                         ids=lambda g: g.name)
+def test_dual_rows_match_scalar_assembly_on_many_rows(gf):
+    # the powers of G_z must round as the scalar formula's Python float
+    # powers do; numpy's ** 2 squares instead, which differs in the last
+    # bit for about 1 value in 1,300, so many rows are needed to see it
+    rng = np.random.default_rng(41)
+    m = 3000
+    xs = rng.uniform(-0.4, 0.4, (m, 2))
+    ys = rng.uniform(-0.5, 0.5, (m, 2))
+    lo, hi = gf.z_interval_batch(xs, ys)
+    zs = np.where(np.isfinite(hi), lo + rng.uniform(0.2, 0.8, m) * (hi - lo),
+                  rng.uniform(0.2, 2.0, m))
+    b = gf.bundle_batch(xs, ys, zs)
+    qs = -b.grad_y / b.dz[:, None]
+
+    def f(x):
+        return 1.0 + float(x @ x)
+
+    def g(y):
+        return 2.0 + float(y[0])
+
+    astar, bstar, status, _ = dual_Astar_Bstar_rows(gf, ys, zs, qs, f, g,
+                                                    x_initial=xs)
+    assert np.all(status == RowStatus.OK)
+    for k in range(m):
+        x = map_X(gf, ys[k], zs[k], qs[k], initial=xs[k])
+        a_ref, b_ref = reference_dual_coefficients(gf, x, ys[k], zs[k],
+                                                   qs[k], f, g)
+        assert np.array_equal(astar[k], a_ref) and bstar[k] == b_ref, k
 
 
 # --------------------------------------------------------------------------

@@ -6,14 +6,22 @@ import numpy as np
 import pytest
 
 from gjet.gconvex import SourceGrid, values_matrix
-from gjet.genfun import ParallelBeam, PointSourcePlane, QuadraticOT, dual_H
+from gjet.genfun import (
+    ParallelBeam,
+    PointSourcePlane,
+    QuadraticOT,
+    dual_H,
+    forward_YZ,
+)
 from gjet.madiag import (
     GridFunction,
     dual_residual,
     ellipticity_check,
     ma_residual,
+    make_separable_psi,
     manufactured_case,
     pje_residual,
+    pointwise,
 )
 
 
@@ -139,6 +147,74 @@ def test_make_separable_psi_sign_convention(qot2):
                np.array([0.2, 0.1])) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("maker", [
+    lambda: QuadraticOT(2), lambda: ParallelBeam(2),
+    lambda: PointSourcePlane(2, -1.0)], ids=["qot", "pb", "ps"])
+def test_separable_psi_matches_pointwise_scalar_formula(maker):
+    # the row psi against the per-node formula it replaced, adapted by
+    # pointwise: forward_YZ per node, sign of det E from one bundle
+    gf = maker()
+    grid = box_grid(12, lo=-0.4, hi=0.4)
+    rng = np.random.default_rng(37)
+    xs = grid.centers
+    y0 = np.array([0.1, -0.05])
+    z0 = 0.4 if gf.name == "parallel_beam" else 0.8
+    us = gf.value_batch(xs, y0, z0)
+    ps = gf.grad_x_batch(xs, y0, z0) + rng.normal(0.0, 0.01, xs.shape)
+
+    def f(x):
+        return 1.0 + float(x @ x)
+
+    def g(y):
+        return 2.0 + math.sin(float(y[0]))
+
+    def scalar_psi(x, u, p):
+        y, z = forward_YZ(gf, x, u, p)
+        b = gf.bundle(x, y, z)
+        det = float(np.linalg.det(
+            b.hess_xy - np.outer(b.grad_xz, b.grad_y) / b.dz))
+        return f(x) / g(y) * math.copysign(1.0, det)
+
+    rows = make_separable_psi(gf, f, g)(xs, us, ps)
+    ref = pointwise(scalar_psi)(xs, us, ps)
+    assert rows.shape == (grid.size,)
+    assert np.array_equal(np.sign(rows), np.sign(ref))
+    # forward targets: closed form per row against a Newton-polished one
+    assert np.allclose(rows, ref, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["quadratic_ot_identity", "quadratic_ot_cosh"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_manufactured_psi_matches_pointwise_scalar_formula(name, n):
+    gf = QuadraticOT(n)
+    grid = box_grid(6, n=n)
+    ufun, psi = manufactured_case(name, gf, grid)
+    sign = (-1.0) ** n
+    scalar = {
+        "quadratic_ot_identity": lambda x, u, p: sign,
+        "quadratic_ot_cosh": lambda x, u, p: sign * float(
+            np.prod(2.0 * np.cosh(np.asarray(x)) - 1.0)),
+    }[name]
+    us = ufun.values.ravel()
+    ps = np.zeros_like(grid.centers)
+    assert np.array_equal(psi(grid.centers, us, ps),
+                          pointwise(scalar)(grid.centers, us, ps))
+
+
+def test_ma_residual_calls_psi_once_on_the_evaluated_nodes():
+    gf = QuadraticOT(2)
+    grid = box_grid(16)
+    ufun, psi = manufactured_case("quadratic_ot_cosh", gf, grid)
+    calls = []
+
+    def counted(xs, us, ps):
+        calls.append(len(xs))
+        return psi(xs, us, ps)
+
+    res = ma_residual(gf, ufun, counted)
+    assert calls == [int(res.mask.sum())]
+
+
 # --------------------------------------------------------------------------
 # ellipticity
 # --------------------------------------------------------------------------
@@ -211,6 +287,20 @@ def test_dual_residual_on_dual_affine_graph(pb2):
     res = dual_residual(pb2, vfun, g=lambda y: 0.0)
     assert res.masked_count == 0
     assert res.max_abs() <= 1e-6
+
+
+def test_dual_residual_pinned_on_point_source_dual_graph():
+    # v = H(x0, ., u0) of the point source (tau = -1, x0 = 0, u0 = 2.5) on
+    # a 48^2 target grid solves the dual equation with g = 0; max_abs and
+    # the masked count are pinned to the values of the per-node loop that
+    # warm-started each node from its neighbour's X
+    gf = PointSourcePlane(2, tau=-1.0)
+    grid = box_grid(48, lo=-0.3, hi=0.3)
+    vals = gf.h_batch(np.zeros((1, 2)), grid.centers, np.full(grid.size, 2.5))
+    res = dual_residual(gf, GridFunction(grid, vals.reshape(grid.res)),
+                        g=lambda y: 0.0)
+    assert res.max_abs().hex() == "0x1.676df3eebcd52p-34"
+    assert res.masked_count == 0
 
 
 def test_dual_residual_legendre_pair(qot2):
