@@ -236,8 +236,7 @@ def check_injectivity(gf: GeneratingFunction, direction: str, spec: SampleSpec, 
                 for f in spec.z_fracs:
                     z = _map_fraction(lo, hi, f)
                     b = gf.bundle(x, y, z)
-                    det = float(np.linalg.det(
-                        b.hess_xy - np.outer(b.grad_xz, b.grad_y) / b.dz))
+                    det = float(np.linalg.det(genfun._e_matrix(b)))
                     jac = abs(b.dz * det)
                     if jac < min_jac:
                         min_jac = jac
@@ -275,8 +274,7 @@ def check_injectivity(gf: GeneratingFunction, direction: str, spec: SampleSpec, 
                 if not (lo_x < z < hi_x):
                     continue
                 b = gf.bundle(x, y, z)
-                det = float(np.linalg.det(
-                    b.hess_xy - np.outer(b.grad_xz, b.grad_y) / b.dz))
+                det = float(np.linalg.det(genfun._e_matrix(b)))
                 jac = abs(det / b.dz ** n)
                 if jac < min_jac:
                     min_jac = jac
@@ -285,7 +283,7 @@ def check_injectivity(gf: GeneratingFunction, direction: str, spec: SampleSpec, 
                         witness = {"x": x, "y": y, "z": z,
                                    "jacobian": jac, "kind": "degenerate_jacobian"}
                 inputs.append(x)
-                outputs.append(-b.grad_y / b.dz)
+                outputs.append(genfun._q_of(b))
             used += len(inputs)
             col = _find_collision(inputs, outputs, collision_tol, input_tol)
             if col is not None:
@@ -338,8 +336,7 @@ def check_G2(gf: GeneratingFunction, spec: SampleSpec, *,
     arg = None
     for x, y, z, f in triples:
         b = gf.bundle(x, y, z)
-        det = float(np.linalg.det(
-            b.hess_xy - np.outer(b.grad_xz, b.grad_y) / b.dz))
+        det = float(np.linalg.det(genfun._e_matrix(b)))
         if abs(det) < min_abs:
             min_abs = abs(det)
             arg = (x, y, z, f)
@@ -511,7 +508,7 @@ def dp_A_chainrule(gf: GeneratingFunction, x, y, z, *,
     y = np.asarray(y, dtype=float).reshape(n)
     z = float(z)
     b = genfun.eval_bundle(gf, x, y, z)
-    e = b.hess_xy - np.outer(b.grad_xz, b.grad_y) / b.dz
+    e = genfun._e_matrix(b)
     einv = np.linalg.inv(e)
     h = fd_step(float(np.max(np.abs(x)))) if step is None else step
 
@@ -521,9 +518,7 @@ def dp_A_chainrule(gf: GeneratingFunction, x, y, z, *,
         ej[j] = h
         bp = gf.bundle(x + ej, y, z)
         bm = gf.bundle(x - ej, y, z)
-        ep = bp.hess_xy - np.outer(bp.grad_xz, bp.grad_y) / bp.dz
-        em = bm.hess_xy - np.outer(bm.grad_xz, bm.grad_y) / bm.dz
-        de_dx[:, :, j] = (ep - em) / (2.0 * h)
+        de_dx[:, :, j] = (genfun._e_matrix(bp) - genfun._e_matrix(bm)) / (2.0 * h)
 
     term1 = np.einsum("rk,irj->ijk", einv, de_dx)
     term2 = np.einsum("i,jk->ijk", b.grad_xz / b.dz, np.eye(n))

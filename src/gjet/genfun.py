@@ -32,14 +32,13 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import (
     DomainViolation,
-    GjetError,
     NoConvergence,
     NoRoot,
     OutOfImage,
@@ -48,11 +47,9 @@ from .errors import (
 )
 
 __all__ = [
-    "DerivativeBundle",
     "BatchBundle",
     "DualValue",
     "G5Constants",
-    "ClosedForms",
     "GeneratingFunction",
     "QuadraticOT",
     "ParallelBeam",
@@ -80,29 +77,16 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class DerivativeBundle:
-    """G and its first and second partial derivatives at one point.
-
-    hess_xy[i, j] is d^2 G / dx_i dy_j.  hess_yy is carried in addition
-    to the x-side blocks because the dual linearization A* needs exact
-    y,y second derivatives.
-    """
-
-    value: float
-    grad_x: np.ndarray
-    grad_y: np.ndarray
-    dz: float
-    hess_xx: np.ndarray
-    hess_xy: np.ndarray
-    hess_yy: np.ndarray
-    grad_xz: np.ndarray
-    grad_yz: np.ndarray
-    dzz: float
-
-
-@dataclass(frozen=True)
 class BatchBundle:
-    """Vectorized bundle: leading axis indexes evaluation points."""
+    """G and its first and second partial derivatives over rows.
+
+    The leading axis indexes evaluation points; hess_xy[k, i, j] is
+    d^2 G / dx_i dy_j at row k.  hess_yy is carried in addition to the
+    x-side blocks because the dual linearization A* needs exact y,y second
+    derivatives.  GeneratingFunction.bundle returns row 0 of a one-row
+    bundle: scalars for value, dz and dzz, and the arrays without their
+    leading axis.
+    """
 
     value: np.ndarray      # (m,)
     grad_x: np.ndarray     # (m, n)
@@ -114,20 +98,6 @@ class BatchBundle:
     grad_xz: np.ndarray    # (m, n)
     grad_yz: np.ndarray    # (m, n)
     dzz: np.ndarray        # (m,)
-
-    def at(self, k: int) -> DerivativeBundle:
-        return DerivativeBundle(
-            value=float(self.value[k]),
-            grad_x=self.grad_x[k].copy(),
-            grad_y=self.grad_y[k].copy(),
-            dz=float(self.dz[k]),
-            hess_xx=self.hess_xx[k].copy(),
-            hess_xy=self.hess_xy[k].copy(),
-            hess_yy=self.hess_yy[k].copy(),
-            grad_xz=self.grad_xz[k].copy(),
-            grad_yz=self.grad_yz[k].copy(),
-            dzz=float(self.dzz[k]),
-        )
 
 
 @dataclass(frozen=True)
@@ -150,24 +120,6 @@ class G5Constants:
 
     m0: float
     k0: float
-
-
-@dataclass(frozen=True)
-class ClosedForms:
-    """Optional analytic oracles used as Newton initializers and in tests.
-
-    forward_yz(x, u, p) -> (Y, Z) or None when (x, u, p) is infeasible.
-    h(x, y, u) -> z root (caller checks range).
-    det_e(x, y, z) -> scalar.
-    a_matrix(x, u, p) -> (n, n).
-    x_of(y, z, q) -> preimage of q under Q(., y, z), or None.
-    """
-
-    forward_yz: Optional[Callable] = None
-    h: Optional[Callable] = None
-    det_e: Optional[Callable] = None
-    a_matrix: Optional[Callable] = None
-    x_of: Optional[Callable] = None
 
 
 def fd_step(scale: float, base: float = 1e-5) -> float:
@@ -202,12 +154,6 @@ def _per_row(vals, m: int) -> np.ndarray:
     return v if len(v) == m else np.broadcast_to(v, (m,))
 
 
-def _nans(shape) -> np.ndarray:
-    a = np.empty(shape)
-    a.fill(np.nan)
-    return a
-
-
 def _pair_rows(xs, ys, n: int) -> tuple:
     """xs and ys as (m, n) rows; a single point on either side is broadcast."""
     xs = _rows(xs, n)
@@ -233,10 +179,14 @@ def _eye_batch(m: int, n: int) -> np.ndarray:
 class GeneratingFunction(abc.ABC):
     """Contract shared by all generating functions.
 
-    Subclasses supply exact derivatives through ``_raw_batch`` and the
-    admissibility data (the pair set U and the focal interval I(x, y)).
-    Instances are immutable after construction and safe to share; every
-    method is pure.
+    A subclass supplies exact derivatives over rows (``_raw_batch``) and
+    the focal intervals I(x, y) over rows (``z_interval_batch``).  It may
+    narrow the admissible pair set U (``admissible_pair_batch``; the
+    default admits every finite pair) and supply closed-form inverses as
+    batched hooks that return None when there is none: ``forward_yz_batch``
+    for (Y, Z), ``_h_of`` for H and ``_x_of`` for X.  The scalar methods
+    are one-row calls of these.  Instances are immutable after
+    construction and safe to share; every method is pure.
     """
 
     name = "generic"
@@ -246,33 +196,28 @@ class GeneratingFunction(abc.ABC):
             raise ValueError("supported dimensions are 1, 2 and 3")
         self.dimension = int(dimension)
         self.g5_constants = g5_constants
-        self.closed_forms: Optional[ClosedForms] = None
 
     # -- admissibility -----------------------------------------------------
 
     def admissible_pair(self, x, y) -> bool:
-        x = _vec(x, self.dimension)
-        y = _vec(y, self.dimension)
-        return bool(np.all(np.isfinite(x)) and np.all(np.isfinite(y)))
+        n = self.dimension
+        return bool(self.admissible_pair_batch(_vec(x, n)[None, :],
+                                               _vec(y, n)[None, :])[0])
 
     def admissible_pair_batch(self, xs, y) -> np.ndarray:
         """Admissibility of the pairs (x_k, y_k); y is one point or rows."""
         xs, ys = _pair_rows(xs, y, self.dimension)
-        return np.array([self.admissible_pair(x, yk) for x, yk in zip(xs, ys)],
-                        dtype=bool)
+        return np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
 
-    @abc.abstractmethod
     def z_interval(self, x, y) -> tuple:
         """Open interval I(x, y) of admissible focal parameters."""
+        n = self.dimension
+        lo, hi = self.z_interval_batch(_vec(x, n)[None, :], _vec(y, n)[None, :])
+        return float(lo[0]), float(hi[0])
 
-    def z_interval_batch(self, xs, y):
+    @abc.abstractmethod
+    def z_interval_batch(self, xs, y) -> tuple:
         """(lo, hi) arrays of I(x_k, y_k); y is one point or rows."""
-        xs, ys = _pair_rows(xs, y, self.dimension)
-        lo = np.empty(len(xs))
-        hi = np.empty(len(xs))
-        for k in range(len(xs)):
-            lo[k], hi[k] = self.z_interval(xs[k], ys[k])
-        return lo, hi
 
     # -- derivatives -------------------------------------------------------
 
@@ -280,10 +225,11 @@ class GeneratingFunction(abc.ABC):
     def _raw_batch(self, xs, ys, zs) -> BatchBundle:
         """Exact derivative bundle over rows; no admissibility checks."""
 
-    def bundle(self, x, y, z) -> DerivativeBundle:
-        x = _vec(x, self.dimension)
-        y = _vec(y, self.dimension)
-        return self._raw_batch(x[None, :], y[None, :], np.array([float(z)])).at(0)
+    def bundle(self, x, y, z) -> BatchBundle:
+        """Derivative bundle at one point: row 0 of a one-row batch."""
+        b = self._raw_batch(_vec(x, self.dimension)[None, :],
+                            _vec(y, self.dimension)[None, :], np.array([float(z)]))
+        return BatchBundle(*(getattr(b, f.name)[0] for f in fields(b)))
 
     def bundle_batch(self, xs, ys, zs) -> BatchBundle:
         xs, ys = _pair_rows(xs, ys, self.dimension)
@@ -294,34 +240,32 @@ class GeneratingFunction(abc.ABC):
     def value(self, x, y, z) -> float:
         return float(self.value_batch(_vec(x, self.dimension)[None, :], y, z)[0])
 
-    def value_batch(self, xs, y, z) -> np.ndarray:
+    def _one_piece(self, xs, y, z) -> BatchBundle:
+        """Bundle at rows of xs against one target y and one z."""
         xs = _rows(xs, self.dimension)
-        y = _vec(y, self.dimension)
-        return self._raw_batch(xs, np.broadcast_to(y, xs.shape),
-                               np.full(len(xs), float(z))).value
+        return self._raw_batch(xs, np.broadcast_to(_vec(y, self.dimension), xs.shape),
+                               np.full(len(xs), float(z)))
+
+    def value_batch(self, xs, y, z) -> np.ndarray:
+        return self._one_piece(xs, y, z).value
 
     def grad_x_batch(self, xs, y, z) -> np.ndarray:
-        xs = _rows(xs, self.dimension)
-        y = _vec(y, self.dimension)
-        return self._raw_batch(xs, np.broadcast_to(y, xs.shape),
-                               np.full(len(xs), float(z))).grad_x
+        return self._one_piece(xs, y, z).grad_x
 
     def q_batch(self, xs, y, z) -> np.ndarray:
         """Target-slope map Q = -G_y/G_z over rows of xs."""
-        xs = _rows(xs, self.dimension)
-        y = _vec(y, self.dimension)
-        b = self._raw_batch(xs, np.broadcast_to(y, xs.shape),
-                            np.full(len(xs), float(z)))
-        return -b.grad_y / b.dz[:, None]
+        return _q_of(self._one_piece(xs, y, z))
 
     def h_batch(self, xs, ys, us) -> np.ndarray:
-        """Vectorized z-inverse; falls back to scalar root finding."""
+        """z-inverse H over rows: the closed form when the instance has
+        one, else dual_H row by row."""
         xs, ys = _pair_rows(xs, ys, self.dimension)
         us = _per_row(us, len(xs))
-        out = np.empty(len(xs))
-        for k in range(len(xs)):
-            out[k] = dual_H(self, xs[k], ys[k], us[k]).z_root
-        return out
+        closed = self._h_of(xs, ys, us)
+        if closed is not None:
+            return closed
+        return np.array([dual_H(self, x, y, u).z_root
+                         for x, y, u in zip(xs, ys, us)])
 
     def piece_values_fn(self, xs, y) -> Callable[[float], np.ndarray]:
         """Closure z -> G(xs, y, z); instances cache per-target geometry."""
@@ -329,11 +273,30 @@ class GeneratingFunction(abc.ABC):
         y = _vec(y, self.dimension)
         return lambda z: self.value_batch(xs, y, z)
 
+    # -- closed-form inverses: None when the instance has none -------------
+
     def forward_yz_batch(self, xs, us, ps):
         """Vectorized closed-form forward map, or None when unavailable.
 
         Returns (Y (m,n), Z (m,), valid (m,) bool)."""
         return None
+
+    def _h_of(self, xs, ys, us):
+        """Closed-form H for rows xs, ys (m, n) and us (m,), or None."""
+        return None
+
+    def _x_of(self, ys, zs, qs):
+        """Closed-form X for rows ys (m, n), zs (m,) and qs (m, n), or None.
+
+        Returns (xs (m, n), ok (m,) bool); a row is not ok when its slope
+        lies outside the image of Q(., y, z)."""
+        return None
+
+    def _h_hint(self, x, y, u):
+        """dual_H's Newton start: one row of _h_of (never h_batch, whose
+        generic form calls dual_H), or None."""
+        h = self._h_of(x[None, :], y[None, :], np.array([u]))
+        return None if h is None else float(h[0])
 
 
 # --------------------------------------------------------------------------
@@ -351,23 +314,10 @@ class QuadraticOT(GeneratingFunction):
 
     def __init__(self, dimension: int):
         super().__init__(dimension, g5_constants=None)
-        self.closed_forms = ClosedForms(
-            forward_yz=self._cf_forward,
-            h=self._cf_h,
-            det_e=lambda x, y, z: (-1.0) ** self.dimension,
-            a_matrix=lambda x, u, p: np.eye(self.dimension),
-            x_of=lambda y, z, q: _vec(y, self.dimension) - _vec(q, self.dimension),
-        )
-
-    def z_interval(self, x, y):
-        return (-math.inf, math.inf)
 
     def z_interval_batch(self, xs, y):
         m = len(_rows(xs, self.dimension))
         return np.full(m, -math.inf), np.full(m, math.inf)
-
-    def admissible_pair_batch(self, xs, y):
-        return np.ones(len(_rows(xs, self.dimension)), dtype=bool)
 
     def _raw_batch(self, xs, ys, zs):
         m, n = xs.shape
@@ -391,17 +341,18 @@ class QuadraticOT(GeneratingFunction):
         d = _rows(xs, self.dimension) - _vec(y, self.dimension)
         return 0.5 * np.einsum("ij,ij->i", d, d) - float(z)
 
-    def grad_x_batch(self, xs, y, z):
-        return _rows(xs, self.dimension) - _vec(y, self.dimension)
-
     def q_batch(self, xs, y, z):
         return _vec(y, self.dimension) - _rows(xs, self.dimension)
 
-    def h_batch(self, xs, ys, us):
-        xs = _rows(xs, self.dimension)
-        ys = _rows(ys, self.dimension)
+    def _h_of(self, xs, ys, us):
         d = xs - ys
-        return 0.5 * np.einsum("ij,ij->i", d, d) - np.asarray(us, dtype=float)
+        return 0.5 * np.einsum("ij,ij->i", d, d) - us
+
+    def _h_hint(self, x, y, u):
+        # the scalar dot, not _h_of's einsum: the two differ in the last
+        # bit, and dual_H's root (solve's anchor) depends on its start
+        d = x - y
+        return 0.5 * float(d @ d) - u
 
     def piece_values_fn(self, xs, y):
         d = _rows(xs, self.dimension) - _vec(y, self.dimension)
@@ -416,14 +367,8 @@ class QuadraticOT(GeneratingFunction):
         zs = 0.5 * np.einsum("ij,ij->i", ps, ps) - us
         return ys, zs, np.ones(len(xs), dtype=bool)
 
-    def _cf_forward(self, x, u, p):
-        x = _vec(x, self.dimension)
-        p = _vec(p, self.dimension)
-        return x - p, 0.5 * float(p @ p) - float(u)
-
-    def _cf_h(self, x, y, u):
-        d = _vec(x, self.dimension) - _vec(y, self.dimension)
-        return 0.5 * float(d @ d) - float(u)
+    def _x_of(self, ys, zs, qs):
+        return ys - qs, np.ones(len(ys), dtype=bool)
 
 
 # --------------------------------------------------------------------------
@@ -452,17 +397,6 @@ class ParallelBeam(GeneratingFunction):
 
     def __init__(self, dimension: int):
         super().__init__(dimension, g5_constants=G5Constants(m0=0.0, k0=1.0))
-        self.closed_forms = ClosedForms(
-            forward_yz=self._cf_forward,
-            h=self._cf_h,
-            det_e=self._cf_det_e,
-            a_matrix=self._cf_a,
-            x_of=self._cf_x,
-        )
-
-    def z_interval(self, x, y):
-        r = float(np.linalg.norm(_vec(x, self.dimension) - _vec(y, self.dimension)))
-        return (0.0, math.inf if r == 0.0 else 1.0 / r)
 
     def z_interval_batch(self, xs, y):
         xs, ys = _pair_rows(xs, y, self.dimension)
@@ -471,9 +405,6 @@ class ParallelBeam(GeneratingFunction):
         hi = np.full(len(d), math.inf)
         np.divide(1.0, r, out=hi, where=r > 0)
         return np.zeros(len(d)), hi
-
-    def admissible_pair_batch(self, xs, y):
-        return np.ones(len(_rows(xs, self.dimension)), dtype=bool)
 
     def _raw_batch(self, xs, ys, zs):
         m, n = xs.shape
@@ -500,23 +431,21 @@ class ParallelBeam(GeneratingFunction):
         z = float(z)
         return 0.5 / z - 0.5 * z * r2
 
-    def grad_x_batch(self, xs, y, z):
-        d = _rows(xs, self.dimension) - _vec(y, self.dimension)
-        return -float(z) * d
-
     def q_batch(self, xs, y, z):
         d = _rows(xs, self.dimension) - _vec(y, self.dimension)
         r2 = np.einsum("ij,ij->i", d, d)
         z = float(z)
         return (2.0 * z ** 3 / (1.0 + z ** 2 * r2))[:, None] * d
 
-    def h_batch(self, xs, ys, us):
-        xs = _rows(xs, self.dimension)
-        ys = _rows(ys, self.dimension)
+    def _h_of(self, xs, ys, us):
         d = xs - ys
         r2 = np.einsum("ij,ij->i", d, d)
-        us = np.asarray(us, dtype=float).reshape(-1)
         return 1.0 / (us + np.sqrt(us ** 2 + r2))
+
+    def _h_hint(self, x, y, u):
+        # the scalar dot, as in QuadraticOT._h_hint
+        d = x - y
+        return 1.0 / (u + math.sqrt(u * u + float(d @ d)))
 
     def piece_values_fn(self, xs, y):
         d = _rows(xs, self.dimension) - _vec(y, self.dimension)
@@ -534,45 +463,17 @@ class ParallelBeam(GeneratingFunction):
             ys = xs + (2.0 * us / (1.0 - p2))[:, None] * ps
         return ys, zs, valid
 
-    def _cf_forward(self, x, u, p):
-        x = _vec(x, self.dimension)
-        p = _vec(p, self.dimension)
-        u = float(u)
-        p2 = float(p @ p)
-        if u <= 0.0 or p2 >= 1.0:
-            return None
-        z = (1.0 - p2) / (2.0 * u)
-        return x + (2.0 * u / (1.0 - p2)) * p, z
-
-    def _cf_h(self, x, y, u):
-        d = _vec(x, self.dimension) - _vec(y, self.dimension)
-        r2 = float(d @ d)
-        u = float(u)
-        return 1.0 / (u + math.sqrt(u * u + r2))
-
-    def _cf_det_e(self, x, y, z):
-        d = _vec(x, self.dimension) - _vec(y, self.dimension)
-        r2 = float(d @ d)
-        z = float(z)
-        return z ** self.dimension * (1.0 - z * z * r2) / (1.0 + z * z * r2)
-
-    def _cf_a(self, x, u, p):
-        p = _vec(p, self.dimension)
-        zval = (1.0 - float(p @ p)) / (2.0 * float(u))
-        return -zval * np.eye(self.dimension)
-
-    def _cf_x(self, y, z, q):
-        # invert q = 2 z^3 w / (1 + z^2 |w|^2) on the admissible branch
-        y = _vec(y, self.dimension)
-        q = _vec(q, self.dimension)
-        z = float(z)
-        qn = float(np.linalg.norm(q))
-        if qn == 0.0:
-            return y.copy()
-        if qn >= z * z:
-            return None
-        t = (z * z - math.sqrt(z ** 4 - qn * qn)) / (z * qn)
-        return y + (t / qn) * q
+    def _x_of(self, ys, zs, qs):
+        # invert q = 2 z^3 w / (1 + z^2 |w|^2) on the admissible branch;
+        # matmul rounds |q|^2 as the scalar q @ q does (einsum does not),
+        # and float_power is the C pow, which numpy's ** 4 is not
+        qn = np.sqrt(np.matmul(qs[:, None, :], qs[:, :, None])[:, 0, 0])
+        z2 = zs * zs
+        ok = ~((qn > 0.0) & (qn >= z2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (z2 - np.sqrt(np.float_power(zs, 4) - qn * qn)) / (zs * qn)
+            xs = ys + (t / qn)[:, None] * qs
+        return np.where((qn == 0.0)[:, None], ys, xs), ok
 
 
 # --------------------------------------------------------------------------
@@ -608,19 +509,6 @@ class PointSourcePlane(GeneratingFunction):
             raise ValueError("the hyperplane height tau must satisfy tau <= 0")
         super().__init__(dimension, g5_constants=None)
         self.tau = float(tau)
-        self.closed_forms = ClosedForms(
-            forward_yz=self._cf_forward,
-            h=self._cf_h,
-            a_matrix=self._cf_a,
-        )
-
-    def admissible_pair(self, x, y) -> bool:
-        x = _vec(x, self.dimension)
-        _vec(y, self.dimension)
-        return bool(x @ x < 1.0)
-
-    def z_interval(self, x, y):
-        return (0.0, math.inf)
 
     def z_interval_batch(self, xs, y):
         m = len(_rows(xs, self.dimension))
@@ -666,15 +554,7 @@ class PointSourcePlane(GeneratingFunction):
         s = math.sqrt(z + float(y @ y) + self.tau ** 2)
         return (s - xs @ y - w * self.tau) / z
 
-    def grad_x_batch(self, xs, y, z):
-        xs = _rows(xs, self.dimension)
-        y = _vec(y, self.dimension)
-        w = np.sqrt(1.0 - np.einsum("ij,ij->i", xs, xs))
-        return (-y + (self.tau / w)[:, None] * xs) / float(z)
-
-    def h_batch(self, xs, ys, us):
-        xs, ys = _pair_rows(xs, ys, self.dimension)
-        us = _per_row(us, len(xs))
+    def _h_of(self, xs, ys, us):
         w = np.sqrt(1.0 - np.einsum("ij,ij->i", xs, xs))
         beta = np.einsum("ij,ij->i", xs, ys) + w * self.tau
         y2 = np.einsum("ij,ij->i", ys, ys)
@@ -706,36 +586,17 @@ class PointSourcePlane(GeneratingFunction):
         valid &= np.isfinite(zs) & (zs > 0)
         return ys, zs, valid
 
-    def _cf_forward(self, x, u, p):
-        ys, zs, ok = self.forward_yz_batch(_vec(x, self.dimension)[None, :],
-                                           [float(u)],
-                                           _vec(p, self.dimension)[None, :])
-        if not ok[0]:
-            return None
-        return ys[0], float(zs[0])
-
-    def _cf_h(self, x, y, u):
-        return float(self.h_batch(_vec(x, self.dimension)[None, :],
-                                  _vec(y, self.dimension)[None, :],
-                                  [float(u)])[0])
-
-    def _cf_a(self, x, u, p):
-        x = _vec(x, self.dimension)
-        cf = self._cf_forward(x, u, p)
-        if cf is None:
-            return None
-        _, zval = cf
-        w2 = 1.0 - float(x @ x)
-        w = math.sqrt(w2)
-        return (self.tau / (zval * w ** 3)) * (w2 * np.eye(self.dimension)
-                                               + np.outer(x, x))
-
 
 # --------------------------------------------------------------------------
 # operations
 # --------------------------------------------------------------------------
 
-def _check_point(gf: GeneratingFunction, x, y, z) -> tuple:
+def eval_bundle(gf: GeneratingFunction, x, y, z) -> BatchBundle:
+    """Exact derivative bundle at an admissible point.
+
+    Raises DomainViolation when (x, y) is inadmissible, z falls outside
+    I(x, y), or the monotonicity convention G_z < 0 fails there.
+    """
     x = _vec(x, gf.dimension)
     y = _vec(y, gf.dimension)
     z = float(z)
@@ -745,16 +606,6 @@ def _check_point(gf: GeneratingFunction, x, y, z) -> tuple:
     if not (lo < z < hi):
         raise DomainViolation(
             f"z = {z} outside the open interval ({lo}, {hi}) for {gf.name}")
-    return x, y, z
-
-
-def eval_bundle(gf: GeneratingFunction, x, y, z) -> DerivativeBundle:
-    """Exact derivative bundle at an admissible point.
-
-    Raises DomainViolation when (x, y) is inadmissible, z falls outside
-    I(x, y), or the monotonicity convention G_z < 0 fails there.
-    """
-    x, y, z = _check_point(gf, x, y, z)
     b = gf.bundle(x, y, z)
     if not b.dz < 0.0:
         raise DomainViolation(f"G_z = {b.dz} is not negative at the requested point")
@@ -795,7 +646,7 @@ def dual_H(gf: GeneratingFunction, x, y, u, *,
     if math.isfinite(hi):
         b = hi - 1e-13 * max(span, abs(hi), 1.0)
     else:
-        b = max(1.0, a + 1.0) if math.isfinite(lo) else max(1.0, a + 1.0)
+        b = max(1.0, a + 1.0)
         for _ in range(200):
             if g(b) <= u:
                 break
@@ -808,16 +659,9 @@ def dual_H(gf: GeneratingFunction, x, y, u, *,
             f"u = {u} outside the attainable range [{gb}, {ga}] on I(x, y)")
 
     # hint from the closed form, clipped into the bracket
-    if gf.closed_forms is not None and gf.closed_forms.h is not None:
-        zc = gf.closed_forms.h(x, y, u)
-        if np.isfinite(zc) and a < zc < b:
-            mid = zc
-        else:
-            mid = 0.5 * (a + b)
-    else:
-        mid = 0.5 * (a + b)
-
-    z = mid
+    z = gf._h_hint(x, y, u)
+    if z is None or not (math.isfinite(z) and a < z < b):
+        z = 0.5 * (a + b)
     for _ in range(max_iter):
         bnd = gf.bundle(x, y, z)
         f = bnd.value - u
@@ -848,21 +692,222 @@ def dual_H(gf: GeneratingFunction, x, y, u, *,
         z = zn
     bnd = gf.bundle(x, y, z)
     return DualValue(
-        z_root=z,
+        z_root=float(z),
         h_x=-bnd.grad_x / bnd.dz,
         h_y=-bnd.grad_y / bnd.dz,
-        h_u=1.0 / bnd.dz,
+        h_u=float(1.0 / bnd.dz),
     )
 
 
-def _z_mid(lo: float, hi: float) -> float:
-    if math.isfinite(lo) and math.isfinite(hi):
-        return 0.5 * (lo + hi)
-    if math.isfinite(lo):
-        return lo + 1.0
-    if math.isfinite(hi):
-        return hi - 1.0
-    return 0.0
+# --------------------------------------------------------------------------
+# row Newton shared by the forward map and the slope inversion
+# --------------------------------------------------------------------------
+
+class RowStatus:
+    """Outcome codes of the row Newton; only OK rows carry a result."""
+
+    OK = 0
+    OUT_OF_IMAGE = 1   # the closed form rules the slope out
+    BAD_START = 2      # the initial iterate is inadmissible
+    SINGULAR = 3       # singular Newton system
+    NO_STEP = 4        # no admissible decreasing step within 45 halvings
+    BUDGET = 5         # iteration budget exhausted
+
+
+def _raise_for_status(errors: dict, status: int, **fmt) -> None:
+    """Raise the exception that errors names for a row's status."""
+    if status != RowStatus.OK:
+        exc, msg = errors[int(status)]
+        raise exc(msg.format(**fmt))
+
+
+def _on_slice(gf: GeneratingFunction, xs, ys, zs) -> np.ndarray:
+    """Rows with (x, y) admissible and z inside I(x, y)."""
+    lo, hi = gf.z_interval_batch(xs, ys)
+    return gf.admissible_pair_batch(xs, ys) & (lo < zs) & (zs < hi)
+
+
+def _solve_rows(a, rhs) -> tuple:
+    """Row-wise solve a_k s_k = rhs_k; returns (s, singular mask or None)."""
+    try:
+        return np.linalg.solve(a, rhs[:, :, None])[:, :, 0], None
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        singular = np.zeros(len(a), dtype=bool)
+        for k in range(len(a)):
+            try:
+                out[k] = np.linalg.solve(a[k], rhs[k])
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return out, singular
+
+
+def _newton_rows(v, ctx, thr, status, *, evaluate, jacobian, admissible,
+                 max_iter: int) -> tuple:
+    """Masked, safeguarded, damped Newton over rows.
+
+    v (m, k) holds the starting iterates, ctx a tuple of per-row arrays
+    that the callbacks receive with them, thr the per-row acceptance
+    thresholds and status the rows' RowStatus so far (only OK rows run).
+    evaluate(v, ctx) -> (bundle, residual (r, k), max-norm (r,));
+    jacobian(bundle) -> (r, k, k); admissible(v, ctx) -> (r,) bool.
+    Rows with an inadmissible start are BAD_START.  A row is done when its
+    norm is at most thr; otherwise it solves its Newton system and takes
+    the first of 45 halved steps that stays admissible and lowers its norm
+    or meets thr.  The kernel runs on the still-active rows only.
+
+    Returns (out, status, rnorm): out is NaN where status is not OK, and
+    rnorm is each row's last residual norm (NaN for rows that never
+    reached the kernel).
+    """
+    m = len(v)
+    out = np.full(v.shape, np.nan)
+    rnorm = np.full(m, np.nan)
+    start = admissible(v, ctx)
+    status[~start & (status == RowStatus.OK)] = RowStatus.BAD_START
+    act = (status == RowStatus.OK).nonzero()[0]
+    if not len(act):
+        return out, status, rnorm
+    if len(act) < m:
+        v, thr = v[act], thr[act]
+        ctx = tuple(a[act] for a in ctx)
+    b, res, rn = evaluate(v, ctx)
+    jac = None
+
+    def jac_now():
+        nonlocal jac
+        if jac is None:
+            jac = jacobian(b)
+        return jac
+
+    def finish(mask, code):
+        nonlocal act, v, ctx, thr, res, rn, jac
+        every = mask.all()
+        sel = slice(None) if every else mask
+        status[act[sel]] = code
+        rnorm[act[sel]] = rn[sel]
+        if code == RowStatus.OK:
+            out[act[sel]] = v[sel]
+        if every:
+            act = act[:0]
+        else:
+            keep = ~mask
+            act, v, thr, res, rn, jac = (
+                a[keep] for a in (act, v, thr, res, rn, jac_now()))
+            ctx = tuple(a[keep] for a in ctx)
+
+    for it in range(max_iter + 1):
+        if not len(act):
+            break
+        done = rn <= thr
+        if done.any():
+            finish(done, RowStatus.OK)
+            if not len(act):
+                break
+        if it == max_iter:
+            finish(np.ones(len(act), dtype=bool), RowStatus.BUDGET)
+            break
+        step, singular = _solve_rows(jac_now(), -res)
+        if singular is not None:
+            finish(singular, RowStatus.SINGULAR)
+            step = step[~singular]
+        # line search over the rows that have not accepted a step yet;
+        # pend is None while that is every row
+        pend = None
+        lam = 1.0
+        for _ in range(45):
+            rows = slice(None) if pend is None else pend
+            v_try = v[rows] + lam * step[rows]
+            sub = ctx if pend is None else tuple(a[rows] for a in ctx)
+            adm = admissible(v_try, sub)
+            if not adm.all():
+                if pend is None:
+                    pend = np.arange(len(act))
+                rows, v_try = pend[adm], v_try[adm]
+                sub = tuple(a[rows] for a in ctx)
+            if len(v_try):
+                bt, res_t, rn_t = evaluate(v_try, sub)
+                acc = (rn_t < rn[rows]) | (rn_t <= thr[rows])
+                if pend is None and acc.all():
+                    # every row accepted its full step: swap, no gathers
+                    v, res, rn, jac, b = v_try, res_t, rn_t, None, bt
+                    break
+                if acc.any():
+                    if pend is None:
+                        pend = rows = np.arange(len(act))
+                    sel = rows[acc]
+                    v[sel] = v_try[acc]
+                    res[sel] = res_t[acc]
+                    rn[sel] = rn_t[acc]
+                    jac_now()[sel] = jacobian(bt)[acc]
+                    pend = pend[~np.isin(pend, sel)]
+                    if not len(pend):
+                        break
+            lam *= 0.5
+        else:
+            failed = np.zeros(len(act), dtype=bool)
+            failed[slice(None) if pend is None else pend] = True
+            finish(failed, RowStatus.NO_STEP)
+    return out, status, rnorm
+
+
+def _z_mid(lo, hi) -> np.ndarray:
+    """A point inside each open interval (lo_k, hi_k)."""
+    flo, fhi = np.isfinite(lo), np.isfinite(hi)
+    with np.errstate(invalid="ignore"):
+        return np.where(flo & fhi, 0.5 * (lo + hi),
+                        np.where(flo, lo + 1.0, np.where(fhi, hi - 1.0, 0.0)))
+
+
+def _forward_rows(gf: GeneratingFunction, xs, us, ps, ys=None, zs=None, *,
+                  tol: float = 1e-11, max_iter: int = 50) -> tuple:
+    """Newton for G_x(x_k, Y, Z) = p_k, G(x_k, Y, Z) = u_k from (y_k, z_k),
+    by default from (x_k, midpoint of I(x_k, x_k)).
+
+    The row Newton on the (n+1)-system with the Jacobian
+    [[G_xy, G_xz], [G_y, G_z]] and the acceptance test against
+    tol * (1 + |u| + |p|_inf).  Returns (v (m, n+1) = [Y, Z], status,
+    rnorm) as _newton_rows does.
+    """
+    n = gf.dimension
+    if ys is None:
+        ys, zs = xs, _z_mid(*gf.z_interval_batch(xs, xs))
+
+    def evaluate(v, ctx):
+        x, u, p = ctx
+        b = gf._raw_batch(x, v[:, :n], v[:, n])
+        res = np.concatenate([b.grad_x - p, (b.value - u)[:, None]], axis=1)
+        return b, res, np.abs(res).max(axis=1)
+
+    def jacobian(b):
+        jac = np.empty((len(b.dz), n + 1, n + 1))
+        jac[:, :n, :n] = b.hess_xy
+        jac[:, :n, n] = b.grad_xz
+        jac[:, n, :n] = b.grad_y
+        jac[:, n, n] = b.dz
+        return jac
+
+    def admissible(v, ctx):
+        return _on_slice(gf, ctx[0], v[:, :n], v[:, n])
+
+    return _newton_rows(
+        np.concatenate([ys, zs[:, None]], axis=1), (xs, us, ps),
+        tol * (1.0 + np.abs(us) + np.abs(ps).max(axis=1)),
+        np.zeros(len(xs), dtype=int), evaluate=evaluate, jacobian=jacobian,
+        admissible=admissible, max_iter=max_iter)
+
+
+_FORWARD_ERRORS = {
+    RowStatus.BAD_START: (
+        DomainViolation, "forward map: initial iterate is inadmissible"),
+    RowStatus.SINGULAR: (NoConvergence, "forward map: singular Newton system"),
+    RowStatus.NO_STEP: (
+        DomainViolation,
+        "forward map: Newton step could not stay in the admissible set"),
+    RowStatus.BUDGET: (
+        NoConvergence,
+        "forward map: iteration budget exhausted (residual {rnorm:.3e})"),
+}
 
 
 def forward_YZ(gf: GeneratingFunction, x, u, p, *,
@@ -873,74 +918,27 @@ def forward_YZ(gf: GeneratingFunction, x, u, p, *,
     Damped Newton on the (n+1)-system with the Jacobian assembled from
     exact second derivatives.  The initial guess comes from the closed
     form when the instance has one, else from the caller, else from
-    (y, z) = (x, midpoint of I(x, x)).
+    (y, z) = (x, midpoint of I(x, x)).  One row of the row Newton.
     """
     n = gf.dimension
-    x = _vec(x, n)
-    u = float(u)
-    p = _vec(p, n)
-    scale = 1.0 + abs(u) + float(np.max(np.abs(p)))
-
-    y = None
-    if gf.closed_forms is not None and gf.closed_forms.forward_yz is not None:
-        cf = gf.closed_forms.forward_yz(x, u, p)
-        if cf is not None:
-            y, z = np.asarray(cf[0], dtype=float), float(cf[1])
-    if y is None and initial is not None:
-        y, z = _vec(initial[0], n).copy(), float(initial[1])
-    if y is None:
-        y = x.copy()
-        lo, hi = gf.z_interval(x, y)
-        z = _z_mid(lo, hi)
-
-    def admissible(yv, zv):
-        if not gf.admissible_pair(x, yv):
-            return False
-        lo, hi = gf.z_interval(x, yv)
-        return lo < zv < hi
-
-    if not admissible(y, z):
-        raise DomainViolation("forward map: initial iterate is inadmissible")
-
-    bnd = gf.bundle(x, y, z)
-    res = np.concatenate([bnd.grad_x - p, [bnd.value - u]])
-    rnorm = float(np.max(np.abs(res)))
-    for _ in range(max_iter):
-        if rnorm <= tol * scale:
-            return y, z
-        jac = np.zeros((n + 1, n + 1))
-        jac[:n, :n] = bnd.hess_xy
-        jac[:n, n] = bnd.grad_xz
-        jac[n, :n] = bnd.grad_y
-        jac[n, n] = bnd.dz
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            raise NoConvergence("forward map: singular Newton system")
-        lam = 1.0
-        for _ in range(45):
-            y_try = y + lam * step[:n]
-            z_try = z + lam * step[n]
-            if admissible(y_try, z_try):
-                bnd_try = gf.bundle(x, y_try, z_try)
-                res_try = np.concatenate([bnd_try.grad_x - p, [bnd_try.value - u]])
-                rn_try = float(np.max(np.abs(res_try)))
-                if rn_try < rnorm or rn_try <= tol * scale:
-                    y, z, bnd, res, rnorm = y_try, z_try, bnd_try, res_try, rn_try
-                    break
-            lam *= 0.5
-        else:
-            raise DomainViolation(
-                "forward map: Newton step could not stay in the admissible set")
-    if rnorm <= tol * scale:
-        return y, z
-    raise NoConvergence(
-        f"forward map: iteration budget exhausted (residual {rnorm:.3e})")
+    xs = _vec(x, n)[None, :]
+    us = np.array([float(u)])
+    ps = _vec(p, n)[None, :]
+    closed = gf.forward_yz_batch(xs, us, ps)
+    ys = zs = None
+    if closed is not None and closed[2][0]:
+        ys, zs = closed[0], closed[1]
+    elif initial is not None:
+        ys, zs = _vec(initial[0], n)[None, :], np.array([float(initial[1])])
+    v, status, rnorm = _forward_rows(gf, xs, us, ps, ys, zs,
+                                     tol=tol, max_iter=max_iter)
+    _raise_for_status(_FORWARD_ERRORS, status[0], rnorm=rnorm[0])
+    return v[0, :n], float(v[0, n])
 
 
 def forward_YZ_rows(gf: GeneratingFunction, xs, us, ps) -> tuple:
     """(Y, Z) over rows: the instance's closed form when it has one, else
-    forward_YZ row by row.
+    the row Newton of forward_YZ from (x, midpoint of I(x, x)).
 
     Returns (ys (m, n), zs (m,), ok (m,) bool); rows without an
     admissible solution are not ok and hold NaN or unchecked values.
@@ -952,17 +950,8 @@ def forward_YZ_rows(gf: GeneratingFunction, xs, us, ps) -> tuple:
     closed = gf.forward_yz_batch(xs, us, ps)
     if closed is not None:
         return closed
-    m = len(xs)
-    ys = _nans((m, n))
-    zs = _nans(m)
-    ok = np.zeros(m, dtype=bool)
-    for k in range(m):
-        try:
-            ys[k], zs[k] = forward_YZ(gf, xs[k], float(us[k]), ps[k])
-            ok[k] = True
-        except GjetError:
-            pass
-    return ys, zs, ok
+    v, status, _rnorm = _forward_rows(gf, xs, us, ps)
+    return v[:, :n].copy(), v[:, n].copy(), status == RowStatus.OK
 
 
 def matrix_E(gf: GeneratingFunction, x, y, z, *,
@@ -980,7 +969,7 @@ def matrix_E(gf: GeneratingFunction, x, y, z, *,
 
 
 def _e_matrix(b) -> np.ndarray:
-    """E from a DerivativeBundle (n, n) or a BatchBundle (m, n, n)."""
+    """E from a one-point bundle (n, n) or a batched bundle (m, n, n)."""
     return b.hess_xy - b.grad_xz[..., :, None] * b.grad_y[..., None, :] \
         / np.asarray(b.dz)[..., None, None]
 
@@ -1042,24 +1031,17 @@ def matrix_A_via_yp(gf: GeneratingFunction, x, u, p, *,
     return -np.linalg.solve(yp, yx + np.outer(yu, p))
 
 
+def _q_of(b: BatchBundle) -> np.ndarray:
+    """Q = -G_y / G_z from a one-point (n,) or batched (m, n) bundle."""
+    return -b.grad_y / np.asarray(b.dz)[..., None]
+
+
 def map_Q(gf: GeneratingFunction, x, y, z) -> np.ndarray:
     """Target-slope map Q = -G_y / G_z at an admissible point."""
-    b = eval_bundle(gf, x, y, z)
-    return -b.grad_y / b.dz
+    return _q_of(eval_bundle(gf, x, y, z))
 
 
-class RowStatus:
-    """Outcome codes of map_X_rows; only OK rows carry a result."""
-
-    OK = 0
-    OUT_OF_IMAGE = 1   # the closed form rules the slope out
-    BAD_START = 2      # the initial iterate is inadmissible
-    SINGULAR = 3       # singular Newton system
-    NO_STEP = 4        # no admissible decreasing step within 45 halvings
-    BUDGET = 5         # iteration budget exhausted
-
-
-_STATUS_ERRORS = {
+_SLOPE_ERRORS = {
     RowStatus.OUT_OF_IMAGE: (
         OutOfImage, "slope q = {q} outside the image of Q(., y, z)"),
     RowStatus.BAD_START: (
@@ -1073,54 +1055,14 @@ _STATUS_ERRORS = {
 }
 
 
-def _raise_for_status(status: int, q, rnorm: float) -> None:
-    """Raise the exception map_X raises for a row with this status."""
-    if status != RowStatus.OK:
-        exc, msg = _STATUS_ERRORS[int(status)]
-        raise exc(msg.format(q=q, rnorm=rnorm))
-
-
-def _on_slice(gf: GeneratingFunction, xs, ys, zs) -> np.ndarray:
-    """Rows with (x, y) admissible and z inside I(x, y)."""
-    lo, hi = gf.z_interval_batch(xs, ys)
-    return gf.admissible_pair_batch(xs, ys) & (lo < zs) & (zs < hi)
-
-
-def _slope_residual(b: BatchBundle, qs) -> tuple:
-    """Residual Q - q and its max-norm per row."""
-    res = -b.grad_y / b.dz[:, None] - qs
-    return res, np.abs(res).max(axis=1)
-
-
-def _slope_jacobian(b: BatchBundle) -> np.ndarray:
-    """Q_x = -E^T / G_z per row."""
-    return -_e_matrix(b).transpose(0, 2, 1) / b.dz[:, None, None]
-
-
-def _solve_rows(a, rhs) -> tuple:
-    """Row-wise solve a_k s_k = rhs_k; returns (s, singular mask or None)."""
-    try:
-        return np.linalg.solve(a, rhs[:, :, None])[:, :, 0], None
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        singular = np.zeros(len(a), dtype=bool)
-        for k in range(len(a)):
-            try:
-                out[k] = np.linalg.solve(a[k], rhs[k])
-            except np.linalg.LinAlgError:
-                singular[k] = True
-        return out, singular
-
-
 def map_X_rows(gf: GeneratingFunction, ys, zs, qs, *,
                tol: float = 1e-11, max_iter: int = 50, initial=None) -> tuple:
     """Invert x -> Q(x, y_k, z_k) = q_k for every row at once.
 
-    Every row runs the damped Newton of map_X with exactly its
-    arithmetic: the same initial point (closed form, else the row of
-    initial, else y or 0), residual, Jacobian Q_x = -E^T / G_z, solve,
-    45 step halvings and acceptance test against tol * (1 + |q|_inf).
-    The kernel is evaluated on the still-active rows only.
+    Every row starts from the closed form (rows it rules out are
+    OUT_OF_IMAGE), else from the row of initial, else from y or 0, and
+    runs the row Newton with residual Q - q, Jacobian Q_x = -E^T / G_z and
+    acceptance test against tol * (1 + |q|_inf).
 
     Returns (xs, status, rnorm): xs is NaN where status is not
     RowStatus.OK, and rnorm is each row's last residual norm (NaN for rows
@@ -1131,111 +1073,31 @@ def map_X_rows(gf: GeneratingFunction, ys, zs, qs, *,
     qs = _rows(qs, n)
     m = len(ys)
     zs = _per_row(zs, m)
-    scale = 1.0 + np.abs(qs).max(axis=1)
     status = np.zeros(m, dtype=int)    # RowStatus.OK
-    out = _nans((m, n))
-    rnorm = _nans(m)
-
-    x_of = gf.closed_forms.x_of if gf.closed_forms is not None else None
-    if x_of is not None:
-        xs = np.zeros((m, n))
-        for k in range(m):
-            cf = x_of(ys[k], float(zs[k]), qs[k])
-            if cf is None:
-                status[k] = RowStatus.OUT_OF_IMAGE
-            else:
-                xs[k] = cf
+    closed = gf._x_of(ys, zs, qs)
+    if closed is not None:
+        xs, in_image = closed
+        status[~in_image] = RowStatus.OUT_OF_IMAGE
     elif initial is not None:
         xs = np.array(_pair_rows(initial, ys, n)[0])
     else:
         xs = np.where(gf.admissible_pair_batch(ys, ys)[:, None], ys, 0.0)
-    start = _on_slice(gf, xs, ys, zs)
-    if not start.all():
-        status[~start & (status == RowStatus.OK)] = RowStatus.BAD_START
-    act = (status == RowStatus.OK).nonzero()[0]
 
-    # per active row: x, y, z, q, threshold, residual and norm; the
-    # Jacobian is formed from the bundle bj when a Newton step needs it
-    thr = tol * scale
-    x, y, z, q, thr = (xs, ys, zs, qs, thr) if len(act) == m else \
-        (xs[act], ys[act], zs[act], qs[act], thr[act])
-    bj = gf._raw_batch(x, y, z)
-    res, rn = _slope_residual(bj, q)
-    jac = None
+    def evaluate(x, ctx):
+        y, z, q = ctx
+        b = gf._raw_batch(x, y, z)
+        res = _q_of(b) - q
+        return b, res, np.abs(res).max(axis=1)
 
-    def jacobian():
-        nonlocal jac
-        if jac is None:
-            jac = _slope_jacobian(bj)
-        return jac
+    def jacobian(b):
+        return -_e_matrix(b).transpose(0, 2, 1) / b.dz[:, None, None]
 
-    def finish(mask, code):
-        nonlocal act, x, y, z, q, thr, res, rn, jac
-        every = mask.all()
-        sel = slice(None) if every else mask
-        status[act[sel]] = code
-        rnorm[act[sel]] = rn[sel]
-        if code == RowStatus.OK:
-            out[act[sel]] = x[sel]
-        if every:
-            act = act[:0]
-        else:
-            keep = ~mask
-            act, x, y, z, q, thr, res, rn, jac = (
-                a[keep] for a in (act, x, y, z, q, thr, res, rn, jacobian()))
+    def admissible(x, ctx):
+        return _on_slice(gf, x, ctx[0], ctx[1])
 
-    for it in range(max_iter + 1):
-        if not len(act):
-            break
-        done = rn <= thr
-        if done.any():
-            finish(done, RowStatus.OK)
-            if not len(act):
-                break
-        if it == max_iter:
-            finish(np.ones(len(act), dtype=bool), RowStatus.BUDGET)
-            break
-        step, singular = _solve_rows(jacobian(), -res)
-        if singular is not None:
-            finish(singular, RowStatus.SINGULAR)
-            step = step[~singular]
-        # line search over the rows that have not accepted a step yet;
-        # pend is None while that is every row
-        pend = None
-        lam = 1.0
-        for _ in range(45):
-            rows = slice(None) if pend is None else pend
-            x_try = x[rows] + lam * step[rows]
-            adm = _on_slice(gf, x_try, y[rows], z[rows])
-            if not adm.all():
-                if pend is None:
-                    pend = np.arange(len(act))
-                rows, x_try = pend[adm], x_try[adm]
-            if len(x_try):
-                bt = gf._raw_batch(x_try, y[rows], z[rows])
-                res_t, rn_t = _slope_residual(bt, q[rows])
-                acc = (rn_t < rn[rows]) | (rn_t <= thr[rows])
-                if pend is None and acc.all():
-                    # every row accepted its full step: swap, no gathers
-                    x, res, rn, jac, bj = x_try, res_t, rn_t, None, bt
-                    break
-                if acc.any():
-                    if pend is None:
-                        pend = rows = np.arange(len(act))
-                    sel = rows[acc]
-                    x[sel] = x_try[acc]
-                    res[sel] = res_t[acc]
-                    rn[sel] = rn_t[acc]
-                    jacobian()[sel] = _slope_jacobian(bt)[acc]
-                    pend = pend[~np.isin(pend, sel)]
-                    if not len(pend):
-                        break
-            lam *= 0.5
-        else:
-            failed = np.zeros(len(act), dtype=bool)
-            failed[slice(None) if pend is None else pend] = True
-            finish(failed, RowStatus.NO_STEP)
-    return out, status, rnorm
+    return _newton_rows(xs, (ys, zs, qs), tol * (1.0 + np.abs(qs).max(axis=1)),
+                        status, evaluate=evaluate, jacobian=jacobian,
+                        admissible=admissible, max_iter=max_iter)
 
 
 def map_X(gf: GeneratingFunction, y, z, q, *,
@@ -1254,7 +1116,7 @@ def map_X(gf: GeneratingFunction, y, z, q, *,
     init = None if initial is None else _vec(initial, n)[None, :]
     xs, status, rnorm = map_X_rows(gf, y[None, :], float(z), q[None, :],
                                    tol=tol, max_iter=max_iter, initial=init)
-    _raise_for_status(status[0], q, rnorm[0])
+    _raise_for_status(_SLOPE_ERRORS, status[0], q=q, rnorm=rnorm[0])
     return xs[0]
 
 
@@ -1290,8 +1152,8 @@ def dual_Astar_Bstar_rows(gf: GeneratingFunction, ys, zs, qs, f=None, g=None,
     bstar = np.float_power(-1.0 / gz, n) * np.abs(det) * gy / fx
     if every:
         return astar, bstar, status, rnorm
-    astar_all = _nans((m, n, n))
-    bstar_all = _nans(m)
+    astar_all = np.full((m, n, n), np.nan)
+    bstar_all = np.full(m, np.nan)
     astar_all[ok] = astar
     bstar_all[ok] = bstar
     return astar_all, bstar_all, status, rnorm
@@ -1315,5 +1177,5 @@ def dual_Astar_Bstar(gf: GeneratingFunction, y, z, q, f=None, g=None, *,
     init = None if x_initial is None else _vec(x_initial, n)[None, :]
     astar, bstar, status, rnorm = dual_Astar_Bstar_rows(
         gf, y[None, :], float(z), q[None, :], f, g, x_initial=init)
-    _raise_for_status(status[0], q, rnorm[0])
+    _raise_for_status(_SLOPE_ERRORS, status[0], q=q, rnorm=rnorm[0])
     return astar[0], float(bstar[0])

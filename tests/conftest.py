@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from gjet.genfun import ParallelBeam, PointSourcePlane, QuadraticOT
+
+# property tests draw the same examples on every run, with no time limit
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

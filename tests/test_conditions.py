@@ -47,8 +47,9 @@ class ConstantInY(GeneratingFunction):
     def __init__(self, dimension=2):
         super().__init__(dimension)
 
-    def z_interval(self, x, y):
-        return (-math.inf, math.inf)
+    def z_interval_batch(self, xs, y):
+        m = len(np.atleast_2d(xs))
+        return np.full(m, -math.inf), np.full(m, math.inf)
 
     def _raw_batch(self, xs, ys, zs):
         m, n = xs.shape

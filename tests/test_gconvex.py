@@ -282,8 +282,9 @@ class BentSlope(GeneratingFunction):
     def __init__(self):
         super().__init__(2)
 
-    def z_interval(self, x, y):
-        return (-math.inf, math.inf)
+    def z_interval_batch(self, xs, y):
+        m = len(np.atleast_2d(xs))
+        return np.full(m, -math.inf), np.full(m, math.inf)
 
     def _raw_batch(self, xs, ys, zs):
         import numpy as np

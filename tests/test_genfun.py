@@ -19,7 +19,9 @@ from gjet.errors import (
     RangeViolation,
     SingularE,
 )
+from gjet.conditions import _map_fraction
 from gjet.genfun import (
+    BatchBundle,
     GeneratingFunction,
     ParallelBeam,
     PointSourcePlane,
@@ -30,6 +32,7 @@ from gjet.genfun import (
     dual_H,
     eval_bundle,
     forward_YZ,
+    forward_YZ_rows,
     map_Q,
     map_X,
     map_X_rows,
@@ -134,6 +137,79 @@ def test_eval_bundle_domain_errors(pb1, ps0):
 
 
 # --------------------------------------------------------------------------
+# one evaluation contract: scalar entry points are one-row batch calls
+# --------------------------------------------------------------------------
+
+CONTRACT_INSTANCES = [cls(n) for cls in (QuadraticOT, ParallelBeam)
+                      for n in (1, 2, 3)] \
+    + [PointSourcePlane(n, tau=-1.0) for n in (1, 2, 3)]
+
+
+def edge_rows(gf, rng, m):
+    """(x, y) rows from the instance's sampling boxes; every third row is
+    an edge row: |x| -> 1 for the point source, r = |x - y| -> 0 for the
+    parallel beam."""
+    n = gf.dimension
+    (x_lo, x_hi), (y_lo, y_hi) = instance_boxes(gf)
+    xs = rng.uniform(x_lo, x_hi, (m, n))
+    ys = rng.uniform(y_lo, y_hi, (m, n))
+    gap = 10.0 ** rng.uniform(-15.0, -2.0, (m, 1))
+    edge = np.arange(m) % 3 == 0
+    if gf.name == "point_source":
+        rim = xs / np.linalg.norm(xs, axis=1, keepdims=True) * (1.0 - gap)
+        xs[edge] = rim[edge]
+    elif gf.name == "parallel_beam":
+        ys[edge] = (xs + gap * rng.normal(size=(m, n)))[edge]
+    return xs, ys
+
+
+@pytest.mark.parametrize("gf", CONTRACT_INSTANCES,
+                         ids=lambda g: f"{g.name}{g.dimension}")
+def test_scalar_entry_points_are_one_row_of_the_batch(gf):
+    rng = np.random.default_rng(43)
+    m = 60
+    xs, ys = edge_rows(gf, rng, m)
+    adm = gf.admissible_pair_batch(xs, ys)
+    lo, hi = gf.z_interval_batch(xs, ys)
+    assert adm.sum() >= 50
+    zs = np.array([_map_fraction(a, b, f) for a, b, f
+                   in zip(lo, hi, rng.uniform(0.001, 0.999, m))])
+    xs, ys, zs, lo, hi = xs[adm], ys[adm], zs[adm], lo[adm], hi[adm]
+    batch = gf.bundle_batch(xs, ys, zs)
+    names = [f.name for f in dataclasses.fields(BatchBundle)]
+    for k in range(len(xs)):
+        x, y, z = xs[k], ys[k], zs[k]
+        assert gf.admissible_pair(x, y) is True
+        assert gf.z_interval(x, y) == (lo[k], hi[k])
+        one = gf.bundle(x, y, z)
+        for name in names:
+            assert np.array_equal(getattr(one, name), getattr(batch, name)[k]), name
+
+
+# the point-source value_batch forms x.y as the BLAS product xs @ y, whose
+# rounding depends on the number of rows for n >= 2
+ROW_COUNT_ROUNDING = pytest.mark.xfail(
+    strict=True, reason="point-source value_batch rounds by row count")
+
+
+@pytest.mark.parametrize(
+    "gf", [pytest.param(gf, marks=ROW_COUNT_ROUNDING)
+           if gf.name == "point_source" and gf.dimension > 1 else gf
+           for gf in CONTRACT_INSTANCES],
+    ids=lambda g: f"{g.name}{g.dimension}")
+def test_scalar_value_is_one_row_of_value_batch(gf):
+    rng = np.random.default_rng(47)
+    xs, ys = edge_rows(gf, rng, 60)
+    xs = xs[gf.admissible_pair_batch(xs, ys)]
+    y = ys[0]
+    lo, hi = gf.z_interval_batch(xs, y)
+    z = _map_fraction(float(np.max(lo)), float(np.min(hi)), 0.5)
+    batch = gf.value_batch(xs, y, z)
+    for k, x in enumerate(xs):
+        assert gf.value(x, y, z) == batch[k], k
+
+
+# --------------------------------------------------------------------------
 # dual function H
 # --------------------------------------------------------------------------
 
@@ -222,22 +298,29 @@ def test_forward_roundtrip(gf):
         assert z2 == pytest.approx(z, abs=1e-8)
 
 
+class NoClosedForm(GeneratingFunction):
+    """A built-in instance behind the bare contract (kernel, intervals,
+    admissibility): without closed-form inverses every inverse map runs
+    its Newton."""
+
+    def __init__(self, inner):
+        super().__init__(inner.dimension)
+        self.inner = inner
+        self.name = inner.name
+
+    def z_interval_batch(self, xs, y):
+        return self.inner.z_interval_batch(xs, y)
+
+    def admissible_pair_batch(self, xs, y):
+        return self.inner.admissible_pair_batch(xs, y)
+
+    def _raw_batch(self, xs, ys, zs):
+        return self.inner._raw_batch(xs, ys, zs)
+
+
 def test_forward_generic_initialization(pb2):
     # force the generic path (no closed-form hint) through a wrapper
-    class Anon(GeneratingFunction):
-        name = "anon"
-
-        def __init__(self, inner):
-            super().__init__(inner.dimension)
-            self._inner = inner
-
-        def z_interval(self, x, y):
-            return self._inner.z_interval(x, y)
-
-        def _raw_batch(self, xs, ys, zs):
-            return self._inner._raw_batch(xs, ys, zs)
-
-    gf = Anon(pb2)
+    gf = NoClosedForm(pb2)
     x = np.array([0.2, 0.3])
     y, z = forward_YZ(gf, x, 0.6, [0.1, -0.05])
     y_ref, z_ref = forward_YZ(pb2, x, 0.6, [0.1, -0.05])
@@ -248,6 +331,136 @@ def test_forward_generic_initialization(pb2):
 def test_forward_infeasible_raises(pb2):
     with pytest.raises(GjetError):
         forward_YZ(pb2, [0.0, 0.0], 0.5, [1.5, 0.0])  # |p| >= 1 unreachable
+
+
+def reference_forward_YZ(gf, x, u, p, tol=1e-11, max_iter=50, initial=None):
+    """The per-point forward Newton that the row Newton replaced, kept as
+    the oracle: scalar bundles, scalar admissibility, one point at a time."""
+    n = gf.dimension
+    x, p, u = np.asarray(x, dtype=float), np.asarray(p, dtype=float), float(u)
+    scale = 1.0 + abs(u) + float(np.max(np.abs(p)))
+    y = None
+    closed = gf.forward_yz_batch(x[None, :], [u], p[None, :])
+    if closed is not None and closed[2][0]:
+        y, z = closed[0][0], float(closed[1][0])
+    if y is None and initial is not None:
+        y, z = np.asarray(initial[0], dtype=float).copy(), float(initial[1])
+    if y is None:
+        y = x.copy()
+        lo, hi = gf.z_interval(x, y)
+        if math.isfinite(lo) and math.isfinite(hi):
+            z = 0.5 * (lo + hi)
+        elif math.isfinite(lo):
+            z = lo + 1.0
+        elif math.isfinite(hi):
+            z = hi - 1.0
+        else:
+            z = 0.0
+
+    def admissible(yv, zv):
+        if not gf.admissible_pair(x, yv):
+            return False
+        lo, hi = gf.z_interval(x, yv)
+        return lo < zv < hi
+
+    if not admissible(y, z):
+        raise DomainViolation("forward map: initial iterate is inadmissible")
+
+    bnd = gf.bundle(x, y, z)
+    res = np.concatenate([bnd.grad_x - p, [bnd.value - u]])
+    rnorm = float(np.max(np.abs(res)))
+    for _ in range(max_iter):
+        if rnorm <= tol * scale:
+            return y, z
+        jac = np.zeros((n + 1, n + 1))
+        jac[:n, :n] = bnd.hess_xy
+        jac[:n, n] = bnd.grad_xz
+        jac[n, :n] = bnd.grad_y
+        jac[n, n] = bnd.dz
+        try:
+            step = np.linalg.solve(jac, -res)
+        except np.linalg.LinAlgError:
+            raise NoConvergence("forward map: singular Newton system")
+        lam = 1.0
+        for _ in range(45):
+            y_try = y + lam * step[:n]
+            z_try = z + lam * step[n]
+            if admissible(y_try, z_try):
+                bnd_try = gf.bundle(x, y_try, z_try)
+                res_try = np.concatenate([bnd_try.grad_x - p,
+                                          [bnd_try.value - u]])
+                rn_try = float(np.max(np.abs(res_try)))
+                if rn_try < rnorm or rn_try <= tol * scale:
+                    y, z, bnd, res, rnorm = y_try, z_try, bnd_try, res_try, rn_try
+                    break
+            lam *= 0.5
+        else:
+            raise DomainViolation(
+                "forward map: Newton step could not stay in the admissible set")
+    if rnorm <= tol * scale:
+        return y, z
+    raise NoConvergence(
+        f"forward map: iteration budget exhausted (residual {rnorm:.3e})")
+
+
+def outcome(fn, *args, **kwargs):
+    """(y, z) or the (type, message) of the GjetError fn raises."""
+    try:
+        return fn(*args, **kwargs)
+    except GjetError as exc:
+        return type(exc), str(exc)
+
+
+FORWARD_INSTANCES = [NoClosedForm(cls(n)) for cls in (QuadraticOT, ParallelBeam)
+                     for n in (1, 2, 3)] \
+    + [NoClosedForm(PointSourcePlane(n, tau=-1.0)) for n in (1, 2, 3)] \
+    + [ParallelBeam(2), PointSourcePlane(2, tau=-1.0)]
+
+
+@pytest.mark.parametrize("with_initial", [False, True], ids=["cold", "initial"])
+@pytest.mark.parametrize(
+    "gf", FORWARD_INSTANCES,
+    ids=lambda g: f"{type(g).__name__}-{g.name}{g.dimension}")
+def test_forward_matches_scalar_reference(gf, with_initial):
+    # forward_YZ is one row of the row Newton: it must equal the per-point
+    # loop bit for bit, and raise the loop's exception with its message;
+    # forward_YZ_rows must agree with both row by row
+    rng = np.random.default_rng(37)
+    n = gf.dimension
+    m = 14
+    x_box, y_box = instance_boxes(gf)
+    pts = [sample_admissible(gf, rng, x_box, y_box) for _ in range(m)]
+    xs = np.array([x for x, _, _ in pts])
+    us = np.array([gf.value(*pt) for pt in pts])
+    ps = np.array([gf.bundle(*pt).grad_x for pt in pts])
+    us[4:] += rng.normal(0.0, 0.05, m - 4)
+    ps[4:] += rng.normal(0.0, 0.05, (m - 4, n))
+    if gf.name == "parallel_beam":
+        ps[2] = np.full(n, 2.0)         # |p| > 1: no beam target reaches it
+    outcomes = []
+    for k, (x, y, z) in enumerate(pts):
+        init = None
+        if with_initial:
+            # far starts: rows accept damped steps at different halvings
+            init = (y + (0.05 if k % 2 else 0.5) * rng.normal(0.0, 1.0, n),
+                    z * rng.uniform(0.5, 1.5))
+        want = outcome(reference_forward_YZ, gf, x, us[k], ps[k], initial=init)
+        got = outcome(forward_YZ, gf, x, us[k], ps[k], initial=init)
+        if isinstance(want[0], type):
+            assert got == want, k
+        else:
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1], k
+        outcomes.append(want)
+    solved = [not isinstance(w[0], type) for w in outcomes]
+    assert sum(solved) >= m // 2
+    if with_initial:
+        return
+    ys, zs, ok = forward_YZ_rows(gf, xs, us, ps)
+    for k, want in enumerate(outcomes):
+        if isinstance(gf, NoClosedForm):
+            assert ok[k] == solved[k], k
+        if solved[k] and ok[k]:
+            assert np.array_equal(ys[k], want[0]) and zs[k] == want[1], k
 
 
 # --------------------------------------------------------------------------
@@ -266,7 +479,6 @@ def test_matrix_E_parallel_beam(pb2, pb1):
     assert det == pytest.approx(0.49)
     _, det = matrix_E(pb1, [0.0], [1.0], 0.5)
     assert det == pytest.approx(0.3)
-    assert det == pytest.approx(pb1.closed_forms.det_e([0.0], [1.0], 0.5))
 
 
 def test_matrix_E_singular_raises():
@@ -406,9 +618,8 @@ class NewtonBeam(ParallelBeam):
 
     name = "parallel_beam_newton"
 
-    def __init__(self, dimension):
-        super().__init__(dimension)
-        self.closed_forms = dataclasses.replace(self.closed_forms, x_of=None)
+    def _x_of(self, ys, zs, qs):
+        return None
 
 
 ROW_INSTANCES = [cls(n) for cls in (QuadraticOT, ParallelBeam, NewtonBeam)
@@ -427,11 +638,11 @@ def reference_map_X(gf, y, z, q, initial=None, tol=1e-11, max_iter=50):
     n = gf.dimension
     y, q, z = np.asarray(y, dtype=float), np.asarray(q, dtype=float), float(z)
     scale = 1.0 + float(np.max(np.abs(q)))
-    if gf.closed_forms is not None and gf.closed_forms.x_of is not None:
-        x = gf.closed_forms.x_of(y, z, q)
-        if x is None:
+    closed = gf._x_of(y[None, :], np.array([z]), q[None, :])
+    if closed is not None:
+        if not closed[1][0]:
             raise OutOfImage("closed form rules the slope out")
-        x = np.asarray(x, dtype=float)
+        x = closed[0][0]
     elif initial is not None:
         x = np.asarray(initial, dtype=float).copy()
     else:

@@ -1,0 +1,171 @@
+"""Property tests of the paper's inverse-map identities.
+
+Three identities, over the three built-in instances and n = 1..3:
+
+* H inverts G in z:          H(x, y, G(x, y, z)) = z;
+* (Y, Z) round-trips (G_x, G): (Y, Z)(x, G(x, y, z), G_x(x, y, z)) = (y, z);
+* X round-trips Q:           X(y, z, Q(x, y, z)) = x.
+
+Each is checked on interior draws and, separately, on each kind of
+edge-of-domain draw: z near an end of I(x, y), |x| -> 1 for the point
+source and r = |x - y| -> 0 for the parallel beam (see triples).  Runs
+are derandomized (see conftest.py).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
+
+from gjet.conditions import _map_fraction
+from gjet.genfun import (
+    ParallelBeam,
+    PointSourcePlane,
+    QuadraticOT,
+    dual_H,
+    forward_YZ,
+    map_Q,
+    map_X,
+)
+
+from conftest import instance_boxes
+
+INSTANCES = [QuadraticOT(n) for n in (1, 2, 3)] \
+    + [ParallelBeam(n) for n in (1, 2, 3)] \
+    + [PointSourcePlane(n, tau=-1.0) for n in (1, 2, 3)]
+TOL = 1e-7
+
+
+def _point(draw, lo, hi):
+    return np.array([draw(st.floats(float(a), float(b))) for a, b in zip(lo, hi)])
+
+
+EDGES = {"interior": None, "z_lo": None, "z_hi": None,
+         "rim": "point_source", "focus": "parallel_beam"}
+MARGIN = 1e-3
+GAPS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15)
+FOCUS_GAPS = (1e-80, 1e-150)
+
+
+@st.composite
+def triples(draw, gf, region):
+    """An admissible (x, y, z) in one region of the admissible set.
+
+    interior: z at a quantile in [0.05, 0.95] of I(x, y), |x| <= 1 - MARGIN
+    for the point source and r >= MARGIN for the parallel beam.  Each edge
+    region moves one of these to its boundary, by a gap from GAPS: z_lo
+    and z_hi take the quantile to 0 or 1, rim takes |x| to 1, focus takes
+    r to 0 (and on to where r^2 and 1/r^2 leave the float range).
+    """
+    n = gf.dimension
+    (x_lo, x_hi), (y_lo, y_hi) = instance_boxes(gf)
+    x = _point(draw, x_lo, x_hi)
+    y = _point(draw, y_lo, y_hi)
+    f = draw(st.floats(0.05, 0.95))
+    gap = draw(st.sampled_from(GAPS + (FOCUS_GAPS if region == "focus" else ())))
+    if region == "z_lo":
+        f = gap
+    elif region == "z_hi":
+        f = 1.0 - gap
+    elif region == "rim":
+        r = float(np.linalg.norm(x))
+        assume(r > 0.0)
+        x = x / r * (1.0 - gap)
+    elif region == "focus":
+        e = _point(draw, -np.ones(n), np.ones(n))
+        assume(np.linalg.norm(e) > 0.0)
+        y = x + gap * e / np.linalg.norm(e)
+    if region != "rim" and gf.name == "point_source":
+        assume(np.linalg.norm(x) <= 1.0 - MARGIN)
+    if region != "focus" and gf.name == "parallel_beam":
+        assume(np.linalg.norm(x - y) >= MARGIN)
+    assume(gf.admissible_pair(x, y))
+    lo, hi = gf.z_interval(x, y)
+    z = _map_fraction(lo, hi, f)
+    assume(lo < z < hi)
+    return x, y, z
+
+
+def _close(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return float(np.max(np.abs(a - b))) <= TOL * (1.0 + float(np.max(np.abs(b))))
+
+
+def h_inverts_g(gf, x, y, z):
+    u = gf.value(x, y, z)
+    assert _close(dual_H(gf, x, y, u).z_root, z)
+
+
+def yz_round_trip(gf, x, y, z):
+    b = gf.bundle(x, y, z)
+    y2, z2 = forward_YZ(gf, x, b.value, b.grad_x)
+    assert _close(y2, y) and _close(z2, z)
+
+
+def x_round_trip(gf, x, y, z):
+    assert _close(map_X(gf, y, z, map_Q(gf, x, y, z)), x)
+
+
+IDENTITIES = {"H_inverts_G": h_inverts_g, "YZ_round_trip": yz_round_trip,
+              "X_round_trip": x_round_trip}
+
+# Edge regions where an identity fails today; each case must keep failing
+# (strict xfail) until its cause is mended.
+DUAL_H_OFFSET = ("dual_H starts its bracket 1e-13 max(|I|, 1) inside "
+                 "I(x, y), so a root nearer an end raises RangeViolation")
+BEAM_FOLD = ("det E -> 0 as z r -> 1: the closed form divides by 1 - |p|^2 "
+             "and Y loses up to 5 digits")
+RIM_FORWARD = ("G_x grows like 1/sqrt(1 - |x|^2) at the rim and Y loses up "
+               "to 6 digits")
+BEAM_X_LO = ("Q flattens like z^3 as z -> 0 and the closed-form X cancels "
+             "in z^2 - sqrt(z^4 - |q|^2)")
+BEAM_X_HI = ("|Q| -> z^2, the edge of the image, as z r -> 1: the closed "
+             "form rules attainable slopes out (OutOfImage)")
+BEAM_X_FOCUS = ("|q|^2 overflows in the closed form for r below about "
+                "1e-77, where z reaches 1/r (OutOfImage)")
+PS_X_LO = ("Q_x -> 0 as z -> 0: the stop test |Q - q| <= tol (1 + |q|) "
+           "leaves x off by up to tol / |Q_x|")
+PS_X_RIM = "the slope Newton exhausts its budget near |x| = 1 (NoConvergence)"
+KNOWN_EDGE_FAILURES = {
+    **{("H_inverts_G", "parallel_beam", n, r): DUAL_H_OFFSET
+       for n in (1, 2, 3) for r in ("z_lo", "z_hi")},
+    **{("H_inverts_G", "point_source", n, "z_lo"): DUAL_H_OFFSET
+       for n in (1, 2, 3)},
+    **{("YZ_round_trip", "parallel_beam", n, "z_hi"): BEAM_FOLD
+       for n in (1, 2, 3)},
+    **{("YZ_round_trip", "point_source", n, "rim"): RIM_FORWARD
+       for n in (1, 2, 3)},
+    **{("X_round_trip", "parallel_beam", n, r): why
+       for n in (1, 2, 3)
+       for r, why in (("z_lo", BEAM_X_LO), ("z_hi", BEAM_X_HI),
+                      ("focus", BEAM_X_FOCUS))},
+    **{("X_round_trip", "point_source", n, "z_lo"): PS_X_LO
+       for n in (1, 2, 3)},
+    **{("X_round_trip", "point_source", n, "rim"): PS_X_RIM for n in (2, 3)},
+}
+
+
+def _cases():
+    for ident in IDENTITIES:
+        for gf in INSTANCES:
+            for region, only in EDGES.items():
+                if only not in (None, gf.name):
+                    continue
+                key = (ident, gf.name, gf.dimension, region)
+                marks = ()
+                if key in KNOWN_EDGE_FAILURES:
+                    marks = pytest.mark.xfail(strict=True,
+                                              reason=KNOWN_EDGE_FAILURES[key])
+                yield pytest.param(ident, gf, region, marks=marks,
+                                   id=f"{ident}-{gf.name}{gf.dimension}-{region}")
+
+
+@pytest.mark.parametrize("ident, gf, region", list(_cases()))
+def test_identity(ident, gf, region):
+    # no shrinking: the known edge failures would shrink on every run
+    @settings(max_examples=30, phases=(Phase.generate,))
+    @given(triples(gf, region))
+    def check(xyz):
+        IDENTITIES[ident](gf, *xyz)
+
+    check()
