@@ -256,31 +256,25 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"could not read JSON file {path}: {exc}")
 
 
-def _grid_rows(prob, state):
-    """Rows x1..xn, u, du1..dun, cell for every grid node."""
+def _write_grid_csv(path, prob, z, dec, with_mass=False):
+    """Rows x1..xn, u, du1..dun, cell[, mass] for every grid node of the
+    solution with focal parameters z and cells dec."""
     grid = prob.grid
-    sol = semidiscrete.solution_function(prob, state.z)
-    vals = gconvex.values_matrix(sol, grid)
-    u = vals.max(axis=0)
-    assignment = state.decomposition.assignment
+    sol = semidiscrete.solution_function(prob, z)
+    u = gconvex.values_matrix(sol, grid).max(axis=0)
+    assignment = dec.assignment
     du = np.empty((grid.size, grid.n))
     for i, piece in enumerate(sol.pieces):
         mask = assignment == i
         if mask.any():
             du[mask] = prob.gf.grad_x_batch(grid.centers[mask],
                                             piece.y_vec(), piece.z)
-    return u, du, assignment
-
-
-def _write_grid_csv(path, prob, state, with_mass=False):
-    grid = prob.grid
-    u, du, assignment = _grid_rows(prob, state)
     n = grid.n
     header = [f"x{k + 1}" for k in range(n)] + ["u"] \
         + [f"du{k + 1}" for k in range(n)] + ["cell"]
     if with_mass:
         header.append("mass")
-    masses = state.decomposition.masses
+    masses = dec.masses
     lines = [",".join(header)]
     for k in range(grid.size):
         row = [_fmt(c) for c in grid.centers[k]] + [_fmt(u[k])] \
@@ -379,7 +373,7 @@ def cmd_solve(args) -> int:
         return EXIT_NO_CONVERGENCE
     _write_state(args.out, cfg, state, converged=True)
     if args.grid_out:
-        _write_grid_csv(args.grid_out, prob, state)
+        _write_grid_csv(args.grid_out, prob, state.z, state.decomposition)
     print(f"solved: residual={_fmt(state.residual)} sweeps={state.sweeps} "
           f"anchor={_fmt(state.anchor_value)}")
     return EXIT_OK
@@ -413,14 +407,14 @@ def _state_from_file(path):
     z = np.asarray(doc["z"], dtype=float)
     if z.ndim != 1 or len(z) != len(prob.targets) or len(z) == 0:
         raise ConfigError(f"solution file {path}: z length does not match targets")
-    return doc, cfg, prob, z
+    return cfg, prob, z
 
 
 def cmd_transform(args) -> int:
-    _doc, cfg, prob, z = _state_from_file(args.solution)
+    cfg, prob, z = _state_from_file(args.solution)
     sol = semidiscrete.solution_function(prob, z)
-    v = gconvex.g_transform(sol, prob.targets, prob.grid)
     u = gconvex.values_matrix(sol, prob.grid).max(axis=0)
+    v = gconvex.g_transform(sol, prob.targets, prob.grid, u_grid=u)
     vstar = gconvex.dual_transform(prob.gf, prob.targets, v, prob.grid)
     err = float(np.max(np.abs(vstar.ravel() - u)))
     _write_json(args.out, {
@@ -443,15 +437,16 @@ def cmd_residual(args) -> int:
     if args.manufactured:
         ufun, psi = madiag.manufactured_case(args.manufactured, gf, grid)
     else:
-        _doc, _scfg, prob, z = _state_from_file(args.solution)
+        _scfg, prob, z = _state_from_file(args.solution)
         gf, grid = prob.gf, prob.grid
         sol = semidiscrete.solution_function(prob, z)
-        vals = gconvex.values_matrix(sol, grid).max(axis=0)
-        ufun = madiag.GridFunction(grid, vals.reshape(grid.res))
+        vals = gconvex.values_matrix(sol, grid)
+        ufun = madiag.GridFunction(grid, vals.max(axis=0).reshape(grid.res))
         # discrete image: the map is piecewise constant
         psi = lambda xs, us, ps: np.zeros(len(xs))
         # difference quotients across kinks carry no information: mask them
-        dec = gconvex.cell_masses(sol, grid)
+        gconvex.validate_pieces_on_grid(sol, grid)
+        dec = gconvex.CellDecomposition.from_values(vals, grid.cell_mass)
         exclude = gconvex.interface_mask(grid, dec.assignment, widen=1)
     res = madiag.ma_residual(gf, ufun, psi, exclude=exclude)
     ellip, admissible = madiag.ellipticity_check(gf, ufun, exclude=exclude)
@@ -474,18 +469,9 @@ def cmd_residual(args) -> int:
 
 
 def cmd_report(args) -> int:
-    doc, _cfg, prob, z = _state_from_file(args.solution)
-    sol = semidiscrete.solution_function(prob, z)
-    dec = gconvex.cell_masses(sol, prob.grid)
-    state = semidiscrete.SolutionState(
-        z=z, decomposition=dec,
-        residual=float(np.max(np.abs(dec.masses - prob.masses))
-                       / prob.grid.total_mass),
-        anchor_value=float(gconvex.eval_piecewise(sol, prob.anchor[0])[0]),
-        sweeps=int(doc.get("sweeps", 0)),
-        residual_history=(),
-        interface_cells=gconvex.interface_cell_count(prob.grid, dec.assignment))
-    _write_grid_csv(args.csv, prob, state, with_mass=True)
+    _cfg, prob, z = _state_from_file(args.solution)
+    dec = gconvex.cell_masses(semidiscrete.solution_function(prob, z), prob.grid)
+    _write_grid_csv(args.csv, prob, z, dec, with_mass=True)
     print(f"report: {prob.grid.size} rows, {len(prob.targets)} pieces")
     return EXIT_OK
 

@@ -48,6 +48,7 @@ __all__ = [
     "check_G5",
     "domain_convexity",
     "hull_ratio",
+    "hull_report",
     "orthonormal_pair",
 ]
 
@@ -822,13 +823,19 @@ def domain_convexity(gf: GeneratingFunction, kind: str, geometry, anchor, *,
     else:
         raise UnsupportedGeometry(f"unknown domain-convexity kind: {kind}")
 
+    return hull_report(f"domain_convexity/{kind}", image, raster_res,
+                       hull_cells_tol)
+
+
+def hull_report(name: str, image: np.ndarray, raster_res: int,
+                hull_cells_tol: float, **details) -> ConditionReport:
+    """Hull-ratio convexity verdict on a point image: it passes within
+    hull_cells_tol raster cells of the hull volume."""
     ratio, info = hull_ratio(image, raster_res)
     tol = hull_cells_tol * info["pixel_vol"] / info["hull_vol"] \
         if info.get("hull_vol", 0) > 0 else 0.0
     status = "pass" if ratio >= 1.0 - tol else "fail"
     return ConditionReport(
-        name=f"domain_convexity/{kind}", status=status,
-        extremal_value=ratio,
+        name=name, status=status, extremal_value=ratio,
         witness={"hull_ratio": ratio, **info} if status == "fail" else None,
-        samples_used=len(image),
-        details={"hull_tol": tol, **info})
+        samples_used=len(image), details={**details, "hull_tol": tol, **info})

@@ -11,9 +11,17 @@ G-transform and its dual (generalized Legendre transforms), and the
 cell decomposition that turns the pieces into a mass partition of the
 source density (generalized Laguerre cells).
 
-Cell assignment happens at cell centers only; no partial-cell clipping
-is attempted, so per-piece masses carry an O(h) rasterization error
-that callers must budget for.
+Every path evaluates the pieces through one evaluator, the (pieces,
+rows) matrix of G(x_k, y_i, z_i) from the generating function's single
+value formula: values_matrix on the cell centers, eval_piecewise and
+subdifferential on one row, the support interpolation, interface
+bisection and dual transform on their own rows.  One builder,
+CellDecomposition.from_values, turns such a matrix into cells and masses
+for the solver, cell_masses and the CLI.
+
+Cell assignment happens at cell centers only (ties go to the lowest
+piece index); no partial-cell clipping is attempted, so per-piece masses
+carry an O(h) rasterization error that callers must budget for.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import genfun
-from .conditions import ConditionReport, hull_ratio
+from .conditions import ConditionReport, hull_report
 from .errors import DomainViolation
 from .genfun import GeneratingFunction
 
@@ -101,10 +109,6 @@ class SourceGrid:
     def size(self) -> int:
         return len(self.centers)
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
-
 
 @dataclass(frozen=True)
 class PiecewiseGSolution:
@@ -132,11 +136,21 @@ class CellDecomposition:
 
     assignment: np.ndarray  # (cells,) piece index per cell
     masses: np.ndarray      # (pieces,) sums of density * cell volume
-    active_tol: float
+
+    @classmethod
+    def from_values(cls, values: np.ndarray,
+                    cell_mass: np.ndarray) -> "CellDecomposition":
+        """Cells of a (pieces, cells) value matrix: each cell goes to its
+        argmax piece (ties: lowest index), each piece gets the summed
+        cell_mass of its cells."""
+        assignment = np.argmax(values, axis=0)
+        return cls(assignment, np.bincount(assignment, weights=cell_mass,
+                                           minlength=len(values)))
 
 
-def _active_tol(u: float) -> float:
-    return ACTIVE_TOL * (1.0 + abs(u))
+def _active_tol(u):
+    """Active-set tolerance at the value(s) u."""
+    return ACTIVE_TOL * (1.0 + np.abs(u))
 
 
 def validate_pieces_on_grid(sol: PiecewiseGSolution, grid: SourceGrid) -> None:
@@ -155,16 +169,20 @@ def validate_pieces_on_grid(sol: PiecewiseGSolution, grid: SourceGrid) -> None:
                 f"interval on the grid")
 
 
+def _piece_rows(gf: GeneratingFunction, pieces, xs) -> np.ndarray:
+    """(pieces, rows) matrix G(x_k, y_i, z_i) over rows xs (m, n)."""
+    return np.stack([gf.value_batch(xs, p.y_vec(), p.z) for p in pieces])
+
+
 def values_matrix(sol: PiecewiseGSolution, grid: SourceGrid) -> np.ndarray:
     """(pieces, cells) matrix of piece values at cell centers."""
-    return np.stack([sol.gf.value_batch(grid.centers, p.y_vec(), p.z)
-                     for p in sol.pieces])
+    return _piece_rows(sol.gf, sol.pieces, grid.centers)
 
 
 def eval_piecewise(sol: PiecewiseGSolution, x):
     """u(x) = max_i G(x, y_i, z_i) and the active index (ties: lowest)."""
-    x = np.asarray(x, dtype=float)
-    vals = np.array([sol.gf.value(x, p.y_vec(), p.z) for p in sol.pieces])
+    x = genfun._vec(x, sol.gf.dimension)[None, :]
+    vals = _piece_rows(sol.gf, sol.pieces, x)[:, 0]
     if not np.all(np.isfinite(vals)):
         raise DomainViolation("piece value is not finite at the query point")
     idx = int(np.argmax(vals))
@@ -173,29 +191,19 @@ def eval_piecewise(sol: PiecewiseGSolution, x):
 
 def subdifferential(sol: PiecewiseGSolution, x):
     """Slope/target pairs (G_x(x, y_i, z_i), y_i) of all active pieces."""
-    x = np.asarray(x, dtype=float)
-    vals = np.array([sol.gf.value(x, p.y_vec(), p.z) for p in sol.pieces])
+    x = genfun._vec(x, sol.gf.dimension)[None, :]
+    vals = _piece_rows(sol.gf, sol.pieces, x)[:, 0]
     u = float(np.max(vals))
-    tol = _active_tol(u)
-    out = []
-    for i, p in enumerate(sol.pieces):
-        if u - vals[i] <= tol:
-            b = sol.gf.bundle(x, p.y_vec(), p.z)
-            out.append((b.grad_x, p.y_vec()))
-    return out
+    active = u - vals <= _active_tol(u)
+    return [(sol.gf.grad_x_batch(x, p.y_vec(), p.z)[0], p.y_vec())
+            for p, a in zip(sol.pieces, active) if a]
 
 
 def _pair_gap(sol: PiecewiseGSolution, pair: np.ndarray, xs) -> np.ndarray:
-    """G_i(x_k) - G_j(x_k) with (i, j) = pair[:, k]; one value_batch per
-    piece, on the rows that use it."""
-    vals = np.empty(pair.shape)
-    for p in np.unique(pair):
-        hit = pair == p
-        use = hit.any(axis=0)
-        piece = sol.pieces[p]
-        v = sol.gf.value_batch(xs[use], piece.y_vec(), piece.z)
-        vals[:, use] = np.where(hit[:, use], v, vals[:, use])
-    return vals[0] - vals[1]
+    """G_i(x_k) - G_j(x_k) with (i, j) = pair[:, k]."""
+    vals = _piece_rows(sol.gf, sol.pieces, xs)
+    rows = np.arange(len(xs))
+    return vals[pair[0], rows] - vals[pair[1], rows]
 
 
 def interface_point_rows(sol: PiecewiseGSolution, i, j, x_a, x_b,
@@ -268,20 +276,17 @@ def interpolated_support_rows(sol: PiecewiseGSolution, xs, t: float):
         raise ValueError("t must lie in [0, 1]")
     gf = sol.gf
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    vals = np.stack([gf.value_batch(xs, p.y_vec(), p.z) for p in sol.pieces])
+    vals = _piece_rows(gf, sol.pieces, xs)
     u0 = vals.max(axis=0)
-    active = u0 - vals <= ACTIVE_TOL * (1.0 + np.abs(u0))
+    active = u0 - vals <= _active_tol(u0)
     n_active = active.sum(axis=0)
     rows = np.flatnonzero((n_active == 2) & np.isfinite(vals).all(axis=0))
     first = np.argmax(active[:, rows], axis=0)
     second = len(sol.pieces) - 1 - np.argmax(active[::-1, rows], axis=0)
-    slopes = np.empty((2, len(rows), gf.dimension))
-    for k, idx in enumerate((first, second)):
-        for p in np.unique(idx):
-            use = idx == p
-            piece = sol.pieces[p]
-            slopes[k, use] = gf.grad_x_batch(xs[rows[use]], piece.y_vec(),
-                                             piece.z)
+    ys = np.array([p.y_vec() for p in sol.pieces])
+    zs = np.array([p.z for p in sol.pieces])
+    slopes = [gf.bundle_batch(xs[rows], ys[i], zs[i]).grad_x
+              for i in (first, second)]
     p0 = (1.0 - t) * slopes[0] + t * slopes[1]
     y_rows, _z, fwd_ok = genfun.forward_YZ_rows(gf, xs[rows], u0[rows], p0)
     y0 = np.full(xs.shape, np.nan)
@@ -334,7 +339,7 @@ def section_set(sol: PiecewiseGSolution, grid: SourceGrid, piece_index: int,
     u = vals.max(axis=0)
     gi = vals[piece_index]
     if sigma == 0.0:
-        return (u - gi) <= ACTIVE_TOL * (1.0 + np.abs(u))
+        return (u - gi) <= _active_tol(u)
     return u < gi + sigma
 
 
@@ -349,31 +354,23 @@ def section_convexity(sol: PiecewiseGSolution, grid: SourceGrid,
     supporting piece, i.e. their Q-images are convex sets.
     """
     mask = section_set(sol, grid, piece_index, sigma)
-    pts = grid.centers[mask]
     piece = sol.pieces[piece_index]
-    image = sol.gf.q_batch(pts, piece.y_vec(), piece.z)
-    ratio, info = hull_ratio(image, raster_res)
-    tol = hull_cells_tol * info["pixel_vol"] / info["hull_vol"] \
-        if info.get("hull_vol", 0) > 0 else 0.0
-    status = "pass" if ratio >= 1.0 - tol else "fail"
-    return ConditionReport(
-        name=f"section_convexity/piece{piece_index}/sigma{sigma}",
-        status=status,
-        extremal_value=ratio,
-        witness={"hull_ratio": ratio, **info} if status == "fail" else None,
-        samples_used=int(mask.sum()),
-        details={"sigma": sigma, "hull_tol": tol, **info})
+    image = sol.gf.q_batch(grid.centers[mask], piece.y_vec(), piece.z)
+    return hull_report(f"section_convexity/piece{piece_index}/sigma{sigma}",
+                       image, raster_res, hull_cells_tol, sigma=sigma)
 
 
-def g_transform(sol: PiecewiseGSolution, targets, grid: SourceGrid) -> np.ndarray:
+def g_transform(sol: PiecewiseGSolution, targets, grid: SourceGrid, *,
+                u_grid: np.ndarray = None) -> np.ndarray:
     """v(y_j) = max over grid nodes of H(x, y_j, u(x)).
 
     Grid nodes only; accuracy is limited by the grid, which is the
     stated contract.  For a piece (y_j, z_j) present in the solution the
-    supremum equals z_j.
+    supremum equals z_j.  u_grid is u at the cell centers when the
+    caller already has it.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1, sol.gf.dimension)
-    u = values_matrix(sol, grid).max(axis=0)
+    u = values_matrix(sol, grid).max(axis=0) if u_grid is None else u_grid
     out = np.empty(len(targets))
     for j, y in enumerate(targets):
         out[j] = float(np.max(sol.gf.h_batch(grid.centers, y[None, :], u)))
@@ -387,15 +384,14 @@ def dual_transform(gf: GeneratingFunction, targets, v_values,
     v_values = np.asarray(v_values, dtype=float).reshape(-1)
     if len(targets) != len(v_values):
         raise ValueError("targets and values lengths disagree")
-    vals = None
-    for y, vj in zip(targets, v_values):
-        lo, hi = gf.z_interval_batch(grid.centers, y)
-        if not np.all((lo < vj) & (vj < hi)):
+    pieces = [GAffinePiece(tuple(y), float(vj))
+              for y, vj in zip(targets, v_values)]
+    for p in pieces:
+        lo, hi = gf.z_interval_batch(grid.centers, p.y_vec())
+        if not np.all((lo < p.z) & (p.z < hi)):
             raise DomainViolation(
                 "transformed focal parameter leaves its admissible interval")
-        row = gf.value_batch(grid.centers, y, vj)
-        vals = row if vals is None else np.maximum(vals, row)
-    return vals.reshape(grid.res)
+    return _piece_rows(gf, pieces, grid.centers).max(axis=0).reshape(grid.res)
 
 
 def cell_masses(sol: PiecewiseGSolution, grid: SourceGrid) -> CellDecomposition:
@@ -406,13 +402,8 @@ def cell_masses(sol: PiecewiseGSolution, grid: SourceGrid) -> CellDecomposition:
     to float summation order.
     """
     validate_pieces_on_grid(sol, grid)
-    vals = values_matrix(sol, grid)
-    assignment = np.argmax(vals, axis=0)
-    masses = np.bincount(assignment, weights=grid.cell_mass,
-                         minlength=len(sol.pieces))
-    u0 = float(vals.max(axis=0).mean())
-    return CellDecomposition(assignment=assignment, masses=masses,
-                             active_tol=_active_tol(u0))
+    return CellDecomposition.from_values(values_matrix(sol, grid),
+                                         grid.cell_mass)
 
 
 def interface_mask(grid: SourceGrid, assignment: np.ndarray,

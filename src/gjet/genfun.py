@@ -181,12 +181,14 @@ class GeneratingFunction(abc.ABC):
 
     A subclass supplies exact derivatives over rows (``_raw_batch``) and
     the focal intervals I(x, y) over rows (``z_interval_batch``).  It may
-    narrow the admissible pair set U (``admissible_pair_batch``; the
-    default admits every finite pair) and supply closed-form inverses as
-    batched hooks that return None when there is none: ``forward_yz_batch``
-    for (Y, Z), ``_h_of`` for H and ``_x_of`` for X.  The scalar methods
-    are one-row calls of these.  Instances are immutable after
-    construction and safe to share; every method is pure.
+    write G once as a per-target closure (``_piece_values``) that serves
+    every value path and the bundle's value alike, narrow the admissible
+    pair set U (``admissible_pair_batch``; the default admits every finite
+    pair) and supply closed-form inverses as batched hooks that return
+    None when there is none: ``forward_yz_batch`` for (Y, Z), ``_h_of``
+    for H and ``_x_of`` for X.  The scalar methods are one-row calls of
+    these.  Instances are immutable after construction and safe to share;
+    every method is pure.
     """
 
     name = "generic"
@@ -235,19 +237,34 @@ class GeneratingFunction(abc.ABC):
         xs, ys = _pair_rows(xs, ys, self.dimension)
         return self._raw_batch(xs, ys, _per_row(zs, len(xs)))
 
-    # -- fast closed-form paths (overridden by the built-in instances) ------
+    # -- values against one target -----------------------------------------
+
+    def _piece_values(self, xs, ys) -> Callable:
+        """Closure z -> G(x_k, y_k, z) over rows xs (m, n), ys (1, n) or
+        (m, n); the built-in instances write G only here (with einsum row
+        sums, which round alike for any row count) and take _raw_batch's
+        value from it.  The default evaluates the kernel."""
+        xs = xs.copy()
+        ys = np.broadcast_to(ys, xs.shape)
+        return lambda z: self._raw_batch(xs, ys, np.full(len(xs), float(z))).value
+
+    def piece_values_fn(self, xs, y) -> Callable[[float], np.ndarray]:
+        """Closure z -> G(xs, y, z) for one target y."""
+        return self._piece_values(_rows(xs, self.dimension),
+                                  _vec(y, self.dimension)[None, :])
 
     def value(self, x, y, z) -> float:
         return float(self.value_batch(_vec(x, self.dimension)[None, :], y, z)[0])
+
+    def value_batch(self, xs, y, z) -> np.ndarray:
+        return self._piece_values(_rows(xs, self.dimension),
+                                  _vec(y, self.dimension)[None, :])(z)
 
     def _one_piece(self, xs, y, z) -> BatchBundle:
         """Bundle at rows of xs against one target y and one z."""
         xs = _rows(xs, self.dimension)
         return self._raw_batch(xs, np.broadcast_to(_vec(y, self.dimension), xs.shape),
                                np.full(len(xs), float(z)))
-
-    def value_batch(self, xs, y, z) -> np.ndarray:
-        return self._one_piece(xs, y, z).value
 
     def grad_x_batch(self, xs, y, z) -> np.ndarray:
         return self._one_piece(xs, y, z).grad_x
@@ -266,12 +283,6 @@ class GeneratingFunction(abc.ABC):
             return closed
         return np.array([dual_H(self, x, y, u).z_root
                          for x, y, u in zip(xs, ys, us)])
-
-    def piece_values_fn(self, xs, y) -> Callable[[float], np.ndarray]:
-        """Closure z -> G(xs, y, z); instances cache per-target geometry."""
-        xs = _rows(xs, self.dimension).copy()
-        y = _vec(y, self.dimension)
-        return lambda z: self.value_batch(xs, y, z)
 
     # -- closed-form inverses: None when the instance has none -------------
 
@@ -319,13 +330,18 @@ class QuadraticOT(GeneratingFunction):
         m = len(_rows(xs, self.dimension))
         return np.full(m, -math.inf), np.full(m, math.inf)
 
+    def _piece_values(self, xs, ys):
+        d = xs - ys
+        c = 0.5 * np.einsum("ij,ij->i", d, d)
+        return lambda z: c - z
+
     def _raw_batch(self, xs, ys, zs):
         m, n = xs.shape
         d = xs - ys
         eye = _eye_batch(m, n)
         zero_v = np.zeros((m, n))
         return BatchBundle(
-            value=0.5 * np.einsum("ij,ij->i", d, d) - zs,
+            value=self._piece_values(xs, ys)(zs),
             grad_x=d,
             grad_y=-d,
             dz=np.full(m, -1.0),
@@ -337,13 +353,6 @@ class QuadraticOT(GeneratingFunction):
             dzz=np.zeros(m),
         )
 
-    def value_batch(self, xs, y, z):
-        d = _rows(xs, self.dimension) - _vec(y, self.dimension)
-        return 0.5 * np.einsum("ij,ij->i", d, d) - float(z)
-
-    def q_batch(self, xs, y, z):
-        return _vec(y, self.dimension) - _rows(xs, self.dimension)
-
     def _h_of(self, xs, ys, us):
         d = xs - ys
         return 0.5 * np.einsum("ij,ij->i", d, d) - us
@@ -353,11 +362,6 @@ class QuadraticOT(GeneratingFunction):
         # bit, and dual_H's root (solve's anchor) depends on its start
         d = x - y
         return 0.5 * float(d @ d) - u
-
-    def piece_values_fn(self, xs, y):
-        d = _rows(xs, self.dimension) - _vec(y, self.dimension)
-        c = 0.5 * np.einsum("ij,ij->i", d, d)
-        return lambda z: c - z
 
     def forward_yz_batch(self, xs, us, ps):
         xs = _rows(xs, self.dimension)
@@ -406,6 +410,11 @@ class ParallelBeam(GeneratingFunction):
         np.divide(1.0, r, out=hi, where=r > 0)
         return np.zeros(len(d)), hi
 
+    def _piece_values(self, xs, ys):
+        d = xs - ys
+        r2 = np.einsum("ij,ij->i", d, d)
+        return lambda z: 0.5 / z - 0.5 * z * r2
+
     def _raw_batch(self, xs, ys, zs):
         m, n = xs.shape
         w = xs - ys
@@ -413,7 +422,7 @@ class ParallelBeam(GeneratingFunction):
         z = zs
         eye = _eye_batch(m, n)
         return BatchBundle(
-            value=0.5 / z - 0.5 * z * r2,
+            value=self._piece_values(xs, ys)(z),
             grad_x=-z[:, None] * w,
             grad_y=z[:, None] * w,
             dz=-0.5 * (z ** -2 + r2),
@@ -425,18 +434,6 @@ class ParallelBeam(GeneratingFunction):
             dzz=z ** -3,
         )
 
-    def value_batch(self, xs, y, z):
-        d = _rows(xs, self.dimension) - _vec(y, self.dimension)
-        r2 = np.einsum("ij,ij->i", d, d)
-        z = float(z)
-        return 0.5 / z - 0.5 * z * r2
-
-    def q_batch(self, xs, y, z):
-        d = _rows(xs, self.dimension) - _vec(y, self.dimension)
-        r2 = np.einsum("ij,ij->i", d, d)
-        z = float(z)
-        return (2.0 * z ** 3 / (1.0 + z ** 2 * r2))[:, None] * d
-
     def _h_of(self, xs, ys, us):
         d = xs - ys
         r2 = np.einsum("ij,ij->i", d, d)
@@ -446,11 +443,6 @@ class ParallelBeam(GeneratingFunction):
         # the scalar dot, as in QuadraticOT._h_hint
         d = x - y
         return 1.0 / (u + math.sqrt(u * u + float(d @ d)))
-
-    def piece_values_fn(self, xs, y):
-        d = _rows(xs, self.dimension) - _vec(y, self.dimension)
-        r2 = np.einsum("ij,ij->i", d, d)
-        return lambda z: 0.5 / z - 0.5 * z * r2
 
     def forward_yz_batch(self, xs, us, ps):
         xs = _rows(xs, self.dimension)
@@ -518,16 +510,23 @@ class PointSourcePlane(GeneratingFunction):
         xs = _rows(xs, self.dimension)
         return np.einsum("ij,ij->i", xs, xs) < 1.0
 
+    def _piece_values(self, xs, ys):
+        w = np.sqrt(1.0 - np.einsum("ij,ij->i", xs, xs))
+        xy = np.einsum("ij,ij->i", xs, ys)
+        y2 = np.einsum("ij,ij->i", ys, ys)
+        tt = self.tau * self.tau
+        wt = w * self.tau
+        return lambda z: (np.sqrt(z + y2 + tt) - xy - wt) / z
+
     def _raw_batch(self, xs, ys, zs):
         m, n = xs.shape
         tau = self.tau
         x2 = np.einsum("ij,ij->i", xs, xs)
         y2 = np.einsum("ij,ij->i", ys, ys)
-        xy = np.einsum("ij,ij->i", xs, ys)
         w = np.sqrt(1.0 - x2)
         s = np.sqrt(zs + y2 + tau * tau)
         z = zs
-        value = (s - xy - w * tau) / z
+        value = self._piece_values(xs, ys)(z)
         grad_x = (-ys + (tau / w)[:, None] * xs) / z[:, None]
         grad_y = (ys / s[:, None] - xs) / z[:, None]
         dz = -value / z + 1.0 / (2.0 * z * s)
@@ -546,29 +545,12 @@ class PointSourcePlane(GeneratingFunction):
         return BatchBundle(value, grad_x, grad_y, dz, hess_xx, hess_xy,
                            hess_yy, grad_xz, grad_yz, dzz)
 
-    def value_batch(self, xs, y, z):
-        xs = _rows(xs, self.dimension)
-        y = _vec(y, self.dimension)
-        z = float(z)
-        w = np.sqrt(1.0 - np.einsum("ij,ij->i", xs, xs))
-        s = math.sqrt(z + float(y @ y) + self.tau ** 2)
-        return (s - xs @ y - w * self.tau) / z
-
     def _h_of(self, xs, ys, us):
         w = np.sqrt(1.0 - np.einsum("ij,ij->i", xs, xs))
         beta = np.einsum("ij,ij->i", xs, ys) + w * self.tau
         y2 = np.einsum("ij,ij->i", ys, ys)
         disc = 1.0 - 4.0 * us * beta + 4.0 * us ** 2 * (y2 + self.tau ** 2)
         return ((1.0 - 2.0 * us * beta) + np.sqrt(disc)) / (2.0 * us ** 2)
-
-    def piece_values_fn(self, xs, y):
-        xs = _rows(xs, self.dimension)
-        y = _vec(y, self.dimension)
-        w = np.sqrt(1.0 - np.einsum("ij,ij->i", xs, xs))
-        xy = xs @ y
-        c = float(y @ y) + self.tau ** 2
-        wt = w * self.tau
-        return lambda z: (np.sqrt(z + c) - xy - wt) / z
 
     def forward_yz_batch(self, xs, us, ps):
         xs = _rows(xs, self.dimension)

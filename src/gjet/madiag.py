@@ -61,11 +61,6 @@ class GridFunction:
             raise ValueError("grid function has non-finite values")
         object.__setattr__(self, "values", v)
 
-    @classmethod
-    def from_callable(cls, grid: SourceGrid, fn) -> "GridFunction":
-        vals = np.apply_along_axis(fn, 1, grid.centers)
-        return cls(grid, vals.reshape(grid.res))
-
 
 @dataclass(frozen=True)
 class ResidualField:
@@ -138,23 +133,33 @@ def _interior_mask(res, margin: int) -> np.ndarray:
     return mask
 
 
-def _coeff_fields(gf, grid, u_flat, p_flat):
-    """A, det E and validity fields along (x, u(x), Du(x))."""
+def _linearization(gf, ufun: GridFunction, exclude) -> tuple:
+    """(ok_grid, masked, idx, D^2 u - A, det E, u, Du): the matrices and
+    det E at the margin-1 interior nodes outside exclude whose forward map
+    is admissible with G_z < 0 (mask, lost count, flat indices idx)."""
+    grid = ufun.grid
+    u = ufun.values
+    d2u = _hessian(u, grid.h)
+    interior = _interior_mask(grid.res, 1)
+    if exclude is not None:
+        interior = interior & ~np.asarray(exclude, dtype=bool).reshape(grid.res)
+    u_flat = u.ravel()
+    p_flat = _gradient(u, grid.h).reshape(grid.n, -1).T
     ys, zs, ok = genfun.forward_YZ_rows(gf, grid.centers, u_flat, p_flat)
-    m = len(u_flat)
-    n = grid.n
-    a = np.full((m, n, n), np.nan)
-    det = np.full(m, np.nan)
-    idx = np.flatnonzero(ok)
-    if len(idx):
-        bb = gf.bundle_batch(grid.centers[idx], ys[idx], zs[idx])
-        a[idx] = bb.hess_xx
-        det[idx] = np.linalg.det(genfun._e_matrix(bb))
-        bad = ~(bb.dz < 0)
-        if bad.any():
-            ok = ok.copy()
-            ok[idx[bad]] = False
-    return a, det, ys, ok
+    a = np.full((grid.size, grid.n, grid.n), np.nan)
+    det = np.full(grid.size, np.nan)
+    good = np.flatnonzero(ok)
+    ok = ok.copy()
+    if len(good):
+        bb = gf.bundle_batch(grid.centers[good], ys[good], zs[good])
+        a[good] = bb.hess_xx
+        det[good] = np.linalg.det(genfun._e_matrix(bb))
+        ok[good] = bb.dz < 0
+    ok_grid = ok.reshape(grid.res) & interior
+    idx = np.flatnonzero(ok_grid.ravel())
+    mats = d2u.reshape(grid.n, grid.n, -1).transpose(2, 0, 1)[idx] - a[idx]
+    masked = int(interior.sum() - ok_grid.sum())
+    return ok_grid, masked, idx, mats, det[idx], u_flat, p_flat
 
 
 def ma_residual(gf: GeneratingFunction, ufun: GridFunction,
@@ -165,24 +170,13 @@ def ma_residual(gf: GeneratingFunction, ufun: GridFunction,
     kink neighborhoods of a piecewise input; they count as masked.
     """
     grid = ufun.grid
-    u = ufun.values
-    du = _gradient(u, grid.h)
-    d2u = _hessian(u, grid.h)
-    interior = _interior_mask(grid.res, 1)
-    if exclude is not None:
-        interior = interior & ~np.asarray(exclude, dtype=bool).reshape(grid.res)
-    u_flat = u.ravel()
-    p_flat = du.reshape(grid.n, -1).T
-    a, det, _ys, ok = _coeff_fields(gf, grid, u_flat, p_flat)
-    ok_grid = ok.reshape(grid.res) & interior
+    ok_grid, masked, idx, mats, det, u_flat, p_flat = _linearization(
+        gf, ufun, exclude)
     res = np.full(grid.res, np.nan)
-    idx = np.flatnonzero(ok_grid.ravel())
     if len(idx):
-        m = d2u.reshape(grid.n, grid.n, -1).transpose(2, 0, 1)[idx] - a[idx]
         psi_vals = genfun._psi_rows(psi, grid.centers[idx], u_flat[idx],
                                    p_flat[idx])
-        res.ravel()[idx] = np.linalg.det(m) - det[idx] * psi_vals
-    masked = int(interior.sum() - ok_grid.sum())
+        res.ravel()[idx] = np.linalg.det(mats) - det * psi_vals
     return ResidualField(grid, res, ok_grid, masked)
 
 
@@ -234,23 +228,11 @@ def ellipticity_check(gf: GeneratingFunction, ufun: GridFunction, *,
     there.
     """
     grid = ufun.grid
-    u = ufun.values
-    du = _gradient(u, grid.h)
-    d2u = _hessian(u, grid.h)
-    interior = _interior_mask(grid.res, 1)
-    if exclude is not None:
-        interior = interior & ~np.asarray(exclude, dtype=bool).reshape(grid.res)
-    u_flat = u.ravel()
-    p_flat = du.reshape(grid.n, -1).T
-    a, _det, _ys, ok = _coeff_fields(gf, grid, u_flat, p_flat)
-    ok_grid = ok.reshape(grid.res) & interior
+    ok_grid, masked, idx, mats, _det, _u, _p = _linearization(gf, ufun, exclude)
     vals = np.full(grid.res, np.nan)
-    idx = np.flatnonzero(ok_grid.ravel())
     if len(idx):
-        m = d2u.reshape(grid.n, grid.n, -1).transpose(2, 0, 1)[idx] - a[idx]
-        m = 0.5 * (m + m.transpose(0, 2, 1))
-        vals.ravel()[idx] = np.linalg.eigvalsh(m)[:, 0]
-    masked = int(interior.sum() - ok_grid.sum())
+        sym = 0.5 * (mats + mats.transpose(0, 2, 1))
+        vals.ravel()[idx] = np.linalg.eigvalsh(sym)[:, 0]
     field = ResidualField(grid, vals, ok_grid, masked)
     admissible = bool(ok_grid.any()
                       and np.nanmin(vals[ok_grid]) >= -ellip_tol)

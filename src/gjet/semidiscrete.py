@@ -273,32 +273,25 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
     z = z_anchor.copy()
     values = np.stack([fns[i](z[i]) for i in range(n_pieces)])
 
-    def masses_now():
-        assignment = np.argmax(values, axis=0)
-        return assignment, np.bincount(assignment, weights=cell_mass,
-                                       minlength=n_pieces)
-
     def anchor_value():
         return float(max(anchor_fns[i](z[i])[0] for i in range(n_pieces)))
 
-    assignment, masses = masses_now()
-    residual = float(np.max(np.abs(masses - g)) / total)
-    history = [residual]
-    best = (residual, z.copy(), assignment, masses, anchor_value(), 0)
+    def residual_of(dec):
+        return float(np.max(np.abs(dec.masses - g)) / total)
 
-    def finish(sweeps):
-        assignment, masses = masses_now()
-        dec = CellDecomposition(assignment=assignment, masses=masses,
-                                active_tol=1e-9 * (1.0 + abs(u0)))
+    def state(z, dec, anchor, sweeps):
         return SolutionState(
-            z=z.copy(), decomposition=dec,
-            residual=float(np.max(np.abs(masses - g)) / total),
-            anchor_value=anchor_value(), sweeps=sweeps,
+            z=z.copy(), decomposition=dec, residual=residual_of(dec),
+            anchor_value=anchor, sweeps=sweeps,
             residual_history=tuple(history),
-            interface_cells=interface_cell_count(grid, assignment))
+            interface_cells=interface_cell_count(grid, dec.assignment))
 
+    dec = CellDecomposition.from_values(values, cell_mass)
+    residual = residual_of(dec)
+    history = [residual]
+    best = (residual, z.copy(), dec, anchor_value(), 0)
     if residual <= tol.mass_tol_rel:
-        return finish(0)
+        return state(z, dec, anchor_value(), 0)
 
     empty_at_clamp = np.zeros(n_pieces, dtype=bool)
     for sweep in range(1, tol.max_sweeps + 1):
@@ -360,35 +353,28 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
             for i in range(n_pieces):
                 values[i] = fns[i](z[i])
 
-        assignment, masses = masses_now()
-        residual = float(np.max(np.abs(masses - g)) / total)
+        dec = CellDecomposition.from_values(values, cell_mass)
+        residual = residual_of(dec)
         history.append(residual)
         if residual < best[0]:
-            best = (residual, z.copy(), assignment, masses, anchor_value(), sweep)
+            best = (residual, z.copy(), dec, anchor_value(), sweep)
 
         if residual <= tol.mass_tol_rel \
                 and abs(anchor_value() - u0) <= anchor_tol:
-            return finish(sweep)
+            return state(z, dec, anchor_value(), sweep)
 
         # certificate: a sweep that moves no parameter is a fixed point, so
         # a clamped piece whose cell is still empty can never gain mass
-        stuck = empty_at_clamp & (masses == 0) & (g > 0)
+        stuck = empty_at_clamp & (dec.masses == 0) & (g > 0)
         if np.any(stuck) and np.array_equal(z, z_start):
             idx = int(np.argmax(stuck))
             raise InfeasibleBracket(
                 f"target {idx} keeps an empty cell at its anchored parameter; "
                 f"it is unreachable at this normalization", piece_index=idx)
 
-    state = SolutionState(
-        z=best[1],
-        decomposition=CellDecomposition(assignment=best[2], masses=best[3],
-                                        active_tol=1e-9 * (1.0 + abs(u0))),
-        residual=best[0], anchor_value=best[4], sweeps=best[5],
-        residual_history=tuple(history),
-        interface_cells=interface_cell_count(grid, best[2]))
     raise NoConvergence(
         f"sweep budget {tol.max_sweeps} exhausted; best residual {best[0]:.3e}",
-        best=state)
+        best=state(*best[1:]))
 
 
 # --------------------------------------------------------------------------

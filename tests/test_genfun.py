@@ -186,18 +186,11 @@ def test_scalar_entry_points_are_one_row_of_the_batch(gf):
             assert np.array_equal(getattr(one, name), getattr(batch, name)[k]), name
 
 
-# the point-source value_batch forms x.y as the BLAS product xs @ y, whose
-# rounding depends on the number of rows for n >= 2
-ROW_COUNT_ROUNDING = pytest.mark.xfail(
-    strict=True, reason="point-source value_batch rounds by row count")
-
-
-@pytest.mark.parametrize(
-    "gf", [pytest.param(gf, marks=ROW_COUNT_ROUNDING)
-           if gf.name == "point_source" and gf.dimension > 1 else gf
-           for gf in CONTRACT_INSTANCES],
-    ids=lambda g: f"{g.name}{g.dimension}")
+@pytest.mark.parametrize("gf", CONTRACT_INSTANCES,
+                         ids=lambda g: f"{g.name}{g.dimension}")
 def test_scalar_value_is_one_row_of_value_batch(gf):
+    # G is written once per instance: the scalar value, the per-target
+    # closure and the bundle's value are all that formula, bit for bit
     rng = np.random.default_rng(47)
     xs, ys = edge_rows(gf, rng, 60)
     xs = xs[gf.admissible_pair_batch(xs, ys)]
@@ -205,6 +198,8 @@ def test_scalar_value_is_one_row_of_value_batch(gf):
     lo, hi = gf.z_interval_batch(xs, y)
     z = _map_fraction(float(np.max(lo)), float(np.min(hi)), 0.5)
     batch = gf.value_batch(xs, y, z)
+    assert np.array_equal(gf.piece_values_fn(xs, y)(z), batch)
+    assert np.array_equal(gf.bundle_batch(xs, y, z).value, batch)
     for k, x in enumerate(xs):
         assert gf.value(x, y, z) == batch[k], k
 

@@ -18,6 +18,7 @@ from gjet.gconvex import (
     PiecewiseGSolution,
     SourceGrid,
     cell_masses,
+    eval_piecewise,
     values_matrix,
 )
 from gjet.genfun import PointSourcePlane, dual_H
@@ -320,6 +321,29 @@ def test_solve_other_generators():
     vstar = dual_transform(ps, prob.targets, v, g2)
     u = values_matrix(sol, g2).max(axis=0).reshape(g2.res)
     assert np.max(np.abs(vstar - u)) <= 1e-6
+
+
+@pytest.mark.parametrize("n, res", [(2, 32), (3, 12)])
+def test_point_source_cells_and_values_repeat_the_solver(n, res):
+    # the solver, cell_masses, values_matrix and eval_piecewise all take
+    # the pieces from the instance's one value formula, so cells, masses
+    # and values agree bit for bit
+    ps = PointSourcePlane(n, tau=-1.0)
+    grid = SourceGrid([-0.4] * n, [0.4] * n, [res] * n)
+    sites = np.array([[0.17, 0.03, 0.05], [-0.22, -0.08, 0.0],
+                      [0.02, 0.21, -0.1]])[:, :n]
+    prob = SemiDiscreteProblem(ps, grid, sites,
+                               grid.total_mass * np.array([0.5, 0.3, 0.2]),
+                               (np.zeros(n), 2.5))
+    state = solve(prob)
+    sol = solution_function(prob, state.z)
+    dec = cell_masses(sol, grid)
+    assert np.array_equal(dec.assignment, state.decomposition.assignment)
+    assert np.array_equal(dec.masses, state.decomposition.masses)
+    vals = values_matrix(sol, grid)
+    for k, x in enumerate(grid.centers):
+        assert eval_piecewise(sol, x) == (vals[:, k].max(),
+                                          int(np.argmax(vals[:, k]))), k
 
 
 def test_validate_rejects_inadmissible_source_box():
