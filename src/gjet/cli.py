@@ -256,19 +256,16 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"could not read JSON file {path}: {exc}")
 
 
-def _write_grid_csv(path, prob, z, dec, with_mass=False):
+def _write_grid_csv(path, sol, grid, u, dec, with_mass=False):
     """Rows x1..xn, u, du1..dun, cell[, mass] for every grid node of the
-    solution with focal parameters z and cells dec."""
-    grid = prob.grid
-    sol = semidiscrete.solution_function(prob, z)
-    u = gconvex.values_matrix(sol, grid).max(axis=0)
+    solution sol with values u and cells dec."""
     assignment = dec.assignment
     du = np.empty((grid.size, grid.n))
     for i, piece in enumerate(sol.pieces):
         mask = assignment == i
         if mask.any():
-            du[mask] = prob.gf.grad_x_batch(grid.centers[mask],
-                                            piece.y_vec(), piece.z)
+            du[mask] = sol.gf.grad_x_batch(grid.centers[mask],
+                                           piece.y_vec(), piece.z)
     n = grid.n
     header = [f"x{k + 1}" for k in range(n)] + ["u"] \
         + [f"du{k + 1}" for k in range(n)] + ["cell"]
@@ -359,11 +356,6 @@ def cmd_solve(args) -> int:
     cfg = resolve_config(_load_json(args.config),
                          os.path.dirname(args.config) or ".")
     prob = build_problem(cfg, os.path.dirname(args.config) or ".")
-    diags = semidiscrete.validate_problem(prob)
-    if diags:
-        for d in diags:
-            print(f"validation: {d['kind']}: {d['message']}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     try:
         state = semidiscrete.solve(prob)
     except NoConvergence as exc:
@@ -371,9 +363,18 @@ def cmd_solve(args) -> int:
         if exc.best is not None:
             _write_state(args.out, cfg, exc.best, converged=False)
         return EXIT_NO_CONVERGENCE
+    except GjetError as exc:
+        # solve validates first; a failed validation lists every diagnostic
+        if not hasattr(exc, "diagnostics"):
+            raise
+        for d in exc.diagnostics:
+            print(f"validation: {d['kind']}: {d['message']}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     _write_state(args.out, cfg, state, converged=True)
     if args.grid_out:
-        _write_grid_csv(args.grid_out, prob, state.z, state.decomposition)
+        sol = semidiscrete.solution_function(prob, state.z)
+        u = gconvex.values_matrix(sol, prob.grid).max(axis=0)
+        _write_grid_csv(args.grid_out, sol, prob.grid, u, state.decomposition)
     print(f"solved: residual={_fmt(state.residual)} sweeps={state.sweeps} "
           f"anchor={_fmt(state.anchor_value)}")
     return EXIT_OK
@@ -470,8 +471,12 @@ def cmd_residual(args) -> int:
 
 def cmd_report(args) -> int:
     _cfg, prob, z = _state_from_file(args.solution)
-    dec = gconvex.cell_masses(semidiscrete.solution_function(prob, z), prob.grid)
-    _write_grid_csv(args.csv, prob, z, dec, with_mass=True)
+    sol = semidiscrete.solution_function(prob, z)
+    gconvex.validate_pieces_on_grid(sol, prob.grid)
+    vals = gconvex.values_matrix(sol, prob.grid)
+    dec = gconvex.CellDecomposition.from_values(vals, prob.grid.cell_mass)
+    _write_grid_csv(args.csv, sol, prob.grid, vals.max(axis=0), dec,
+                    with_mass=True)
     print(f"report: {prob.grid.size} rows, {len(prob.targets)} pieces")
     return EXIT_OK
 

@@ -17,7 +17,10 @@ agreement between the two sides), monotonicity of A in u, the gradient
 bound, and domain-convexity tests (boundary form for balls, hull-ratio
 for rasterized images).
 
-Determinism: identical SampleSpec values produce bit-identical reports.
+Each sampled check draws its rows in a fixed RNG order, evaluates all of
+them in a fixed number of batched calls, whatever the sample size, and
+reduces them with first-argmin rules.  Determinism: identical SampleSpec
+values produce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from . import genfun
-from .errors import GjetError, UnsupportedGeometry
+from .errors import DomainViolation, GjetError, UnsupportedGeometry
 from .genfun import GeneratingFunction, fd_step
 
 __all__ = [
@@ -42,6 +45,7 @@ __all__ = [
     "check_injectivity",
     "check_G2",
     "mtw_tensor",
+    "mtw_tensor_rows",
     "check_G3_family",
     "dp_A_chainrule",
     "check_G4w",
@@ -61,6 +65,7 @@ INPUT_TOL = 1e-6        # input separation required to call it a collision
 BOUNDARY_FRAC = 0.05    # interval fraction treated as "near the endpoint"
 TENSOR_STEP = 1e-3      # second-difference stencil step in p or q
 ORTHO_TOL = 1e-12       # |xi.eta| allowed after normalizing both
+G5_TOL = 1e-9           # relative slack on the gradient bound k0
 
 
 @dataclass(frozen=True)
@@ -115,9 +120,7 @@ class ConditionReport:
 
 
 def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
+    if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     if isinstance(obj, (np.floating,)):
         return float(obj)
@@ -136,39 +139,66 @@ def _jsonable(obj):
 # sampling helpers
 # --------------------------------------------------------------------------
 
+def _map_fraction_rows(lo, hi, f) -> np.ndarray:
+    """Place interior quantiles f into possibly unbounded open intervals
+    (lo, hi); the arguments broadcast against each other."""
+    lo, hi, f = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                      for a in (lo, hi, f)))
+    flo, fhi = np.isfinite(lo), np.isfinite(hi)
+    with np.errstate(invalid="ignore"):
+        out = np.where(flo & fhi, lo + f * (hi - lo),
+                       np.where(flo, lo + f / (1.0 - f), hi - (1.0 - f) / f))
+    # math.log, whose rounding np.log does not always repeat
+    free = ~(flo | fhi)
+    out[free] = [math.log(v / (1.0 - v)) for v in f[free]]
+    return out
+
+
 def _map_fraction(lo: float, hi: float, f: float) -> float:
-    """Place an interior quantile into a possibly unbounded open interval."""
-    if math.isfinite(lo) and math.isfinite(hi):
-        return lo + f * (hi - lo)
-    if math.isfinite(lo):
-        return lo + f / (1.0 - f)
-    if math.isfinite(hi):
-        return hi - (1.0 - f) / f
-    return math.log(f / (1.0 - f))
+    """One interior quantile: one row of _map_fraction_rows."""
+    return float(_map_fraction_rows(lo, hi, f))
 
 
-def _uniform(rng, lo, hi):
+def _uniform(rng, lo, hi, rows: int = None):
+    """One uniform point of the box [lo, hi), or (rows, n) points drawn as
+    that many single draws in turn would be."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    return lo + rng.random(lo.shape) * (hi - lo)
+    shape = lo.shape if rows is None else (rows,) + lo.shape
+    return lo + rng.random(shape) * (hi - lo)
+
+
+def _dots(a, b) -> np.ndarray:
+    """Row dot products a_k . b_k; the stacked matmul rounds as the
+    one-point a @ b and np.linalg.norm do (einsum does not)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _first_min(vals):
+    """(k, vals[k]) at the first minimum, where a running strict-< minimum
+    from +inf ends (NaN never counts); (None, inf) if none is below inf."""
+    v = np.append(np.where(np.isnan(vals), math.inf, vals), math.inf)
+    k = int(np.argmin(v))
+    return (k, v[k]) if v[k] < math.inf else (None, math.inf)
 
 
 def sample_triples(gf: GeneratingFunction, spec: SampleSpec):
-    """Deterministic admissible triples (x, y, z, frac) from the plan."""
-    rng = np.random.default_rng(spec.seed)
-    out = []
-    tries = 0
-    max_tries = 60 * spec.count
-    while len(out) < spec.count * len(spec.z_fracs) and tries < max_tries:
-        tries += 1
-        x = _uniform(rng, spec.x_lo, spec.x_hi)
-        y = _uniform(rng, spec.y_lo, spec.y_hi)
-        if not gf.admissible_pair(x, y):
-            continue
-        lo, hi = gf.z_interval(x, y)
-        for f in spec.z_fracs:
-            out.append((x, y, _map_fraction(lo, hi, f), f))
-    return out
+    """Deterministic admissible triples as arrays (xs, ys, zs, fracs).
+
+    The pairs are the first spec.count admissible (x, y) draws among
+    60 * spec.count; each pair gives one row per entry of z_fracs, with z
+    at that quantile of I(x, y).
+    """
+    n = gf.dimension
+    xy = _uniform(np.random.default_rng(spec.seed), np.r_[spec.x_lo, spec.y_lo],
+                  np.r_[spec.x_hi, spec.y_hi], 60 * spec.count)
+    xy = xy[gf.admissible_pair_batch(xy[:, :n], xy[:, n:])][:spec.count]
+    fracs = np.asarray(spec.z_fracs, dtype=float)
+    z_lo, z_hi = gf.z_interval_batch(xy[:, :n], xy[:, n:])
+    zs = _map_fraction_rows(z_lo[:, None], z_hi[:, None], fracs).ravel()
+    fracs = np.tile(fracs, len(xy))
+    xy = np.repeat(xy, len(spec.z_fracs), axis=0)
+    return xy[:, :n], xy[:, n:], zs, fracs
 
 
 def orthonormal_pair(rng, n: int):
@@ -199,173 +229,174 @@ def orthonormal_pair(rng, n: int):
 # injectivity (primal and dual one-to-one conditions)
 # --------------------------------------------------------------------------
 
-def check_injectivity(gf: GeneratingFunction, direction: str, spec: SampleSpec, *,
-                      delta: float = DET_TOL,
-                      collision_tol: float = COLLISION_TOL,
-                      input_tol: float = INPUT_TOL) -> ConditionReport:
+def check_injectivity(gf: GeneratingFunction, direction: str,
+                      spec: SampleSpec) -> ConditionReport:
     """Sampled one-to-one check of the primal or dual generated map.
 
     primal: for fixed x the map (y, z) -> (G_x, G) must separate inputs;
     its Jacobian determinant G_z det E must stay away from zero.
     dual: for fixed (y, z) the slope map x -> Q must separate inputs;
-    its Jacobian is -E/G_z.
+    its Jacobian is -E/G_z.  Every base point's rows are drawn first, then
+    evaluated in one kernel call.
     """
     if direction not in ("primal", "dual"):
         raise ValueError("direction must be 'primal' or 'dual'")
     rng = np.random.default_rng(spec.seed)
     n = gf.dimension
-    base_count = max(3, spec.count // 10)
-    draws = 12
-    min_jac = math.inf
-    witness = None
-    used = 0
-    status = "pass"
-
-    for _ in range(base_count):
-        if direction == "primal":
-            for _ in range(40):
-                x = _uniform(rng, spec.x_lo, spec.x_hi)
-                ys = [_uniform(rng, spec.y_lo, spec.y_hi) for _ in range(draws)]
-                ys = [y for y in ys if gf.admissible_pair(x, y)]
-                if ys:
+    fracs = np.asarray(spec.z_fracs, dtype=float)
+    # each base point's (x, y, z) rows, after an empty one; C-ordered, as
+    # the kernel's einsum row sums round by memory layout
+    bases = [(np.empty((0, n)), np.empty((0, n)), np.empty(0))]
+    for _ in range(max(3, spec.count // 10)):
+        for _ in range(40):
+            if direction == "primal":
+                xs = np.tile(_uniform(rng, spec.x_lo, spec.x_hi), (12, 1))
+                ys = _uniform(rng, spec.y_lo, spec.y_hi, 12)
+                keep = gf.admissible_pair_batch(xs, ys)
+                if keep.any():
                     break
             else:
-                continue
-            inputs, outputs = [], []
-            for y in ys:
-                lo, hi = gf.z_interval(x, y)
-                for f in spec.z_fracs:
-                    z = _map_fraction(lo, hi, f)
-                    b = gf.bundle(x, y, z)
-                    det = float(np.linalg.det(genfun._e_matrix(b)))
-                    jac = abs(b.dz * det)
-                    if jac < min_jac:
-                        min_jac = jac
-                        if jac < delta:
-                            status = "fail"
-                            witness = {"x": x, "y": y, "z": z,
-                                       "jacobian": jac, "kind": "degenerate_jacobian"}
-                    inputs.append(np.concatenate([y, [z]]))
-                    outputs.append(np.concatenate([b.grad_x, [b.value]]))
-            used += len(inputs)
-            col = _find_collision(inputs, outputs, collision_tol, input_tol)
-            if col is not None:
-                ia, ib = col
-                status = "fail"
-                witness = {"x": x,
-                           "input_a": inputs[ia], "input_b": inputs[ib],
-                           "output_a": outputs[ia], "output_b": outputs[ib],
-                           "kind": "collision"}
-        else:
-            for _ in range(40):
                 y = _uniform(rng, spec.y_lo, spec.y_hi)
                 x_ref = _uniform(rng, spec.x_lo, spec.x_hi)
                 if gf.admissible_pair(x_ref, y):
                     break
-            else:
-                continue
-            lo, hi = gf.z_interval(x_ref, y)
-            z = _map_fraction(lo, hi, spec.z_fracs[len(spec.z_fracs) // 2])
-            inputs, outputs = [], []
-            for _ in range(draws * len(spec.z_fracs)):
-                x = _uniform(rng, spec.x_lo, spec.x_hi)
-                if not gf.admissible_pair(x, y):
-                    continue
-                lo_x, hi_x = gf.z_interval(x, y)
-                if not (lo_x < z < hi_x):
-                    continue
-                b = gf.bundle(x, y, z)
-                det = float(np.linalg.det(genfun._e_matrix(b)))
-                jac = abs(det / b.dz ** n)
-                if jac < min_jac:
-                    min_jac = jac
-                    if jac < delta:
-                        status = "fail"
-                        witness = {"x": x, "y": y, "z": z,
-                                   "jacobian": jac, "kind": "degenerate_jacobian"}
-                inputs.append(x)
-                outputs.append(genfun._q_of(b))
-            used += len(inputs)
-            col = _find_collision(inputs, outputs, collision_tol, input_tol)
-            if col is not None:
-                ia, ib = col
-                status = "fail"
-                witness = {"y": y, "z": z,
-                           "input_a": inputs[ia], "input_b": inputs[ib],
-                           "output_a": outputs[ia], "output_b": outputs[ib],
-                           "kind": "collision"}
+        else:
+            continue
+        if direction == "primal":
+            z_lo, z_hi = gf.z_interval_batch(xs[keep], ys[keep])
+            zs = _map_fraction_rows(z_lo[:, None], z_hi[:, None], fracs).ravel()
+            xs, ys = (np.repeat(v[keep], len(fracs), axis=0) for v in (xs, ys))
+        else:
+            z = _map_fraction(*gf.z_interval(x_ref, y), fracs[len(fracs) // 2])
+            xs = _uniform(rng, spec.x_lo, spec.x_hi, 12 * len(fracs))
+            ys, zs = np.tile(y, (len(xs), 1)), np.full(len(xs), z)
+            keep = genfun._on_slice(gf, xs, ys, zs)
+            xs, ys, zs = xs[keep], ys[keep], zs[keep]
+        bases.append((xs, ys, zs))
 
-    if used < 10:
-        status = "inconclusive"
+    xs, ys, zs = (np.concatenate(c) for c in zip(*bases))
+    base_of = np.repeat(np.arange(len(bases)), [len(b[2]) for b in bases])
+    b = gf.bundle_batch(xs, ys, zs)
+    det = np.linalg.det(genfun._e_matrix(b))
+    if direction == "primal":
+        jac = np.abs(b.dz * det)
+        inputs = np.concatenate([ys, zs[:, None]], axis=1)
+        outputs = np.concatenate([b.grad_x, b.value[:, None]], axis=1)
+    else:
+        # float_power is the C pow of the one-point b.dz ** n
+        jac = np.abs(det / np.float_power(b.dz, n))
+        inputs, outputs = xs, genfun._q_of(b)
+    k, min_jac = _first_min(jac)
+    # the last event in draw order names the witness; a base's collision
+    # test follows that base's rows
+    witness = None
+    if min_jac < DET_TOL:
+        witness = {"x": xs[k], "y": ys[k], "z": zs[k], "jacobian": min_jac,
+                   "kind": "degenerate_jacobian"}
+    for i in reversed(range(base_of[k] if witness else 0, len(bases))):
+        rows = np.flatnonzero(base_of == i)
+        col = _find_collision(inputs[rows], outputs[rows])
+        if col is not None:
+            ia, ib = rows[list(col)]
+            witness = {**({"x": xs[ia]} if direction == "primal"
+                          else {"y": ys[ia], "z": zs[ia]}),
+                       "input_a": inputs[ia], "input_b": inputs[ib],
+                       "output_a": outputs[ia], "output_b": outputs[ib],
+                       "kind": "collision"}
+            break
     return ConditionReport(
         name=f"G1{'*' if direction == 'dual' else ''}",
-        status=status,
+        status="inconclusive" if len(zs) < 10 else "pass" if witness is None
+        else "fail",
         extremal_value=min_jac,
         witness=witness,
-        samples_used=used,
-        details={"direction": direction, "delta": delta,
-                 "collision_tol": collision_tol, "input_tol": input_tol},
+        samples_used=len(zs),
+        details={"direction": direction, "delta": DET_TOL,
+                 "collision_tol": COLLISION_TOL, "input_tol": INPUT_TOL},
     )
 
 
-def _find_collision(inputs, outputs, collision_tol, input_tol):
-    if len(inputs) < 2:
-        return None
-    ins = np.asarray(inputs)
-    outs = np.asarray(outputs)
-    d_out = np.linalg.norm(outs[:, None, :] - outs[None, :, :], axis=-1)
-    d_in = np.linalg.norm(ins[:, None, :] - ins[None, :, :], axis=-1)
-    bad = (d_out < collision_tol) & (d_in > input_tol)
+def _find_collision(inputs, outputs):
+    d_out = np.linalg.norm(outputs[:, None, :] - outputs[None, :, :], axis=-1)
+    d_in = np.linalg.norm(inputs[:, None, :] - inputs[None, :, :], axis=-1)
+    bad = (d_out < COLLISION_TOL) & (d_in > INPUT_TOL)
     idx = np.argwhere(np.triu(bad, k=1))
-    if len(idx):
-        return int(idx[0, 0]), int(idx[0, 1])
-    return None
+    return (int(idx[0, 0]), int(idx[0, 1])) if len(idx) else None
 
 
 # --------------------------------------------------------------------------
 # G2: nondegeneracy of det E
 # --------------------------------------------------------------------------
 
-def check_G2(gf: GeneratingFunction, spec: SampleSpec, *,
-             delta: float = DET_TOL,
-             boundary_frac: float = BOUNDARY_FRAC) -> ConditionReport:
+def check_G2(gf: GeneratingFunction, spec: SampleSpec) -> ConditionReport:
     """min |det E| over the sample; degeneration at an interval endpoint
     is reported inconclusive rather than fail (the condition is interior)."""
-    triples = sample_triples(gf, spec)
-    min_abs = math.inf
-    min_signed = math.inf
-    arg = None
-    for x, y, z, f in triples:
-        b = gf.bundle(x, y, z)
-        det = float(np.linalg.det(genfun._e_matrix(b)))
-        if abs(det) < min_abs:
-            min_abs = abs(det)
-            arg = (x, y, z, f)
-        min_signed = min(min_signed, det)
-    if not triples:
+    xs, ys, zs, fracs = sample_triples(gf, spec)
+    if not len(zs):
         return ConditionReport("G2", "inconclusive", math.nan, None, 0,
-                               {"delta": delta})
+                               {"delta": DET_TOL})
+    det = np.linalg.det(genfun._e_matrix(gf.bundle_batch(xs, ys, zs)))
+    k, min_abs = _first_min(np.abs(det))
     status = "pass"
-    witness = None
-    if min_abs < delta:
-        near_edge = arg[3] <= boundary_frac or arg[3] >= 1.0 - boundary_frac
+    if min_abs < DET_TOL:
+        near_edge = fracs[k] <= BOUNDARY_FRAC or fracs[k] >= 1.0 - BOUNDARY_FRAC
         status = "inconclusive" if near_edge else "fail"
-        witness = None if status == "inconclusive" else {
-            "x": arg[0], "y": arg[1], "z": arg[2], "det_e": min_abs}
     return ConditionReport(
         name="G2",
         status=status,
         extremal_value=min_abs,
-        witness=witness,
-        samples_used=len(triples),
-        details={"delta": delta, "min_det_signed": min_signed,
-                 "extremal_z_frac": arg[3]},
+        witness={"x": xs[k], "y": ys[k], "z": zs[k], "det_e": min_abs}
+        if status == "fail" else None,
+        samples_used=len(zs),
+        details={"delta": DET_TOL, "min_det_signed": _first_min(det)[1],
+                 "extremal_z_frac": fracs[k]},
     )
 
 
 # --------------------------------------------------------------------------
 # regularity tensor (fourth-order condition) and its dual
 # --------------------------------------------------------------------------
+
+def mtw_tensor_rows(gf: GeneratingFunction, side: str, a, b, zs, xi, eta, *,
+                    step: float = TENSOR_STEP) -> tuple:
+    """mtw_tensor over rows (a_k, b_k, z_k, xi_k, eta_k): all stencil
+    points go through one matrix_A_rows (primal) or dual_Astar_Bstar_rows
+    (dual) call.  Returns (values (m,), ok (m,)); a row is not ok, and its
+    value NaN, when its point is off the admissible slice, G_z is not
+    negative there, or a stencil point has no solution.
+    """
+    n = gf.dimension
+    a, b, xi, eta = (genfun._rows(v, n) for v in (a, b, xi, eta))
+    zs = genfun._per_row(zs, len(a))
+    xi = xi / np.sqrt(_dots(xi, xi))[:, None]
+    ena = np.sqrt(_dots(eta, eta))[:, None]
+    eta = np.divide(eta, ena, out=eta.copy(), where=ena > 0)
+    if np.any(np.abs(_dots(xi, eta)) > ORTHO_TOL):
+        raise ValueError("xi and eta must be orthogonal")
+    if side not in ("primal", "dual"):
+        raise ValueError("side must be 'primal' or 'dual'")
+    x, y = (a, b) if side == "primal" else (b, a)
+    bnd = gf.bundle_batch(x, y, zs)
+    ok = genfun._on_slice(gf, x, y, zs) & (bnd.dz < 0.0)
+    # three stencil rows per ok row: the slope p = G_x (primal) or q = Q
+    # (dual) stepped by h, 0 and -h along eta
+    base = (bnd.grad_x if side == "primal" else genfun._q_of(bnd))[ok]
+    h = step * np.maximum(1.0, np.abs(base).max(axis=1, initial=0.0))
+    slopes = (base + np.stack([h, 0 * h, -h])[:, :, None] * eta[ok]).reshape(-1, n)
+    x3, xi3 = np.tile(x[ok], (3, 1)), np.tile(xi[ok], (3, 1))
+    if side == "primal":
+        amat, status, _ = genfun.matrix_A_rows(gf, x3, np.tile(bnd.value[ok], 3),
+                                               slopes)
+    else:
+        amat, _, status, _ = genfun.dual_Astar_Bstar_rows(
+            gf, np.tile(y[ok], (3, 1)), np.tile(zs[ok], 3), slopes, x_initial=x3)
+    phi = _dots(np.matmul(xi3[:, None, :], amat)[:, 0, :], xi3).reshape(3, -1)
+    solved = (status == genfun.RowStatus.OK).reshape(3, -1).all(axis=0)
+    out = np.full(len(a), np.nan)
+    out[ok] = np.where(solved, (phi[0] - 2.0 * phi[1] + phi[2]) / (h * h), np.nan)
+    ok[ok] = solved
+    return out, ok
+
 
 def mtw_tensor(gf: GeneratingFunction, side: str, a, b, z, xi, eta, *,
                step: float = TENSOR_STEP) -> float:
@@ -374,50 +405,22 @@ def mtw_tensor(gf: GeneratingFunction, side: str, a, b, z, xi, eta, *,
     primal: second central difference in p of xi^T A(x, u, p) xi along
     eta, holding (x, u) fixed with u = G(x, y, z), p = G_x(x, y, z).
     dual: same in q of xi^T A*(y, z, q) xi holding (y, z) fixed, with
-    q = Q(x, y, z).  Requires xi.eta = 0 after normalization.
+    q = Q(x, y, z).  Requires xi.eta = 0 after normalization.  One row of
+    mtw_tensor_rows; raises DomainViolation when that row is not ok.
     """
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    xi = xi / np.linalg.norm(xi)
-    ena = np.linalg.norm(eta)
-    if ena > 0:
-        eta = eta / ena
-    if abs(float(xi @ eta)) > ORTHO_TOL:
-        raise ValueError("xi and eta must be orthogonal")
-    if side == "primal":
-        x, y = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        bnd = genfun.eval_bundle(gf, x, y, z)
-        u, p = bnd.value, bnd.grad_x
-        h = step * max(1.0, float(np.max(np.abs(p))))
-
-        def phi(t):
-            amat = genfun.matrix_A(gf, x, u, p + t * eta)
-            return float(xi @ amat @ xi)
-
-    elif side == "dual":
-        y, x = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        q = genfun.map_Q(gf, x, y, z)
-        h = step * max(1.0, float(np.max(np.abs(q))))
-
-        def phi(t):
-            amat, _ = genfun.dual_Astar_Bstar(gf, y, z, q + t * eta,
-                                              x_initial=x)
-            return float(xi @ amat @ xi)
-
-    else:
-        raise ValueError("side must be 'primal' or 'dual'")
-    return (phi(h) - 2.0 * phi(0.0) + phi(-h)) / (h * h)
+    vals, ok = mtw_tensor_rows(gf, side, a, b, float(z), xi, eta, step=step)
+    if not ok[0]:
+        raise DomainViolation(f"{side} tensor: no admissible stencil solution")
+    return float(vals[0])
 
 
-def _tensor_noise_floor(scale: float, step: float) -> float:
+def _tensor_noise_floor(scale, step: float):
     # rounding amplification of the second difference plus solver noise
-    return 1e3 * np.finfo(float).eps * max(1.0, scale) / (step * step)
+    return 1e3 * np.finfo(float).eps * np.maximum(1.0, scale) / (step * step)
 
 
 def check_G3_family(gf: GeneratingFunction, spec: SampleSpec, strict: bool, *,
-                    g3_min: float = G3_MIN, weak_tol: float = WEAK_TOL,
-                    step: float = TENSOR_STEP, rng_seed_offset: int = 1,
-                    ) -> ConditionReport:
+                    step: float = TENSOR_STEP) -> ConditionReport:
     """Primal and dual tensors at corresponding points plus sign agreement.
 
     The dual point for (x, y, z) is (y, z, q) with q = Q(x, y, z); both
@@ -426,51 +429,37 @@ def check_G3_family(gf: GeneratingFunction, spec: SampleSpec, strict: bool, *,
     times the stencil noise floor; this is the executable content of the
     primal/dual equivalence of the condition.
     """
-    triples = sample_triples(gf, spec)
-    rng = np.random.default_rng(spec.seed + rng_seed_offset)
+    xs, ys, zs, _f = sample_triples(gf, spec)
+    rng = np.random.default_rng(spec.seed + 1)
     n = gf.dimension
-    min_primal = math.inf
-    min_dual = math.inf
-    mismatches = 0
-    evaluated = 0
-    skipped = 0
+    pairs = [orthonormal_pair(rng, n) for _ in zs]
+    if n == 1:
+        # no orthogonal direction exists: nothing is evaluated
+        xs, ys, zs, pairs = xs[:0], ys[:0], zs[:0], []
+    xi, eta = (np.reshape([pair[i] for pair in pairs], (-1, n)) for i in (0, 1))
+    tp, ok = mtw_tensor_rows(gf, "primal", xs, ys, zs, xi, eta, step=step)
+    td, ok_dual = mtw_tensor_rows(gf, "dual", ys, xs, zs, xi, eta, step=step)
+    ok &= ok_dual
+    skipped = int(len(ok) - ok.sum())
+    xs, ys, zs, xi, eta, tp, td = (v[ok] for v in (xs, ys, zs, xi, eta, tp, td))
+    evaluated = len(tp)
+    k, min_primal = _first_min(tp)
+    min_dual = _first_min(td)[1]
+    scale = np.abs(gf.bundle_batch(xs, ys, zs).hess_xx).max(axis=(1, 2), initial=1.0)
+    floor = 10 * _tensor_noise_floor(scale, step)
+    bad = np.flatnonzero((np.abs(tp) > floor) & (np.abs(td) > floor) & (tp * td < 0))
+    strict_ok = min_primal > G3_MIN and min_dual > G3_MIN
+    weak_ok = min_primal >= -WEAK_TOL and min_dual >= -WEAK_TOL
+    full = len(bad) == 0 and evaluated >= 10
+    status = "inconclusive" if evaluated < 10 else "fail" if len(bad) \
+        else "pass" if (strict_ok if strict else weak_ok) else "fail"
     witness = None
-    arg_primal = None
-    for x, y, z, _f in triples:
-        xi, eta = orthonormal_pair(rng, n)
-        if n == 1:
-            continue
-        try:
-            tp = mtw_tensor(gf, "primal", x, y, z, xi, eta, step=step)
-            td = mtw_tensor(gf, "dual", y, x, z, xi, eta, step=step)
-        except GjetError:
-            skipped += 1
-            continue
-        evaluated += 1
-        if tp < min_primal:
-            min_primal = tp
-            arg_primal = (x, y, z, xi, eta)
-        min_dual = min(min_dual, td)
-        bnd = gf.bundle(x, y, z)
-        scale = max(1.0, float(np.max(np.abs(bnd.hess_xx))))
-        floor = _tensor_noise_floor(scale, step)
-        if abs(tp) > 10 * floor and abs(td) > 10 * floor and tp * td < 0:
-            mismatches += 1
-            witness = {"x": x, "y": y, "z": z, "xi": xi, "eta": eta,
-                       "primal": tp, "dual": td, "kind": "sign_mismatch"}
-
-    if evaluated < 10:
-        status = "inconclusive"
-    elif mismatches > 0:
-        status = "fail"
-    elif strict:
-        status = "pass" if (min_primal > g3_min and min_dual > g3_min) else "fail"
-    else:
-        status = "pass" if (min_primal >= -weak_tol and min_dual >= -weak_tol) \
-            else "fail"
-    if status == "fail" and witness is None and arg_primal is not None:
-        x, y, z, xi, eta = arg_primal
-        witness = {"x": x, "y": y, "z": z, "xi": xi, "eta": eta,
+    if len(bad):
+        j = bad[-1]         # the last mismatch in draw order
+        witness = {"x": xs[j], "y": ys[j], "z": zs[j], "xi": xi[j], "eta": eta[j],
+                   "primal": tp[j], "dual": td[j], "kind": "sign_mismatch"}
+    elif status == "fail" and k is not None:
+        witness = {"x": xs[k], "y": ys[k], "z": zs[k], "xi": xi[k], "eta": eta[k],
                    "primal": min_primal, "dual": min_dual,
                    "kind": "insufficient_positivity"}
     return ConditionReport(
@@ -480,13 +469,10 @@ def check_G3_family(gf: GeneratingFunction, spec: SampleSpec, strict: bool, *,
         witness=witness,
         samples_used=evaluated,
         details={"min_primal": min_primal, "min_dual": min_dual,
-                 "sign_mismatches": mismatches, "skipped": skipped,
-                 "strict": strict, "g3_min": g3_min, "weak_tol": weak_tol,
-                 "strict_pass": bool(min_primal > g3_min and min_dual > g3_min
-                                     and mismatches == 0 and evaluated >= 10),
-                 "weak_pass": bool(min_primal >= -weak_tol
-                                   and min_dual >= -weak_tol
-                                   and mismatches == 0 and evaluated >= 10)},
+                 "sign_mismatches": len(bad), "skipped": skipped,
+                 "strict": strict, "g3_min": G3_MIN, "weak_tol": WEAK_TOL,
+                 "strict_pass": bool(strict_ok and full),
+                 "weak_pass": bool(weak_ok and full)},
     )
 
 
@@ -512,14 +498,10 @@ def dp_A_chainrule(gf: GeneratingFunction, x, y, z, *,
     e = genfun._e_matrix(b)
     einv = np.linalg.inv(e)
     h = fd_step(float(np.max(np.abs(x)))) if step is None else step
-
-    de_dx = np.zeros((n, n, n))  # [i, r, j] = dE_ir/dx_j
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = h
-        bp = gf.bundle(x + ej, y, z)
-        bm = gf.bundle(x - ej, y, z)
-        de_dx[:, :, j] = (genfun._e_matrix(bp) - genfun._e_matrix(bm)) / (2.0 * h)
+    steps = h * np.eye(n)
+    e_pm = genfun._e_matrix(gf.bundle_batch(
+        np.concatenate([x + steps, x - steps]), np.tile(y, (2 * n, 1)), z))
+    de_dx = ((e_pm[:n] - e_pm[n:]) / (2.0 * h)).transpose(1, 2, 0)  # [i, r, j]
 
     term1 = np.einsum("rk,irj->ijk", einv, de_dx)
     term2 = np.einsum("i,jk->ijk", b.grad_xz / b.dz, np.eye(n))
@@ -531,44 +513,32 @@ def dp_A_chainrule(gf: GeneratingFunction, x, y, z, *,
 # G4w: monotonicity of A in u
 # --------------------------------------------------------------------------
 
-def check_G4w(gf: GeneratingFunction, spec: SampleSpec, *,
-              weak_tol: float = WEAK_TOL, step: float = None) -> ConditionReport:
+def check_G4w(gf: GeneratingFunction, spec: SampleSpec) -> ConditionReport:
     """min eigenvalue of the central difference of A in u over the sample."""
-    triples = sample_triples(gf, spec)
-    min_eig = math.inf
-    witness = None
-    evaluated = 0
-    skipped = 0
-    for x, y, z, _f in triples:
-        b = gf.bundle(x, y, z)
-        u, p = b.value, b.grad_x
-        h = fd_step(u) if step is None else step
-        try:
-            ap = genfun.matrix_A(gf, x, u + h, p)
-            am = genfun.matrix_A(gf, x, u - h, p)
-        except GjetError:
-            skipped += 1
-            continue
-        evaluated += 1
-        dua = (ap - am) / (2.0 * h)
-        dua = 0.5 * (dua + dua.T)
-        lam = float(np.linalg.eigvalsh(dua)[0])
-        if lam < min_eig:
-            min_eig = lam
-            if lam < -weak_tol:
-                witness = {"x": x, "y": y, "z": z, "min_eig": lam}
-    if evaluated < 10:
-        status = "inconclusive"
-    else:
-        status = "pass" if min_eig >= -weak_tol else "fail"
+    xs, ys, zs, _f = sample_triples(gf, spec)
+    b = gf.bundle_batch(xs, ys, zs)
+    u, p = b.value, b.grad_x
+    h = fd_step(u)
+    a, rows, _ = genfun.matrix_A_rows(gf, np.tile(xs, (2, 1)),
+                                      np.concatenate([u + h, u - h]),
+                                      np.tile(p, (2, 1)))
+    ok = (rows == genfun.RowStatus.OK).reshape(2, -1).all(axis=0)
+    evaluated = int(ok.sum())
+    ap, am = a.reshape((2, -1) + a.shape[1:])[:, ok]
+    dua = (ap - am) / (2.0 * h[ok])[:, None, None]
+    dua = 0.5 * (dua + dua.transpose(0, 2, 1))
+    k, min_eig = _first_min(np.linalg.eigvalsh(dua)[:, 0])
+    status = "inconclusive" if evaluated < 10 \
+        else "pass" if min_eig >= -WEAK_TOL else "fail"
     return ConditionReport(
         name="G4w",
         status=status,
         extremal_value=min_eig,
-        witness=witness if status == "fail" else None,
+        witness={"x": xs[ok][k], "y": ys[ok][k], "z": zs[ok][k], "min_eig": min_eig}
+        if status == "fail" else None,
         samples_used=evaluated,
-        details={"weak_tol": weak_tol, "skipped": skipped,
-                 "strictly_positive": bool(min_eig > weak_tol)},
+        details={"weak_tol": WEAK_TOL, "skipped": len(zs) - evaluated,
+                 "strictly_positive": bool(min_eig > WEAK_TOL)},
     )
 
 
@@ -577,8 +547,7 @@ def check_G4w(gf: GeneratingFunction, spec: SampleSpec, *,
 # --------------------------------------------------------------------------
 
 def check_G5(gf: GeneratingFunction, omega, omega_star, spec: SampleSpec, *,
-             m0: float = None, k0: float = None,
-             g5_tol: float = 1e-9) -> ConditionReport:
+             m0: float = None, k0: float = None) -> ConditionReport:
     """Verify |G_x| <= k0 on samples with G > m0.
 
     omega is a source box (lo, hi); omega_star is a point set whose
@@ -593,41 +562,34 @@ def check_G5(gf: GeneratingFunction, omega, omega_star, spec: SampleSpec, *,
         m0 = gf.g5_constants.m0 if m0 is None else m0
         k0 = gf.g5_constants.k0 if k0 is None else k0
     rng = np.random.default_rng(spec.seed)
-    lo_b, hi_b = np.asarray(omega[0], dtype=float), np.asarray(omega[1], dtype=float)
-    pts = np.asarray(omega_star, dtype=float).reshape(-1, gf.dimension)
-    max_grad = 0.0
-    witness = None
-    used = 0
+    n = gf.dimension
+    pts = np.asarray(omega_star, dtype=float).reshape(-1, n)
+    xs, ys = [], []
     for _ in range(spec.count):
-        x = _uniform(rng, lo_b, hi_b)
-        wts = rng.dirichlet(np.ones(len(pts)))
-        y = wts @ pts
-        if not gf.admissible_pair(x, y):
-            continue
-        ilo, ihi = gf.z_interval(x, y)
-        for f in spec.z_fracs:
-            z = _map_fraction(ilo, ihi, f)
-            b = gf.bundle(x, y, z)
-            if not b.value > m0:
-                continue
-            used += 1
-            gn = float(np.linalg.norm(b.grad_x))
-            if gn > max_grad:
-                max_grad = gn
-                if gn > k0 * (1.0 + g5_tol):
-                    witness = {"x": x, "y": y, "z": z, "grad_norm": gn,
-                               "value": b.value}
-    if used < 10:
-        status = "inconclusive"
-    else:
-        status = "pass" if max_grad <= k0 * (1.0 + g5_tol) else "fail"
+        xs.append(_uniform(rng, omega[0], omega[1]))
+        ys.append(rng.dirichlet(np.ones(len(pts))) @ pts)
+    xs, ys = (np.reshape(v, (-1, n)) for v in (xs, ys))
+    adm = gf.admissible_pair_batch(xs, ys)
+    fracs = np.asarray(spec.z_fracs, dtype=float)
+    z_lo, z_hi = gf.z_interval_batch(xs[adm], ys[adm])
+    zs = _map_fraction_rows(z_lo[:, None], z_hi[:, None], fracs).ravel()
+    xs, ys = (np.repeat(v[adm], len(fracs), axis=0) for v in (xs, ys))
+    b = gf.bundle_batch(xs, ys, zs)
+    keep = b.value > m0
+    xs, ys, zs, value, grad = (v[keep] for v in (xs, ys, zs, b.value, b.grad_x))
+    # the first maximum, where a running strict-> maximum from 0 ends
+    k, neg = _first_min(-np.sqrt(_dots(grad, grad)))
+    max_grad = -neg if k is not None and neg < 0.0 else 0.0
+    status = "inconclusive" if len(zs) < 10 \
+        else "pass" if max_grad <= k0 * (1.0 + G5_TOL) else "fail"
     return ConditionReport(
         name="G5",
         status=status,
         extremal_value=max_grad,
-        witness=witness if status == "fail" else None,
-        samples_used=used,
-        details={"m0": m0, "k0": k0, "g5_tol": g5_tol},
+        witness={"x": xs[k], "y": ys[k], "z": zs[k], "grad_norm": max_grad,
+                 "value": value[k]} if status == "fail" and max_grad > 0.0 else None,
+        samples_used=len(zs),
+        details={"m0": m0, "k0": k0, "g5_tol": G5_TOL},
     )
 
 

@@ -60,6 +60,7 @@ __all__ = [
     "forward_YZ_rows",
     "matrix_E",
     "matrix_A",
+    "matrix_A_rows",
     "matrix_A_B",
     "matrix_A_via_yp",
     "map_Q",
@@ -122,12 +123,12 @@ class G5Constants:
     k0: float
 
 
-def fd_step(scale: float, base: float = 1e-5) -> float:
-    """Central-difference step: base * max(1, |scale|).
+def fd_step(scale, base: float = 1e-5):
+    """Central-difference step: base * max(1, |scale|), elementwise.
 
     Documented so finite-difference oracle tolerances are reproducible.
     """
-    return base * max(1.0, abs(scale))
+    return base * np.maximum(1.0, np.abs(scale))
 
 
 def _vec(p, n: int) -> np.ndarray:
@@ -185,10 +186,10 @@ class GeneratingFunction(abc.ABC):
     every value path and the bundle's value alike, narrow the admissible
     pair set U (``admissible_pair_batch``; the default admits every finite
     pair) and supply closed-form inverses as batched hooks that return
-    None when there is none: ``forward_yz_batch`` for (Y, Z), ``_h_of``
-    for H and ``_x_of`` for X.  The scalar methods are one-row calls of
-    these.  Instances are immutable after construction and safe to share;
-    every method is pure.
+    None when there is none: ``forward_yz_batch`` for (Y, Z) (the start
+    of the forward row Newton), ``_h_of`` for H and ``_x_of`` for X.  The
+    scalar methods are one-row calls of these.  Instances are immutable
+    after construction and safe to share; every method is pure.
     """
 
     name = "generic"
@@ -287,7 +288,8 @@ class GeneratingFunction(abc.ABC):
     # -- closed-form inverses: None when the instance has none -------------
 
     def forward_yz_batch(self, xs, us, ps):
-        """Vectorized closed-form forward map, or None when unavailable.
+        """Vectorized closed-form forward map, or None when unavailable;
+        the forward row Newton starts from it where it is valid.
 
         Returns (Y (m,n), Z (m,), valid (m,) bool)."""
         return None
@@ -792,6 +794,8 @@ def _newton_rows(v, ctx, thr, status, *, evaluate, jacobian, admissible,
         step, singular = _solve_rows(jac_now(), -res)
         if singular is not None:
             finish(singular, RowStatus.SINGULAR)
+            if not len(act):
+                break
             step = step[~singular]
         # line search over the rows that have not accepted a step yet;
         # pend is None while that is every row
@@ -841,19 +845,24 @@ def _z_mid(lo, hi) -> np.ndarray:
                         np.where(flo, lo + 1.0, np.where(fhi, hi - 1.0, 0.0)))
 
 
-def _forward_rows(gf: GeneratingFunction, xs, us, ps, ys=None, zs=None, *,
+def _forward_rows(gf: GeneratingFunction, xs, us, ps, initial=None, *,
                   tol: float = 1e-11, max_iter: int = 50) -> tuple:
-    """Newton for G_x(x_k, Y, Z) = p_k, G(x_k, Y, Z) = u_k from (y_k, z_k),
-    by default from (x_k, midpoint of I(x_k, x_k)).
-
-    The row Newton on the (n+1)-system with the Jacobian
-    [[G_xy, G_xz], [G_y, G_z]] and the acceptance test against
-    tol * (1 + |u| + |p|_inf).  Returns (v (m, n+1) = [Y, Z], status,
-    rnorm) as _newton_rows does.
+    """Newton for G_x(x_k, Y, Z) = p_k, G(x_k, Y, Z) = u_k over rows, from
+    the closed form where it holds, else the row of initial = (ys, zs),
+    else (x_k, midpoint of I(x_k, x_k)).  The Jacobian is [[G_xy, G_xz],
+    [G_y, G_z]]; a start within tol * (1 + |u| + |p|_inf) is returned
+    unchanged.  Returns (v (m, n+1) = [Y, Z], status, rnorm) as
+    _newton_rows does.
     """
     n = gf.dimension
-    if ys is None:
+    if initial is None:
         ys, zs = xs, _z_mid(*gf.z_interval_batch(xs, xs))
+    else:
+        ys, zs = initial
+    closed = gf.forward_yz_batch(xs, us, ps)
+    if closed is not None:
+        ys = np.where(closed[2][:, None], closed[0], ys)
+        zs = np.where(closed[2], closed[1], zs)
 
     def evaluate(v, ctx):
         x, u, p = ctx
@@ -899,40 +908,30 @@ def forward_YZ(gf: GeneratingFunction, x, u, p, *,
 
     Damped Newton on the (n+1)-system with the Jacobian assembled from
     exact second derivatives.  The initial guess comes from the closed
-    form when the instance has one, else from the caller, else from
-    (y, z) = (x, midpoint of I(x, x)).  One row of the row Newton.
+    form where the instance has one that holds, else from the caller,
+    else from (y, z) = (x, midpoint of I(x, x)).  One row of
+    forward_YZ_rows; raises the exception its row status names.
     """
     n = gf.dimension
-    xs = _vec(x, n)[None, :]
-    us = np.array([float(u)])
-    ps = _vec(p, n)[None, :]
-    closed = gf.forward_yz_batch(xs, us, ps)
-    ys = zs = None
-    if closed is not None and closed[2][0]:
-        ys, zs = closed[0], closed[1]
-    elif initial is not None:
-        ys, zs = _vec(initial[0], n)[None, :], np.array([float(initial[1])])
-    v, status, rnorm = _forward_rows(gf, xs, us, ps, ys, zs,
-                                     tol=tol, max_iter=max_iter)
+    init = None if initial is None else (_vec(initial[0], n)[None, :],
+                                         np.array([float(initial[1])]))
+    v, status, rnorm = _forward_rows(gf, _vec(x, n)[None, :],
+                                     np.array([float(u)]), _vec(p, n)[None, :],
+                                     init, tol=tol, max_iter=max_iter)
     _raise_for_status(_FORWARD_ERRORS, status[0], rnorm=rnorm[0])
     return v[0, :n], float(v[0, n])
 
 
 def forward_YZ_rows(gf: GeneratingFunction, xs, us, ps) -> tuple:
-    """(Y, Z) over rows: the instance's closed form when it has one, else
-    the row Newton of forward_YZ from (x, midpoint of I(x, x)).
+    """(Y, Z) over rows: the row Newton of forward_YZ, started from the
+    instance's closed form where it holds.
 
     Returns (ys (m, n), zs (m,), ok (m,) bool); rows without an
-    admissible solution are not ok and hold NaN or unchecked values.
+    admissible solution are not ok and hold NaN.
     """
     n = gf.dimension
     xs = _rows(xs, n)
-    ps = _rows(ps, n)
-    us = _per_row(us, len(xs))
-    closed = gf.forward_yz_batch(xs, us, ps)
-    if closed is not None:
-        return closed
-    v, status, _rnorm = _forward_rows(gf, xs, us, ps)
+    v, status, _rnorm = _forward_rows(gf, xs, _per_row(us, len(xs)), _rows(ps, n))
     return v[:, :n].copy(), v[:, n].copy(), status == RowStatus.OK
 
 
@@ -956,10 +955,27 @@ def _e_matrix(b) -> np.ndarray:
         / np.asarray(b.dz)[..., None, None]
 
 
-def matrix_A(gf: GeneratingFunction, x, u, p, **fw_kwargs) -> np.ndarray:
-    """Monge-Ampere coefficient A(x, u, p) = G_xx(x, Y, Z)."""
-    y, z = forward_YZ(gf, x, u, p, **fw_kwargs)
-    return gf.bundle(_vec(x, gf.dimension), y, z).hess_xx
+def matrix_A_rows(gf: GeneratingFunction, xs, us, ps) -> tuple:
+    """A(x_k, u_k, p_k) = G_xx(x_k, Y, Z) over rows, with (Y, Z) from the
+    forward row Newton.  Returns (a (m, n, n), status, rnorm); a is NaN
+    where status is not RowStatus.OK."""
+    n = gf.dimension
+    xs = _rows(xs, n)
+    v, status, rnorm = _forward_rows(gf, xs, _per_row(us, len(xs)), _rows(ps, n))
+    ok = status == RowStatus.OK
+    a = np.full((len(xs), n, n), np.nan)
+    a[ok] = gf._raw_batch(xs[ok], v[ok, :n], v[ok, n]).hess_xx
+    return a, status, rnorm
+
+
+def matrix_A(gf: GeneratingFunction, x, u, p) -> np.ndarray:
+    """Monge-Ampere coefficient A(x, u, p) = G_xx(x, Y, Z); one row of
+    matrix_A_rows, raising as forward_YZ does."""
+    n = gf.dimension
+    a, status, rnorm = matrix_A_rows(gf, _vec(x, n)[None, :], float(u),
+                                     _vec(p, n)[None, :])
+    _raise_for_status(_FORWARD_ERRORS, status[0], rnorm=rnorm[0])
+    return a[0]
 
 
 def _psi_rows(psi: Callable, xs, us, ps) -> np.ndarray:

@@ -130,8 +130,16 @@ def validate_problem(prob: SemiDiscreteProblem, *, raise_on_error: bool = False)
     """Mass balance, anchor admissibility and bracket feasibility.
 
     Returns a list of diagnostic dicts; with raise_on_error the first
-    failure raises its dedicated exception carrying the full list.
+    failure raises its dedicated exception carrying the full list as
+    its diagnostics attribute.
     """
+    return _validate(prob, raise_on_error)[0]
+
+
+def _validate(prob: SemiDiscreteProblem, raise_on_error: bool) -> tuple:
+    """validate_problem's diagnostics, the anchored parameters and the
+    grid-wide upper ends of z per target (NaN where a target failed):
+    what solve starts from."""
     diags = []
     gf, grid = prob.gf, prob.grid
     x0, u0 = prob.anchor
@@ -165,8 +173,8 @@ def validate_problem(prob: SemiDiscreteProblem, *, raise_on_error: bool = False)
 
     # bracket feasibility: the anchored parameter must sit strictly below
     # the largest z admissible on the whole grid
-    z_lo = np.empty(len(prob.targets))
-    z_hi = np.empty(len(prob.targets))
+    z_anchor = np.full(len(prob.targets), math.nan)
+    z_hi = np.full(len(prob.targets), math.nan)
     for i, y in enumerate(prob.targets):
         if not np.all(gf.admissible_pair_batch(grid.centers, y)):
             diags.append({
@@ -174,39 +182,34 @@ def validate_problem(prob: SemiDiscreteProblem, *, raise_on_error: bool = False)
                 "message": f"target {i}: some grid centers pair "
                            f"inadmissibly with it (source box leaves the "
                            f"admissible set of {gf.name})"})
-            z_lo[i], z_hi[i] = math.nan, math.nan
             continue
         lo_arr, hi_arr = gf.z_interval_batch(grid.centers, y)
         sup_lo = float(np.max(lo_arr))
-        inf_hi = float(np.min(hi_arr))
+        z_hi[i] = inf_hi = float(np.min(hi_arr))
         try:
-            z_anchor = genfun.dual_H(gf, x0, y, u0).z_root
+            z_anchor[i] = za = genfun.dual_H(gf, x0, y, u0).z_root
         except GjetError as exc:
             diags.append({"kind": "InfeasibleBracket", "piece": i,
                           "message": f"target {i}: anchored parameter does not "
                                      f"exist ({exc})"})
-            z_lo[i], z_hi[i] = math.nan, math.nan
             continue
-        z_lo[i] = max(z_anchor, sup_lo)
-        z_hi[i] = inf_hi
-        if not (z_anchor > sup_lo and z_anchor < inf_hi):
+        if not (za > sup_lo and za < inf_hi):
             diags.append({
                 "kind": "InfeasibleBracket", "piece": i,
-                "message": f"target {i}: anchored parameter {z_anchor:.6g} "
+                "message": f"target {i}: anchored parameter {za:.6g} "
                            f"leaves the grid-admissible interval "
                            f"({sup_lo:.6g}, {inf_hi:.6g})",
-                "z_anchor": z_anchor, "z_hi": inf_hi})
+                "z_anchor": za, "z_hi": inf_hi})
 
     if raise_on_error and diags:
-        kind = diags[0]["kind"]
         exc_cls = {"MassImbalance": MassImbalance,
                    "AnchorInadmissible": AnchorInadmissible,
                    "InfeasibleBracket": InfeasibleBracket,
-                   "DomainViolation": DomainViolation}[kind]
+                   "DomainViolation": DomainViolation}[diags[0]["kind"]]
         exc = exc_cls(diags[0]["message"])
         exc.diagnostics = diags
         raise exc
-    return diags
+    return diags, z_anchor, z_hi
 
 
 # --------------------------------------------------------------------------
@@ -249,9 +252,11 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
     budget runs out, InfeasibleBracket on a certificate: a full sweep
     moves no parameter while a clamped target's cell stays empty
     (unreachable at this anchor).  A sweep costs O(N * M * bisect_steps)
-    for N pieces and M cells (see _sweep_others).
+    for N pieces and M cells (see _sweep_others).  A problem that fails
+    validate_problem raises its first diagnostic's exception, with every
+    diagnostic in its diagnostics attribute.
     """
-    validate_problem(prob, raise_on_error=True)
+    _diags, z_anchor, z_hi = _validate(prob, raise_on_error=True)
     gf, grid = prob.gf, prob.grid
     x0, u0 = prob.anchor
     tol = prob.tolerances
@@ -261,12 +266,6 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
     cell_mass = grid.cell_mass
     g = prob.masses
 
-    z_anchor = np.array([genfun.dual_H(gf, x0, y, u0).z_root
-                         for y in prob.targets])
-    z_hi = np.empty(n_pieces)
-    for i, y in enumerate(prob.targets):
-        _lo, hi_arr = gf.z_interval_batch(grid.centers, y)
-        z_hi[i] = float(np.min(hi_arr))
     fns = [gf.piece_values_fn(grid.centers, y) for y in prob.targets]
     anchor_fns = [gf.piece_values_fn(x0[None, :], y) for y in prob.targets]
 

@@ -1,8 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from gjet.genfun import ParallelBeam, PointSourcePlane, QuadraticOT
+from gjet.genfun import (
+    GeneratingFunction,
+    ParallelBeam,
+    PointSourcePlane,
+    QuadraticOT,
+)
 
 # property tests draw the same examples on every run, with no time limit
 settings.register_profile("deterministic", derandomize=True, deadline=None,
@@ -58,3 +65,27 @@ def instance_boxes(gf):
                (np.full(n, -0.8), np.full(n, 0.8))
     return (np.full(n, -0.7), np.full(n, 0.7)), \
            (np.full(n, -0.9), np.full(n, 0.9))
+
+
+class ConstantInY(GeneratingFunction):
+    """Toy degenerate generator G = -z: every target collides, and every
+    Newton system of the inverse maps is singular."""
+
+    name = "constant_in_y"
+
+    def __init__(self, dimension=2):
+        super().__init__(dimension)
+
+    def z_interval_batch(self, xs, y):
+        m = len(np.atleast_2d(xs))
+        return np.full(m, -math.inf), np.full(m, math.inf)
+
+    def _raw_batch(self, xs, ys, zs):
+        m, n = xs.shape
+        zero_v = np.zeros((m, n))
+        zero_m = np.zeros((m, n, n))
+        return type(QuadraticOT(n)._raw_batch(xs, ys, zs))(
+            value=-zs, grad_x=zero_v, grad_y=zero_v.copy(),
+            dz=np.full(m, -1.0), hess_xx=zero_m, hess_xy=zero_m.copy(),
+            hess_yy=zero_m.copy(), grad_xz=zero_v.copy(),
+            grad_yz=zero_v.copy(), dzz=np.zeros(m))

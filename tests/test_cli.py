@@ -218,6 +218,28 @@ def test_residual_solution_degenerate(tmp_path, capsys):
     assert os.path.exists(tmp_path / "field.csv")
 
 
+def count_calls(monkeypatch, module, name):
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
+
+
+def test_solve_validates_once_and_report_evaluates_once(tmp_path, monkeypatch):
+    # one anchored parameter per target, one piece-value matrix per report
+    from gjet import gconvex, genfun
+
+    cfg = write_config(tmp_path)
+    sol = str(tmp_path / "sol.json")
+    anchors = count_calls(monkeypatch, genfun, "dual_H")
+    assert main(["solve", cfg, "--out", sol]) == EXIT_OK
+    assert len(anchors) == 2
+    matrices = count_calls(monkeypatch, gconvex, "values_matrix")
+    assert main(["report", sol, "--csv", str(tmp_path / "r.csv")]) == EXIT_OK
+    assert len(matrices) == 1
+
+
 # --------------------------------------------------------------------------
 # report
 # --------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gjet import conditions as C, genfun
 from gjet.conditions import (
     Annulus,
     Ball,
@@ -22,14 +23,13 @@ from gjet.conditions import (
 )
 from gjet.errors import GjetError, UnsupportedGeometry
 from gjet.genfun import (
-    GeneratingFunction,
     ParallelBeam,
     PointSourcePlane,
     QuadraticOT,
     matrix_A,
 )
 
-from conftest import instance_boxes
+from conftest import ConstantInY, instance_boxes
 
 
 def spec_for(gf, count=30, seed=42):
@@ -37,29 +37,6 @@ def spec_for(gf, count=30, seed=42):
     return SampleSpec(count=count, seed=seed,
                       x_lo=tuple(x_lo), x_hi=tuple(x_hi),
                       y_lo=tuple(y_lo), y_hi=tuple(y_hi))
-
-
-class ConstantInY(GeneratingFunction):
-    """Toy degenerate generator G = -z: every target collides."""
-
-    name = "constant_in_y"
-
-    def __init__(self, dimension=2):
-        super().__init__(dimension)
-
-    def z_interval_batch(self, xs, y):
-        m = len(np.atleast_2d(xs))
-        return np.full(m, -math.inf), np.full(m, math.inf)
-
-    def _raw_batch(self, xs, ys, zs):
-        m, n = xs.shape
-        zero_v = np.zeros((m, n))
-        zero_m = np.zeros((m, n, n))
-        return type(QuadraticOT(n)._raw_batch(xs, ys, zs))(
-            value=-zs, grad_x=zero_v, grad_y=zero_v.copy(),
-            dz=np.full(m, -1.0), hess_xx=zero_m, hess_xy=zero_m.copy(),
-            hess_yy=zero_m.copy(), grad_xz=zero_v.copy(),
-            grad_yz=zero_v.copy(), dzz=np.zeros(m))
 
 
 # --------------------------------------------------------------------------
@@ -174,6 +151,29 @@ def test_tensor_stencil_domain_violation(pb2):
     z = 1.0 / 0.9995  # z r close to 1 from inside
     with pytest.raises(GjetError):
         mtw_tensor(pb2, "primal", x, y, z, [0, 1], [1, 0], step=1e-2)
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+@pytest.mark.parametrize("gf", [QuadraticOT(3), ParallelBeam(2), ParallelBeam(3),
+                                PointSourcePlane(2, tau=-1.0),
+                                PointSourcePlane(3, tau=-1.0)],
+                         ids=lambda g: f"{g.name}{g.dimension}")
+def test_mtw_tensor_is_one_row_of_mtw_tensor_rows(gf, side):
+    xs, ys, zs, _f = C.sample_triples(gf, spec_for(gf, count=4, seed=9))
+    rng = np.random.default_rng(9)
+    xi, eta = (np.array(v) for v in zip(*(C.orthonormal_pair(rng, gf.dimension)
+                                          for _ in zs)))
+    a, b = (xs, ys) if side == "primal" else (ys, xs)
+    # a wide stencil leaves the beam's admissible slopes on some rows
+    vals, ok = C.mtw_tensor_rows(gf, side, a, b, zs, xi, eta, step=0.05)
+    for k in range(len(zs)):
+        if ok[k]:
+            assert mtw_tensor(gf, side, a[k], b[k], zs[k], xi[k], eta[k],
+                              step=0.05) == vals[k], k
+        else:
+            with pytest.raises(GjetError):
+                mtw_tensor(gf, side, a[k], b[k], zs[k], xi[k], eta[k], step=0.05)
+    assert ok.sum() >= 5
 
 
 def test_G3_family_verdicts(pb2, qot2, ps_neg):
@@ -332,3 +332,324 @@ def test_hull_ratio_detects_hole():
     ann = Annulus((0, 0), 0.5, 1.0).raster(64)
     ratio, _ = hull_ratio(ann)
     assert ratio < 0.95
+
+
+# --------------------------------------------------------------------------
+# the row checks against the per-sample loops they replaced
+# --------------------------------------------------------------------------
+
+def reference_sample_triples(gf, spec):
+    """Admissible (x, y, z, frac) triples drawn one pair at a time."""
+    rng = np.random.default_rng(spec.seed)
+    out = []
+    tries = 0
+    while len(out) < spec.count * len(spec.z_fracs) and tries < 60 * spec.count:
+        tries += 1
+        x = C._uniform(rng, spec.x_lo, spec.x_hi)
+        y = C._uniform(rng, spec.y_lo, spec.y_hi)
+        if not gf.admissible_pair(x, y):
+            continue
+        lo, hi = gf.z_interval(x, y)
+        for f in spec.z_fracs:
+            out.append((x, y, C._map_fraction(lo, hi, f), f))
+    return out
+
+
+def reference_find_collision(inputs, outputs):
+    if len(inputs) < 2:
+        return None
+    ins = np.asarray(inputs)
+    outs = np.asarray(outputs)
+    d_out = np.linalg.norm(outs[:, None, :] - outs[None, :, :], axis=-1)
+    d_in = np.linalg.norm(ins[:, None, :] - ins[None, :, :], axis=-1)
+    bad = (d_out < C.COLLISION_TOL) & (d_in > C.INPUT_TOL)
+    idx = np.argwhere(np.triu(bad, k=1))
+    return (int(idx[0, 0]), int(idx[0, 1])) if len(idx) else None
+
+
+def reference_injectivity(gf, direction, spec):
+    rng = np.random.default_rng(spec.seed)
+    n = gf.dimension
+    draws = 12
+    min_jac = math.inf
+    witness = None
+    used = 0
+    status = "pass"
+    for _ in range(max(3, spec.count // 10)):
+        if direction == "primal":
+            for _ in range(40):
+                x = C._uniform(rng, spec.x_lo, spec.x_hi)
+                ys = [C._uniform(rng, spec.y_lo, spec.y_hi) for _ in range(draws)]
+                ys = [y for y in ys if gf.admissible_pair(x, y)]
+                if ys:
+                    break
+            else:
+                continue
+            inputs, outputs = [], []
+            for y in ys:
+                lo, hi = gf.z_interval(x, y)
+                for f in spec.z_fracs:
+                    z = C._map_fraction(lo, hi, f)
+                    b = gf.bundle(x, y, z)
+                    jac = abs(b.dz * float(np.linalg.det(genfun._e_matrix(b))))
+                    if jac < min_jac:
+                        min_jac = jac
+                        if jac < C.DET_TOL:
+                            status = "fail"
+                            witness = {"x": x, "y": y, "z": z, "jacobian": jac,
+                                       "kind": "degenerate_jacobian"}
+                    inputs.append(np.concatenate([y, [z]]))
+                    outputs.append(np.concatenate([b.grad_x, [b.value]]))
+            anchor = {"x": x}
+        else:
+            for _ in range(40):
+                y = C._uniform(rng, spec.y_lo, spec.y_hi)
+                x_ref = C._uniform(rng, spec.x_lo, spec.x_hi)
+                if gf.admissible_pair(x_ref, y):
+                    break
+            else:
+                continue
+            lo, hi = gf.z_interval(x_ref, y)
+            z = C._map_fraction(lo, hi, spec.z_fracs[len(spec.z_fracs) // 2])
+            inputs, outputs = [], []
+            for _ in range(draws * len(spec.z_fracs)):
+                x = C._uniform(rng, spec.x_lo, spec.x_hi)
+                if not gf.admissible_pair(x, y):
+                    continue
+                lo_x, hi_x = gf.z_interval(x, y)
+                if not (lo_x < z < hi_x):
+                    continue
+                b = gf.bundle(x, y, z)
+                jac = abs(float(np.linalg.det(genfun._e_matrix(b))) / b.dz ** n)
+                if jac < min_jac:
+                    min_jac = jac
+                    if jac < C.DET_TOL:
+                        status = "fail"
+                        witness = {"x": x, "y": y, "z": z, "jacobian": jac,
+                                   "kind": "degenerate_jacobian"}
+                inputs.append(x)
+                outputs.append(genfun._q_of(b))
+            anchor = {"y": y, "z": z}
+        used += len(inputs)
+        col = reference_find_collision(inputs, outputs)
+        if col is not None:
+            ia, ib = col
+            status = "fail"
+            witness = {**anchor, "input_a": inputs[ia], "input_b": inputs[ib],
+                       "output_a": outputs[ia], "output_b": outputs[ib],
+                       "kind": "collision"}
+    if used < 10:
+        status = "inconclusive"
+    return C.ConditionReport(
+        f"G1{'*' if direction == 'dual' else ''}", status, min_jac, witness, used,
+        {"direction": direction, "delta": C.DET_TOL,
+         "collision_tol": C.COLLISION_TOL, "input_tol": C.INPUT_TOL})
+
+
+def reference_G2(gf, spec):
+    triples = reference_sample_triples(gf, spec)
+    min_abs = min_signed = math.inf
+    arg = None
+    for x, y, z, f in triples:
+        det = float(np.linalg.det(genfun._e_matrix(gf.bundle(x, y, z))))
+        if abs(det) < min_abs:
+            min_abs = abs(det)
+            arg = (x, y, z, f)
+        min_signed = min(min_signed, det)
+    if not triples:
+        return C.ConditionReport("G2", "inconclusive", math.nan, None, 0,
+                                 {"delta": C.DET_TOL})
+    status, witness = "pass", None
+    if min_abs < C.DET_TOL:
+        edge = arg[3] <= C.BOUNDARY_FRAC or arg[3] >= 1.0 - C.BOUNDARY_FRAC
+        status = "inconclusive" if edge else "fail"
+        if status == "fail":
+            witness = {"x": arg[0], "y": arg[1], "z": arg[2], "det_e": min_abs}
+    return C.ConditionReport("G2", status, min_abs, witness, len(triples),
+                             {"delta": C.DET_TOL, "min_det_signed": min_signed,
+                              "extremal_z_frac": arg[3]})
+
+
+def reference_G3(gf, spec, strict, step=C.TENSOR_STEP):
+    triples = reference_sample_triples(gf, spec)
+    rng = np.random.default_rng(spec.seed + 1)
+    min_primal = min_dual = math.inf
+    mismatches = evaluated = skipped = 0
+    witness = arg_primal = None
+    for x, y, z, _f in triples:
+        xi, eta = C.orthonormal_pair(rng, gf.dimension)
+        if gf.dimension == 1:
+            continue
+        try:
+            tp = mtw_tensor(gf, "primal", x, y, z, xi, eta, step=step)
+            td = mtw_tensor(gf, "dual", y, x, z, xi, eta, step=step)
+        except GjetError:
+            skipped += 1
+            continue
+        evaluated += 1
+        if tp < min_primal:
+            min_primal = tp
+            arg_primal = (x, y, z, xi, eta)
+        min_dual = min(min_dual, td)
+        scale = max(1.0, float(np.max(np.abs(gf.bundle(x, y, z).hess_xx))))
+        floor = C._tensor_noise_floor(scale, step)
+        if abs(tp) > 10 * floor and abs(td) > 10 * floor and tp * td < 0:
+            mismatches += 1
+            witness = {"x": x, "y": y, "z": z, "xi": xi, "eta": eta,
+                       "primal": tp, "dual": td, "kind": "sign_mismatch"}
+    strict_ok = min_primal > C.G3_MIN and min_dual > C.G3_MIN
+    weak_ok = min_primal >= -C.WEAK_TOL and min_dual >= -C.WEAK_TOL
+    if evaluated < 10:
+        status = "inconclusive"
+    elif mismatches > 0:
+        status = "fail"
+    else:
+        status = "pass" if (strict_ok if strict else weak_ok) else "fail"
+    if status == "fail" and witness is None and arg_primal is not None:
+        x, y, z, xi, eta = arg_primal
+        witness = {"x": x, "y": y, "z": z, "xi": xi, "eta": eta,
+                   "primal": min_primal, "dual": min_dual,
+                   "kind": "insufficient_positivity"}
+    full = mismatches == 0 and evaluated >= 10
+    return C.ConditionReport(
+        "G3" if strict else "G3w", status, min(min_primal, min_dual), witness,
+        evaluated,
+        {"min_primal": min_primal, "min_dual": min_dual,
+         "sign_mismatches": mismatches, "skipped": skipped, "strict": strict,
+         "g3_min": C.G3_MIN, "weak_tol": C.WEAK_TOL,
+         "strict_pass": bool(strict_ok and full), "weak_pass": bool(weak_ok and full)})
+
+
+def reference_G4w(gf, spec):
+    min_eig = math.inf
+    witness = None
+    evaluated = skipped = 0
+    for x, y, z, _f in reference_sample_triples(gf, spec):
+        b = gf.bundle(x, y, z)
+        u, p = b.value, b.grad_x
+        h = 1e-5 * max(1.0, abs(u))
+        try:
+            ap = matrix_A(gf, x, u + h, p)
+            am = matrix_A(gf, x, u - h, p)
+        except GjetError:
+            skipped += 1
+            continue
+        evaluated += 1
+        dua = (ap - am) / (2.0 * h)
+        lam = float(np.linalg.eigvalsh(0.5 * (dua + dua.T))[0])
+        if lam < min_eig:
+            min_eig = lam
+            if lam < -C.WEAK_TOL:
+                witness = {"x": x, "y": y, "z": z, "min_eig": lam}
+    status = "inconclusive" if evaluated < 10 else \
+        ("pass" if min_eig >= -C.WEAK_TOL else "fail")
+    return C.ConditionReport(
+        "G4w", status, min_eig, witness if status == "fail" else None, evaluated,
+        {"weak_tol": C.WEAK_TOL, "skipped": skipped,
+         "strictly_positive": bool(min_eig > C.WEAK_TOL)})
+
+
+def reference_G5(gf, omega, omega_star, spec, m0, k0):
+    rng = np.random.default_rng(spec.seed)
+    pts = np.asarray(omega_star, dtype=float).reshape(-1, gf.dimension)
+    max_grad = 0.0
+    witness = None
+    used = 0
+    for _ in range(spec.count):
+        x = C._uniform(rng, omega[0], omega[1])
+        y = rng.dirichlet(np.ones(len(pts))) @ pts
+        if not gf.admissible_pair(x, y):
+            continue
+        lo, hi = gf.z_interval(x, y)
+        for f in spec.z_fracs:
+            z = C._map_fraction(lo, hi, f)
+            b = gf.bundle(x, y, z)
+            if not b.value > m0:
+                continue
+            used += 1
+            gn = float(np.linalg.norm(b.grad_x))
+            if gn > max_grad:
+                max_grad = gn
+                if gn > k0 * (1.0 + C.G5_TOL):
+                    witness = {"x": x, "y": y, "z": z, "grad_norm": gn,
+                               "value": b.value}
+    status = "inconclusive" if used < 10 else \
+        ("pass" if max_grad <= k0 * (1.0 + C.G5_TOL) else "fail")
+    return C.ConditionReport(
+        "G5", status, max_grad, witness if status == "fail" else None, used,
+        {"m0": m0, "k0": k0, "g5_tol": C.G5_TOL})
+
+
+ORACLE_INSTANCES = [cls(n) for n in (1, 2, 3) for cls in (QuadraticOT, ParallelBeam)] \
+    + [PointSourcePlane(n, tau=-1.0) for n in (1, 2, 3)] \
+    + [PointSourcePlane(2, tau=0.0)]
+
+
+def oracle_cases():
+    """(label, row check, reference loop) over every instance and n = 1..3,
+    the degenerate ConstantInY and a sparse spec."""
+    cases = []
+    for gf in ORACLE_INSTANCES:
+        spec = spec_for(gf, count=10, seed=7)
+        n = gf.dimension
+        lo, hi = instance_boxes(gf)[0]
+        star = np.random.default_rng(n).uniform(-0.5, 0.5, (3, n))
+        m0, k0 = (0.0, 0.7) if gf.g5_constants else (-math.inf, 1.1)
+        label = f"{gf.name}{n}"
+        cases += [
+            (label + "-G1", lambda gf=gf, s=spec: check_injectivity(gf, "primal", s),
+             lambda gf=gf, s=spec: reference_injectivity(gf, "primal", s)),
+            (label + "-G1*", lambda gf=gf, s=spec: check_injectivity(gf, "dual", s),
+             lambda gf=gf, s=spec: reference_injectivity(gf, "dual", s)),
+            (label + "-G2", lambda gf=gf, s=spec: check_G2(gf, s),
+             lambda gf=gf, s=spec: reference_G2(gf, s)),
+            (label + "-G3", lambda gf=gf, s=spec: check_G3_family(gf, s, True),
+             lambda gf=gf, s=spec: reference_G3(gf, s, True)),
+            (label + "-G4w", lambda gf=gf, s=spec: check_G4w(gf, s),
+             lambda gf=gf, s=spec: reference_G4w(gf, s)),
+            (label + "-G5", lambda gf=gf, s=spec, a=(lo, hi, star, m0, k0):
+             check_G5(gf, (a[0], a[1]), a[2], s, m0=a[3], k0=a[4]),
+             lambda gf=gf, s=spec, a=(lo, hi, star, m0, k0):
+             reference_G5(gf, (a[0], a[1]), a[2], s, a[3], a[4])),
+        ]
+    flat = ConstantInY(2)
+    spec = spec_for(QuadraticOT(2), count=10, seed=5)
+    cases += [
+        ("constant-G1", lambda: check_injectivity(flat, "primal", spec),
+         lambda: reference_injectivity(flat, "primal", spec)),
+        ("constant-G1*", lambda: check_injectivity(flat, "dual", spec),
+         lambda: reference_injectivity(flat, "dual", spec)),
+        ("constant-G2", lambda: check_G2(flat, spec), lambda: reference_G2(flat, spec)),
+        ("constant-G3w", lambda: check_G3_family(flat, spec, False),
+         lambda: reference_G3(flat, spec, False)),
+    ]
+    pb = ParallelBeam(2)
+    for gf, step in ((pb, 0.05), (PointSourcePlane(2, tau=-1.0), 0.2)):
+        # wide stencils leave the admissible set on some rows: skipped
+        spec = spec_for(gf, count=10, seed=7)
+        cases.append((f"{gf.name}-G3w-skips",
+                      lambda gf=gf, s=spec, h=step: check_G3_family(gf, s, False, step=h),
+                      lambda gf=gf, s=spec, h=step: reference_G3(gf, s, False, h)))
+    sparse = SampleSpec(count=1, seed=1, x_lo=(0.0,) * 2, x_hi=(1e-9,) * 2,
+                        y_lo=(0.0,) * 2, y_hi=(1e-9,) * 2, z_fracs=(0.5,))
+    cases += [
+        ("sparse-G1", lambda: check_injectivity(pb, "primal", sparse),
+         lambda: reference_injectivity(pb, "primal", sparse)),
+        ("sparse-G2", lambda: check_G2(pb, sparse), lambda: reference_G2(pb, sparse)),
+        ("sparse-G3", lambda: check_G3_family(pb, sparse, True),
+         lambda: reference_G3(pb, sparse, True)),
+        ("sparse-G4w", lambda: check_G4w(pb, sparse), lambda: reference_G4w(pb, sparse)),
+    ]
+    return cases
+
+
+def test_row_checks_repeat_the_per_sample_loops():
+    # every sampled check evaluates all its rows at once; the report must
+    # be the per-sample loop's, byte for byte, witnesses included
+    statuses = set()
+    for label, rows, loop in oracle_cases():
+        got, want = rows().to_jsonable(), loop().to_jsonable()
+        assert got == want, label
+        statuses.add((label.split("-")[0], got["status"]))
+    assert ("constant", "fail") in statuses
+    assert ("sparse", "inconclusive") in statuses

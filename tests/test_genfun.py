@@ -38,11 +38,12 @@ from gjet.genfun import (
     map_X_rows,
     matrix_A,
     matrix_A_B,
+    matrix_A_rows,
     matrix_A_via_yp,
     matrix_E,
 )
 
-from conftest import instance_boxes, sample_admissible
+from conftest import ConstantInY, instance_boxes, sample_admissible
 
 
 def all_instances():
@@ -406,10 +407,8 @@ def outcome(fn, *args, **kwargs):
         return type(exc), str(exc)
 
 
-FORWARD_INSTANCES = [NoClosedForm(cls(n)) for cls in (QuadraticOT, ParallelBeam)
-                     for n in (1, 2, 3)] \
-    + [NoClosedForm(PointSourcePlane(n, tau=-1.0)) for n in (1, 2, 3)] \
-    + [ParallelBeam(2), PointSourcePlane(2, tau=-1.0)]
+FORWARD_INSTANCES = [NoClosedForm(gf) for gf in CONTRACT_INSTANCES] \
+    + CONTRACT_INSTANCES
 
 
 @pytest.mark.parametrize("with_initial", [False, True], ids=["cold", "initial"])
@@ -419,7 +418,7 @@ FORWARD_INSTANCES = [NoClosedForm(cls(n)) for cls in (QuadraticOT, ParallelBeam)
 def test_forward_matches_scalar_reference(gf, with_initial):
     # forward_YZ is one row of the row Newton: it must equal the per-point
     # loop bit for bit, and raise the loop's exception with its message;
-    # forward_YZ_rows must agree with both row by row
+    # forward_YZ_rows must solve the same rows to the same bits
     rng = np.random.default_rng(37)
     n = gf.dimension
     m = 14
@@ -451,10 +450,9 @@ def test_forward_matches_scalar_reference(gf, with_initial):
     if with_initial:
         return
     ys, zs, ok = forward_YZ_rows(gf, xs, us, ps)
+    assert ok.tolist() == solved
     for k, want in enumerate(outcomes):
-        if isinstance(gf, NoClosedForm):
-            assert ok[k] == solved[k], k
-        if solved[k] and ok[k]:
+        if solved[k]:
             assert np.array_equal(ys[k], want[0]) and zs[k] == want[1], k
 
 
@@ -545,6 +543,38 @@ def test_A_formula_equivalence(gf):
         a1 = matrix_A(gf, x, b.value, b.grad_x)
         a2 = matrix_A_via_yp(gf, x, b.value, b.grad_x)
         assert np.allclose(a1, a2, atol=1e-5), gf.name
+
+
+@pytest.mark.parametrize("gf", CONTRACT_INSTANCES,
+                         ids=lambda g: f"{g.name}{g.dimension}")
+def test_matrix_A_is_one_row_of_matrix_A_rows(gf):
+    rng = np.random.default_rng(41)
+    x_box, y_box = instance_boxes(gf)
+    pts = [sample_admissible(gf, rng, x_box, y_box) for _ in range(12)]
+    xs = np.array([x for x, _, _ in pts])
+    us = np.array([gf.value(*pt) for pt in pts]) + rng.normal(0.0, 0.05, 12)
+    ps = np.array([gf.bundle(*pt).grad_x for pt in pts])
+    ps[0] = 2.0         # beyond the beam's slopes; solvable elsewhere
+    a, status, _ = matrix_A_rows(gf, xs, us, ps)
+    for k in range(len(xs)):
+        got = outcome(matrix_A, gf, xs[k], us[k], ps[k])
+        if status[k] == RowStatus.OK:
+            assert np.array_equal(got, a[k]), k
+        else:
+            assert isinstance(got[0], type) and np.isnan(a[k]).all(), k
+    assert (status == RowStatus.OK).sum() >= 10
+
+
+def test_row_newtons_report_every_singular_row():
+    # G = -z: every Newton system is singular at once; each row says so
+    gf = ConstantInY(2)
+    pts = np.array([[0.1, 0.2], [0.3, -0.4]])
+    slopes = np.array([[0.5, 0.5], [-0.2, 0.1]])
+    _xs, status, _ = map_X_rows(gf, pts, 1.0, slopes)
+    assert status.tolist() == [RowStatus.SINGULAR] * 2
+    _a, status, _ = matrix_A_rows(gf, pts, [0.3, 0.7], slopes)
+    assert status.tolist() == [RowStatus.SINGULAR] * 2
+    assert not forward_YZ_rows(gf, pts, [0.3, 0.7], slopes)[2].any()
 
 
 # --------------------------------------------------------------------------
