@@ -56,6 +56,7 @@ __all__ = [
     "validate_pieces_on_grid",
     "interface_cell_count",
     "interface_mask",
+    "neighbor_pairs",
 ]
 
 ACTIVE_TOL = 1e-9  # relative active-set tolerance, scaled by 1 + |u|
@@ -297,7 +298,7 @@ def interpolated_support_rows(sol: PiecewiseGSolution, xs, t: float):
 
 
 def support_check(sol: PiecewiseGSolution, grid: SourceGrid, x0, t: float, *,
-                  support_tol: float = None, u_grid: np.ndarray = None):
+                  u_grid: np.ndarray = None):
     """Interpolated support between the two pieces active at x0.
 
     With p1, p2 the active slopes, sets p0 = (1-t) p1 + t p2, solves the
@@ -305,7 +306,7 @@ def support_check(sol: PiecewiseGSolution, grid: SourceGrid, x0, t: float, *,
     interpolated_support_rows), re-snaps the focal parameter through the
     dual function so the candidate graph passes exactly through
     (x0, u(x0)), and sweeps the grid for G(x, y0, z0) <= u(x) +
-    support_tol.  Returns (y0, z0, ok).
+    1e-8 (1 + |u(x0)|).  Returns (y0, z0, ok).
     """
     x0 = np.asarray(x0, dtype=float)
     y0, u0, n_active, ok = interpolated_support_rows(sol, x0, t)
@@ -318,12 +319,10 @@ def support_check(sol: PiecewiseGSolution, grid: SourceGrid, x0, t: float, *,
             "no admissible interpolated support at the query point")
     y0, u0 = y0[0], float(u0[0])
     z0 = genfun.dual_H(sol.gf, x0, y0, u0).z_root
-    if support_tol is None:
-        support_tol = 1e-8 * (1.0 + abs(u0))
     if u_grid is None:
         u_grid = values_matrix(sol, grid).max(axis=0)
     cand = sol.gf.value_batch(grid.centers, y0, z0)
-    ok = bool(np.all(cand <= u_grid + support_tol))
+    ok = bool(np.all(cand <= u_grid + 1e-8 * (1.0 + abs(u0))))
     return y0, float(z0), ok
 
 
@@ -406,6 +405,21 @@ def cell_masses(sol: PiecewiseGSolution, grid: SourceGrid) -> CellDecomposition:
                                          grid.cell_mass)
 
 
+def neighbor_pairs(grid: SourceGrid, assignment: np.ndarray) -> np.ndarray:
+    """(2, k) flat indices (a, b) of the axis-neighbor cells owned by
+    different pieces, b one step after a along an axis; axis by axis, each
+    in C order."""
+    idx = np.arange(grid.size).reshape(grid.res)
+    lab = assignment.reshape(grid.res)
+    pairs = []
+    for ax in range(grid.n):
+        head = (slice(None),) * ax
+        a, b = head + (slice(0, -1),), head + (slice(1, None),)
+        diff = lab[a] != lab[b]
+        pairs.append(np.stack([idx[a][diff], idx[b][diff]]))
+    return np.concatenate(pairs, axis=1)
+
+
 def interface_mask(grid: SourceGrid, assignment: np.ndarray,
                    widen: int = 0) -> np.ndarray:
     """Cells with an axis-neighbor owned by another piece.
@@ -413,27 +427,12 @@ def interface_mask(grid: SourceGrid, assignment: np.ndarray,
     widen dilates the mask by that many nodes per axis, covering the
     reach of finite-difference stencils across the kinks.
     """
-    lab = assignment.reshape(grid.res)
-    boundary = np.zeros(grid.res, dtype=bool)
-    for ax in range(grid.n):
-        sl_a = [slice(None)] * grid.n
-        sl_b = [slice(None)] * grid.n
-        sl_a[ax] = slice(0, -1)
-        sl_b[ax] = slice(1, None)
-        diff = lab[tuple(sl_a)] != lab[tuple(sl_b)]
-        boundary[tuple(sl_a)] |= diff
-        boundary[tuple(sl_b)] |= diff
+    boundary = np.zeros(grid.size, dtype=bool)
+    boundary[neighbor_pairs(grid, assignment).ravel()] = True
     for _ in range(widen):
-        grown = boundary.copy()
-        for ax in range(grid.n):
-            sl_a = [slice(None)] * grid.n
-            sl_b = [slice(None)] * grid.n
-            sl_a[ax] = slice(0, -1)
-            sl_b[ax] = slice(1, None)
-            grown[tuple(sl_a)] |= boundary[tuple(sl_b)]
-            grown[tuple(sl_b)] |= boundary[tuple(sl_a)]
-        boundary = grown
-    return boundary
+        # the cells next to the mask: the other ends of the pairs it splits
+        boundary[neighbor_pairs(grid, boundary).ravel()] = True
+    return boundary.reshape(grid.res)
 
 
 def interface_cell_count(grid: SourceGrid, assignment: np.ndarray) -> int:

@@ -31,6 +31,7 @@ strict-inequality membership.
 from __future__ import annotations
 
 import abc
+import itertools
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
@@ -56,6 +57,7 @@ __all__ = [
     "PointSourcePlane",
     "eval_bundle",
     "dual_H",
+    "dual_H_rows",
     "forward_YZ",
     "forward_YZ_rows",
     "matrix_E",
@@ -71,6 +73,14 @@ __all__ = [
     "RowStatus",
     "fd_step",
 ]
+
+NEWTON_TOL = 1e-11      # forward and slope Newtons: acceptance, relative
+NEWTON_ITER = 50        # forward and slope Newtons: iteration budget
+SINGULAR_E_TOL = 1e-12  # matrix_E raises SingularE below this |det E|
+H_TOL = 1e-12           # H's bracket closes at H_TOL * (1 + |z|)
+H_ITER = 60             # H's bisection-guarded Newton steps
+H_INSET = 1e-13         # H's bracket inset from a finite end of I, relative
+H_DOUBLINGS = 200       # H's doublings towards an infinite end of I
 
 
 # --------------------------------------------------------------------------
@@ -187,9 +197,10 @@ class GeneratingFunction(abc.ABC):
     pair set U (``admissible_pair_batch``; the default admits every finite
     pair) and supply closed-form inverses as batched hooks that return
     None when there is none: ``forward_yz_batch`` for (Y, Z) (the start
-    of the forward row Newton), ``_h_of`` for H and ``_x_of`` for X.  The
-    scalar methods are one-row calls of these.  Instances are immutable
-    after construction and safe to share; every method is pure.
+    of the forward row Newton), ``_h_of`` for H (the start of
+    dual_H_rows) and ``_x_of`` for X.  The scalar methods are one-row
+    calls of these.  Instances are immutable after construction and safe
+    to share; every method is pure.
     """
 
     name = "generic"
@@ -242,12 +253,13 @@ class GeneratingFunction(abc.ABC):
 
     def _piece_values(self, xs, ys) -> Callable:
         """Closure z -> G(x_k, y_k, z) over rows xs (m, n), ys (1, n) or
-        (m, n); the built-in instances write G only here (with einsum row
-        sums, which round alike for any row count) and take _raw_batch's
-        value from it.  The default evaluates the kernel."""
+        (m, n), for one z or one per row; the built-in instances write G
+        only here (with einsum row sums, which round alike for any row
+        count) and take _raw_batch's value from it.  The default evaluates
+        the kernel."""
         xs = xs.copy()
         ys = np.broadcast_to(ys, xs.shape)
-        return lambda z: self._raw_batch(xs, ys, np.full(len(xs), float(z))).value
+        return lambda z: self._raw_batch(xs, ys, np.full(len(xs), z, float)).value
 
     def piece_values_fn(self, xs, y) -> Callable[[float], np.ndarray]:
         """Closure z -> G(xs, y, z) for one target y."""
@@ -276,14 +288,11 @@ class GeneratingFunction(abc.ABC):
 
     def h_batch(self, xs, ys, us) -> np.ndarray:
         """z-inverse H over rows: the closed form when the instance has
-        one, else dual_H row by row."""
+        one, else dual_H_rows (NaN where a row has no root)."""
         xs, ys = _pair_rows(xs, ys, self.dimension)
         us = _per_row(us, len(xs))
         closed = self._h_of(xs, ys, us)
-        if closed is not None:
-            return closed
-        return np.array([dual_H(self, x, y, u).z_root
-                         for x, y, u in zip(xs, ys, us)])
+        return dual_H_rows(self, xs, ys, us)[0] if closed is None else closed
 
     # -- closed-form inverses: None when the instance has none -------------
 
@@ -295,7 +304,8 @@ class GeneratingFunction(abc.ABC):
         return None
 
     def _h_of(self, xs, ys, us):
-        """Closed-form H for rows xs, ys (m, n) and us (m,), or None."""
+        """Closed-form H for rows xs, ys (m, n) and us (m,), or None; also
+        the start of dual_H_rows' Newton."""
         return None
 
     def _x_of(self, ys, zs, qs):
@@ -304,12 +314,6 @@ class GeneratingFunction(abc.ABC):
         Returns (xs (m, n), ok (m,) bool); a row is not ok when its slope
         lies outside the image of Q(., y, z)."""
         return None
-
-    def _h_hint(self, x, y, u):
-        """dual_H's Newton start: one row of _h_of (never h_batch, whose
-        generic form calls dual_H), or None."""
-        h = self._h_of(x[None, :], y[None, :], np.array([u]))
-        return None if h is None else float(h[0])
 
 
 # --------------------------------------------------------------------------
@@ -358,12 +362,6 @@ class QuadraticOT(GeneratingFunction):
     def _h_of(self, xs, ys, us):
         d = xs - ys
         return 0.5 * np.einsum("ij,ij->i", d, d) - us
-
-    def _h_hint(self, x, y, u):
-        # the scalar dot, not _h_of's einsum: the two differ in the last
-        # bit, and dual_H's root (solve's anchor) depends on its start
-        d = x - y
-        return 0.5 * float(d @ d) - u
 
     def forward_yz_batch(self, xs, us, ps):
         xs = _rows(xs, self.dimension)
@@ -440,11 +438,6 @@ class ParallelBeam(GeneratingFunction):
         d = xs - ys
         r2 = np.einsum("ij,ij->i", d, d)
         return 1.0 / (us + np.sqrt(us ** 2 + r2))
-
-    def _h_hint(self, x, y, u):
-        # the scalar dot, as in QuadraticOT._h_hint
-        d = x - y
-        return 1.0 / (u + math.sqrt(u * u + float(d @ d)))
 
     def forward_yz_batch(self, xs, us, ps):
         xs = _rows(xs, self.dimension)
@@ -596,106 +589,22 @@ def eval_bundle(gf: GeneratingFunction, x, y, z) -> BatchBundle:
     return b
 
 
-def dual_H(gf: GeneratingFunction, x, y, u, *,
-           z_tol: float = 1e-12, max_iter: int = 60) -> DualValue:
-    """Solve G(x, y, z) = u for z by safeguarded bisection plus Newton.
-
-    G is strictly decreasing in z, so a bracket inside I(x, y) makes the
-    iteration unconditionally safe.  Raises RangeViolation when u lies
-    outside the attainable range J(x, y) and NoRoot when no bracket can
-    be established.
-    """
-    x = _vec(x, gf.dimension)
-    y = _vec(y, gf.dimension)
-    u = float(u)
-    if not gf.admissible_pair(x, y):
-        raise DomainViolation(f"pair (x, y) outside the admissible set for {gf.name}")
-    lo, hi = gf.z_interval(x, y)
-    span = (hi - lo) if (math.isfinite(lo) and math.isfinite(hi)) else 1.0
-
-    def g(z):
-        return gf.value(x, y, z)
-
-    # establish a bracket [a, b] with g(a) >= u >= g(b)
-    if math.isfinite(lo):
-        a = lo + 1e-13 * max(span, abs(lo), 1.0)
-    else:
-        a = min(-1.0, hi - 1.0) if math.isfinite(hi) else -1.0
-        for _ in range(200):
-            if g(a) >= u:
-                break
-            a = a * 2.0 if a < 0 else a - 1.0
-        else:
-            raise NoRoot("could not bracket the root from below")
-    if math.isfinite(hi):
-        b = hi - 1e-13 * max(span, abs(hi), 1.0)
-    else:
-        b = max(1.0, a + 1.0)
-        for _ in range(200):
-            if g(b) <= u:
-                break
-            b *= 2.0
-        else:
-            raise NoRoot("could not bracket the root from above")
-    ga, gb = g(a), g(b)
-    if not (ga >= u >= gb):
-        raise RangeViolation(
-            f"u = {u} outside the attainable range [{gb}, {ga}] on I(x, y)")
-
-    # hint from the closed form, clipped into the bracket
-    z = gf._h_hint(x, y, u)
-    if z is None or not (math.isfinite(z) and a < z < b):
-        z = 0.5 * (a + b)
-    for _ in range(max_iter):
-        bnd = gf.bundle(x, y, z)
-        f = bnd.value - u
-        if f >= 0.0:
-            a = z
-        else:
-            b = z
-        if b - a <= z_tol * (1.0 + abs(z)):
-            break
-        step_ok = False
-        if bnd.dz < 0.0:
-            zn = z - f / bnd.dz
-            if a < zn < b:
-                z = zn
-                step_ok = True
-        if not step_ok:
-            z = 0.5 * (a + b)
-    # quadratic polish: the bracket endpoints carry rounding noise of the
-    # residual sign test, so allow the Newton target a bracket-width slack
-    slack = (b - a) + z_tol * (1.0 + abs(z))
-    for _ in range(2):
-        bnd = gf.bundle(x, y, z)
-        if not bnd.dz < 0.0:
-            break
-        zn = z - (bnd.value - u) / bnd.dz
-        if not (a - slack <= zn <= b + slack) or not (lo < zn < hi):
-            break
-        z = zn
-    bnd = gf.bundle(x, y, z)
-    return DualValue(
-        z_root=float(z),
-        h_x=-bnd.grad_x / bnd.dz,
-        h_y=-bnd.grad_y / bnd.dz,
-        h_u=float(1.0 / bnd.dz),
-    )
-
-
 # --------------------------------------------------------------------------
 # row Newton shared by the forward map and the slope inversion
 # --------------------------------------------------------------------------
 
 class RowStatus:
-    """Outcome codes of the row Newton; only OK rows carry a result."""
+    """Outcome codes of the row solvers; only OK rows carry a result."""
 
     OK = 0
     OUT_OF_IMAGE = 1   # the closed form rules the slope out
-    BAD_START = 2      # the initial iterate is inadmissible
+    BAD_START = 2      # the initial iterate (for H: the pair) is inadmissible
     SINGULAR = 3       # singular Newton system
     NO_STEP = 4        # no admissible decreasing step within 45 halvings
     BUDGET = 5         # iteration budget exhausted
+    NO_LOWER = 6       # H: no lower bracket end within H_DOUBLINGS
+    NO_UPPER = 7       # H: no upper bracket end within H_DOUBLINGS
+    OUT_OF_RANGE = 8   # H: u outside the attainable range on I(x, y)
 
 
 def _raise_for_status(errors: dict, status: int, **fmt) -> None:
@@ -726,8 +635,8 @@ def _solve_rows(a, rhs) -> tuple:
         return out, singular
 
 
-def _newton_rows(v, ctx, thr, status, *, evaluate, jacobian, admissible,
-                 max_iter: int) -> tuple:
+def _newton_rows(v, ctx, thr, status, *, evaluate, jacobian,
+                 admissible) -> tuple:
     """Masked, safeguarded, damped Newton over rows.
 
     v (m, k) holds the starting iterates, ctx a tuple of per-row arrays
@@ -738,7 +647,8 @@ def _newton_rows(v, ctx, thr, status, *, evaluate, jacobian, admissible,
     Rows with an inadmissible start are BAD_START.  A row is done when its
     norm is at most thr; otherwise it solves its Newton system and takes
     the first of 45 halved steps that stays admissible and lowers its norm
-    or meets thr.  The kernel runs on the still-active rows only.
+    or meets thr; rows still running after NEWTON_ITER steps are BUDGET.
+    The kernel runs on the still-active rows only.
 
     Returns (out, status, rnorm): out is NaN where status is not OK, and
     rnorm is each row's last residual norm (NaN for rows that never
@@ -780,7 +690,7 @@ def _newton_rows(v, ctx, thr, status, *, evaluate, jacobian, admissible,
                 a[keep] for a in (act, v, thr, res, rn, jac_now()))
             ctx = tuple(a[keep] for a in ctx)
 
-    for it in range(max_iter + 1):
+    for it in range(NEWTON_ITER + 1):
         if not len(act):
             break
         done = rn <= thr
@@ -788,7 +698,7 @@ def _newton_rows(v, ctx, thr, status, *, evaluate, jacobian, admissible,
             finish(done, RowStatus.OK)
             if not len(act):
                 break
-        if it == max_iter:
+        if it == NEWTON_ITER:
             finish(np.ones(len(act), dtype=bool), RowStatus.BUDGET)
             break
         step, singular = _solve_rows(jac_now(), -res)
@@ -845,12 +755,133 @@ def _z_mid(lo, hi) -> np.ndarray:
                         np.where(flo, lo + 1.0, np.where(fhi, hi - 1.0, 0.0)))
 
 
-def _forward_rows(gf: GeneratingFunction, xs, us, ps, initial=None, *,
-                  tol: float = 1e-11, max_iter: int = 50) -> tuple:
+# --------------------------------------------------------------------------
+# the dual function H
+# --------------------------------------------------------------------------
+
+def dual_H_rows(gf: GeneratingFunction, xs, ys, us) -> tuple:
+    """Solve G(x_k, y_k, z) = u_k for z in I(x_k, y_k) over rows.
+
+    G decreases in z.  A bracket end starts H_INSET inside a finite end
+    of I, or at -1 or 1 and doubles towards an infinite one; an end that
+    fails the sign test moves halfway to a finite end of I while it can.
+    A bisection-guarded Newton from _h_of (else the bracket midpoint)
+    runs until the bracket closes, then takes two polish steps.  Returns
+    (zs, status, g_range): zs is NaN where status is not RowStatus.OK;
+    g_range (m, 2) is G at the upper and the lower bracket end.
+    """
+    xs, ys = (np.ascontiguousarray(a) for a in _pair_rows(xs, ys, gf.dimension))
+    us = _per_row(us, len(xs))
+    status = np.where(gf.admissible_pair_batch(xs, ys),
+                      RowStatus.OK, RowStatus.BAD_START)
+    lo, hi = gf.z_interval_batch(xs, ys)
+
+    def settle(z, end, reached, code):
+        # G at the running rows' bracket end z, moving an end that fails
+        # the sign test (code after H_DOUBLINGS tries at an infinite end)
+        gz = np.full(len(xs), np.nan)
+        rows = np.flatnonzero(status == RowStatus.OK)
+        for tries in itertools.count(1):
+            if not len(rows):
+                return gz
+            gz[rows] = gf._piece_values(xs[rows], ys[rows])(z[rows])
+            rows = rows[~reached(gz[rows], us[rows])]
+            free = ~np.isfinite(end[rows])
+            if tries == H_DOUBLINGS:
+                status[rows[free]] = code
+                rows, free = rows[~free], free[~free]
+            zn = np.where(free, 2.0 * z[rows], 0.5 * (z[rows] + end[rows]))
+            moves = (zn != z[rows]) & (zn != end[rows])
+            rows = rows[moves]
+            z[rows] = zn[moves]
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        flo, fhi = np.isfinite(lo), np.isfinite(hi)
+        span = np.where(flo & fhi, hi - lo, 1.0)
+        inset = [H_INSET * np.maximum(np.maximum(span, np.abs(e)), 1.0)
+                 for e in (lo, hi)]
+        a = np.where(flo, lo + inset[0],
+                     np.where(fhi, np.minimum(-1.0, hi - 1.0), -1.0))
+        ga = settle(a, lo, np.greater_equal, RowStatus.NO_LOWER)
+        b = np.where(fhi, hi - inset[1], np.maximum(1.0, a + 1.0))
+        gb = settle(b, hi, np.less_equal, RowStatus.NO_UPPER)
+        status[(status == RowStatus.OK) & ~((ga >= us) & (us >= gb))] = \
+            RowStatus.OUT_OF_RANGE
+
+        run = np.flatnonzero(status == RowStatus.OK)
+        z = np.full(len(xs), np.nan)
+        x, y, u, ar, br = (v[run] for v in (xs, ys, us, a, b))
+        h, zr = gf._h_of(x, y, u), 0.5 * (ar + br)
+        if h is not None:
+            zr = np.where(np.isfinite(h) & (ar < h) & (h < br), h, zr)
+        for _ in range(H_ITER):
+            if not len(run):
+                break
+            bnd = gf._raw_batch(x, y, zr)
+            f, dz = bnd.value - u, bnd.dz
+            above = f >= 0.0
+            ar, br = np.where(above, zr, ar), np.where(above, br, zr)
+            done = br - ar <= H_TOL * (1.0 + np.abs(zr))
+            if done.any():
+                z[run], a[run], b[run] = zr, ar, br
+                run, x, y, u, zr, ar, br, f, dz = (
+                    v[~done] for v in (run, x, y, u, zr, ar, br, f, dz))
+            zn = zr - f / dz
+            zr = np.where((dz < 0.0) & (ar < zn) & (zn < br), zn, 0.5 * (ar + br))
+        z[run], a[run], b[run] = zr, ar, br
+        # quadratic polish: the bracket ends carry rounding noise of the
+        # sign test, so the Newton target gets a bracket-width slack
+        slack = (b - a) + H_TOL * (1.0 + np.abs(z))
+        run = np.flatnonzero(status == RowStatus.OK)
+        for _ in range(2):
+            if not len(run):
+                break
+            bnd = gf._raw_batch(xs[run], ys[run], z[run])
+            zn = z[run] - (bnd.value - us[run]) / bnd.dz
+            ok = (bnd.dz < 0.0) & (a[run] - slack[run] <= zn) \
+                & (zn <= b[run] + slack[run]) & (lo[run] < zn) & (zn < hi[run])
+            run = run[ok]
+            z[run] = zn[ok]
+    return z, status, np.stack([gb, ga], axis=1)
+
+
+_DUAL_ERRORS = {
+    RowStatus.BAD_START: (
+        DomainViolation, "pair (x, y) outside the admissible set for {name}"),
+    RowStatus.NO_LOWER: (NoRoot, "could not bracket the root from below"),
+    RowStatus.NO_UPPER: (NoRoot, "could not bracket the root from above"),
+    RowStatus.OUT_OF_RANGE: (
+        RangeViolation,
+        "u = {u} outside the attainable range [{gb}, {ga}] on I(x, y)"),
+}
+
+
+def _raise_for_H(gf: GeneratingFunction, status: int, u, g_range) -> None:
+    """Raise the exception that dual_H raises for a row of dual_H_rows."""
+    _raise_for_status(_DUAL_ERRORS, status, name=gf.name, u=float(u),
+                      gb=float(g_range[0]), ga=float(g_range[1]))
+
+
+def dual_H(gf: GeneratingFunction, x, y, u) -> DualValue:
+    """Solve G(x, y, z) = u for z; one row of dual_H_rows.
+
+    Raises DomainViolation when (x, y) is inadmissible, RangeViolation
+    when u lies outside the attainable range J(x, y) and NoRoot when no
+    bracket can be established.
+    """
+    x, y, u = _vec(x, gf.dimension), _vec(y, gf.dimension), float(u)
+    zs, status, g_range = dual_H_rows(gf, x[None, :], y[None, :], u)
+    _raise_for_H(gf, status[0], u, g_range[0])
+    b = gf.bundle(x, y, zs[0])
+    return DualValue(float(zs[0]), -b.grad_x / b.dz, -b.grad_y / b.dz,
+                     float(1.0 / b.dz))
+
+
+def _forward_rows(gf: GeneratingFunction, xs, us, ps, initial=None) -> tuple:
     """Newton for G_x(x_k, Y, Z) = p_k, G(x_k, Y, Z) = u_k over rows, from
     the closed form where it holds, else the row of initial = (ys, zs),
     else (x_k, midpoint of I(x_k, x_k)).  The Jacobian is [[G_xy, G_xz],
-    [G_y, G_z]]; a start within tol * (1 + |u| + |p|_inf) is returned
+    [G_y, G_z]]; a start within NEWTON_TOL * (1 + |u| + |p|_inf) is returned
     unchanged.  Returns (v (m, n+1) = [Y, Z], status, rnorm) as
     _newton_rows does.
     """
@@ -883,9 +914,9 @@ def _forward_rows(gf: GeneratingFunction, xs, us, ps, initial=None, *,
 
     return _newton_rows(
         np.concatenate([ys, zs[:, None]], axis=1), (xs, us, ps),
-        tol * (1.0 + np.abs(us) + np.abs(ps).max(axis=1)),
+        NEWTON_TOL * (1.0 + np.abs(us) + np.abs(ps).max(axis=1)),
         np.zeros(len(xs), dtype=int), evaluate=evaluate, jacobian=jacobian,
-        admissible=admissible, max_iter=max_iter)
+        admissible=admissible)
 
 
 _FORWARD_ERRORS = {
@@ -901,9 +932,7 @@ _FORWARD_ERRORS = {
 }
 
 
-def forward_YZ(gf: GeneratingFunction, x, u, p, *,
-               tol: float = 1e-11, max_iter: int = 50,
-               initial=None) -> tuple:
+def forward_YZ(gf: GeneratingFunction, x, u, p, *, initial=None) -> tuple:
     """Solve G_x(x, Y, Z) = p, G(x, Y, Z) = u for (Y, Z).
 
     Damped Newton on the (n+1)-system with the Jacobian assembled from
@@ -915,9 +944,8 @@ def forward_YZ(gf: GeneratingFunction, x, u, p, *,
     n = gf.dimension
     init = None if initial is None else (_vec(initial[0], n)[None, :],
                                          np.array([float(initial[1])]))
-    v, status, rnorm = _forward_rows(gf, _vec(x, n)[None, :],
-                                     np.array([float(u)]), _vec(p, n)[None, :],
-                                     init, tol=tol, max_iter=max_iter)
+    v, status, rnorm = _forward_rows(
+        gf, _vec(x, n)[None, :], np.array([float(u)]), _vec(p, n)[None, :], init)
     _raise_for_status(_FORWARD_ERRORS, status[0], rnorm=rnorm[0])
     return v[0, :n], float(v[0, n])
 
@@ -935,17 +963,16 @@ def forward_YZ_rows(gf: GeneratingFunction, xs, us, ps) -> tuple:
     return v[:, :n].copy(), v[:, n].copy(), status == RowStatus.OK
 
 
-def matrix_E(gf: GeneratingFunction, x, y, z, *,
-             singular_tol: float = 1e-12) -> tuple:
+def matrix_E(gf: GeneratingFunction, x, y, z) -> tuple:
     """Mixed matrix E = G_xy - (1/G_z) G_xz (x) G_y and its determinant.
 
     E inverts the p-derivative of the forward map: Y_p = E^{-1}.  Raises
-    SingularE when |det E| falls below singular_tol.
+    SingularE when |det E| falls below SINGULAR_E_TOL.
     """
     e = _e_matrix(eval_bundle(gf, x, y, z))
     det = float(np.linalg.det(e))
-    if abs(det) < singular_tol:
-        raise SingularE(f"|det E| = {abs(det):.3e} below {singular_tol:.1e}")
+    if abs(det) < SINGULAR_E_TOL:
+        raise SingularE(f"|det E| = {abs(det):.3e} below {SINGULAR_E_TOL:.1e}")
     return e, det
 
 
@@ -987,22 +1014,21 @@ def _psi_rows(psi: Callable, xs, us, ps) -> np.ndarray:
     return np.broadcast_to(np.asarray(psi(xs, us, ps), dtype=float), (len(xs),))
 
 
-def matrix_A_B(gf: GeneratingFunction, x, u, p, psi, **fw_kwargs) -> tuple:
+def matrix_A_B(gf: GeneratingFunction, x, u, p, psi) -> tuple:
     """A and the right-hand side B = det E(x, Y, Z) * psi(x, u, p).
 
     psi is a row evaluator psi(xs, us, ps) -> (m,), called on one row.
     """
     x = _vec(x, gf.dimension)
     p = _vec(p, gf.dimension)
-    y, z = forward_YZ(gf, x, u, p, **fw_kwargs)
+    y, z = forward_YZ(gf, x, u, p)
     b = gf.bundle(x, y, z)
     det = float(np.linalg.det(_e_matrix(b)))
     psi_val = _psi_rows(psi, x[None, :], np.array([float(u)]), p[None, :])[0]
     return b.hess_xx, det * float(psi_val)
 
 
-def matrix_A_via_yp(gf: GeneratingFunction, x, u, p, *,
-                    step: float = None) -> np.ndarray:
+def matrix_A_via_yp(gf: GeneratingFunction, x, u, p) -> np.ndarray:
     """A by the vector-field formula A = -Y_p^{-1} (Y_x + Y_u (x) p).
 
     All blocks are central finite differences of the forward map; this is
@@ -1012,8 +1038,7 @@ def matrix_A_via_yp(gf: GeneratingFunction, x, u, p, *,
     x = _vec(x, n)
     u = float(u)
     p = _vec(p, n)
-    h = fd_step(max(abs(u), float(np.max(np.abs(p))), float(np.max(np.abs(x))))) \
-        if step is None else step
+    h = fd_step(max(abs(u), float(np.max(np.abs(p))), float(np.max(np.abs(x)))))
 
     def yy(xv, uv, pv):
         return forward_YZ(gf, xv, uv, pv)[0]
@@ -1053,14 +1078,13 @@ _SLOPE_ERRORS = {
 }
 
 
-def map_X_rows(gf: GeneratingFunction, ys, zs, qs, *,
-               tol: float = 1e-11, max_iter: int = 50, initial=None) -> tuple:
+def map_X_rows(gf: GeneratingFunction, ys, zs, qs, *, initial=None) -> tuple:
     """Invert x -> Q(x, y_k, z_k) = q_k for every row at once.
 
     Every row starts from the closed form (rows it rules out are
     OUT_OF_IMAGE), else from the row of initial, else from y or 0, and
     runs the row Newton with residual Q - q, Jacobian Q_x = -E^T / G_z and
-    acceptance test against tol * (1 + |q|_inf).
+    acceptance test against NEWTON_TOL * (1 + |q|_inf).
 
     Returns (xs, status, rnorm): xs is NaN where status is not
     RowStatus.OK, and rnorm is each row's last residual norm (NaN for rows
@@ -1093,13 +1117,13 @@ def map_X_rows(gf: GeneratingFunction, ys, zs, qs, *,
     def admissible(x, ctx):
         return _on_slice(gf, x, ctx[0], ctx[1])
 
-    return _newton_rows(xs, (ys, zs, qs), tol * (1.0 + np.abs(qs).max(axis=1)),
+    return _newton_rows(xs, (ys, zs, qs),
+                        NEWTON_TOL * (1.0 + np.abs(qs).max(axis=1)),
                         status, evaluate=evaluate, jacobian=jacobian,
-                        admissible=admissible, max_iter=max_iter)
+                        admissible=admissible)
 
 
-def map_X(gf: GeneratingFunction, y, z, q, *,
-          tol: float = 1e-11, max_iter: int = 50, initial=None) -> np.ndarray:
+def map_X(gf: GeneratingFunction, y, z, q, *, initial=None) -> np.ndarray:
     """Invert x -> Q(x, y, z) on the admissible slice.
 
     Damped Newton with Jacobian Q_x = -E^T / G_z; the admissible-slice
@@ -1113,7 +1137,7 @@ def map_X(gf: GeneratingFunction, y, z, q, *,
     q = _vec(q, n)
     init = None if initial is None else _vec(initial, n)[None, :]
     xs, status, rnorm = map_X_rows(gf, y[None, :], float(z), q[None, :],
-                                   tol=tol, max_iter=max_iter, initial=init)
+                                   initial=init)
     _raise_for_status(_SLOPE_ERRORS, status[0], q=q, rnorm=rnorm[0])
     return xs[0]
 

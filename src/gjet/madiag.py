@@ -311,22 +311,6 @@ def make_separable_psi(gf: GeneratingFunction, f: Callable, g: Callable):
 MANUFACTURED_NAMES = ("g_affine", "quadratic_ot_identity", "quadratic_ot_cosh")
 
 
-def _default_affine_piece(gf: GeneratingFunction, grid: SourceGrid):
-    y0 = 0.5 * (grid.lo + grid.hi)
-    lo_arr, hi_arr = gf.z_interval_batch(grid.centers, y0)
-    sup_lo = float(np.max(lo_arr))
-    inf_hi = float(np.min(hi_arr))
-    if math.isfinite(sup_lo) and math.isfinite(inf_hi):
-        z0 = 0.5 * (sup_lo + inf_hi)
-    elif math.isfinite(sup_lo):
-        z0 = sup_lo + 1.0
-    elif math.isfinite(inf_hi):
-        z0 = inf_hi - 1.0
-    else:
-        z0 = 0.0
-    return y0, z0
-
-
 def manufactured_case(name: str, gf: GeneratingFunction, grid: SourceGrid):
     """Named (GridFunction, psi) pairs with analytically known residuals.
 
@@ -339,8 +323,10 @@ def manufactured_case(name: str, gf: GeneratingFunction, grid: SourceGrid):
     """
     n = grid.n
     if name == "g_affine":
-        y0, z0 = _default_affine_piece(gf, grid)
-        vals = gf.value_batch(grid.centers, y0, z0)
+        y0 = 0.5 * (grid.lo + grid.hi)
+        lo, hi = gf.z_interval_batch(grid.centers, y0)
+        vals = gf.value_batch(grid.centers, y0,
+                              float(genfun._z_mid(np.max(lo), np.min(hi))))
         return GridFunction(grid, vals.reshape(grid.res)), \
             (lambda xs, us, ps: np.zeros(len(xs)))
     if name == "quadratic_ot_identity":

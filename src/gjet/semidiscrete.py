@@ -46,6 +46,7 @@ from .gconvex import (
     interface_cell_count,
     interface_point_rows,
     interpolated_support_rows,
+    neighbor_pairs,
     values_matrix,
 )
 from .genfun import GeneratingFunction
@@ -175,6 +176,8 @@ def _validate(prob: SemiDiscreteProblem, raise_on_error: bool) -> tuple:
     # the largest z admissible on the whole grid
     z_anchor = np.full(len(prob.targets), math.nan)
     z_hi = np.full(len(prob.targets), math.nan)
+    z_rows, status, g_range = genfun.dual_H_rows(gf, x0[None, :],
+                                                 prob.targets, u0)
     for i, y in enumerate(prob.targets):
         if not np.all(gf.admissible_pair_batch(grid.centers, y)):
             diags.append({
@@ -187,12 +190,13 @@ def _validate(prob: SemiDiscreteProblem, raise_on_error: bool) -> tuple:
         sup_lo = float(np.max(lo_arr))
         z_hi[i] = inf_hi = float(np.min(hi_arr))
         try:
-            z_anchor[i] = za = genfun.dual_H(gf, x0, y, u0).z_root
+            genfun._raise_for_H(gf, status[i], u0, g_range[i])
         except GjetError as exc:
             diags.append({"kind": "InfeasibleBracket", "piece": i,
                           "message": f"target {i}: anchored parameter does not "
                                      f"exist ({exc})"})
             continue
+        z_anchor[i] = za = float(z_rows[i])
         if not (za > sup_lo and za < inf_hi):
             diags.append({
                 "kind": "InfeasibleBracket", "piece": i,
@@ -389,12 +393,10 @@ def lipschitz_diagnostic(state: SolutionState, prob: SemiDiscreteProblem) -> flo
     grid = prob.grid
     sol = solution_function(prob, state.z)
     u = values_matrix(sol, grid).max(axis=0).reshape(grid.res)
-    sq = np.zeros(tuple(r - 1 for r in grid.res))
+    corner = tuple(slice(0, r - 1) for r in grid.res)
+    sq = np.zeros(u[corner].shape)
     for ax in range(grid.n):
-        sl_a = [slice(0, r - 1) for r in grid.res]
-        sl_b = [slice(0, r - 1) for r in grid.res]
-        sl_b[ax] = slice(1, grid.res[ax])
-        d = (u[tuple(sl_b)] - u[tuple(sl_a)]) / grid.h[ax]
+        d = np.diff(u, axis=ax)[corner] / grid.h[ax]
         sq += d * d
     return float(np.sqrt(sq.max()))
 
@@ -461,23 +463,11 @@ def range_diagnostic(state: SolutionState, prob: SemiDiscreteProblem,
         k = int(np.argmin(inside))
         witness = {"target": prob.targets[k], "kind": "declared_target_outside"}
 
-    lab = state.decomposition.assignment.reshape(grid.res)
-    centers = grid.centers.reshape(grid.res + (grid.n,))
-    la, lb, ca, cb = [], [], [], []
-    for ax in range(grid.n):
-        sl_a = [slice(0, r) for r in grid.res]
-        sl_b = [slice(0, r) for r in grid.res]
-        sl_a[ax] = slice(0, grid.res[ax] - 1)
-        sl_b[ax] = slice(1, grid.res[ax])
-        diff = (lab[tuple(sl_a)] != lab[tuple(sl_b)]).ravel()
-        la.append(lab[tuple(sl_a)].ravel()[diff])
-        lb.append(lab[tuple(sl_b)].ravel()[diff])
-        ca.append(centers[tuple(sl_a)].reshape(-1, grid.n)[diff])
-        cb.append(centers[tuple(sl_b)].reshape(-1, grid.n)[diff])
-    la, lb, ca, cb = (np.concatenate(v) for v in (la, lb, ca, cb))
-    stride = max(1, len(la) // max_interfaces)
+    lab = state.decomposition.assignment
+    pairs = neighbor_pairs(grid, lab)
+    a, b = pairs[:, ::max(1, pairs.shape[1] // max_interfaces)]
     x_star, exchange = interface_point_rows(
-        sol, la[::stride], lb[::stride], ca[::stride], cb[::stride])
+        sol, lab[a], lab[b], grid.centers[a], grid.centers[b])
     x_star = x_star[exchange]
     y0, _u0, _n_active, ok = interpolated_support_rows(sol, x_star, interp_t)
     x_star, y0 = x_star[ok], y0[ok]

@@ -20,7 +20,8 @@ from gjet.gconvex import (
     SourceGrid,
     dual_transform,
     g_transform,
-    interface_point,
+    interface_point_rows,
+    neighbor_pairs,
     section_convexity,
     support_check,
     values_matrix,
@@ -291,24 +292,14 @@ def test_criterion_09_support_interpolation(solved_cases):
     grid = prob.grid
     sol = solution_function(prob, state.z)
     u_grid = values_matrix(sol, grid).max(axis=0)
-    lab = state.decomposition.assignment.reshape(grid.res)
-    centers = grid.centers.reshape(grid.res + (2,))
-    pairs = []
-    for ax in range(2):
-        sl_a = [slice(None)] * 2
-        sl_b = [slice(None)] * 2
-        sl_a[ax] = slice(0, -1)
-        sl_b[ax] = slice(1, None)
-        la = lab[tuple(sl_a)].ravel()
-        lb = lab[tuple(sl_b)].ravel()
-        ca = centers[tuple(sl_a)].reshape(-1, 2)
-        cb = centers[tuple(sl_b)].reshape(-1, 2)
-        for k in np.flatnonzero(la != lb):
-            pairs.append((int(la[k]), int(lb[k]), ca[k], cb[k]))
-    assert pairs
+    lab = state.decomposition.assignment
+    a, b = neighbor_pairs(grid, lab)
+    assert len(a)
+    x_stars, exchange = interface_point_rows(
+        sol, lab[a], lab[b], grid.centers[a], grid.centers[b])
+    assert exchange.all()
     checked = 0
-    for i, j, ca, cb in pairs:
-        x_star = interface_point(sol, i, j, ca, cb)
+    for i, j, x_star in zip(lab[a], lab[b], x_stars):
         try:
             for t in np.arange(0.1, 0.95, 0.1):
                 _y0, _z0, ok = support_check(sol, grid, x_star, float(t),
@@ -318,9 +309,9 @@ def test_criterion_09_support_interpolation(solved_cases):
         except ValueError:
             # more than two pieces tie at this crossing (cell corner)
             continue
-    assert checked >= 0.9 * len(pairs)
+    assert checked >= 0.9 * len(a)
     _passed(9, f"interpolated supports hold for t in 0.1..0.9 on "
-               f"{checked}/{len(pairs)} adjacent-cell interfaces")
+               f"{checked}/{len(a)} adjacent-cell interfaces")
 
 
 # --------------------------------------------------------------------------

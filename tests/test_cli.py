@@ -227,14 +227,15 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_solve_validates_once_and_report_evaluates_once(tmp_path, monkeypatch):
-    # one anchored parameter per target, one piece-value matrix per report
+    # one row call for the anchored parameters of all targets, one
+    # piece-value matrix per report
     from gjet import gconvex, genfun
 
     cfg = write_config(tmp_path)
     sol = str(tmp_path / "sol.json")
-    anchors = count_calls(monkeypatch, genfun, "dual_H")
+    anchors = count_calls(monkeypatch, genfun, "dual_H_rows")
     assert main(["solve", cfg, "--out", sol]) == EXIT_OK
-    assert len(anchors) == 2
+    assert len(anchors) == 1
     matrices = count_calls(monkeypatch, gconvex, "values_matrix")
     assert main(["report", sol, "--csv", str(tmp_path / "r.csv")]) == EXIT_OK
     assert len(matrices) == 1

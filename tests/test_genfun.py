@@ -15,6 +15,7 @@ from gjet.errors import (
     DomainViolation,
     GjetError,
     NoConvergence,
+    NoRoot,
     OutOfImage,
     RangeViolation,
     SingularE,
@@ -30,6 +31,7 @@ from gjet.genfun import (
     dual_Astar_Bstar,
     dual_Astar_Bstar_rows,
     dual_H,
+    dual_H_rows,
     eval_bundle,
     forward_YZ,
     forward_YZ_rows,
@@ -454,6 +456,183 @@ def test_forward_matches_scalar_reference(gf, with_initial):
     for k, want in enumerate(outcomes):
         if solved[k]:
             assert np.array_equal(ys[k], want[0]) and zs[k] == want[1], k
+
+
+# --------------------------------------------------------------------------
+# dual function H as rows
+# --------------------------------------------------------------------------
+
+def reference_dual_H(gf, x, y, u, z_tol=1e-12, max_iter=60):
+    """The per-point H iteration that dual_H_rows replaced, kept as the
+    oracle: scalar values, one point at a time, the bracket 1e-13 inside
+    the finite ends of I, started from one row of _h_of (else the bracket
+    midpoint).  Returns the root."""
+    x, y, u = np.asarray(x, dtype=float), np.asarray(y, dtype=float), float(u)
+    if not gf.admissible_pair(x, y):
+        raise DomainViolation(
+            f"pair (x, y) outside the admissible set for {gf.name}")
+    lo, hi = gf.z_interval(x, y)
+    span = (hi - lo) if (math.isfinite(lo) and math.isfinite(hi)) else 1.0
+
+    def g(z):
+        return gf.value(x, y, z)
+
+    if math.isfinite(lo):
+        a = lo + 1e-13 * max(span, abs(lo), 1.0)
+    else:
+        a = min(-1.0, hi - 1.0) if math.isfinite(hi) else -1.0
+        for _ in range(200):
+            if g(a) >= u:
+                break
+            a = a * 2.0 if a < 0 else a - 1.0
+        else:
+            raise NoRoot("could not bracket the root from below")
+    if math.isfinite(hi):
+        b = hi - 1e-13 * max(span, abs(hi), 1.0)
+    else:
+        b = max(1.0, a + 1.0)
+        for _ in range(200):
+            if g(b) <= u:
+                break
+            b *= 2.0
+        else:
+            raise NoRoot("could not bracket the root from above")
+    ga, gb = g(a), g(b)
+    if not (ga >= u >= gb):
+        raise RangeViolation(
+            f"u = {u} outside the attainable range [{gb}, {ga}] on I(x, y)")
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = gf._h_of(x[None, :], y[None, :], np.array([u]))
+    z = None if h is None else float(h[0])
+    if z is None or not (math.isfinite(z) and a < z < b):
+        z = 0.5 * (a + b)
+    for _ in range(max_iter):
+        bnd = gf.bundle(x, y, z)
+        f = bnd.value - u
+        if f >= 0.0:
+            a = z
+        else:
+            b = z
+        if b - a <= z_tol * (1.0 + abs(z)):
+            break
+        step_ok = False
+        if bnd.dz < 0.0:
+            zn = z - f / bnd.dz
+            if a < zn < b:
+                z = zn
+                step_ok = True
+        if not step_ok:
+            z = 0.5 * (a + b)
+    slack = (b - a) + z_tol * (1.0 + abs(z))
+    for _ in range(2):
+        bnd = gf.bundle(x, y, z)
+        if not bnd.dz < 0.0:
+            break
+        zn = z - (bnd.value - u) / bnd.dz
+        if not (a - slack <= zn <= b + slack) or not (lo < zn < hi):
+            break
+        z = zn
+    return float(z)
+
+
+H_INSTANCES = CONTRACT_INSTANCES + [PointSourcePlane(n, tau=0.0)
+                                    for n in (1, 2, 3)]
+H_EDGE_GAPS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15)
+
+
+def h_rows(gf, rng):
+    """(xs, ys, us, z_true) for dual_H_rows: interior draws, draws at
+    H_EDGE_GAPS from each end of I(x, y), perturbed u that may leave the
+    attainable range, and the rows that fail before the Newton: an
+    inadmissible pair for the point source, u beyond any bracket for the
+    quadratic, u below the range for the beam.  z_true is the drawn root,
+    NaN on the rows after the draws."""
+    n = gf.dimension
+    x_box, y_box = instance_boxes(gf)
+    fracs = list(rng.uniform(0.05, 0.95, 8)) \
+        + [f for gap in H_EDGE_GAPS for f in (gap, 1.0 - gap)]
+    xs, ys, us, z_true = [], [], [], []
+    for f in fracs:
+        while True:
+            x = x_box[0] + rng.random(n) * (x_box[1] - x_box[0])
+            y = y_box[0] + rng.random(n) * (y_box[1] - y_box[0])
+            if gf.admissible_pair(x, y):
+                break
+        z_true.append(_map_fraction(*gf.z_interval(x, y), f))
+        xs.append(x)
+        ys.append(y)
+        us.append(gf.value(x, y, z_true[-1]))
+    for k in range(4):
+        xs.append(xs[k])
+        ys.append(ys[k])
+        us.append(us[k] * (1.0 + rng.normal(0.0, 0.5)))
+    special = {"point_source": [(np.full(n, 1.0), 0.5)],
+               "quadratic_ot": [(np.zeros(n), 1e300), (np.zeros(n), -1e300)],
+               "parallel_beam": [(np.zeros(n), -0.5)]}[gf.name]
+    for x, u in special:
+        xs.append(x)
+        ys.append(ys[0])
+        us.append(u)
+    z_true += [math.nan] * (len(us) - len(z_true))
+    return np.array(xs), np.array(ys), np.array(us), np.array(z_true)
+
+
+def h_id(gf):
+    tau = getattr(getattr(gf, "inner", gf), "tau", None)
+    return f"{type(gf).__name__}-{gf.name}{gf.dimension}" \
+        + ("-tau0" if tau == 0.0 else "")
+
+
+@pytest.mark.parametrize(
+    "gf", [NoClosedForm(g) for g in H_INSTANCES] + H_INSTANCES, ids=h_id)
+def test_dual_H_rows_match_scalar_reference(gf):
+    # rows whose bracket passes the sign test follow the per-point loop
+    # bit for bit; a failing end moves towards I's end, so every drawn
+    # root is found (to the property tests' tolerance: the bracket closes
+    # at 1e-12 (1 + |z|)); failing rows raise through dual_H the
+    # exception (type and message) their status names
+    xs, ys, us, z_true = h_rows(gf, np.random.default_rng(43))
+    zs, status, g_range = dual_H_rows(gf, xs, ys, us)
+    drawn = np.isfinite(z_true)
+    assert (status[drawn] == RowStatus.OK).all()
+    assert (np.abs(zs - z_true) <= 1e-7 * (1.0 + np.abs(z_true)))[drawn].all()
+    for k in range(len(us)):
+        want = outcome(reference_dual_H, gf, xs[k], ys[k], us[k])
+        got = outcome(lambda *a: dual_H(*a).z_root, gf, xs[k], ys[k], us[k])
+        if not isinstance(want, tuple):
+            assert got == want == zs[k], k
+        elif want[0] is RangeViolation and status[k] == RowStatus.OK:
+            # the sign test failed at the inset bracket only
+            lo, hi = gf.z_interval(xs[k], ys[k])
+            assert got == zs[k] and lo < got < hi, k
+        elif want[0] is RangeViolation:
+            assert status[k] == RowStatus.OUT_OF_RANGE, k
+            gb, ga = g_range[k]
+            assert got == (RangeViolation,
+                           f"u = {us[k]} outside the attainable range "
+                           f"[{gb}, {ga}] on I(x, y)"), k
+        else:
+            assert got == want, k
+            assert np.isnan(zs[k]), k
+    # the draws reach the failing paths of the bracket and of the sign test
+    assert (status != RowStatus.OK).any()
+
+
+@pytest.mark.parametrize("gf", H_INSTANCES, ids=h_id)
+def test_dual_H_is_one_row_of_dual_H_rows(gf):
+    xs, ys, us, _z_true = h_rows(gf, np.random.default_rng(47))
+    zs, status, _g_range = dual_H_rows(gf, xs, ys, us)
+    for k in range(len(us)):
+        if status[k] == RowStatus.OK:
+            assert dual_H(gf, xs[k], ys[k], us[k]).z_root == zs[k], k
+        else:
+            with pytest.raises(GjetError):
+                dual_H(gf, xs[k], ys[k], us[k])
+    # without a closed form h_batch is the rows, NaN where they fail
+    assert np.array_equal(NoClosedForm(gf).h_batch(xs, ys, us),
+                          dual_H_rows(NoClosedForm(gf), xs, ys, us)[0],
+                          equal_nan=True)
 
 
 # --------------------------------------------------------------------------

@@ -111,8 +111,6 @@ IDENTITIES = {"H_inverts_G": h_inverts_g, "YZ_round_trip": yz_round_trip,
 
 # Edge regions where an identity fails today; each case must keep failing
 # (strict xfail) until its cause is mended.
-DUAL_H_OFFSET = ("dual_H starts its bracket 1e-13 max(|I|, 1) inside "
-                 "I(x, y), so a root nearer an end raises RangeViolation")
 BEAM_FOLD = ("det E -> 0 as z r -> 1: the closed form divides by 1 - |p|^2 "
              "and Y loses up to 5 digits")
 RIM_FORWARD = ("G_x grows like 1/sqrt(1 - |x|^2) at the rim and Y loses up "
@@ -127,10 +125,6 @@ PS_X_LO = ("Q_x -> 0 as z -> 0: the stop test |Q - q| <= tol (1 + |q|) "
            "leaves x off by up to tol / |Q_x|")
 PS_X_RIM = "the slope Newton exhausts its budget near |x| = 1 (NoConvergence)"
 KNOWN_EDGE_FAILURES = {
-    **{("H_inverts_G", "parallel_beam", n, r): DUAL_H_OFFSET
-       for n in (1, 2, 3) for r in ("z_lo", "z_hi")},
-    **{("H_inverts_G", "point_source", n, "z_lo"): DUAL_H_OFFSET
-       for n in (1, 2, 3)},
     **{("YZ_round_trip", "parallel_beam", n, "z_hi"): BEAM_FOLD
        for n in (1, 2, 3)},
     **{("YZ_round_trip", "point_source", n, "rim"): RIM_FORWARD
