@@ -49,7 +49,7 @@ _GENERATORS = ("quadratic_ot", "parallel_beam", "point_source")
 _DEFAULT_CHECK = {"samples": 200, "seed": 1234, "fd_step": 1e-3,
                   "g3_strict": False}
 _DEFAULT_SOLVER = {"mass_tol_rel": 1e-3, "anchor_tol": None,
-                   "max_sweeps": 500, "bisect_steps": 40, "z_tol": 1e-12}
+                   "max_sweeps": 500}
 
 
 def _require_keys(obj: dict, where: str, required, optional=()):
@@ -162,7 +162,7 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
         _require_keys(raw["solver"], "config.solver", (),
                       tuple(_DEFAULT_SOLVER))
         for k, v in raw["solver"].items():
-            if k in ("max_sweeps", "bisect_steps"):
+            if k == "max_sweeps":
                 if not isinstance(v, int) or v <= 0:
                     raise ConfigError(f"config.solver.{k}: expected a positive int")
                 solver[k] = v
@@ -226,8 +226,7 @@ def build_problem(cfg: dict, base_dir: str = ".") -> semidiscrete.SemiDiscretePr
     s = cfg["solver"]
     tols = semidiscrete.SolverTolerances(
         mass_tol_rel=s["mass_tol_rel"], anchor_tol=s["anchor_tol"],
-        max_sweeps=s["max_sweeps"], bisect_steps=s["bisect_steps"],
-        z_tol=s["z_tol"])
+        max_sweeps=s["max_sweeps"])
     return semidiscrete.SemiDiscreteProblem(
         gf, grid, cfg["targets"]["points"], cfg["targets"]["masses"],
         (cfg["normalization"]["x0"], cfg["normalization"]["u0"]),
@@ -271,13 +270,13 @@ def _write_grid_csv(path, sol, grid, u, dec, with_mass=False):
         + [f"du{k + 1}" for k in range(n)] + ["cell"]
     if with_mass:
         header.append("mass")
-    masses = dec.masses
+    # the cell (and mass) columns of each piece, formatted once
+    tails = [f"{i},{_fmt(m)}" if with_mass else str(i)
+             for i, m in enumerate(dec.masses)]
     lines = [",".join(header)]
     for k in range(grid.size):
         row = [_fmt(c) for c in grid.centers[k]] + [_fmt(u[k])] \
-            + [_fmt(d) for d in du[k]] + [str(int(assignment[k]))]
-        if with_mass:
-            row.append(_fmt(masses[assignment[k]]))
+            + [_fmt(d) for d in du[k]] + [tails[assignment[k]]]
         lines.append(",".join(row))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -447,8 +446,9 @@ def cmd_residual(args) -> int:
         psi = lambda xs, us, ps: np.zeros(len(xs))
         # difference quotients across kinks carry no information: mask them
         gconvex.validate_pieces_on_grid(sol, grid)
-        dec = gconvex.CellDecomposition.from_values(vals, grid.cell_mass)
-        exclude = gconvex.interface_mask(grid, dec.assignment, widen=1)
+        # the cell labels alone: the argmax piece at each center
+        exclude = gconvex.interface_mask(grid, np.argmax(vals, axis=0),
+                                         widen=1)
     res = madiag.ma_residual(gf, ufun, psi, exclude=exclude)
     ellip, admissible = madiag.ellipticity_check(gf, ufun, exclude=exclude)
     verdict = "elliptic" if admissible else "not-elliptic"
@@ -474,7 +474,7 @@ def cmd_report(args) -> int:
     sol = semidiscrete.solution_function(prob, z)
     gconvex.validate_pieces_on_grid(sol, prob.grid)
     vals = gconvex.values_matrix(sol, prob.grid)
-    dec = gconvex.CellDecomposition.from_values(vals, prob.grid.cell_mass)
+    dec = gconvex.CellDecomposition.from_values(sol, prob.grid, vals)
     _write_grid_csv(args.csv, sol, prob.grid, vals.max(axis=0), dec,
                     with_mass=True)
     print(f"report: {prob.grid.size} rows, {len(prob.targets)} pieces")

@@ -15,17 +15,26 @@ Every path evaluates the pieces through one evaluator, the (pieces,
 rows) matrix of G(x_k, y_i, z_i) from the generating function's single
 value formula: values_matrix on the cell centers, eval_piecewise and
 subdifferential on one row, the support interpolation, interface
-bisection and dual transform on their own rows.  One builder,
-CellDecomposition.from_values, turns such a matrix into cells and masses
-for the solver, cell_masses and the CLI.
+bisection and dual transform on their own rows.  One mass function,
+cell_split, turns such a matrix into cells, sub-cell masses and their
+derivatives in z; the solver, cell_masses and `gjet report` call it.
 
-Cell assignment happens at cell centers only (ties go to the lowest
-piece index); no partial-cell clipping is attempted, so per-piece masses
-carry an O(h) rasterization error that callers must budget for.
+Each cell is labelled with its argmax piece at the center (ties: lowest
+index).  Its mass is split among the pieces that tie the label within
+the cell: each near-tied pair's difference is linearised at the center,
+the box fraction of its half-space is taken in closed form, and a
+piece's share is the product of its pairwise fractions, renormalised
+over the near-tied pieces.  A fraction against a piece that some third
+piece nearly covers is phased in by a gate (GATE), so a piece entering a
+cell changes no share by a jump.  Cells no other piece reaches keep
+their whole mass.  The masses are continuous in z, treat every piece
+label alike and split each cell's mass exactly.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -53,6 +62,7 @@ __all__ = [
     "g_transform",
     "dual_transform",
     "cell_masses",
+    "cell_split",
     "validate_pieces_on_grid",
     "interface_cell_count",
     "interface_mask",
@@ -60,6 +70,10 @@ __all__ = [
 ]
 
 ACTIVE_TOL = 1e-9  # relative active-set tolerance, scaled by 1 + |u|
+FLAT = 1e-8        # cell-scaled normal components below FLAT times the
+                   # largest one count as zero in a box fraction
+GATE = 4.0         # j's fraction against i counts in full once j holds
+                   # 1 / GATE of the cell against every third piece
 
 
 @dataclass(frozen=True)
@@ -133,20 +147,217 @@ class PiecewiseGSolution:
 
 @dataclass(frozen=True)
 class CellDecomposition:
-    """Total single-valued cell-to-piece assignment and per-piece masses."""
+    """Cell labels and sub-cell masses of a piecewise solution."""
 
-    assignment: np.ndarray  # (cells,) piece index per cell
-    masses: np.ndarray      # (pieces,) sums of density * cell volume
+    assignment: np.ndarray  # (cells,) argmax piece at each cell center
+    masses: np.ndarray      # (pieces,) sub-cell masses (cell_split)
 
     @classmethod
-    def from_values(cls, values: np.ndarray,
-                    cell_mass: np.ndarray) -> "CellDecomposition":
-        """Cells of a (pieces, cells) value matrix: each cell goes to its
-        argmax piece (ties: lowest index), each piece gets the summed
-        cell_mass of its cells."""
-        assignment = np.argmax(values, axis=0)
-        return cls(assignment, np.bincount(assignment, weights=cell_mass,
-                                           minlength=len(values)))
+    def from_values(cls, sol: "PiecewiseGSolution", grid: "SourceGrid",
+                    values: np.ndarray) -> "CellDecomposition":
+        """Cells of sol from its (pieces, cells) value matrix."""
+        ys, zs = _piece_arrays(sol)
+        assignment, masses, _jac = cell_split(sol.gf, ys, zs, grid, values)
+        return cls(assignment, masses)
+
+
+def _piece_arrays(sol: "PiecewiseGSolution") -> tuple:
+    """(pieces, n) targets and (pieces,) focal parameters of sol."""
+    return (np.array([p.y_vec() for p in sol.pieces]),
+            np.array([p.z for p in sol.pieces]))
+
+
+def _box_fraction(b: np.ndarray, a: np.ndarray) -> tuple:
+    """Share of a cell where b + a.s > 0, and its derivative in b.
+
+    s is uniform on the centered box with unit edges and a (k, n) holds
+    the normals already scaled by the cell widths.  With alpha the m
+    nonzero |a_j| and t = sum(alpha) / 2 - |b|, the smaller side has the
+    volume F(t) = sum_S (-1)^|S| (t - alpha_S)_+^m / (m! prod alpha), an
+    inclusion-exclusion over the box vertices, and the density f(t) is
+    the same sum with the power m - 1.  Components below FLAT times the
+    largest are dropped, so axis-aligned interfaces are exact and nearly
+    aligned ones do not cancel.  Returns (phi, psi): the share and
+    d phi / d b; the share of -b, -a is 1 - phi.
+    """
+    alpha = -np.sort(-np.abs(a), axis=1)
+    alpha[alpha <= FLAT * alpha[:, :1]] = 0.0
+    m_of = np.count_nonzero(alpha, axis=1)
+    t = 0.5 * alpha.sum(axis=1) - np.abs(b)
+    small = np.zeros(len(b))
+    psi = np.zeros(len(b))
+    for m in range(1, a.shape[1] + 1):
+        rows = np.flatnonzero((m_of == m) & (t > 0.0))
+        if not len(rows):
+            continue
+        al, tr = alpha[rows, :m], t[rows]
+        vol = np.zeros(len(rows))
+        dens = np.zeros(len(rows))
+        for bits in itertools.product((False, True), repeat=m):
+            r = tr - al[:, list(bits)].sum(axis=1)   # no BLAS: its buffers
+            sign = -1.0 if sum(bits) % 2 else 1.0    # would cost RSS
+            pos = np.maximum(r, 0.0)
+            vol += sign * pos ** m
+            dens += sign * (pos ** (m - 1) if m > 1 else r > 0.0)
+        scale = np.prod(al, axis=1)
+        small[rows] = vol / (math.factorial(m) * scale)
+        psi[rows] = dens / (math.factorial(m - 1) * scale)
+    phi = np.where(b > 0.0, 1.0 - small, np.where(b < 0.0, small, 0.5))
+    return phi, psi
+
+
+def _near_candidates(grid: "SourceGrid", values: np.ndarray,
+                     owner: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """(pieces, cells) mask of the pieces that may tie the owner within
+    a cell, from values only: owner minus piece below the sum over the
+    axes of the larger change of that difference to an axis neighbor,
+    about twice its linearised half-range over the cell.  One piece at a
+    time, in work arrays the size of the grid that are allocated once."""
+    vr = values.reshape((len(values),) + grid.res)
+    own, tr = owner.reshape(grid.res), top.reshape(grid.res)
+    edges = []
+    for ax in range(grid.n):
+        lo = (slice(None),) * ax + (slice(0, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        # the owner's own change along each edge, seen from either end
+        ahead = np.take_along_axis(vr[(slice(None),) + hi], own[lo][None],
+                                   axis=0)[0] - tr[lo]
+        behind = tr[hi] - np.take_along_axis(vr[(slice(None),) + lo],
+                                             own[hi][None], axis=0)[0]
+        last = (slice(None),) * ax + (-1,)
+        edges.append((lo, hi, last, ahead, behind, np.empty(ahead.shape)))
+    near = np.empty(values.shape, dtype=bool)
+    reach = np.empty(grid.res)
+    step = np.empty(grid.res)
+    for j, vj in enumerate(vr):
+        reach.fill(0.0)
+        for lo, hi, last, ahead, behind, change in edges:
+            np.subtract(vj[hi], vj[lo], out=change)
+            np.abs(np.subtract(ahead, change, out=step[lo]), out=step[lo])
+            step[last] = 0.0
+            np.abs(np.subtract(behind, change, out=change), out=change)
+            np.maximum(step[hi], change, out=step[hi])
+            reach += step
+        np.subtract(tr, vj, out=step)
+        np.less(step, reach, out=near[j].reshape(grid.res))
+    return near
+
+
+def _split_band(piece, val, grad, dz, is_owner, cm, n_p):
+    """Masses and their z-derivatives that band cells give their
+    near-tied pieces.
+
+    Each row is one cell with the same number of candidate pieces:
+    piece (cells, w) their indices, val their values at the center, grad
+    their gradients times the cell widths, dz their G_z, is_owner the
+    argmax and cm the cell masses.
+    """
+    rows = np.arange(len(piece))
+    top = np.argmax(is_owner, axis=1)
+    spread = 0.5 * np.abs(grad - grad[rows, top][:, None, :]).sum(axis=2)
+    live = val[rows, top][:, None] - val < spread
+    live[rows, top] = True
+
+    # pairwise fractions; fac_ij = 1 - (1 - phi_ij) gate_ij, where the
+    # gate min(1, GATE m_ij) phases j in by m_ij = min_{k != i, j} phi_jk
+    width = piece.shape[1]
+    slots = np.arange(width)
+    pair = live[:, :, None] & live[:, None, :] & ~np.eye(width, dtype=bool)
+    phi = np.ones(pair.shape)
+    psi = np.zeros(pair.shape)
+    phi[pair], psi[pair] = _box_fraction(
+        (val[:, :, None] - val[:, None, :])[pair],
+        (grad[:, :, None, :] - grad[:, None, :, :])[pair])
+    low = np.argsort(phi, axis=2, kind="stable")[..., :2]  # per j: k, k'
+    skip = low[:, None, :, 0] == slots[None, :, None]      # [c, i, j]: k == i
+
+    def least(a):   # a[c, j, k] at the k != i with the smallest phi_jk
+        two = np.take_along_axis(a, low, axis=2)
+        return np.where(skip, two[:, None, :, 1], two[:, None, :, 0])
+
+    m_ij = least(phi)
+    gate = np.minimum(1.0, GATE * m_ij)
+    fac = 1.0 - (1.0 - phi) * gate
+    w = np.where(live, fac.prod(axis=2), 0.0)
+    share = w / w.sum(axis=1)[:, None]
+    masses = np.bincount(piece[live], weights=(cm[:, None] * share)[live],
+                         minlength=n_p)
+    # d w_i / d v_k = sum_j d fac_ij / d v_k prod_{l != j} fac_il: fac_ij
+    # moves with b_ij = v_i - v_j and, below the gate's cap, with b_jk of
+    # the k that attains m_ij
+    pre = np.ones(fac.shape)
+    pre[..., 1:] = np.cumprod(fac[..., :-1], axis=2)
+    suf = np.ones(fac.shape)
+    suf[..., :-1] = np.cumprod(fac[..., :0:-1], axis=2)[..., ::-1]
+    rest = pre * suf
+    dw = -psi * gate * rest
+    dw[:, slots, slots] = -dw.sum(axis=2)
+    by_gate = np.where(GATE * m_ij < 1.0, GATE * least(psi), 0.0) \
+        * (1.0 - phi) * rest
+    dw -= by_gate
+    k_of = least(np.broadcast_to(slots, phi.shape))
+    cell_row = np.arange(dw.size // width).reshape(dw.shape[:2])[..., None]
+    dw += np.bincount((cell_row * width + k_of).ravel(),
+                      weights=by_gate.ravel(),
+                      minlength=dw.size).reshape(dw.shape)
+    dshare = (dw - share[:, :, None] * dw.sum(axis=1)[:, None, :]) \
+        / w.sum(axis=1)[:, None, None]
+    both = live[:, :, None] & live[:, None, :]
+    flat = (piece[:, :, None] * n_p + piece[:, None, :])[both]
+    jac = np.bincount(
+        flat, weights=(cm[:, None, None] * dshare * dz[:, None, :])[both],
+        minlength=n_p * n_p).reshape(n_p, n_p)
+    return masses, jac
+
+
+def cell_split(gf: GeneratingFunction, ys, zs, grid: "SourceGrid",
+               values: np.ndarray) -> tuple:
+    """Cell labels, sub-cell masses and their z-derivatives.
+
+    values is the (pieces, cells) matrix of the pieces (ys[i], zs[i]) at
+    the cell centers.  A piece is near-tied with a cell's argmax piece
+    when their difference, linearised at the center, changes sign in the
+    cell; only cells with a near-tied piece evaluate bundles (gradients
+    and G_z of the near-tied pieces, one bundle_batch call).  Returns
+    (assignment, masses, jac): jac[i, k] = d masses[i] / d z_k, summed
+    over the cells as cell mass x d share / d gap x G_z with the
+    gradients held fixed.  The columns of jac sum to zero, as the masses
+    sum to grid.total_mass.
+    """
+    n_p, m = values.shape
+    cols = np.arange(m)
+    owner = np.argmax(values, axis=0)
+    near = _near_candidates(grid, values, owner, values[owner, cols])
+    near[owner, cols] = True
+    cells = np.flatnonzero(near.sum(axis=0) > 1)
+    whole = grid.cell_mass.copy()
+    whole[cells] = 0.0
+    masses = np.bincount(owner, weights=whole, minlength=n_p)
+    jac = np.zeros((n_p, n_p))
+    if not len(cells):
+        return owner, masses, jac
+
+    # the near-tied candidates of each band cell, by piece index, in
+    # groups of cells with the same count
+    c_of, p_of = np.nonzero(near[:, cells].T)
+    del near
+    count = np.bincount(c_of, minlength=len(cells))
+    first = np.cumsum(count) - count
+    b = gf.bundle_batch(grid.centers[cells[c_of]], ys[p_of], zs[p_of])
+    grad, dz = b.grad_x * grid.h, b.dz
+    del b
+    for width in np.unique(count):
+        sel = np.flatnonzero(count == width)
+        k = (first[sel][:, None] + np.arange(width)).ravel()
+        piece = p_of[k].reshape(-1, width)
+        part, dpart = _split_band(
+            piece, values[piece, cells[sel][:, None]],
+            grad[k].reshape(-1, width, grid.n), dz[k].reshape(-1, width),
+            piece == owner[cells[sel]][:, None], grid.cell_mass[cells[sel]],
+            n_p)
+        masses += part
+        jac += dpart
+    return owner, masses, jac
 
 
 def _active_tol(u):
@@ -284,8 +495,7 @@ def interpolated_support_rows(sol: PiecewiseGSolution, xs, t: float):
     rows = np.flatnonzero((n_active == 2) & np.isfinite(vals).all(axis=0))
     first = np.argmax(active[:, rows], axis=0)
     second = len(sol.pieces) - 1 - np.argmax(active[::-1, rows], axis=0)
-    ys = np.array([p.y_vec() for p in sol.pieces])
-    zs = np.array([p.z for p in sol.pieces])
+    ys, zs = _piece_arrays(sol)
     slopes = [gf.bundle_batch(xs[rows], ys[i], zs[i]).grad_x
               for i in (first, second)]
     p0 = (1.0 - t) * slopes[0] + t * slopes[1]
@@ -394,15 +604,14 @@ def dual_transform(gf: GeneratingFunction, targets, v_values,
 
 
 def cell_masses(sol: PiecewiseGSolution, grid: SourceGrid) -> CellDecomposition:
-    """Assign every cell to its argmax piece and sum density * volume.
+    """Label every cell with its argmax piece and split its mass among
+    the near-tied pieces (cell_split).
 
-    The assignment is total and single-valued (ties to the lowest piece
-    index), so the masses are an exact partition of the source mass up
-    to float summation order.
+    Every cell's mass is split exactly, so the masses partition the
+    source mass up to float summation order.
     """
     validate_pieces_on_grid(sol, grid)
-    return CellDecomposition.from_values(values_matrix(sol, grid),
-                                         grid.cell_mass)
+    return CellDecomposition.from_values(sol, grid, values_matrix(sol, grid))
 
 
 def neighbor_pairs(grid: SourceGrid, assignment: np.ndarray) -> np.ndarray:
@@ -436,6 +645,6 @@ def interface_mask(grid: SourceGrid, assignment: np.ndarray,
 
 
 def interface_cell_count(grid: SourceGrid, assignment: np.ndarray) -> int:
-    """Number of interface cells; mass error concentrates there, so the
-    count bounds the rasterization uncertainty of the decomposition."""
+    """Number of interface cells: the cells with an axis neighbor of
+    another label, where the masses are split (cell_split)."""
     return int(interface_mask(grid, assignment).sum())

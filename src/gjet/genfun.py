@@ -255,8 +255,9 @@ class GeneratingFunction(abc.ABC):
         """Closure z -> G(x_k, y_k, z) over rows xs (m, n), ys (1, n) or
         (m, n), for one z or one per row; the built-in instances write G
         only here (with einsum row sums, which round alike for any row
-        count) and take _raw_batch's value from it.  The default evaluates
-        the kernel."""
+        count) and take _raw_batch's value from it, passing the z-free
+        terms (``_terms``) that _raw_batch computes once for both.  The
+        default evaluates the kernel."""
         xs = xs.copy()
         ys = np.broadcast_to(ys, xs.shape)
         return lambda z: self._raw_batch(xs, ys, np.full(len(xs), z, float)).value
@@ -336,18 +337,22 @@ class QuadraticOT(GeneratingFunction):
         m = len(_rows(xs, self.dimension))
         return np.full(m, -math.inf), np.full(m, math.inf)
 
-    def _piece_values(self, xs, ys):
+    def _terms(self, xs, ys):
         d = xs - ys
-        c = 0.5 * np.einsum("ij,ij->i", d, d)
+        return d, 0.5 * np.einsum("ij,ij->i", d, d)
+
+    def _piece_values(self, xs, ys, terms=None):
+        _d, c = terms or self._terms(xs, ys)
         return lambda z: c - z
 
     def _raw_batch(self, xs, ys, zs):
         m, n = xs.shape
-        d = xs - ys
+        terms = self._terms(xs, ys)
+        d = terms[0]
         eye = _eye_batch(m, n)
         zero_v = np.zeros((m, n))
         return BatchBundle(
-            value=self._piece_values(xs, ys)(zs),
+            value=self._piece_values(xs, ys, terms)(zs),
             grad_x=d,
             grad_y=-d,
             dz=np.full(m, -1.0),
@@ -410,19 +415,22 @@ class ParallelBeam(GeneratingFunction):
         np.divide(1.0, r, out=hi, where=r > 0)
         return np.zeros(len(d)), hi
 
-    def _piece_values(self, xs, ys):
+    def _terms(self, xs, ys):
         d = xs - ys
-        r2 = np.einsum("ij,ij->i", d, d)
+        return d, np.einsum("ij,ij->i", d, d)
+
+    def _piece_values(self, xs, ys, terms=None):
+        _d, r2 = terms or self._terms(xs, ys)
         return lambda z: 0.5 / z - 0.5 * z * r2
 
     def _raw_batch(self, xs, ys, zs):
         m, n = xs.shape
-        w = xs - ys
-        r2 = np.einsum("ij,ij->i", w, w)
+        terms = self._terms(xs, ys)
+        w, r2 = terms
         z = zs
         eye = _eye_batch(m, n)
         return BatchBundle(
-            value=self._piece_values(xs, ys)(z),
+            value=self._piece_values(xs, ys, terms)(z),
             grad_x=-z[:, None] * w,
             grad_y=z[:, None] * w,
             dz=-0.5 * (z ** -2 + r2),
@@ -505,10 +513,13 @@ class PointSourcePlane(GeneratingFunction):
         xs = _rows(xs, self.dimension)
         return np.einsum("ij,ij->i", xs, xs) < 1.0
 
-    def _piece_values(self, xs, ys):
+    def _terms(self, xs, ys):
         w = np.sqrt(1.0 - np.einsum("ij,ij->i", xs, xs))
-        xy = np.einsum("ij,ij->i", xs, ys)
-        y2 = np.einsum("ij,ij->i", ys, ys)
+        return (w, np.einsum("ij,ij->i", xs, ys),
+                np.einsum("ij,ij->i", ys, ys))
+
+    def _piece_values(self, xs, ys, terms=None):
+        w, xy, y2 = terms or self._terms(xs, ys)
         tt = self.tau * self.tau
         wt = w * self.tau
         return lambda z: (np.sqrt(z + y2 + tt) - xy - wt) / z
@@ -516,12 +527,11 @@ class PointSourcePlane(GeneratingFunction):
     def _raw_batch(self, xs, ys, zs):
         m, n = xs.shape
         tau = self.tau
-        x2 = np.einsum("ij,ij->i", xs, xs)
-        y2 = np.einsum("ij,ij->i", ys, ys)
-        w = np.sqrt(1.0 - x2)
+        terms = self._terms(xs, ys)
+        w, _xy, y2 = terms
         s = np.sqrt(zs + y2 + tau * tau)
         z = zs
-        value = self._piece_values(xs, ys)(z)
+        value = self._piece_values(xs, ys, terms)(z)
         grad_x = (-ys + (tau / w)[:, None] * xs) / z[:, None]
         grad_y = (ys / s[:, None] - xs) / z[:, None]
         dz = -value / z + 1.0 / (2.0 * z * s)

@@ -5,16 +5,22 @@ prescribed masses g_i, find focal parameters z = (z_1, ..., z_N) so the
 piecewise G-affine function u(x) = max_i G(x, y_i, z_i) pushes f onto
 the g_i cell by cell, normalized by u(x0) = u0.
 
-Algorithm: normalized coordinate bisection over the focal parameters
-(supporting-paraboloid style).  Every piece starts at its anchor value
-z_i = H(x0, y_i, u0), so the initial graph passes through (x0, u0) and
-no piece is ever raised above that height (the clamp).  Sweeps bisect
-each z_i to match its mass holding the others fixed; per-piece mass is
-monotone non-increasing in its own z_i because G decreases in z.  If a
-full sweep leaves no piece clamped and the anchor value drifted low,
-all parameters shift down together until the nearest piece re-pins the
-anchor; the shift size is exact (smallest clamp gap), which is the
-fixed point the anchor bisection would converge to.
+Algorithm: a damped Newton on z over sub-cell masses, which are
+continuous in z (gconvex.cell_split), as in Kitagawa-Merigot-Thibert,
+"Convergence of a Newton algorithm for semi-discrete optimal transport"
+(JEMS 2019).  The equations are the N mass equations, of which N - 1
+are independent because the masses always sum to the source mass, plus
+the anchor equation max_i G(x0, y_i, z_i) = u0.  Every piece starts at
+its anchor value z_i = H(x0, y_i, u0); a Gauss-Seidel pass of exact
+threshold steps follows: piece i owns cell c iff
+z_i < H(x_c, y_i, max_{j != i} G(x_c, y_j, z_j)), and z_i goes where the
+descending cumulative mass of those thresholds reaches g_i, if that
+brings the mass of its cells closer to g_i.  The pass is repeated only
+while some target is empty.  Each Newton step solves one dense N x N
+system; the step is halved until every mass stays at least half the
+smaller of the smallest start mass and the smallest g_i, and the
+residual drops by the factor 1 - tau / 2.  One step costs one value pass
+over the M cells and bundles on the cells that two pieces share.
 
 The contract is "converged or explicit NoConvergence": the solver never
 returns a silently unconverged state.
@@ -43,6 +49,7 @@ from .gconvex import (
     GAffinePiece,
     PiecewiseGSolution,
     SourceGrid,
+    cell_split,
     interface_cell_count,
     interface_point_rows,
     interpolated_support_rows,
@@ -67,9 +74,7 @@ __all__ = [
 class SolverTolerances:
     mass_tol_rel: float = 1e-3
     anchor_tol: Optional[float] = None  # default 1e-8 * (1 + |u0|)
-    max_sweeps: int = 500
-    bisect_steps: int = 40
-    z_tol: float = 1e-12
+    max_sweeps: int = 500        # Newton step budget
 
     def anchor_tolerance(self, u0: float) -> float:
         if self.anchor_tol is not None:
@@ -139,8 +144,8 @@ def validate_problem(prob: SemiDiscreteProblem, *, raise_on_error: bool = False)
 
 def _validate(prob: SemiDiscreteProblem, raise_on_error: bool) -> tuple:
     """validate_problem's diagnostics, the anchored parameters and the
-    grid-wide upper ends of z per target (NaN where a target failed):
-    what solve starts from."""
+    grid-wide ends of z per target (NaN where a target failed): what
+    solve starts from."""
     diags = []
     gf, grid = prob.gf, prob.grid
     x0, u0 = prob.anchor
@@ -175,6 +180,7 @@ def _validate(prob: SemiDiscreteProblem, raise_on_error: bool) -> tuple:
     # bracket feasibility: the anchored parameter must sit strictly below
     # the largest z admissible on the whole grid
     z_anchor = np.full(len(prob.targets), math.nan)
+    z_lo = np.full(len(prob.targets), math.nan)
     z_hi = np.full(len(prob.targets), math.nan)
     z_rows, status, g_range = genfun.dual_H_rows(gf, x0[None, :],
                                                  prob.targets, u0)
@@ -187,7 +193,7 @@ def _validate(prob: SemiDiscreteProblem, raise_on_error: bool) -> tuple:
                            f"admissible set of {gf.name})"})
             continue
         lo_arr, hi_arr = gf.z_interval_batch(grid.centers, y)
-        sup_lo = float(np.max(lo_arr))
+        z_lo[i] = sup_lo = float(np.max(lo_arr))
         z_hi[i] = inf_hi = float(np.min(hi_arr))
         try:
             genfun._raise_for_H(gf, status[i], u0, g_range[i])
@@ -213,171 +219,189 @@ def _validate(prob: SemiDiscreteProblem, raise_on_error: bool) -> tuple:
         exc = exc_cls(diags[0]["message"])
         exc.diagnostics = diags
         raise exc
-    return diags, z_anchor, z_hi
+    return diags, z_anchor, z_lo, z_hi
 
 
 # --------------------------------------------------------------------------
 # solver
 # --------------------------------------------------------------------------
 
-def _sweep_others(values: np.ndarray):
-    """Yield (i, max of the other rows, tie flag) for each row in order.
+START_PASSES = 20     # threshold passes at most while a target is empty
+TAU_MIN = 2.0 ** -30  # Newton damping floor
 
-    The caller may overwrite row i before it asks for row i + 1, as a
-    coordinate sweep does.  Rows after i are not touched until then, so
-    their suffix maxima are built once per sweep; the rows before i are
-    folded into a running prefix max.  The tie flag marks the cells where
-    no row before i attains the max of the others, i.e. where row i wins a
-    tie under the lowest-index rule.  O(N * M) per sweep.
+
+@dataclass(frozen=True)
+class _Point:
+    """The solver's state at one z: cell labels, sub-cell masses, their
+    z-derivatives and the anchor value with its subgradient."""
+
+    z: np.ndarray
+    assignment: np.ndarray
+    masses: np.ndarray
+    jac: np.ndarray
+    anchor: float
+    anchor_grad: np.ndarray
+
+
+def _threshold_step(prob, fns, i, z, values, z_lo, z_top, others) -> bool:
+    """Exact threshold step of piece i against others, the max of the
+    other pieces at each cell.
+
+    Piece i owns cell c iff z_i < t_c = H(x_c, y_i, others_c) (one
+    h_batch call).  z_i moves to the threshold where the descending
+    cumulative cell mass reaches g_i, capped below z_top, when that
+    brings the mass of the cells it owns closer to g_i.  Updates z[i]
+    and values[i]; returns whether z_i moved.
     """
-    n_pieces, m = values.shape
-    after = np.empty_like(values)       # after[i] = max of rows i+1..
-    after[-1] = -np.inf
-    for k in range(n_pieces - 2, -1, -1):
-        np.maximum(values[k + 1], after[k + 1], out=after[k])
-    before = np.full(m, -np.inf)
-    for i in range(n_pieces):
-        if i > 0:
-            np.maximum(before, values[i - 1], out=before)
-        yield i, np.maximum(before, after[i]), after[i] > before
+    cm, g = prob.grid.cell_mass, prob.masses
+    t = prob.gf.h_batch(prob.grid.centers, prob.targets[i], others)
+    order = np.argsort(-np.nan_to_num(t, nan=-np.inf), kind="stable")
+    k = min(int(np.searchsorted(np.cumsum(cm[order]), g[i])), len(t) - 1)
+    z_new = min(float(t[order[k]]), z_top[i])
+    if not z_lo[i] < z_new:
+        return False
+    vals = fns[i](z_new)
+    if abs(cm[vals > others].sum() - g[i]) \
+            >= abs(cm[values[i] > others].sum() - g[i]):
+        return False
+    z[i], values[i] = z_new, vals
+    return True
 
 
-def _mass_of(vals_i, m_other, wins_ties, cell_mass):
-    """Mass captured by a piece (argmax with lowest-index tie rule)."""
-    wins = vals_i > m_other
-    ties = (vals_i == m_other) & wins_ties
-    return float(cell_mass[wins | ties].sum())
+def _threshold_pass(prob, fns, z, values, z_lo, z_top) -> bool:
+    """One Gauss-Seidel pass of threshold steps over the pieces.
+
+    Rows after i are untouched until their turn, so the max of the
+    others is the running max of the rows before i and a suffix max
+    built once.  Returns whether any z_i moved.
+    """
+    after = np.maximum.accumulate(values[::-1], axis=0)[::-1]
+    before = np.full(prob.grid.size, -np.inf)
+    moved = False
+    for i in range(len(z)):
+        others = np.maximum(before, after[i + 1]) if i + 1 < len(z) \
+            else before
+        moved |= _threshold_step(prob, fns, i, z, values, z_lo, z_top, others)
+        np.maximum(before, values[i], out=before)
+    return moved
 
 
 def solve(prob: SemiDiscreteProblem) -> SolutionState:
-    """Coordinate bisection to the prescribed cell masses.
+    """Damped Newton on the sub-cell masses and the anchor.
 
-    Raises NoConvergence with the best state attached when the sweep
-    budget runs out, InfeasibleBracket on a certificate: a full sweep
-    moves no parameter while a clamped target's cell stays empty
-    (unreachable at this anchor).  A sweep costs O(N * M * bisect_steps)
-    for N pieces and M cells (see _sweep_others).  A problem that fails
-    validate_problem raises its first diagnostic's exception, with every
-    diagnostic in its diagnostics attribute.
+    Raises NoConvergence with the best state attached when max_sweeps
+    Newton steps are used up, when the damping falls below TAU_MIN or
+    when threshold passes leave a target empty, and InfeasibleBracket on
+    a certificate: the threshold passes reach a fixed point while a
+    target stays empty and its Jacobian row is zero (it can gain no mass
+    by moving alone, as a duplicate target cannot).  A problem that
+    fails validate_problem raises its first diagnostic's exception, with
+    every diagnostic in its diagnostics attribute.
     """
-    _diags, z_anchor, z_hi = _validate(prob, raise_on_error=True)
+    _diags, z_anchor, z_lo, z_hi = _validate(prob, raise_on_error=True)
     gf, grid = prob.gf, prob.grid
     x0, u0 = prob.anchor
     tol = prob.tolerances
     anchor_tol = tol.anchor_tolerance(u0)
     total = grid.total_mass
     n_pieces = len(prob.targets)
-    cell_mass = grid.cell_mass
     g = prob.masses
-
+    g_fit = g * (total / g.sum())     # the masses the cells can carry
+    scale = total / (1.0 + abs(u0))   # anchor equation in mass units
+    finite = np.where(np.isfinite(z_hi), z_hi, 0.0)
+    z_top = np.where(np.isfinite(z_hi),
+                     finite - 1e-12 * np.maximum(1.0, np.abs(finite)), np.inf)
     fns = [gf.piece_values_fn(grid.centers, y) for y in prob.targets]
-    anchor_fns = [gf.piece_values_fn(x0[None, :], y) for y in prob.targets]
+
+    def evaluate(z, values=None):
+        if values is None:
+            values = np.stack([fns[i](z[i]) for i in range(n_pieces)])
+        assignment, masses, jac = cell_split(gf, prob.targets, z, grid,
+                                             values)
+        at_x0 = gf.bundle_batch(x0[None, :], prob.targets, z)
+        anchor = float(at_x0.value.max())
+        active = at_x0.value == anchor
+        return _Point(z.copy(), assignment, masses, jac, anchor,
+                      np.where(active, at_x0.dz, 0.0) / active.sum())
+
+    def residual_of(pt):
+        return float(np.max(np.abs(pt.masses - g)) / total)
+
+    def merit(pt):
+        return max(float(np.max(np.abs(pt.masses - g_fit))) / total,
+                   abs(pt.anchor - u0) / (1.0 + abs(u0)))
+
+    def converged(pt):
+        return residual_of(pt) <= tol.mass_tol_rel \
+            and abs(pt.anchor - u0) <= anchor_tol
+
+    def state(pt, sweeps):
+        return SolutionState(
+            z=pt.z.copy(),
+            decomposition=CellDecomposition(pt.assignment, pt.masses),
+            residual=residual_of(pt), anchor_value=pt.anchor, sweeps=sweeps,
+            residual_history=tuple(history),
+            interface_cells=interface_cell_count(grid, pt.assignment))
 
     z = z_anchor.copy()
     values = np.stack([fns[i](z[i]) for i in range(n_pieces)])
-
-    def anchor_value():
-        return float(max(anchor_fns[i](z[i])[0] for i in range(n_pieces)))
-
-    def residual_of(dec):
-        return float(np.max(np.abs(dec.masses - g)) / total)
-
-    def state(z, dec, anchor, sweeps):
-        return SolutionState(
-            z=z.copy(), decomposition=dec, residual=residual_of(dec),
-            anchor_value=anchor, sweeps=sweeps,
-            residual_history=tuple(history),
-            interface_cells=interface_cell_count(grid, dec.assignment))
-
-    dec = CellDecomposition.from_values(values, cell_mass)
-    residual = residual_of(dec)
-    history = [residual]
-    best = (residual, z.copy(), dec, anchor_value(), 0)
-    if residual <= tol.mass_tol_rel:
-        return state(z, dec, anchor_value(), 0)
-
-    empty_at_clamp = np.zeros(n_pieces, dtype=bool)
-    for sweep in range(1, tol.max_sweeps + 1):
-        z_start = z.copy()
-        for i, m_other, wins_ties in _sweep_others(values):
-            a = z_anchor[i]
-            vals_a = fns[i](a)
-            mass_a = _mass_of(vals_a, m_other, wins_ties, cell_mass)
-            if mass_a <= g[i]:
-                # even the highest admissible graph is under-massed: clamp
-                z[i] = a
-                values[i] = vals_a
-                empty_at_clamp[i] = mass_a == 0.0
-                continue
-            empty_at_clamp[i] = False
-
-            # find an over-shot upper end with mass <= g_i
-            if math.isfinite(z_hi[i]):
-                b = z_hi[i] - 1e-12 * max(1.0, abs(z_hi[i]))
-                vals_b = fns[i](b)
-                mass_b = _mass_of(vals_b, m_other, wins_ties, cell_mass)
-            else:
-                b = max(2.0 * a, a + 1.0)
-                mass_b = math.inf
-                vals_b = None
-                for _ in range(80):
-                    vals_b = fns[i](b)
-                    mass_b = _mass_of(vals_b, m_other, wins_ties, cell_mass)
-                    if mass_b <= g[i]:
-                        break
-                    b *= 2.0
-            if mass_b > g[i]:
-                # still over-massed at the admissible top: park at the edge
-                z[i] = b
-                values[i] = vals_b
-                continue
-
-            # bisection keeps mass(a) >= g_i >= mass(b)
-            for _ in range(tol.bisect_steps):
-                if b - a <= tol.z_tol * (1.0 + abs(a)):
-                    break
-                mid = 0.5 * (a + b)
-                vals_mid = fns[i](mid)
-                mass_mid = _mass_of(vals_mid, m_other, wins_ties, cell_mass)
-                if mass_mid >= g[i]:
-                    a, vals_a, mass_a = mid, vals_mid, mass_mid
-                else:
-                    b, vals_b, mass_b = mid, vals_mid, mass_mid
-            if abs(mass_a - g[i]) <= abs(mass_b - g[i]):
-                z[i], values[i] = a, vals_a
-            else:
-                z[i], values[i] = b, vals_b
-
-        # restore the anchor when every piece floated off its clamp
-        gaps = z - z_anchor
-        if np.min(gaps) > 0 and anchor_value() < u0 - anchor_tol:
-            shift = float(np.min(gaps))
-            z = z - shift
-            for i in range(n_pieces):
-                values[i] = fns[i](z[i])
-
-        dec = CellDecomposition.from_values(values, cell_mass)
-        residual = residual_of(dec)
-        history.append(residual)
-        if residual < best[0]:
-            best = (residual, z.copy(), dec, anchor_value(), sweep)
-
-        if residual <= tol.mass_tol_rel \
-                and abs(anchor_value() - u0) <= anchor_tol:
-            return state(z, dec, anchor_value(), sweep)
-
-        # certificate: a sweep that moves no parameter is a fixed point, so
-        # a clamped piece whose cell is still empty can never gain mass
-        stuck = empty_at_clamp & (dec.masses == 0) & (g > 0)
-        if np.any(stuck) and np.array_equal(z, z_start):
+    moved = n_pieces > 1
+    pt = None if moved else evaluate(z, values)
+    for _ in range(START_PASSES if moved else 0):
+        moved = _threshold_pass(prob, fns, z, values, z_lo, z_top)
+        pt = evaluate(z, values)
+        if not moved or np.all(pt.masses > 0):
+            break
+    del values
+    history = [residual_of(pt)]
+    if converged(pt):
+        return state(pt, 0)
+    empty = pt.masses == 0
+    if np.any(empty):
+        stuck = empty & ~pt.jac.any(axis=1)
+        if np.any(stuck) and not moved:
             idx = int(np.argmax(stuck))
             raise InfeasibleBracket(
-                f"target {idx} keeps an empty cell at its anchored parameter; "
-                f"it is unreachable at this normalization", piece_index=idx)
+                f"target {idx} stays empty and no single move of its "
+                f"parameter gives it mass; it is unreachable at this "
+                f"normalization", piece_index=idx)
+        raise NoConvergence(
+            f"threshold passes left {int(empty.sum())} targets empty",
+            best=state(pt, 0))
+
+    floor = 0.5 * min(float(pt.masses.min()), float(g.min()))
+    best = (residual_of(pt), pt, 0)
+    for sweep in range(1, tol.max_sweeps + 1):
+        lhs = pt.jac + scale * pt.anchor_grad[None, :]
+        rhs = (pt.masses - g_fit) + scale * (pt.anchor - u0)
+        try:
+            step = np.linalg.solve(lhs, -rhs)
+        except np.linalg.LinAlgError:
+            step = np.full(n_pieces, np.nan)
+        tau, now = 1.0, merit(pt)
+        while True:
+            z_try = pt.z + tau * step
+            if np.all((z_lo < z_try) & (z_try < z_top)):
+                trial = evaluate(z_try)
+                if trial.masses.min() >= floor \
+                        and merit(trial) <= (1.0 - 0.5 * tau) * now:
+                    break
+            tau *= 0.5
+            if tau < TAU_MIN:
+                raise NoConvergence(
+                    f"Newton damping fell below {TAU_MIN:.1e} at step "
+                    f"{sweep}; best residual {best[0]:.3e}",
+                    best=state(best[1], best[2]))
+        pt = trial
+        history.append(residual_of(pt))
+        if history[-1] < best[0]:
+            best = (history[-1], pt, sweep)
+        if converged(pt):
+            return state(pt, sweep)
 
     raise NoConvergence(
-        f"sweep budget {tol.max_sweeps} exhausted; best residual {best[0]:.3e}",
-        best=state(*best[1:]))
+        f"Newton step budget {tol.max_sweeps} exhausted; best residual "
+        f"{best[0]:.3e}", best=state(best[1], best[2]))
 
 
 # --------------------------------------------------------------------------

@@ -49,6 +49,16 @@ def test_resolve_config_rejects_unknown_keys(tmp_path):
         resolve_config(raw)
 
 
+def test_resolve_config_rejects_bisection_keys(tmp_path):
+    # the bisection's step count and z tolerance are no solver settings
+    raw = json.loads(open(write_config(tmp_path)).read())
+    for key, value in (("bisect_steps", 40), ("z_tol", 1e-12)):
+        raw["solver"] = {key: value}
+        with pytest.raises(ConfigError,
+                           match=rf"config.solver: unknown keys \['{key}'\]"):
+            resolve_config(raw)
+
+
 def test_resolve_config_defaults(tmp_path):
     raw = json.loads(open(write_config(tmp_path)).read())
     cfg = resolve_config(raw)

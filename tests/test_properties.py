@@ -1,4 +1,4 @@
-"""Property tests of the paper's inverse-map identities.
+"""Property tests of the paper's inverse-map identities and of the cells.
 
 Three identities, over the three built-in instances and n = 1..3:
 
@@ -8,8 +8,11 @@ Three identities, over the three built-in instances and n = 1..3:
 
 Each is checked on interior draws and, separately, on each kind of
 edge-of-domain draw: z near an end of I(x, y), |x| -> 1 for the point
-source and r = |x - y| -> 0 for the parallel beam (see triples).  Runs
-are derandomized (see conftest.py).
+source and r = |x - y| -> 0 for the parallel beam (see triples).
+
+With N = 1..4 pieces on a grid, the sub-cell masses partition the source
+mass and permute with the pieces, and the solver's focal parameters
+permute with the targets.  Runs are derandomized (see conftest.py).
 """
 
 import numpy as np
@@ -18,6 +21,13 @@ from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from gjet.conditions import _map_fraction
+from gjet.gconvex import (
+    PiecewiseGSolution,
+    SourceGrid,
+    cell_masses,
+    validate_pieces_on_grid,
+)
+from gjet.errors import DomainViolation
 from gjet.genfun import (
     ParallelBeam,
     PointSourcePlane,
@@ -26,6 +36,12 @@ from gjet.genfun import (
     forward_YZ,
     map_Q,
     map_X,
+)
+from gjet.semidiscrete import (
+    SemiDiscreteProblem,
+    SolverTolerances,
+    solve,
+    validate_problem,
 )
 
 from conftest import instance_boxes
@@ -161,5 +177,96 @@ def test_identity(ident, gf, region):
     @given(triples(gf, region))
     def check(xyz):
         IDENTITIES[ident](gf, *xyz)
+
+    check()
+
+
+# --------------------------------------------------------------------------
+# cells and solutions: partition and order independence
+# --------------------------------------------------------------------------
+
+CELL_RES = {1: 64, 2: 20, 3: 8}
+SOLVE_TOL = SolverTolerances(mass_tol_rel=1e-9)
+
+
+def _setting(gf):
+    """Source box, anchor height and target range of a solvable layout."""
+    if gf.name == "point_source":
+        return (-0.4, 0.4), 2.5, (-0.25, 0.25)
+    return (0.0, 1.0), 0.75 if gf.name == "parallel_beam" else 0.2, \
+        (0.15, 0.85)
+
+
+@st.composite
+def layouts(draw, gf):
+    """Grid, N = 1..4 targets at least 0.1 apart, positive weights, a
+    permutation of the targets and an anchor (x0, u0) at the center."""
+    n = gf.dimension
+    (lo, hi), u0, (a, b) = _setting(gf)
+    count = draw(st.integers(1, 4))
+    pts = np.array([_point(draw, np.full(n, a), np.full(n, b))
+                    for _ in range(count)])
+    gaps = np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+    assume(np.all(gaps[np.triu_indices(count, 1)] >= 0.1))
+    weights = np.array([draw(st.floats(0.5, 1.5)) for _ in range(count)])
+    perm = np.array(draw(st.permutations(range(count))))
+    grid = SourceGrid([lo] * n, [hi] * n, [CELL_RES[n]] * n)
+    return grid, pts, weights, perm, (np.full(n, 0.5 * (lo + hi)), u0)
+
+
+def _cases_for(name):
+    for gf in INSTANCES:
+        yield pytest.param(gf, id=f"{name}-{gf.name}{gf.dimension}")
+
+
+@pytest.mark.parametrize("gf", list(_cases_for("cells")))
+def test_cell_masses_partition_and_permute(gf):
+    # pieces through the anchor with heights moved by up to 5%: the
+    # masses sum to the source mass, each lies in [0, total], and
+    # permuting the pieces permutes the masses
+    @settings(max_examples=15, phases=(Phase.generate,))
+    @given(layouts(gf), st.data())
+    def check(layout, data):
+        grid, pts, _weights, perm, (x0, u0) = layout
+        us = u0 * (1.0 + np.array([data.draw(st.floats(-0.05, 0.05))
+                                   for _ in pts]))
+        zs = [dual_H(gf, x0, y, u).z_root for y, u in zip(pts, us)]
+        sol = PiecewiseGSolution(gf, list(zip(map(tuple, pts), zs)),
+                                 (x0, u0))
+        try:
+            validate_pieces_on_grid(sol, grid)
+        except DomainViolation:
+            assume(False)
+        masses = cell_masses(sol, grid).masses
+        total = grid.total_mass
+        assert masses.sum() == pytest.approx(total, rel=1e-13)
+        # [0, total] up to summation order (total is a pairwise sum)
+        assert np.all((masses >= 0.0) & (masses <= total * (1.0 + 1e-13)))
+        permuted = PiecewiseGSolution(gf, [sol.pieces[k] for k in perm],
+                                      sol.anchor)
+        moved = cell_masses(permuted, grid).masses
+        assert np.max(np.abs(moved - masses[perm])) <= 1e-12 * total
+
+    check()
+
+
+@pytest.mark.parametrize("gf", list(_cases_for("solve")))
+def test_solution_permutes_with_the_targets(gf):
+    # both orders solve to mass_tol_rel 1e-9; z and the masses permute
+    @settings(max_examples=10, phases=(Phase.generate,))
+    @given(layouts(gf))
+    def check(layout):
+        grid, pts, weights, perm, anchor = layout
+        masses = weights * (grid.total_mass / weights.sum())
+        prob = SemiDiscreteProblem(gf, grid, pts, masses, anchor, SOLVE_TOL)
+        assume(validate_problem(prob) == [])
+        one = solve(prob)
+        other = solve(SemiDiscreteProblem(gf, grid, pts[perm], masses[perm],
+                                          anchor, SOLVE_TOL))
+        assert np.max(np.abs(other.z - one.z[perm])
+                      / (1.0 + np.abs(one.z))) <= 1e-7
+        assert np.max(np.abs(other.decomposition.masses
+                             - one.decomposition.masses[perm])) \
+            <= 2e-9 * grid.total_mass
 
     check()

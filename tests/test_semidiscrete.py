@@ -25,8 +25,6 @@ from gjet.genfun import PointSourcePlane, dual_H
 from gjet.semidiscrete import (
     SemiDiscreteProblem,
     SolverTolerances,
-    _mass_of,
-    _sweep_others,
     lipschitz_diagnostic,
     range_diagnostic,
     solution_function,
@@ -217,17 +215,16 @@ def test_equal_mass_8x8_beam_converges(pb2):
     assert abs(state.anchor_value - 0.75) <= 1e-8 * (1 + 0.75)
 
 
-# pinned on the solver that recomputed a full top-2 pass per coordinate:
-# the per-sweep max-of-others must reproduce it bit for bit
+# pinned on the damped Newton over sub-cell masses: one threshold pass,
+# then four Newton steps; the same inputs must repeat it bit for bit
 PINNED_4X4_Z = bytes.fromhex(
-    "450b42b57909e53fc454debe6b12e53f9db0e93b8714e53f1a1cfc7b911de53f"
-    "962511db7212e53f2fcbe09e840be53f2fcbe09e840be53f9db0e93b8714e53f"
-    "9db0e93b8714e53f2fcbe09e840be53f2fcbe09e840be53f9db0e93b8714e53f"
-    "1a1cfc7b911de53f9db0e93b8714e53f9db0e93b8714e53f1a1cfc7b911de53f")
+    "8e47dd9e840be53f0d52ee9e840be53fce85f19e840be53fe502f49e840be53f"
+    "fbd3ec9e840be53f3bcae09e840be53fd289ee9e840be53f3197f29e840be53f"
+    "18d1f19e840be53fc788f29e840be53ff9b4f29e840be53f2088ec9e840be53f"
+    "9fe9ef9e840be53fac43ec9e840be53f03a4e39e840be53ff6e5f29e840be53f")
 PINNED_4X4_HISTORY = (
-    0.17626953125, 0.0625, 0.05859375, 0.05126953125, 0.04150390625,
-    0.032958984375, 0.021240234375, 0.0146484375, 0.007568359375,
-    0.007568359375, 0.0)
+    0.04977239939885382, 0.011262772969786575, 0.0004766896203075299,
+    1.0950357949707223e-06, 7.363540333038543e-10)
 
 
 def test_4x4_beam_solution_is_pinned(pb2):
@@ -235,48 +232,6 @@ def test_4x4_beam_solution_is_pinned(pb2):
     state = solve(unit_problem(pb2, pts, res=64))
     assert state.z.tobytes() == PINNED_4X4_Z
     assert state.residual_history == PINNED_4X4_HISTORY
-
-
-def _top2(values):
-    """Oracle: columnwise largest value/index and second-largest value."""
-    n_pieces, m = values.shape
-    arg1 = np.argmax(values, axis=0)
-    cols = np.arange(m)
-    top1 = values[arg1, cols]
-    if n_pieces == 1:
-        return arg1, top1, np.full(m, -np.inf), np.zeros(m, dtype=int)
-    tmp = values.copy()
-    tmp[arg1, cols] = -np.inf
-    arg2 = np.argmax(tmp, axis=0)
-    top2 = tmp[arg2, cols]
-    return arg1, top1, top2, arg2
-
-
-def _oracle_mass(vals_i, i, values, cell_mass):
-    arg1, top1, top2, arg2 = _top2(values)
-    m_other = np.where(arg1 == i, top2, top1)
-    arg_other = np.where(arg1 == i, arg2, arg1)
-    wins = vals_i > m_other
-    ties = (vals_i == m_other) & (i < arg_other)
-    return float(cell_mass[wins | ties].sum())
-
-
-@pytest.mark.parametrize("n_pieces", [1, 2, 3, 16])
-def test_sweep_others_matches_top2_oracle(n_pieces):
-    # small integer values force ties everywhere; rows are replaced in
-    # sweep order, as solve does, and the captured mass of each trial row
-    # must agree with the full top-2 pass under both tie outcomes
-    rng = np.random.default_rng(n_pieces)
-    m = 500
-    cell_mass = rng.uniform(0.5, 1.5, m)
-    values = rng.integers(0, 4, (n_pieces, m)).astype(float)
-    for _sweep in range(3):
-        for i, m_other, wins_ties in _sweep_others(values):
-            for _trial in range(4):
-                vals_i = rng.integers(0, 4, m).astype(float)
-                assert _mass_of(vals_i, m_other, wins_ties, cell_mass) == \
-                    _oracle_mass(vals_i, i, values, cell_mass)
-            values[i] = vals_i
 
 
 def test_no_convergence_carries_best_state(pb2):
@@ -344,6 +299,27 @@ def test_point_source_cells_and_values_repeat_the_solver(n, res):
     for k, x in enumerate(grid.centers):
         assert eval_piecewise(sol, x) == (vals[:, k].max(),
                                           int(np.argmax(vals[:, k]))), k
+
+
+@pytest.mark.parametrize("res", [16, 17])
+def test_tetrahedral_3d_layout_solves(res):
+    # the symmetric 3-D layout and anchor of the solver_stress benchmark:
+    # cells on the bisector planes split between their pieces, so the
+    # symmetric parameters solve it (the lowest-index tie rule of
+    # center-only cells left a residual of 0.024 at 16^3)
+    from gjet.genfun import QuadraticOT
+
+    grid = SourceGrid([0.0] * 3, [1.0] * 3, [res] * 3)
+    sites = [[0.25, 0.25, 0.25], [0.75, 0.75, 0.25], [0.75, 0.25, 0.75],
+             [0.25, 0.75, 0.75]]
+    prob = SemiDiscreteProblem(QuadraticOT(3), grid, sites,
+                               np.full(4, grid.total_mass / 4),
+                               ([0.5, 0.5, 0.5], 0.2),
+                               SolverTolerances(mass_tol_rel=1e-3))
+    state = solve(prob)
+    assert state.residual <= 1e-3
+    assert abs(state.anchor_value - 0.2) <= 1e-8 * 1.2
+    assert np.ptp(state.z) <= 1e-12
 
 
 def test_validate_rejects_inadmissible_source_box():
