@@ -28,6 +28,7 @@ returns a silently unconverged state.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -425,47 +426,55 @@ def lipschitz_diagnostic(state: SolutionState, prob: SemiDiscreteProblem) -> flo
     return float(np.sqrt(sq.max()))
 
 
+HULL_BLOCK = 2 ** 16  # side tests per block of the facet search
+INTERP_T = 0.5        # range_diagnostic: support interpolation parameter
+MAX_INTERFACES = 200  # range_diagnostic: interfaces sampled, about
+HULL_PAD_REL = 0.01   # range_diagnostic: hull padding / hull diameter
+
+
 def _hull_test(points: np.ndarray, tol: float = 1e-9):
     """Membership test in the convex hull of points, padded by tol.
 
-    The hull is built once; the returned function maps (k, n) queries to
-    a (k,) bool array.
+    Built once into a (k, n) -> (k,) bool function.  Facets (n = 2, 3):
+    the planes through n points with every point on one side up to
+    rounding, oriented outward.  n = 1 and flat hulls: the bounding box.
     """
-    from scipy.spatial import ConvexHull, QhullError
-
     points = np.asarray(points, dtype=float)
+    m, n = points.shape
     lo, hi = points.min(axis=0), points.max(axis=0)
-
-    def in_box(queries):
-        return np.all((queries >= lo - tol) & (queries <= hi + tol), axis=1)
-
-    if points.shape[1] == 1:
-        return in_box
-    try:
-        eq = ConvexHull(points).equations
-    except QhullError:
-        # degenerate hull: fall back to bounding box membership
-        return in_box
-    return lambda queries: np.all(queries @ eq[:, :-1].T + eq[:, -1] <= tol,
-                                  axis=1)
+    if n == 1 or np.linalg.matrix_rank(points[1:] - points[0]) < n:
+        return lambda q: np.all((q >= lo - tol) & (q <= hi + tol), axis=1)
+    scale = 1.0 + float(np.abs(points).max())
+    slack = 1e-12 * scale  # rounding of the side test
+    subsets, eqs = itertools.combinations(range(m), n), []
+    while (idx := np.fromiter(itertools.chain.from_iterable(itertools.islice(
+            subsets, max(1, HULL_BLOCK // m))), dtype=np.intp)).size:
+        d = points[idx.reshape(-1, n)[:, 1:]] - points[idx[::n], None]
+        nrm = np.cross(d[:, 0], d[:, 1]) if n == 3 else d[:, 0, ::-1] * [1, -1]
+        keep = (size := np.linalg.norm(nrm, axis=1)) > slack * scale ** (n - 2)
+        nrm = nrm[keep] / size[keep, None]
+        off = np.einsum("ij,ij->i", nrm, points[idx[::n][keep]])
+        side = points @ nrm.T - off
+        for sign, on in ((1.0, np.all(side <= slack, axis=0)),
+                         (-1.0, np.all(side >= -slack, axis=0))):
+            eqs.append(sign * np.column_stack([nrm[on], -off[on]]))
+    eq = np.concatenate(eqs)
+    return lambda q: np.all(q @ eq[:, :-1].T + eq[:, -1] <= tol, axis=1)
 
 
 def range_diagnostic(state: SolutionState, prob: SemiDiscreteProblem,
-                     omega_star_hull=None, *,
-                     interp_t: float = 0.5,
-                     max_interfaces: int = 200,
-                     hull_pad_rel: float = 0.01) -> ConditionReport:
+                     omega_star_hull=None) -> ConditionReport:
     """Targets reached by the solution stay in the target hull.
 
     Piece targets are the declared points, so they lie in the hull
     trivially; the substantive part maps interpolated supports at cell
     interfaces through the forward map and checks that the interpolated
-    targets remain inside.  Membership is padded by hull_pad_rel times
+    targets remain inside.  Membership is padded by HULL_PAD_REL times
     the hull diameter: interpolated supports trace curved slope-segment
     images whose chords bow outside the Euclidean hull at second order
     in the slope gap.
 
-    At most about max_interfaces adjacent-cell pairs with different
+    At most about MAX_INTERFACES adjacent-cell pairs with different
     owners are sampled (every stride-th in axis order).  Each sampled
     interface point (interface_point_rows) whose two active pieces give
     an admissible interpolated target y0 (interpolated_support_rows) is
@@ -477,7 +486,7 @@ def range_diagnostic(state: SolutionState, prob: SemiDiscreteProblem,
         else np.asarray(omega_star_hull, dtype=float)
     diam = float(np.max(np.linalg.norm(
         hull_pts[:, None, :] - hull_pts[None, :, :], axis=-1)))
-    pad = hull_pad_rel * max(diam, 1e-12)
+    pad = HULL_PAD_REL * max(diam, 1e-12)
     sol = solution_function(prob, state.z)
     in_hull = _hull_test(hull_pts, tol=pad)
     inside = in_hull(prob.targets)
@@ -489,11 +498,11 @@ def range_diagnostic(state: SolutionState, prob: SemiDiscreteProblem,
 
     lab = state.decomposition.assignment
     pairs = neighbor_pairs(grid, lab)
-    a, b = pairs[:, ::max(1, pairs.shape[1] // max_interfaces)]
+    a, b = pairs[:, ::max(1, pairs.shape[1] // MAX_INTERFACES)]
     x_star, exchange = interface_point_rows(
         sol, lab[a], lab[b], grid.centers[a], grid.centers[b])
     x_star = x_star[exchange]
-    y0, _u0, _n_active, ok = interpolated_support_rows(sol, x_star, interp_t)
+    y0, _u0, _n_active, ok = interpolated_support_rows(sol, x_star, INTERP_T)
     x_star, y0 = x_star[ok], y0[ok]
     checked = len(y0)
     outside = np.flatnonzero(~in_hull(y0))
@@ -508,4 +517,4 @@ def range_diagnostic(state: SolutionState, prob: SemiDiscreteProblem,
         extremal_value=float(checked),
         witness=witness if status == "fail" else None,
         samples_used=samples,
-        details={"interfaces_checked": checked, "interp_t": interp_t})
+        details={"interfaces_checked": checked, "interp_t": INTERP_T})

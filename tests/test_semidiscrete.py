@@ -5,6 +5,11 @@ full cell-mass rasterizations through the public gconvex API, iterated
 to a fixed point, with no incremental caching and no clamping shortcuts.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -25,6 +30,7 @@ from gjet.genfun import PointSourcePlane, dual_H
 from gjet.semidiscrete import (
     SemiDiscreteProblem,
     SolverTolerances,
+    _hull_test,
     lipschitz_diagnostic,
     range_diagnostic,
     solution_function,
@@ -398,3 +404,93 @@ def test_range_diagnostic_pinned_on_point_source_layout():
     assert rep.status == "pass"
     assert rep.details["interfaces_checked"] == 146
     assert rep.samples_used == 149
+
+
+def _hull_point_sets():
+    """(id, n, points) cases: random, lattice and near-lattice
+    full-dimensional sets, sets that are flat in exact arithmetic, too few
+    points, and n = 1."""
+    rng = np.random.default_rng(11)
+    for n in (2, 3):
+        for m in (n + 1, n + 2, 7, 16, 33, 64):
+            yield f"random{n}d-{m}", n, rng.uniform(-1.0, 1.0, (m, n))
+            yield f"thin{n}d-{m}", n, \
+                5.0 + rng.normal(size=(m, n)) * [1.0, 1e-3, 1.0][:n]
+        side = 4 if n == 2 else 3
+        lattice = np.stack(np.meshgrid(*[np.arange(side) / side] * n,
+                                       indexing="ij"), -1).reshape(-1, n)
+        yield f"lattice{n}d", n, lattice
+        yield f"near-lattice{n}d", n, \
+            lattice + rng.uniform(-1e-9, 1e-9, lattice.shape)
+        yield f"half-lattice{n}d", n, \
+            lattice[rng.permutation(len(lattice))[:len(lattice) // 2]]
+        k = rng.integers(-6, 7, (12, 1)).astype(float)
+        yield f"collinear{n}d", n, \
+            k * [1.0, 2.0, -0.5][:n] + [3.0, -1.0, 2.0][:n]
+        if n == 3:   # the exact plane z = x + 2y
+            ij = rng.integers(-6, 7, (12, 2)).astype(float)
+            yield "coplanar3d", n, np.column_stack([ij, ij @ [1.0, 2.0]])
+        yield f"simplex-face{n}d", n, rng.uniform(-1.0, 1.0, (n, n))
+        yield f"one-point{n}d", n, rng.uniform(-1.0, 1.0, (1, n))
+    yield "interval1d", 1, rng.uniform(-1.0, 1.0, (9, 1))
+    yield "one-point1d", 1, np.array([[0.3]])
+
+
+_HULL_CASES = list(_hull_point_sets())
+
+
+@pytest.mark.parametrize("n, points", [c[1:] for c in _HULL_CASES],
+                         ids=[c[0] for c in _HULL_CASES])
+def test_hull_test_matches_qhull(n, points):
+    # oracle: Qhull's facet equations, or the bounding box where Qhull
+    # finds the hull flat (QhullError) and for n = 1
+    from scipy.spatial import ConvexHull, QhullError
+
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    tol = 0.02 * max(float(np.max(hi - lo)), 1.0)
+    rng = np.random.default_rng(len(points))
+    span = np.maximum(hi - lo, 0.5)
+    queries = rng.uniform(lo - 0.3 * span, hi + 0.3 * span, (4000, n))
+    queries = np.vstack([queries, points])
+    try:
+        eq = ConvexHull(points).equations if n > 1 else None
+    except QhullError:
+        eq = None
+    if eq is None:
+        excess = np.max(np.maximum(lo - queries, queries - hi), axis=1)
+    else:
+        excess = np.max(queries @ eq[:, :-1].T + eq[:, -1], axis=1)
+    clear = np.abs(excess - tol) > 1e-9
+    got = _hull_test(points, tol=tol)(queries)
+    assert got.shape == (len(queries),) and got.dtype == bool
+    assert np.array_equal(got[clear], excess[clear] <= tol)
+    assert got[-len(points):].all()
+    assert clear.sum() > 0.9 * len(queries)
+
+
+def test_range_diagnostic_imports_no_scipy():
+    # the diagnose path must not pull scipy in through a lazy import: the
+    # first import of scipy.spatial costs about half a second and 30 MB
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from gjet.gconvex import SourceGrid
+        from gjet.genfun import ParallelBeam
+        from gjet.semidiscrete import (
+            SemiDiscreteProblem, range_diagnostic, solve)
+        grid = SourceGrid([0.0, 0.0], [1.0, 1.0], [24, 24])
+        prob = SemiDiscreteProblem(
+            ParallelBeam(2), grid, [[0.25, 0.3], [0.7, 0.35], [0.5, 0.8]],
+            np.full(3, grid.total_mass / 3), (np.array([0.5, 0.5]), 0.75))
+        rep = range_diagnostic(solve(prob), prob)
+        assert rep.details["interfaces_checked"] > 0, rep
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    import gjet
+
+    src = os.path.dirname(os.path.dirname(gjet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
