@@ -22,6 +22,7 @@ byte-stable for identical config and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -44,12 +45,13 @@ EXIT_INPUT_ERROR = 4
 # config schema
 # --------------------------------------------------------------------------
 
-_GENERATORS = ("quadratic_ot", "parallel_beam", "point_source")
+_GENERATORS = {"quadratic_ot": genfun.QuadraticOT,
+               "parallel_beam": genfun.ParallelBeam,
+               "point_source": genfun.PointSourcePlane}
 
-_DEFAULT_CHECK = {"samples": 200, "seed": 1234, "fd_step": 1e-3,
-                  "g3_strict": False}
-_DEFAULT_SOLVER = {"mass_tol_rel": 1e-3, "anchor_tol": None,
-                   "max_sweeps": 500}
+_DEFAULT_CHECK = {"samples": 200, "seed": 1234,
+                  "fd_step": conditions.TENSOR_STEP, "g3_strict": False}
+_DEFAULT_SOLVER = dataclasses.asdict(semidiscrete.SolverTolerances())
 
 
 def _require_keys(obj: dict, where: str, required, optional=()):
@@ -61,6 +63,11 @@ def _require_keys(obj: dict, where: str, required, optional=()):
     missing = set(required) - set(obj)
     if missing:
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+
+
+def _is_int(obj) -> bool:
+    # JSON true and false are Python ints, but no config integer
+    return isinstance(obj, int) and not isinstance(obj, bool)
 
 
 def _num(obj, where, positive=False):
@@ -90,13 +97,14 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
         raise ConfigError(
             f"config.schema_version: expected {SCHEMA_VERSION!r}")
     dim = raw["dimension"]
-    if not isinstance(dim, int) or dim not in (1, 2, 3):
+    if not _is_int(dim) or dim not in (1, 2, 3):
         raise ConfigError("config.dimension: expected 1, 2 or 3")
 
     gen = raw["generator"]
     _require_keys(gen, "config.generator", ("kind",), ("params",))
-    if gen["kind"] not in _GENERATORS:
-        raise ConfigError(f"config.generator.kind: expected one of {_GENERATORS}")
+    kinds = tuple(_GENERATORS)  # a tuple: an unhashable kind is no error
+    if gen["kind"] not in kinds:
+        raise ConfigError(f"config.generator.kind: expected one of {kinds}")
     params = gen.get("params", {})
     if gen["kind"] == "point_source":
         _require_keys(params, "config.generator.params", (), ("tau",))
@@ -116,10 +124,10 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
     if any(a >= b for a, b in zip(lo, hi)):
         raise ConfigError("config.source.box: lo must be below hi")
     res = src["resolution"]
-    if isinstance(res, int):
+    if _is_int(res):
         res = [res] * dim
     if (not isinstance(res, list) or len(res) != dim
-            or any(not isinstance(r, int) or r < 2 for r in res)):
+            or any(not _is_int(r) or r < 2 for r in res)):
         raise ConfigError("config.source.resolution: expected int >= 2 per axis")
     density = src.get("density", "uniform")
     if density != "uniform":
@@ -163,7 +171,7 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
                       tuple(_DEFAULT_SOLVER))
         for k, v in raw["solver"].items():
             if k == "max_sweeps":
-                if not isinstance(v, int) or v <= 0:
+                if not _is_int(v) or v <= 0:
                     raise ConfigError(f"config.solver.{k}: expected a positive int")
                 solver[k] = v
             elif k == "anchor_tol" and v is None:
@@ -178,7 +186,7 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
                       tuple(_DEFAULT_CHECK) + ("y_box",))
         for k, v in raw["check"].items():
             if k in ("samples", "seed"):
-                if not isinstance(v, int) or (k == "samples" and v <= 0):
+                if not _is_int(v) or (k == "samples" and v <= 0):
                     raise ConfigError(f"config.check.{k}: expected an int")
                 check[k] = v
             elif k == "g3_strict":
@@ -196,13 +204,8 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
 
 
 def build_generator(cfg: dict) -> genfun.GeneratingFunction:
-    kind = cfg["generator"]["kind"]
-    dim = cfg["dimension"]
-    if kind == "quadratic_ot":
-        return genfun.QuadraticOT(dim)
-    if kind == "parallel_beam":
-        return genfun.ParallelBeam(dim)
-    return genfun.PointSourcePlane(dim, tau=cfg["generator"]["params"]["tau"])
+    gen = cfg["generator"]
+    return _GENERATORS[gen["kind"]](cfg["dimension"], **gen["params"])
 
 
 def build_grid(cfg: dict, base_dir: str = ".") -> gconvex.SourceGrid:
@@ -223,14 +226,10 @@ def build_problem(cfg: dict, base_dir: str = ".") -> semidiscrete.SemiDiscretePr
         raise ConfigError("solve requires config.targets and config.normalization")
     gf = build_generator(cfg)
     grid = build_grid(cfg, base_dir)
-    s = cfg["solver"]
-    tols = semidiscrete.SolverTolerances(
-        mass_tol_rel=s["mass_tol_rel"], anchor_tol=s["anchor_tol"],
-        max_sweeps=s["max_sweeps"])
     return semidiscrete.SemiDiscreteProblem(
         gf, grid, cfg["targets"]["points"], cfg["targets"]["masses"],
         (cfg["normalization"]["x0"], cfg["normalization"]["u0"]),
-        tolerances=tols)
+        tolerances=semidiscrete.SolverTolerances(**cfg["solver"]))
 
 
 # --------------------------------------------------------------------------
@@ -255,6 +254,27 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"could not read JSON file {path}: {exc}")
 
 
+def _load_config(path: str, doc: dict = None) -> tuple:
+    """(config, base directory): the resolved config read from the JSON
+    file at path, or found under "config" in doc, the document read from
+    it; relative paths in the config start at the file's directory."""
+    base = os.path.dirname(path) or "."
+    raw = _load_json(path) if doc is None else doc["config"]
+    return resolve_config(raw, base), base
+
+
+def _write_csv(path: str, grid: gconvex.SourceGrid, names: list,
+               columns: list) -> None:
+    """A header, then one line per grid node: x1..xn and the named columns,
+    every value as '%.17g' (an integral value prints without a point)."""
+    header = [f"x{k + 1}" for k in range(grid.n)] + names
+    table = np.column_stack([grid.centers, *columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+
+
 def _write_grid_csv(path, sol, grid, u, dec, with_mass=False):
     """Rows x1..xn, u, du1..dun, cell[, mass] for every grid node of the
     solution sol with values u and cells dec."""
@@ -265,21 +285,12 @@ def _write_grid_csv(path, sol, grid, u, dec, with_mass=False):
         if mask.any():
             du[mask] = sol.gf.grad_x_batch(grid.centers[mask],
                                            piece.y_vec(), piece.z)
-    n = grid.n
-    header = [f"x{k + 1}" for k in range(n)] + ["u"] \
-        + [f"du{k + 1}" for k in range(n)] + ["cell"]
+    names = ["u"] + [f"du{k + 1}" for k in range(grid.n)] + ["cell"]
+    columns = [u, du, assignment]
     if with_mass:
-        header.append("mass")
-    # the cell (and mass) columns of each piece, formatted once
-    tails = [f"{i},{_fmt(m)}" if with_mass else str(i)
-             for i, m in enumerate(dec.masses)]
-    lines = [",".join(header)]
-    for k in range(grid.size):
-        row = [_fmt(c) for c in grid.centers[k]] + [_fmt(u[k])] \
-            + [_fmt(d) for d in du[k]] + [tails[assignment[k]]]
-        lines.append(",".join(row))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        names.append("mass")
+        columns.append(dec.masses[assignment])
+    _write_csv(path, grid, names, columns)
 
 
 # --------------------------------------------------------------------------
@@ -305,9 +316,14 @@ def _sample_spec_from(cfg: dict) -> conditions.SampleSpec:
         y_lo=tuple(y_lo), y_hi=tuple(y_hi))
 
 
+def _corners(lo, hi) -> np.ndarray:
+    """The 2^n corners of the box [lo, hi], one per row."""
+    mesh = np.meshgrid(*zip(lo, hi), indexing="ij")
+    return np.array(mesh).reshape(len(lo), -1).T
+
+
 def cmd_check(args) -> int:
-    cfg = resolve_config(_load_json(args.config),
-                         os.path.dirname(args.config) or ".")
+    cfg, _base = _load_config(args.config)
     gf = build_generator(cfg)
     spec = _sample_spec_from(cfg)
     step = cfg["check"]["fd_step"]
@@ -322,18 +338,13 @@ def cmd_check(args) -> int:
     }
     box = (cfg["source"]["box"]["lo"], cfg["source"]["box"]["hi"])
     star = np.asarray(cfg["targets"]["points"], dtype=float) \
-        if "targets" in cfg else np.array(
-            np.meshgrid(*[(spec.y_lo[k], spec.y_hi[k])
-                          for k in range(gf.dimension)],
-                        indexing="ij")).reshape(gf.dimension, -1).T
+        if "targets" in cfg else _corners(spec.y_lo, spec.y_hi)
     if gf.g5_constants is not None:
         reports["G5"] = conditions.check_G5(gf, box, star, spec)
     elif gf.name == "quadratic_ot":
         # derived diameter bound for the quadratic instance
-        corners = np.array(np.meshgrid(
-            *[(box[0][k], box[1][k]) for k in range(gf.dimension)],
-            indexing="ij")).reshape(gf.dimension, -1).T
-        k0 = max(float(np.linalg.norm(c - y)) for c in corners for y in star)
+        k0 = max(float(np.linalg.norm(c - y))
+                 for c in _corners(*box) for y in star)
         reports["G5"] = conditions.check_G5(gf, box, star, spec,
                                             m0=-math.inf, k0=k0 * (1 + 1e-12))
     overall = "pass" if all(r.status != "fail" for r in reports.values()) \
@@ -352,9 +363,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    cfg = resolve_config(_load_json(args.config),
-                         os.path.dirname(args.config) or ".")
-    prob = build_problem(cfg, os.path.dirname(args.config) or ".")
+    cfg, base = _load_config(args.config)
+    prob = build_problem(cfg, base)
     try:
         state = semidiscrete.solve(prob)
     except NoConvergence as exc:
@@ -402,8 +412,8 @@ def _state_from_file(path):
             raise ConfigError(f"solution file {path}: missing field {key!r}")
     if doc["kind"] != "solution":
         raise ConfigError(f"solution file {path}: wrong kind {doc['kind']!r}")
-    cfg = resolve_config(doc["config"], os.path.dirname(path) or ".")
-    prob = build_problem(cfg, os.path.dirname(path) or ".")
+    cfg, base = _load_config(path, doc)
+    prob = build_problem(cfg, base)
     z = np.asarray(doc["z"], dtype=float)
     if z.ndim != 1 or len(z) != len(prob.targets) or len(z) == 0:
         raise ConfigError(f"solution file {path}: z length does not match targets")
@@ -429,10 +439,9 @@ def cmd_transform(args) -> int:
 
 
 def cmd_residual(args) -> int:
-    cfg = resolve_config(_load_json(args.config),
-                         os.path.dirname(args.config) or ".")
+    cfg, base = _load_config(args.config)
     gf = build_generator(cfg)
-    grid = build_grid(cfg, os.path.dirname(args.config) or ".")
+    grid = build_grid(cfg, base)
     exclude = None
     if args.manufactured:
         ufun, psi = madiag.manufactured_case(args.manufactured, gf, grid)
@@ -452,20 +461,13 @@ def cmd_residual(args) -> int:
     res = madiag.ma_residual(gf, ufun, psi, exclude=exclude)
     ellip, admissible = madiag.ellipticity_check(gf, ufun, exclude=exclude)
     verdict = "elliptic" if admissible else "not-elliptic"
-    if admissible and np.nanmin(ellip.values[ellip.mask]) < 1e-8:
+    if admissible and np.nanmin(ellip.values[ellip.mask]) < madiag.ELLIP_TOL:
         verdict = "degenerate-elliptic"
     print(f"residual: max_abs={_fmt(res.max_abs())} ellipticity={verdict} "
           f"masked={res.masked_count}")
     if args.out:
-        lines = [",".join([f"x{k + 1}" for k in range(grid.n)]
-                          + ["residual", "min_eig"])]
-        rv = res.values.ravel()
-        ev = ellip.values.ravel()
-        for k in range(grid.size):
-            lines.append(",".join([_fmt(c) for c in grid.centers[k]]
-                                  + [_fmt(rv[k]), _fmt(ev[k])]))
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(args.out, grid, ["residual", "min_eig"],
+                   [res.values.ravel(), ellip.values.ravel()])
     return EXIT_OK
 
 
@@ -532,16 +534,10 @@ def main(argv=None) -> int:
         return EXIT_OK if exc.code in (0, None) else EXIT_INPUT_ERROR
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (OSError, ValueError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except NoConvergence as exc:
         print(f"solver: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except GjetError as exc:
+    except (GjetError, OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

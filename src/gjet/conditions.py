@@ -66,6 +66,9 @@ BOUNDARY_FRAC = 0.05    # interval fraction treated as "near the endpoint"
 TENSOR_STEP = 1e-3      # second-difference stencil step in p or q
 ORTHO_TOL = 1e-12       # |xi.eta| allowed after normalizing both
 G5_TOL = 1e-9           # relative slack on the gradient bound k0
+BOUNDARY_SAMPLES = 256  # ball boundary points of the boundary-form test
+HULL_CELLS_TOL = 2.0    # hull-ratio verdicts pass within this many raster
+                        # cells of the hull volume
 
 
 @dataclass(frozen=True)
@@ -476,8 +479,7 @@ def check_G3_family(gf: GeneratingFunction, spec: SampleSpec, strict: bool, *,
     )
 
 
-def dp_A_chainrule(gf: GeneratingFunction, x, y, z, *,
-                   step: float = None) -> np.ndarray:
+def dp_A_chainrule(gf: GeneratingFunction, x, y, z) -> np.ndarray:
     """Slope derivative D_{p_k} A_ij assembled through the chain rule.
 
     Out[i, j, k] combines the inverse of E with x-derivatives of E and
@@ -497,7 +499,7 @@ def dp_A_chainrule(gf: GeneratingFunction, x, y, z, *,
     b = genfun.eval_bundle(gf, x, y, z)
     e = genfun._e_matrix(b)
     einv = np.linalg.inv(e)
-    h = fd_step(float(np.max(np.abs(x)))) if step is None else step
+    h = fd_step(float(np.max(np.abs(x))))
     steps = h * np.eye(n)
     e_pm = genfun._e_matrix(gf.bundle_batch(
         np.concatenate([x + steps, x - steps]), np.tile(y, (2 * n, 1)), z))
@@ -654,15 +656,15 @@ class Annulus:
         return pts[(r >= self.r_inner) & (r <= self.r_outer)]
 
 
-def hull_ratio(points: np.ndarray, raster_res: int = None):
+def hull_ratio(points: np.ndarray):
     """Occupied-to-hull volume ratio of a rasterized point cloud.
 
-    Points are binned onto a regular raster over their bounding box; the
-    occupied-pixel volume is compared with the convex hull volume of the
-    occupied pixel centers.  A convex image yields ratio >= 1 up to
-    boundary pixels; holes and dents push the ratio below 1.  Returns
-    (ratio, details) where details carries the pixel volume used for the
-    tolerance rule.
+    The m points are binned onto a regular raster over their bounding box,
+    round(m^(1/n) / 2) pixels per axis clipped to 8..64; the occupied-pixel
+    volume is compared with the convex hull volume of the occupied pixel
+    centers.  A convex image yields ratio >= 1 up to boundary pixels;
+    holes and dents push the ratio below 1.  Returns (ratio, details)
+    where details carries the pixel volume used for the tolerance rule.
     """
     from scipy.spatial import ConvexHull, QhullError
 
@@ -672,8 +674,7 @@ def hull_ratio(points: np.ndarray, raster_res: int = None):
     m, n = pts.shape
     if m < n + 2:
         return 1.0, {"degenerate": True, "pixel_vol": 0.0, "hull_vol": 0.0}
-    if raster_res is None:
-        raster_res = int(np.clip(round(m ** (1.0 / n) / 2.0), 8, 64))
+    raster_res = int(np.clip(round(m ** (1.0 / n) / 2.0), 8, 64))
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = np.maximum(hi - lo, 1e-300)
@@ -712,18 +713,16 @@ def _tangent_basis(gamma: np.ndarray):
     return basis[: n - 1]
 
 
-def domain_convexity(gf: GeneratingFunction, kind: str, geometry, anchor, *,
-                     boundary_samples: int = 256, weak_tol: float = WEAK_TOL,
-                     raster_res: int = None,
-                     hull_cells_tol: float = 2.0) -> ConditionReport:
+def domain_convexity(gf: GeneratingFunction, kind: str, geometry,
+                     anchor) -> ConditionReport:
     """Domain convexity tests with respect to the generating function.
 
     kind = "source_boundary": evaluate the boundary form
 
         [ D_i gamma_j - (D_{p_k} G_xx)_{ij} gamma_k ] tau_i tau_j >= 0
 
-    on an analytic ball boundary with anchor (y0, z0); the slope
-    derivative of G_xx comes from dp_A_chainrule.
+    at BOUNDARY_SAMPLES points of an analytic ball boundary with anchor
+    (y0, z0); the slope derivative of G_xx comes from dp_A_chainrule.
 
     kind = "source_image": the image of the region under Q(., y0, z0)
     must be convex (hull-ratio test); anchor is (y0, z0).
@@ -738,7 +737,7 @@ def domain_convexity(gf: GeneratingFunction, kind: str, geometry, anchor, *,
                 "boundary form requires an analytic ball boundary")
         y0 = np.asarray(anchor[0], dtype=float)
         z0 = float(anchor[1])
-        pts = geometry.boundary_samples(boundary_samples)
+        pts = geometry.boundary_samples(BOUNDARY_SAMPLES)
         c = np.asarray(geometry.center, dtype=float)
         min_form = math.inf
         witness = None
@@ -757,18 +756,18 @@ def domain_convexity(gf: GeneratingFunction, kind: str, geometry, anchor, *,
                 val = float(tau @ mat @ tau)
                 if val < min_form:
                     min_form = val
-                    if val < -weak_tol:
+                    if val < -WEAK_TOL:
                         witness = {"x": x, "tau": tau, "form": val}
         if used < 3:
             status = "inconclusive"
         else:
-            status = "pass" if min_form >= -weak_tol else "fail"
+            status = "pass" if min_form >= -WEAK_TOL else "fail"
         return ConditionReport(
             name="domain_convexity/source_boundary", status=status,
             extremal_value=min_form,
             witness=witness if status == "fail" else None,
             samples_used=used,
-            details={"weak_tol": weak_tol})
+            details={"weak_tol": WEAK_TOL})
 
     if kind == "source_image":
         y0 = np.asarray(anchor[0], dtype=float)
@@ -785,16 +784,14 @@ def domain_convexity(gf: GeneratingFunction, kind: str, geometry, anchor, *,
     else:
         raise UnsupportedGeometry(f"unknown domain-convexity kind: {kind}")
 
-    return hull_report(f"domain_convexity/{kind}", image, raster_res,
-                       hull_cells_tol)
+    return hull_report(f"domain_convexity/{kind}", image)
 
 
-def hull_report(name: str, image: np.ndarray, raster_res: int,
-                hull_cells_tol: float, **details) -> ConditionReport:
+def hull_report(name: str, image: np.ndarray, **details) -> ConditionReport:
     """Hull-ratio convexity verdict on a point image: it passes within
-    hull_cells_tol raster cells of the hull volume."""
-    ratio, info = hull_ratio(image, raster_res)
-    tol = hull_cells_tol * info["pixel_vol"] / info["hull_vol"] \
+    HULL_CELLS_TOL raster cells of the hull volume."""
+    ratio, info = hull_ratio(image)
+    tol = HULL_CELLS_TOL * info["pixel_vol"] / info["hull_vol"] \
         if info.get("hull_vol", 0) > 0 else 0.0
     status = "pass" if ratio >= 1.0 - tol else "fail"
     return ConditionReport(

@@ -69,11 +69,13 @@ __all__ = [
     "neighbor_pairs",
 ]
 
-ACTIVE_TOL = 1e-9  # relative active-set tolerance, scaled by 1 + |u|
-FLAT = 1e-8        # cell-scaled normal components below FLAT times the
-                   # largest one count as zero in a box fraction
-GATE = 4.0         # j's fraction against i counts in full once j holds
-                   # 1 / GATE of the cell against every third piece
+ACTIVE_TOL = 1e-9   # relative active-set tolerance, scaled by 1 + |u|
+FLAT = 1e-8         # cell-scaled normal components below FLAT times the
+                    # largest one count as zero in a box fraction
+GATE = 4.0          # j's fraction against i counts in full once j holds
+                    # 1 / GATE of the cell against every third piece
+BISECT_TOL = 1e-13  # interface bisection: shortest bracket, as a fraction
+                    # of the segment
 
 
 @dataclass(frozen=True)
@@ -346,7 +348,7 @@ def cell_split(gf: GeneratingFunction, ys, zs, grid: "SourceGrid",
     b = gf.bundle_batch(grid.centers[cells[c_of]], ys[p_of], zs[p_of])
     grad, dz = b.grad_x * grid.h, b.dz
     del b
-    for width in np.unique(count):
+    for width in np.flatnonzero(np.bincount(count)):
         sel = np.flatnonzero(count == width)
         k = (first[sel][:, None] + np.arange(width)).ravel()
         piece = p_of[k].reshape(-1, width)
@@ -418,15 +420,15 @@ def _pair_gap(sol: PiecewiseGSolution, pair: np.ndarray, xs) -> np.ndarray:
     return vals[pair[0], rows] - vals[pair[1], rows]
 
 
-def interface_point_rows(sol: PiecewiseGSolution, i, j, x_a, x_b,
-                         tol: float = 1e-13):
+def interface_point_rows(sol: PiecewiseGSolution, i, j, x_a, x_b):
     """Points on the segments [x_a[k], x_b[k]] where pieces i[k], j[k] tie.
 
     Every row follows the bisection of interface_point: an endpoint
     where G_i - G_j vanishes is returned as is, else the sign must flip
     between the endpoints, and the bisection stops where the gap
-    vanishes or the bracket is shorter than tol.  Returns (xs, exchange):
-    exchange is False (and xs NaN) where the sign does not flip.
+    vanishes or the bracket is shorter than BISECT_TOL.  Returns
+    (xs, exchange): exchange is False (and xs NaN) where the sign does not
+    flip.
     """
     pair = np.stack([np.asarray(i, dtype=int).reshape(-1),
                      np.asarray(j, dtype=int).reshape(-1)])
@@ -445,7 +447,7 @@ def interface_point_rows(sol: PiecewiseGSolution, i, j, x_a, x_b,
             break
         m = 0.5 * (a + b)
         fm = _pair_gap(sol, pair[:, run], x_a[run] + m[:, None] * d[run])
-        stop = (fm == 0.0) | (b - a < tol)
+        stop = (fm == 0.0) | (b - a < BISECT_TOL)
         s[run[stop]] = m[stop]
         go = ~stop
         run, a, b, m, fm = run[go], a[go], b[go], m[go], fm[go]
@@ -462,14 +464,13 @@ def interface_point_rows(sol: PiecewiseGSolution, i, j, x_a, x_b,
     return xs, exchange
 
 
-def interface_point(sol: PiecewiseGSolution, i: int, j: int, x_a, x_b,
-                    tol: float = 1e-13):
+def interface_point(sol: PiecewiseGSolution, i: int, j: int, x_a, x_b):
     """Point on the segment [x_a, x_b] where pieces i and j tie.
 
     Requires the sign of G_i - G_j to flip between the endpoints;
     bisection, deterministic.  One row of interface_point_rows.
     """
-    xs, exchange = interface_point_rows(sol, [i], [j], x_a, x_b, tol)
+    xs, exchange = interface_point_rows(sol, [i], [j], x_a, x_b)
     if not exchange[0]:
         raise ValueError("pieces do not exchange along the segment")
     return xs[0]
@@ -553,9 +554,7 @@ def section_set(sol: PiecewiseGSolution, grid: SourceGrid, piece_index: int,
 
 
 def section_convexity(sol: PiecewiseGSolution, grid: SourceGrid,
-                      piece_index: int, sigma: float, *,
-                      raster_res: int = None,
-                      hull_cells_tol: float = 2.0) -> ConditionReport:
+                      piece_index: int, sigma: float) -> ConditionReport:
     """Convexity of the section image under Q( . , y0, z0).
 
     This is the hull-ratio diagnostic of the section-convexity property:
@@ -566,7 +565,7 @@ def section_convexity(sol: PiecewiseGSolution, grid: SourceGrid,
     piece = sol.pieces[piece_index]
     image = sol.gf.q_batch(grid.centers[mask], piece.y_vec(), piece.z)
     return hull_report(f"section_convexity/piece{piece_index}/sigma{sigma}",
-                       image, raster_res, hull_cells_tol, sigma=sigma)
+                       image, sigma=sigma)
 
 
 def g_transform(sol: PiecewiseGSolution, targets, grid: SourceGrid, *,

@@ -81,6 +81,7 @@ H_TOL = 1e-12           # H's bracket closes at H_TOL * (1 + |z|)
 H_ITER = 60             # H's bisection-guarded Newton steps
 H_INSET = 1e-13         # H's bracket inset from a finite end of I, relative
 H_DOUBLINGS = 200       # H's doublings towards an infinite end of I
+FD_BASE = 1e-5          # central-difference step per unit of max(1, |scale|)
 
 
 # --------------------------------------------------------------------------
@@ -133,12 +134,12 @@ class G5Constants:
     k0: float
 
 
-def fd_step(scale, base: float = 1e-5):
-    """Central-difference step: base * max(1, |scale|), elementwise.
+def fd_step(scale):
+    """Central-difference step: FD_BASE * max(1, |scale|), elementwise.
 
     Documented so finite-difference oracle tolerances are reproducible.
     """
-    return base * np.maximum(1.0, np.abs(scale))
+    return FD_BASE * np.maximum(1.0, np.abs(scale))
 
 
 def _vec(p, n: int) -> np.ndarray:

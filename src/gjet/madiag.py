@@ -47,6 +47,9 @@ __all__ = [
     "MANUFACTURED_NAMES",
 ]
 
+ELLIP_TOL = 1e-8  # min eig of D^2 u - A counted as zero: below -ELLIP_TOL
+                  # not elliptic, below +ELLIP_TOL degenerate
+
 
 @dataclass(frozen=True)
 class GridFunction:
@@ -217,12 +220,12 @@ def pje_residual(gf: GeneratingFunction, ufun: GridFunction,
 
 
 def ellipticity_check(gf: GeneratingFunction, ufun: GridFunction, *,
-                      ellip_tol: float = 1e-8, exclude: np.ndarray = None):
+                      exclude: np.ndarray = None):
     """Min eigenvalue field of D^2 u - A and the admissibility verdict.
 
     The matrix is symmetrized before the eigensolve (it is symmetric up
     to finite-difference noise).  Returns (field, admissible) where
-    admissible means min eig >= -ellip_tol on every evaluated node.
+    admissible means min eig >= -ELLIP_TOL on every evaluated node.
     exclude masks nodes whose stencils straddle kinks of a piecewise
     input; the difference quotients carry no eigenvalue information
     there.
@@ -235,7 +238,7 @@ def ellipticity_check(gf: GeneratingFunction, ufun: GridFunction, *,
         vals.ravel()[idx] = np.linalg.eigvalsh(sym)[:, 0]
     field = ResidualField(grid, vals, ok_grid, masked)
     admissible = bool(ok_grid.any()
-                      and np.nanmin(vals[ok_grid]) >= -ellip_tol)
+                      and np.nanmin(vals[ok_grid]) >= -ELLIP_TOL)
     return field, admissible
 
 

@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+from gjet import cli, conditions, gconvex, genfun
 from gjet.cli import (
     EXIT_CONDITION_FAIL,
     EXIT_INPUT_ERROR,
@@ -65,6 +69,23 @@ def test_resolve_config_defaults(tmp_path):
     assert cfg["solver"]["max_sweeps"] == 500
     assert cfg["check"]["fd_step"] == 1e-3
     assert cfg["schema_version"]
+
+
+@pytest.mark.parametrize("section, key, value, message", [
+    (None, "dimension", True, "config.dimension: expected 1, 2 or 3"),
+    ("solver", "max_sweeps", True,
+     "config.solver.max_sweeps: expected a positive int"),
+    ("check", "samples", True, "config.check.samples: expected an int"),
+    ("check", "seed", False, "config.check.seed: expected an int"),
+], ids=["dimension", "max_sweeps", "samples", "seed"])
+def test_resolve_config_rejects_booleans_as_ints(tmp_path, section, key,
+                                                 value, message):
+    # JSON true and false are ints to Python; a config integer is not
+    raw = json.loads(open(write_config(tmp_path)).read())
+    (raw if section is None else raw.setdefault(section, {}))[key] = value
+    with pytest.raises(ConfigError) as err:
+        resolve_config(raw)
+    assert str(err.value) == message
 
 
 def test_malformed_json_exits_4(tmp_path):
@@ -315,3 +336,208 @@ def test_gjet_threads_env_is_ignored(tmp_path, monkeypatch, capsys):
     report = (tmp_path / "b.json").read_bytes()
     assert report == (tmp_path / "a.json").read_bytes()
     assert "threads" not in json.loads(report)
+
+
+# --------------------------------------------------------------------------
+# CLI paths: density CSV, y-box, check without targets, residual field
+# --------------------------------------------------------------------------
+
+GRID16 = {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "resolution": [16, 16]}
+
+
+def test_solve_follows_a_density_csv(tmp_path):
+    # density 1 + 3 x1 on the unit square: total mass 2.5, and the
+    # quadratic cells of two targets split at the line x1 = s with
+    # s + 1.5 s^2 = 1.25, s = 0.638, where a uniform density splits at 0.5
+    grid = gconvex.SourceGrid([0.0, 0.0], [1.0, 1.0], [16, 16])
+    np.savetxt(tmp_path / "density.csv",
+               (1.0 + 3.0 * grid.centers[:, 0]).reshape(16, 16), delimiter=",")
+    cfg = write_config(
+        tmp_path, generator={"kind": "quadratic_ot", "params": {}},
+        source=dict(GRID16, density={"csv": "density.csv"}),
+        targets={"points": [[0.25, 0.5], [0.75, 0.5]], "masses": [1.25, 1.25]},
+        normalization={"x0": [0.5, 0.5], "u0": 0.0})
+    sol, grid_csv = str(tmp_path / "sol.json"), str(tmp_path / "grid.csv")
+    assert main(["solve", cfg, "--out", sol, "--grid-out", grid_csv]) == EXIT_OK
+    assert np.allclose(json.loads(open(sol).read())["masses"], 1.25, rtol=1e-3)
+    cells = np.loadtxt(grid_csv, delimiter=",", skiprows=1)[:, -1]
+    cells = cells.reshape(16, 16)
+    assert (cells == cells[:, :1]).all()
+    edge = np.flatnonzero(np.diff(cells[:, 0]))
+    s = (-1.0 + np.sqrt(1.0 + 7.5)) / 3.0
+    assert len(edge) == 1 and abs((edge[0] + 1) / 16 - s) <= 1.0 / 16
+
+
+def test_density_csv_errors_exit_4(tmp_path, capsys):
+    cfg = write_config(tmp_path, source=dict(GRID16, density={"csv": "d.csv"}))
+    out = str(tmp_path / "sol.json")
+    assert main(["solve", cfg, "--out", out]) == EXIT_INPUT_ERROR
+    assert "file not found" in capsys.readouterr().err
+    np.savetxt(tmp_path / "d.csv", np.ones((4, 4)), delimiter=",")
+    assert main(["solve", cfg, "--out", out]) == EXIT_INPUT_ERROR
+    assert "could not load density csv" in capsys.readouterr().err
+
+
+def test_check_reads_the_y_box(tmp_path):
+    # the y-box of the sample plan: stated as the box the targets give,
+    # the results repeat; a smaller box moves them
+    results = []
+    for tag, y_box in (("derived", None),
+                       ("stated", {"lo": [0.0, 0.25], "hi": [1.0, 0.75]}),
+                       ("small", {"lo": [0.4, 0.4], "hi": [0.6, 0.6]})):
+        check = {"samples": 25, "seed": 11}
+        if y_box is not None:
+            check["y_box"] = y_box
+        cfg = write_config(tmp_path, name=f"{tag}.json", source=GRID16,
+                           check=check)
+        out = tmp_path / f"{tag}_report.json"
+        assert main(["check", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["config"]["check"].get("y_box") == y_box
+        results.append(doc["results"])
+    assert results[1] == results[0]
+    assert results[2] != results[0]
+
+
+def test_check_without_targets_takes_g5_targets_from_y_box_corners(tmp_path):
+    cfg = write_config(tmp_path, source=GRID16)
+    raw = json.loads(open(cfg).read())
+    del raw["targets"]
+    (tmp_path / "config.json").write_text(json.dumps(raw))
+    out = tmp_path / "report.json"
+    assert main(["check", cfg, "--out", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    # without targets or a y-box the y-box is the source box
+    box = ([0.0, 0.0], [1.0, 1.0])
+    corners = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+    spec = conditions.SampleSpec(25, 11, (0.0, 0.0), (1.0, 1.0),
+                                 (0.0, 0.0), (1.0, 1.0))
+    ref = conditions.check_G5(genfun.ParallelBeam(2), box, corners, spec)
+    assert doc["results"]["G5"] == json.loads(json.dumps(ref.to_jsonable()))
+
+
+def test_residual_out_writes_the_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, source=GRID16)
+    sol = str(tmp_path / "sol.json")
+    assert main(["solve", cfg, "--out", sol]) == EXIT_OK
+    capsys.readouterr()
+    field = tmp_path / "field.csv"
+    assert main(["residual", cfg, "--solution", sol, "--out", str(field)]) \
+        == EXIT_OK
+    masked = int(capsys.readouterr().out.split("masked=")[1])
+    lines = field.read_text().splitlines()
+    assert lines[0] == "x1,x2,residual,min_eig"
+    assert len(lines) == 1 + 16 * 16
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    grid = gconvex.SourceGrid([0.0, 0.0], [1.0, 1.0], [16, 16])
+    assert np.array_equal(rows[:, :2], grid.centers)
+    # NaN on the one-node margin and on the nodes next to a kink, in both
+    # fields
+    nan = np.isnan(rows[:, 2])
+    margin = ((grid.centers < 1.0 / 16) | (grid.centers > 15.0 / 16)).any(axis=1)
+    assert nan[margin].all()
+    assert nan.sum() > margin.sum() + masked
+    assert np.array_equal(np.isnan(rows[:, 3]), nan)
+    assert all(line.split(",")[2] == "nan"
+               for line, bad in zip(lines[1:], nan) if bad)
+
+
+# --------------------------------------------------------------------------
+# CSV bytes
+# --------------------------------------------------------------------------
+
+def _fmt(v):
+    return "%.17g" % float(v)
+
+
+def reference_grid_csv(sol, grid, u, dec, with_mass=False):
+    """The per-cell formatter that the one-format writer replaced: the
+    grid CSV text, each value through '%.17g' % float(v)."""
+    assignment = dec.assignment
+    du = np.empty((grid.size, grid.n))
+    for i, piece in enumerate(sol.pieces):
+        mask = assignment == i
+        if mask.any():
+            du[mask] = sol.gf.grad_x_batch(grid.centers[mask],
+                                           piece.y_vec(), piece.z)
+    n = grid.n
+    header = [f"x{k + 1}" for k in range(n)] + ["u"] \
+        + [f"du{k + 1}" for k in range(n)] + ["cell"]
+    if with_mass:
+        header.append("mass")
+    tails = [f"{i},{_fmt(m)}" if with_mass else str(i)
+             for i, m in enumerate(dec.masses)]
+    lines = [",".join(header)]
+    for k in range(grid.size):
+        row = [_fmt(c) for c in grid.centers[k]] + [_fmt(u[k])] \
+            + [_fmt(d) for d in du[k]] + [tails[assignment[k]]]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_mass", [False, True], ids=["grid", "report"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_grid_csv_bytes_match_the_per_cell_formatter(tmp_path, dim, with_mass):
+    res = [9, 6, 5][:dim]
+    grid = gconvex.SourceGrid([-0.5] * dim, [0.7] * dim, res)
+    rng = np.random.default_rng(dim)
+    pieces = [(rng.uniform(-1.0, 1.0, dim), z) for z in (0.0, 0.1, -0.07)]
+    sol = gconvex.PiecewiseGSolution(genfun.QuadraticOT(dim), pieces,
+                                     ([0.0] * dim, 0.0))
+    vals = gconvex.values_matrix(sol, grid)
+    dec = gconvex.CellDecomposition.from_values(sol, grid, vals)
+    u = vals.max(axis=0)
+    path = tmp_path / "grid.csv"
+    cli._write_grid_csv(str(path), sol, grid, u, dec, with_mass=with_mass)
+    assert path.read_bytes() == reference_grid_csv(
+        sol, grid, u, dec, with_mass).encode()
+
+
+def test_field_csv_bytes_match_the_per_cell_formatter(tmp_path):
+    # the residual field's rows: NaN rows, an infinity, a negative zero,
+    # integral and extreme values
+    grid = gconvex.SourceGrid([-1.0, 0.0], [1.0, 3.0], [4, 3])
+    rng = np.random.default_rng(5)
+    rv = rng.normal(size=grid.size) * 10.0 ** rng.integers(-300, 300, grid.size)
+    ev = rng.normal(size=grid.size)
+    rv[[0, 3, 7]] = np.nan
+    ev[[0, 3, 7]] = np.nan
+    rv[1], ev[1], rv[2], ev[2] = -0.0, 3.0, np.inf, -np.inf
+    header = ["x1", "x2", "residual", "min_eig"]
+    path = tmp_path / "field.csv"
+    cli._write_csv(str(path), grid, ["residual", "min_eig"], [rv, ev])
+    lines = [",".join(header)] + [
+        ",".join([_fmt(c) for c in grid.centers[k]] + [_fmt(rv[k]), _fmt(ev[k])])
+        for k in range(grid.size)]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+    assert path.read_text().count(",nan,nan\n") == 3
+
+
+def test_solve_and_report_load_no_numpy_ma(tmp_path):
+    # numpy.unique imports numpy.ma (three modules) under numpy 2; the
+    # solver's band loop takes its distinct counts without it
+    def run(code):
+        import gjet
+
+        src = os.path.dirname(os.path.dirname(gjet.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        return subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=120, capture_output=True, text=True,
+                              check=True).stdout.strip()
+
+    if run("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+        pytest.skip("a bare import numpy loads numpy.ma")
+    cfg = write_config(tmp_path, source=GRID16)
+    sol, csv_path = tmp_path / "sol.json", tmp_path / "surfaces.csv"
+    for argv in (["solve", cfg, "--out", str(sol), "--grid-out",
+                  str(tmp_path / "grid.csv")],
+                 ["report", str(sol), "--csv", str(csv_path)]):
+        out = run(textwrap.dedent(f"""
+            import sys
+            from gjet.cli import main
+            assert main({argv!r}) == 0
+            print(sorted(m for m in sys.modules
+                         if m == "numpy.ma" or m.startswith("numpy.ma.")))
+        """))
+        assert out.splitlines()[-1] == "[]", argv

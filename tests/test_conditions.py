@@ -293,8 +293,7 @@ def test_G5_misdeclared_bound_fails(pb2):
 def test_boundary_form_quadratic_unit_ball(qot2):
     # the slope term vanishes, the form reduces to the curvature 1/R = 1
     rep = domain_convexity(qot2, "source_boundary",
-                           Ball((0.0, 0.0), 1.0), ([0.2, 0.1], 0.5),
-                           boundary_samples=64)
+                           Ball((0.0, 0.0), 1.0), ([0.2, 0.1], 0.5))
     assert rep.status == "pass"
     assert rep.extremal_value == pytest.approx(1.0, abs=1e-6)
 
