@@ -280,11 +280,10 @@ def _write_grid_csv(path, sol, grid, u, dec, with_mass=False):
     solution sol with values u and cells dec."""
     assignment = dec.assignment
     du = np.empty((grid.size, grid.n))
-    for i, piece in enumerate(sol.pieces):
+    for i, (y, z) in enumerate(zip(sol.ys, sol.zs)):
         mask = assignment == i
         if mask.any():
-            du[mask] = sol.gf.grad_x_batch(grid.centers[mask],
-                                           piece.y_vec(), piece.z)
+            du[mask] = sol.gf.bundle_batch(grid.centers[mask], y, z).grad_x
     names = ["u"] + [f"du{k + 1}" for k in range(grid.n)] + ["cell"]
     columns = [u, du, assignment]
     if with_mass:
@@ -407,6 +406,8 @@ def _write_state(path, cfg, state, converged):
 
 def _state_from_file(path):
     doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"solution file {path}: expected a JSON object")
     for key in ("config", "z", "kind"):
         if key not in doc:
             raise ConfigError(f"solution file {path}: missing field {key!r}")

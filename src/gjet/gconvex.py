@@ -36,7 +36,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -46,7 +45,6 @@ from .errors import DomainViolation
 from .genfun import GeneratingFunction
 
 __all__ = [
-    "GAffinePiece",
     "SourceGrid",
     "PiecewiseGSolution",
     "CellDecomposition",
@@ -76,17 +74,6 @@ GATE = 4.0          # j's fraction against i counts in full once j holds
                     # 1 / GATE of the cell against every third piece
 BISECT_TOL = 1e-13  # interface bisection: shortest bracket, as a fraction
                     # of the segment
-
-
-@dataclass(frozen=True)
-class GAffinePiece:
-    """One graph x -> G(x, y, z): target point y and focal parameter z."""
-
-    y: tuple
-    z: float
-
-    def y_vec(self) -> np.ndarray:
-        return np.asarray(self.y, dtype=float)
 
 
 class SourceGrid:
@@ -129,22 +116,23 @@ class SourceGrid:
 
 @dataclass(frozen=True)
 class PiecewiseGSolution:
-    """Finite max of G-affine pieces with a normalization anchor (x0, u0)."""
+    """u(x) = max_i G(x, ys[i], zs[i]): targets ys (N, n) and focal
+    parameters zs (N,), read-only copies of the inputs."""
 
     gf: GeneratingFunction
-    pieces: tuple
-    anchor: tuple  # (x0, u0)
+    ys: np.ndarray
+    zs: np.ndarray
 
-    def __init__(self, gf, pieces: Sequence, anchor):
-        object.__setattr__(self, "gf", gf)
-        object.__setattr__(self, "pieces", tuple(
-            p if isinstance(p, GAffinePiece)
-            else GAffinePiece(tuple(np.asarray(p[0], dtype=float)), float(p[1]))
-            for p in pieces))
-        x0 = np.asarray(anchor[0], dtype=float)
-        object.__setattr__(self, "anchor", (tuple(x0), float(anchor[1])))
-        if not self.pieces:
+    def __post_init__(self):
+        ys = np.array(self.ys, dtype=float).reshape(-1, self.gf.dimension)
+        zs = np.array(self.zs, dtype=float).reshape(-1)
+        if not len(zs):
             raise ValueError("a piecewise solution needs at least one piece")
+        if len(ys) != len(zs):
+            raise ValueError("targets and focal parameters lengths disagree")
+        ys.flags.writeable = zs.flags.writeable = False
+        object.__setattr__(self, "ys", ys)
+        object.__setattr__(self, "zs", zs)
 
 
 @dataclass(frozen=True)
@@ -158,15 +146,9 @@ class CellDecomposition:
     def from_values(cls, sol: "PiecewiseGSolution", grid: "SourceGrid",
                     values: np.ndarray) -> "CellDecomposition":
         """Cells of sol from its (pieces, cells) value matrix."""
-        ys, zs = _piece_arrays(sol)
-        assignment, masses, _jac = cell_split(sol.gf, ys, zs, grid, values)
+        assignment, masses, _jac = cell_split(sol.gf, sol.ys, sol.zs, grid,
+                                              values)
         return cls(assignment, masses)
-
-
-def _piece_arrays(sol: "PiecewiseGSolution") -> tuple:
-    """(pieces, n) targets and (pieces,) focal parameters of sol."""
-    return (np.array([p.y_vec() for p in sol.pieces]),
-            np.array([p.z for p in sol.pieces]))
 
 
 def _box_fraction(b: np.ndarray, a: np.ndarray) -> tuple:
@@ -370,33 +352,32 @@ def _active_tol(u):
 def validate_pieces_on_grid(sol: PiecewiseGSolution, grid: SourceGrid) -> None:
     """Every piece must be admissible at every cell center: the pair
     (x, y_i) in the admissible set and z inside I(x, y_i)."""
-    for i, piece in enumerate(sol.pieces):
-        if not np.all(sol.gf.admissible_pair_batch(grid.centers,
-                                                   piece.y_vec())):
+    for i, (y, z) in enumerate(zip(sol.ys, sol.zs)):
+        if not np.all(sol.gf.admissible_pair_batch(grid.centers, y)):
             raise DomainViolation(
                 f"piece {i}: some grid centers pair inadmissibly with its "
                 f"target")
-        lo, hi = sol.gf.z_interval_batch(grid.centers, piece.y_vec())
-        if not np.all((lo < piece.z) & (piece.z < hi)):
+        lo, hi = sol.gf.z_interval_batch(grid.centers, y)
+        if not np.all((lo < z) & (z < hi)):
             raise DomainViolation(
-                f"piece {i}: focal parameter {piece.z} leaves its admissible "
+                f"piece {i}: focal parameter {z} leaves its admissible "
                 f"interval on the grid")
 
 
-def _piece_rows(gf: GeneratingFunction, pieces, xs) -> np.ndarray:
-    """(pieces, rows) matrix G(x_k, y_i, z_i) over rows xs (m, n)."""
-    return np.stack([gf.value_batch(xs, p.y_vec(), p.z) for p in pieces])
+def _piece_rows(gf: GeneratingFunction, ys, zs, xs) -> np.ndarray:
+    """(pieces, rows) matrix G(x_k, ys[i], zs[i]) over rows xs (m, n)."""
+    return np.stack([gf.value_batch(xs, y, z) for y, z in zip(ys, zs)])
 
 
 def values_matrix(sol: PiecewiseGSolution, grid: SourceGrid) -> np.ndarray:
     """(pieces, cells) matrix of piece values at cell centers."""
-    return _piece_rows(sol.gf, sol.pieces, grid.centers)
+    return _piece_rows(sol.gf, sol.ys, sol.zs, grid.centers)
 
 
 def eval_piecewise(sol: PiecewiseGSolution, x):
     """u(x) = max_i G(x, y_i, z_i) and the active index (ties: lowest)."""
     x = genfun._vec(x, sol.gf.dimension)[None, :]
-    vals = _piece_rows(sol.gf, sol.pieces, x)[:, 0]
+    vals = _piece_rows(sol.gf, sol.ys, sol.zs, x)[:, 0]
     if not np.all(np.isfinite(vals)):
         raise DomainViolation("piece value is not finite at the query point")
     idx = int(np.argmax(vals))
@@ -406,16 +387,16 @@ def eval_piecewise(sol: PiecewiseGSolution, x):
 def subdifferential(sol: PiecewiseGSolution, x):
     """Slope/target pairs (G_x(x, y_i, z_i), y_i) of all active pieces."""
     x = genfun._vec(x, sol.gf.dimension)[None, :]
-    vals = _piece_rows(sol.gf, sol.pieces, x)[:, 0]
+    vals = _piece_rows(sol.gf, sol.ys, sol.zs, x)[:, 0]
     u = float(np.max(vals))
-    active = u - vals <= _active_tol(u)
-    return [(sol.gf.grad_x_batch(x, p.y_vec(), p.z)[0], p.y_vec())
-            for p, a in zip(sol.pieces, active) if a]
+    active = np.flatnonzero(u - vals <= _active_tol(u))
+    return [(sol.gf.bundle_batch(x, sol.ys[i], sol.zs[i]).grad_x[0], sol.ys[i])
+            for i in active]
 
 
 def _pair_gap(sol: PiecewiseGSolution, pair: np.ndarray, xs) -> np.ndarray:
     """G_i(x_k) - G_j(x_k) with (i, j) = pair[:, k]."""
-    vals = _piece_rows(sol.gf, sol.pieces, xs)
+    vals = _piece_rows(sol.gf, sol.ys, sol.zs, xs)
     rows = np.arange(len(xs))
     return vals[pair[0], rows] - vals[pair[1], rows]
 
@@ -489,15 +470,14 @@ def interpolated_support_rows(sol: PiecewiseGSolution, xs, t: float):
         raise ValueError("t must lie in [0, 1]")
     gf = sol.gf
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    vals = _piece_rows(gf, sol.pieces, xs)
+    vals = _piece_rows(gf, sol.ys, sol.zs, xs)
     u0 = vals.max(axis=0)
     active = u0 - vals <= _active_tol(u0)
     n_active = active.sum(axis=0)
     rows = np.flatnonzero((n_active == 2) & np.isfinite(vals).all(axis=0))
     first = np.argmax(active[:, rows], axis=0)
-    second = len(sol.pieces) - 1 - np.argmax(active[::-1, rows], axis=0)
-    ys, zs = _piece_arrays(sol)
-    slopes = [gf.bundle_batch(xs[rows], ys[i], zs[i]).grad_x
+    second = len(vals) - 1 - np.argmax(active[::-1, rows], axis=0)
+    slopes = [gf.bundle_batch(xs[rows], sol.ys[i], sol.zs[i]).grad_x
               for i in (first, second)]
     p0 = (1.0 - t) * slopes[0] + t * slopes[1]
     y_rows, _z, fwd_ok = genfun.forward_YZ_rows(gf, xs[rows], u0[rows], p0)
@@ -541,7 +521,7 @@ def section_set(sol: PiecewiseGSolution, grid: SourceGrid, piece_index: int,
                 sigma: float) -> np.ndarray:
     """Mask of cells where u < G_piece + sigma (sigma > 0) or of the
     contact set u = G_piece within the active tolerance (sigma = 0)."""
-    if not 0 <= piece_index < len(sol.pieces):
+    if not 0 <= piece_index < len(sol.zs):
         raise ValueError("piece index out of range")
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
@@ -562,8 +542,8 @@ def section_convexity(sol: PiecewiseGSolution, grid: SourceGrid,
     supporting piece, i.e. their Q-images are convex sets.
     """
     mask = section_set(sol, grid, piece_index, sigma)
-    piece = sol.pieces[piece_index]
-    image = sol.gf.q_batch(grid.centers[mask], piece.y_vec(), piece.z)
+    image = sol.gf.q_batch(grid.centers[mask], sol.ys[piece_index],
+                           sol.zs[piece_index])
     return hull_report(f"section_convexity/piece{piece_index}/sigma{sigma}",
                        image, sigma=sigma)
 
@@ -592,14 +572,13 @@ def dual_transform(gf: GeneratingFunction, targets, v_values,
     v_values = np.asarray(v_values, dtype=float).reshape(-1)
     if len(targets) != len(v_values):
         raise ValueError("targets and values lengths disagree")
-    pieces = [GAffinePiece(tuple(y), float(vj))
-              for y, vj in zip(targets, v_values)]
-    for p in pieces:
-        lo, hi = gf.z_interval_batch(grid.centers, p.y_vec())
-        if not np.all((lo < p.z) & (p.z < hi)):
+    for y, vj in zip(targets, v_values):
+        lo, hi = gf.z_interval_batch(grid.centers, y)
+        if not np.all((lo < vj) & (vj < hi)):
             raise DomainViolation(
                 "transformed focal parameter leaves its admissible interval")
-    return _piece_rows(gf, pieces, grid.centers).max(axis=0).reshape(grid.res)
+    return _piece_rows(gf, targets, v_values,
+                       grid.centers).max(axis=0).reshape(grid.res)
 
 
 def cell_masses(sol: PiecewiseGSolution, grid: SourceGrid) -> CellDecomposition:

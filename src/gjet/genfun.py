@@ -275,18 +275,9 @@ class GeneratingFunction(abc.ABC):
         return self._piece_values(_rows(xs, self.dimension),
                                   _vec(y, self.dimension)[None, :])(z)
 
-    def _one_piece(self, xs, y, z) -> BatchBundle:
-        """Bundle at rows of xs against one target y and one z."""
-        xs = _rows(xs, self.dimension)
-        return self._raw_batch(xs, np.broadcast_to(_vec(y, self.dimension), xs.shape),
-                               np.full(len(xs), float(z)))
-
-    def grad_x_batch(self, xs, y, z) -> np.ndarray:
-        return self._one_piece(xs, y, z).grad_x
-
     def q_batch(self, xs, y, z) -> np.ndarray:
         """Target-slope map Q = -G_y/G_z over rows of xs."""
-        return _q_of(self._one_piece(xs, y, z))
+        return _q_of(self.bundle_batch(xs, y, z))
 
     def h_batch(self, xs, ys, us) -> np.ndarray:
         """z-inverse H over rows: the closed form when the instance has
@@ -366,8 +357,8 @@ class QuadraticOT(GeneratingFunction):
         )
 
     def _h_of(self, xs, ys, us):
-        d = xs - ys
-        return 0.5 * np.einsum("ij,ij->i", d, d) - us
+        _d, c = self._terms(xs, ys)
+        return c - us
 
     def forward_yz_batch(self, xs, us, ps):
         xs = _rows(xs, self.dimension)
@@ -409,12 +400,11 @@ class ParallelBeam(GeneratingFunction):
         super().__init__(dimension, g5_constants=G5Constants(m0=0.0, k0=1.0))
 
     def z_interval_batch(self, xs, y):
-        xs, ys = _pair_rows(xs, y, self.dimension)
-        d = xs - ys
-        r = np.sqrt(np.einsum("ij,ij->i", d, d))
-        hi = np.full(len(d), math.inf)
+        _d, r2 = self._terms(*_pair_rows(xs, y, self.dimension))
+        r = np.sqrt(r2)
+        hi = np.full(len(r), math.inf)
         np.divide(1.0, r, out=hi, where=r > 0)
-        return np.zeros(len(d)), hi
+        return np.zeros(len(r)), hi
 
     def _terms(self, xs, ys):
         d = xs - ys
@@ -444,8 +434,7 @@ class ParallelBeam(GeneratingFunction):
         )
 
     def _h_of(self, xs, ys, us):
-        d = xs - ys
-        r2 = np.einsum("ij,ij->i", d, d)
+        _d, r2 = self._terms(xs, ys)
         return 1.0 / (us + np.sqrt(us ** 2 + r2))
 
     def forward_yz_batch(self, xs, us, ps):
@@ -552,9 +541,8 @@ class PointSourcePlane(GeneratingFunction):
                            hess_yy, grad_xz, grad_yz, dzz)
 
     def _h_of(self, xs, ys, us):
-        w = np.sqrt(1.0 - np.einsum("ij,ij->i", xs, xs))
-        beta = np.einsum("ij,ij->i", xs, ys) + w * self.tau
-        y2 = np.einsum("ij,ij->i", ys, ys)
+        w, xy, y2 = self._terms(xs, ys)
+        beta = xy + w * self.tau
         disc = 1.0 - 4.0 * us * beta + 4.0 * us ** 2 * (y2 + self.tau ** 2)
         return ((1.0 - 2.0 * us * beta) + np.sqrt(disc)) / (2.0 * us ** 2)
 

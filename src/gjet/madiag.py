@@ -10,8 +10,9 @@ nodal lattice (the cell centers), evaluate
 
 Central differences with the grid's own spacing; a one-node margin is
 excluded (two for the Jacobian residual, which differentiates the
-composed map).  Nodes where the forward map has no admissible solution
-are masked and counted, never silently filled.
+composed map).  Interior nodes that get no value (the forward map has
+no admissible solution there, or the caller excluded them) are masked
+and counted, never silently filled.
 
 The right-hand density psi is a caller-supplied row evaluator
 psi(xs, us, ps) -> (m,) over (m, n) points, (m,) values and (m, n)
@@ -72,7 +73,7 @@ class ResidualField:
     grid: SourceGrid
     values: np.ndarray
     mask: np.ndarray          # True where a value was computed
-    masked_count: int         # interior nodes lost to domain violations
+    masked_count: int         # margin-interior nodes without a value
 
     def max_abs(self) -> float:
         if not self.mask.any():
@@ -136,10 +137,23 @@ def _interior_mask(res, margin: int) -> np.ndarray:
     return mask
 
 
+def _field(grid: SourceGrid, margin: int, idx: np.ndarray,
+           vals) -> ResidualField:
+    """vals at the flat nodes idx and NaN elsewhere; every node of the
+    margin interior outside idx counts as masked, whatever the reason."""
+    out = np.full(grid.size, np.nan)
+    out[idx] = vals
+    mask = np.zeros(grid.size, dtype=bool)
+    mask[idx] = True
+    mask = mask.reshape(grid.res)
+    masked = int((_interior_mask(grid.res, margin) & ~mask).sum())
+    return ResidualField(grid, out.reshape(grid.res), mask, masked)
+
+
 def _linearization(gf, ufun: GridFunction, exclude) -> tuple:
-    """(ok_grid, masked, idx, D^2 u - A, det E, u, Du): the matrices and
-    det E at the margin-1 interior nodes outside exclude whose forward map
-    is admissible with G_z < 0 (mask, lost count, flat indices idx)."""
+    """(idx, D^2 u - A, det E, u, Du): the matrices and det E at the
+    margin-1 interior nodes outside exclude whose forward map is
+    admissible with G_z < 0 (flat indices idx)."""
     grid = ufun.grid
     u = ufun.values
     d2u = _hessian(u, grid.h)
@@ -158,11 +172,9 @@ def _linearization(gf, ufun: GridFunction, exclude) -> tuple:
         a[good] = bb.hess_xx
         det[good] = np.linalg.det(genfun._e_matrix(bb))
         ok[good] = bb.dz < 0
-    ok_grid = ok.reshape(grid.res) & interior
-    idx = np.flatnonzero(ok_grid.ravel())
+    idx = np.flatnonzero(ok & interior.ravel())
     mats = d2u.reshape(grid.n, grid.n, -1).transpose(2, 0, 1)[idx] - a[idx]
-    masked = int(interior.sum() - ok_grid.sum())
-    return ok_grid, masked, idx, mats, det[idx], u_flat, p_flat
+    return idx, mats, det[idx], u_flat, p_flat
 
 
 def ma_residual(gf: GeneratingFunction, ufun: GridFunction,
@@ -173,14 +185,13 @@ def ma_residual(gf: GeneratingFunction, ufun: GridFunction,
     kink neighborhoods of a piecewise input; they count as masked.
     """
     grid = ufun.grid
-    ok_grid, masked, idx, mats, det, u_flat, p_flat = _linearization(
-        gf, ufun, exclude)
-    res = np.full(grid.res, np.nan)
+    idx, mats, det, u_flat, p_flat = _linearization(gf, ufun, exclude)
+    vals = []
     if len(idx):
         psi_vals = genfun._psi_rows(psi, grid.centers[idx], u_flat[idx],
                                    p_flat[idx])
-        res.ravel()[idx] = np.linalg.det(mats) - det * psi_vals
-    return ResidualField(grid, res, ok_grid, masked)
+        vals = np.linalg.det(mats) - det * psi_vals
+    return _field(grid, 1, idx, vals)
 
 
 def pje_residual(gf: GeneratingFunction, ufun: GridFunction,
@@ -202,21 +213,15 @@ def pje_residual(gf: GeneratingFunction, ufun: GridFunction,
     ok_grid = ok.reshape(grid.res)
     for ax in range(grid.n):
         ok_grid &= np.roll(ok_grid, 1, axis=ax) & np.roll(ok_grid, -1, axis=ax)
-    valid = interior & ok_grid
-    dt = np.empty((grid.n, grid.n) + grid.res)
-    for i in range(grid.n):
-        gi = np.gradient(t_field[i], *grid.h)
-        for j in range(grid.n):
-            dt[i, j] = gi[j] if grid.n > 1 else gi
-    res = np.full(grid.res, np.nan)
-    idx = np.flatnonzero(valid.ravel())
+    dt = np.stack([_gradient(t_field[i], grid.h) for i in range(grid.n)])
+    idx = np.flatnonzero((interior & ok_grid).ravel())
+    vals = []
     if len(idx):
         mats = dt.reshape(grid.n, grid.n, -1).transpose(2, 0, 1)[idx]
         psi_vals = genfun._psi_rows(psi, grid.centers[idx], u_flat[idx],
                                    p_flat[idx])
-        res.ravel()[idx] = np.linalg.det(mats) - psi_vals
-    masked = int(interior.sum() - valid.sum())
-    return ResidualField(grid, res, valid, masked)
+        vals = np.linalg.det(mats) - psi_vals
+    return _field(grid, 2, idx, vals)
 
 
 def ellipticity_check(gf: GeneratingFunction, ufun: GridFunction, *,
@@ -228,17 +233,12 @@ def ellipticity_check(gf: GeneratingFunction, ufun: GridFunction, *,
     admissible means min eig >= -ELLIP_TOL on every evaluated node.
     exclude masks nodes whose stencils straddle kinks of a piecewise
     input; the difference quotients carry no eigenvalue information
-    there.
+    there, and they count as masked.
     """
-    grid = ufun.grid
-    ok_grid, masked, idx, mats, _det, _u, _p = _linearization(gf, ufun, exclude)
-    vals = np.full(grid.res, np.nan)
-    if len(idx):
-        sym = 0.5 * (mats + mats.transpose(0, 2, 1))
-        vals.ravel()[idx] = np.linalg.eigvalsh(sym)[:, 0]
-    field = ResidualField(grid, vals, ok_grid, masked)
-    admissible = bool(ok_grid.any()
-                      and np.nanmin(vals[ok_grid]) >= -ELLIP_TOL)
+    idx, mats, _det, _u, _p = _linearization(gf, ufun, exclude)
+    vals = np.linalg.eigvalsh(0.5 * (mats + mats.transpose(0, 2, 1)))[:, 0]
+    field = _field(ufun.grid, 1, idx, vals)
+    admissible = bool(len(idx) and np.nanmin(vals) >= -ELLIP_TOL)
     return field, admissible
 
 
@@ -266,13 +266,8 @@ def dual_residual(gf: GeneratingFunction, vfun: GridFunction,
         gf, grid.centers[idx], v.ravel()[idx], q_flat[idx], f=f, g=g)
     good = status == genfun.RowStatus.OK
     k = idx[good]
-    res = np.full(grid.res, np.nan)
-    ok = np.zeros(grid.size, dtype=bool)
-    ok[k] = True
-    res.ravel()[k] = np.linalg.det(d2_flat[k] - astar[good]) - bstar[good]
-    ok_grid = ok.reshape(grid.res)
-    masked = int(interior.sum() - ok_grid.sum())
-    return ResidualField(grid, res, ok_grid, masked)
+    return _field(grid, 1, k,
+                  np.linalg.det(d2_flat[k] - astar[good]) - bstar[good])
 
 
 def pointwise(fn: Callable) -> Callable:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,7 +47,6 @@ from .errors import (
 )
 from .gconvex import (
     CellDecomposition,
-    GAffinePiece,
     PiecewiseGSolution,
     SourceGrid,
     cell_split,
@@ -90,7 +89,7 @@ class SemiDiscreteProblem:
     targets: np.ndarray          # (N, n)
     masses: np.ndarray           # (N,)
     anchor: tuple                # (x0, u0), x0 interior to the source box
-    tolerances: SolverTolerances = field(default_factory=SolverTolerances)
+    tolerances: SolverTolerances
 
     def __init__(self, gf, grid, targets, masses, anchor,
                  tolerances: SolverTolerances = None):
@@ -119,14 +118,9 @@ class SolutionState:
     residual_history: tuple
     interface_cells: int
 
-    def solution(self, prob: SemiDiscreteProblem) -> PiecewiseGSolution:
-        return solution_function(prob, self.z)
-
 
 def solution_function(prob: SemiDiscreteProblem, z) -> PiecewiseGSolution:
-    pieces = [GAffinePiece(tuple(y), float(zi))
-              for y, zi in zip(prob.targets, z)]
-    return PiecewiseGSolution(prob.gf, pieces, prob.anchor)
+    return PiecewiseGSolution(prob.gf, prob.targets, z)
 
 
 # --------------------------------------------------------------------------

@@ -78,8 +78,7 @@ def test_cell_masses_three_dimensional():
     qot = QuadraticOT(3)
     grid = SourceGrid([0.0] * 3, [1.0] * 3, [12, 12, 12])
     sol = PiecewiseGSolution(
-        qot, [((0.25, 0.5, 0.5), 0.0), ((0.75, 0.5, 0.5), 0.0)],
-        ((0.5, 0.5, 0.5), 0.0))
+        qot, [(0.25, 0.5, 0.5), (0.75, 0.5, 0.5)], [0.0, 0.0])
     dec = cell_masses(sol, grid)
     assert dec.masses.sum() == pytest.approx(grid.total_mass, rel=1e-13)
     # symmetric split (quadratic pieces grow away from their targets)

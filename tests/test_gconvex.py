@@ -38,23 +38,42 @@ def pb_two_piece(pb2, grid):
     y1, y2 = np.array([0.3, 0.5]), np.array([0.7, 0.5])
     z1 = dual_H(pb2, x0, y1, u0).z_root
     z2 = dual_H(pb2, x0, y2, u0).z_root
-    return PiecewiseGSolution(pb2, [(y1, z1), (y2, z2)], (x0, u0))
+    return PiecewiseGSolution(pb2, [y1, y2], [z1, z2])
 
 
 # --------------------------------------------------------------------------
 # evaluation and subdifferential
 # --------------------------------------------------------------------------
 
+def test_solution_holds_read_only_copies(qot2):
+    ys = np.array([[0.2, 0.2], [0.6, 0.1]])
+    zs = [0.1, -0.2]
+    sol = PiecewiseGSolution(qot2, ys, zs)
+    assert sol.ys.shape == (2, 2) and sol.zs.shape == (2,)
+    ys[0, 0] = 9.0
+    zs[0] = 9.0
+    assert sol.ys[0, 0] == 0.2 and sol.zs[0] == 0.1
+    for arr in (sol.ys, sol.zs):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def test_solution_rejects_empty_and_mismatched_pieces(qot2):
+    with pytest.raises(ValueError, match="at least one piece"):
+        PiecewiseGSolution(qot2, np.empty((0, 2)), [])
+    with pytest.raises(ValueError, match="lengths disagree"):
+        PiecewiseGSolution(qot2, [(0.2, 0.2), (0.6, 0.1)], [0.1])
+
+
 def test_single_piece_eval(qot2):
-    sol = PiecewiseGSolution(qot2, [((0.2, 0.2), 0.1)], ((0.5, 0.5), 0.0))
+    sol = PiecewiseGSolution(qot2, [(0.2, 0.2)], [0.1])
     u, idx = eval_piecewise(sol, [0.6, 0.4])
     assert idx == 0
     assert u == pytest.approx(qot2.value([0.6, 0.4], [0.2, 0.2], 0.1))
 
 
 def test_tie_break_lowest_index(qot2):
-    sol = PiecewiseGSolution(qot2, [((0.2, 0.2), 0.1), ((0.2, 0.2), 0.1)],
-                             ((0.5, 0.5), 0.0))
+    sol = PiecewiseGSolution(qot2, [(0.2, 0.2), (0.2, 0.2)], [0.1, 0.1])
     _, idx = eval_piecewise(sol, [0.6, 0.4])
     assert idx == 0
 
@@ -63,15 +82,14 @@ def test_symmetric_pieces_equal_values(pb2):
     grid = unit_grid()
     sol = pb_two_piece(pb2, grid)
     x = np.array([0.5, 0.37])   # on the symmetry axis
-    vals = [pb2.value(x, p.y_vec(), p.z) for p in sol.pieces]
+    vals = [pb2.value(x, y, z) for y, z in zip(sol.ys, sol.zs)]
     assert vals[0] == pytest.approx(vals[1], abs=1e-12)
     _, idx = eval_piecewise(sol, x)
     assert idx == 0
 
 
 def test_subdifferential_interior_and_kink(qot2):
-    sol = PiecewiseGSolution(qot2, [((0.0, 0.0), 0.0), ((1.0, 0.0), 0.0)],
-                             ((0.5, 0.5), 0.0))
+    sol = PiecewiseGSolution(qot2, [(0.0, 0.0), (1.0, 0.0)], [0.0, 0.0])
     # interior of cell 1 (quadratic pieces win far from their target)
     pairs = subdifferential(sol, [0.9, 0.5])
     assert len(pairs) == 1
@@ -91,7 +109,7 @@ def test_subdifferential_forward_map_identity(pb2):
 
     grid = unit_grid()
     sol = pb_two_piece(pb2, grid)
-    targets = [p.y_vec() for p in sol.pieces]
+    targets = sol.ys
     for x in ([0.2, 0.3], [0.5, 0.37], [0.8, 0.64]):
         u, _ = eval_piecewise(sol, x)
         for p, y in subdifferential(sol, x):
@@ -121,8 +139,8 @@ def test_support_check_endpoint_returns_piece(pb2):
     x_star = interface_point(sol, 0, 1, [0.45, 0.5], [0.55, 0.5])
     y0, z0, ok = support_check(sol, grid, x_star, 0.0)
     assert ok
-    assert np.allclose(y0, sol.pieces[0].y_vec(), atol=1e-7)
-    assert z0 == pytest.approx(sol.pieces[0].z, abs=1e-7)
+    assert np.allclose(y0, sol.ys[0], atol=1e-7)
+    assert z0 == pytest.approx(sol.zs[0], abs=1e-7)
 
 
 @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
@@ -134,8 +152,7 @@ def test_support_check_midpoints(pb2, qot2, t):
         _y0, _z0, ok = support_check(sol, grid, x_star, t)
         assert ok, gf.name
     # classical convexity: max of two quadratic supports
-    sol = PiecewiseGSolution(qot2, [((0.3, 0.5), -0.1), ((0.7, 0.5), -0.1)],
-                             ((0.5, 0.5), 0.0))
+    sol = PiecewiseGSolution(qot2, [(0.3, 0.5), (0.7, 0.5)], [-0.1, -0.1])
     x_star = interface_point(sol, 0, 1, [0.45, 0.5], [0.55, 0.5])
     _y0, _z0, ok = support_check(sol, grid, x_star, t)
     assert ok
@@ -145,13 +162,13 @@ def reference_interface_point(sol, i, j, x_a, x_b, tol=1e-13):
     """The per-segment bisection that interface_point_rows replaced, kept
     as the oracle."""
     gf = sol.gf
-    pi, pj = sol.pieces[i], sol.pieces[j]
     x_a = np.asarray(x_a, dtype=float)
     x_b = np.asarray(x_b, dtype=float)
 
     def diff(s):
         x = x_a + s * (x_b - x_a)
-        return gf.value(x, pi.y_vec(), pi.z) - gf.value(x, pj.y_vec(), pj.z)
+        return (gf.value(x, sol.ys[i], sol.zs[i])
+                - gf.value(x, sol.ys[j], sol.zs[j]))
 
     fa, fb = diff(0.0), diff(1.0)
     if fa == 0.0:
@@ -191,9 +208,8 @@ def test_interface_rows_match_scalar_reference(pb2, qot2):
     i = np.concatenate([i, np.arange(k) % 2])
     j = np.concatenate([j, 1 - np.arange(k) % 2])
     for sol in (pb_two_piece(pb2, unit_grid()),
-                PiecewiseGSolution(qot2, [((0.25, 0.5), -0.1),
-                                          ((0.75, 0.5), -0.1)],
-                                   ((0.5, 0.5), 0.0))):
+                PiecewiseGSolution(qot2, [(0.25, 0.5), (0.75, 0.5)],
+                                   [-0.1, -0.1])):
         xs, exchange = interface_point_rows(sol, i, j, x_a, x_b)
         assert not exchange[2] and exchange[[0, 1]].all()
         for r in range(len(x_a)):
@@ -220,7 +236,7 @@ def test_interpolated_support_rows_flags_rows(pb2):
         sol, np.stack([x_star, [0.2, 0.2]]), 0.0)
     assert n_active.tolist() == [2, 1]
     assert ok.tolist() == [True, False]
-    assert np.allclose(y0[0], sol.pieces[0].y_vec(), atol=1e-7)
+    assert np.allclose(y0[0], sol.ys[0], atol=1e-7)
     assert np.all(np.isnan(y0[1]))
     assert u0[1] == pytest.approx(eval_piecewise(sol, [0.2, 0.2])[0])
     with pytest.raises(ValueError):
@@ -255,8 +271,7 @@ def test_section_zero_is_active_set(pb2):
 
 def test_section_two_piece_quadratic_band(qot2):
     grid = unit_grid(48)
-    sol = PiecewiseGSolution(qot2, [((0.3, 0.5), -0.2), ((0.7, 0.5), -0.2)],
-                             ((0.5, 0.5), 0.0))
+    sol = PiecewiseGSolution(qot2, [(0.3, 0.5), (0.7, 0.5)], [-0.2, -0.2])
     mask = section_set(sol, grid, 0, 0.02)
     # the section of a quadratic pair is a half-space band: convex image
     rep = section_convexity(sol, grid, 0, 0.02)
@@ -268,7 +283,7 @@ def test_section_convexity_single_piece(pb2):
     grid = unit_grid()
     x0 = np.array([0.5, 0.5])
     z = dual_H(pb2, x0, [0.5, 0.5], 0.8).z_root
-    sol = PiecewiseGSolution(pb2, [((0.5, 0.5), z)], (x0, 0.8))
+    sol = PiecewiseGSolution(pb2, [(0.5, 0.5)], [z])
     rep = section_convexity(sol, grid, 0, 0.05)
     assert rep.status == "pass"
 
@@ -313,7 +328,7 @@ class BentSlope(GeneratingFunction):
 def test_section_convexity_fails_for_bent_toy():
     gf = BentSlope()
     grid = SourceGrid([-1.0, -0.05], [1.0, 0.05], [96, 12])
-    sol = PiecewiseGSolution(gf, [((0.0, 1.0), 0.0)], ((0.0, 0.0), 0.0))
+    sol = PiecewiseGSolution(gf, [(0.0, 1.0)], [0.0])
     rep = section_convexity(sol, grid, 0, 10.0)
     assert rep.status == "fail"
 
@@ -325,23 +340,22 @@ def test_section_convexity_fails_for_bent_toy():
 def test_g_transform_recovers_focal_parameters(pb2):
     grid = unit_grid(48)
     sol = pb_two_piece(pb2, grid)
-    targets = np.array([p.y_vec() for p in sol.pieces])
+    targets = sol.ys
     v = g_transform(sol, targets, grid)
-    for j, p in enumerate(sol.pieces):
-        assert v[j] == pytest.approx(p.z, abs=1e-9)
+    for j, z in enumerate(sol.zs):
+        assert v[j] == pytest.approx(z, abs=1e-9)
 
 
 def test_g_transform_single_piece_exact(qot2):
     grid = unit_grid(16)
-    sol = PiecewiseGSolution(qot2, [((0.4, 0.6), 0.25)], ((0.5, 0.5), 0.0))
+    sol = PiecewiseGSolution(qot2, [(0.4, 0.6)], [0.25])
     v = g_transform(sol, [[0.4, 0.6]], grid)
     assert v[0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_g_transform_is_classical_c_transform(qot2):
     grid = unit_grid(24)
-    sol = PiecewiseGSolution(qot2, [((0.3, 0.3), -0.1), ((0.8, 0.6), 0.05)],
-                             ((0.5, 0.5), 0.0))
+    sol = PiecewiseGSolution(qot2, [(0.3, 0.3), (0.8, 0.6)], [-0.1, 0.05])
     targets = np.array([[0.1, 0.9], [0.6, 0.2]])
     v = g_transform(sol, targets, grid)
     u = values_matrix(sol, grid).max(axis=0)
@@ -354,7 +368,7 @@ def test_g_transform_is_classical_c_transform(qot2):
 def test_involution_on_two_piece_solution(pb2):
     grid = unit_grid(48)
     sol = pb_two_piece(pb2, grid)
-    targets = np.array([p.y_vec() for p in sol.pieces])
+    targets = sol.ys
     v = g_transform(sol, targets, grid)
     vstar = dual_transform(pb2, targets, v, grid)
     u = values_matrix(sol, grid).max(axis=0).reshape(grid.res)
@@ -382,7 +396,7 @@ def test_dual_transform_rejects_inadmissible(pb2):
 def test_single_piece_carries_all_mass(pb2):
     grid = unit_grid(32)
     z = dual_H(pb2, [0.5, 0.5], [0.5, 0.5], 0.8).z_root
-    sol = PiecewiseGSolution(pb2, [((0.5, 0.5), z)], ((0.5, 0.5), 0.8))
+    sol = PiecewiseGSolution(pb2, [(0.5, 0.5)], [z])
     dec = cell_masses(sol, grid)
     assert dec.masses[0] == pytest.approx(grid.total_mass)
 
@@ -401,10 +415,8 @@ def test_partition_and_monotonicity(pb2):
     dec = cell_masses(sol, grid)
     assert dec.masses.sum() == pytest.approx(grid.total_mass, rel=1e-13)
     # raising z of piece 0 strictly lowers its graph and its mass
-    z_new = sol.pieces[0].z * 1.1
-    bumped = PiecewiseGSolution(sol.gf,
-                                [(sol.pieces[0].y, z_new), sol.pieces[1]],
-                                sol.anchor)
+    z_new = sol.zs[0] * 1.1
+    bumped = PiecewiseGSolution(sol.gf, sol.ys, [z_new, sol.zs[1]])
     dec2 = cell_masses(bumped, grid)
     assert dec2.masses[0] < dec.masses[0]
     assert dec2.masses[1] > dec.masses[1]
@@ -414,15 +426,16 @@ def test_partition_and_monotonicity(pb2):
 def test_monotonicity_random_perturbations(qot2):
     rng = np.random.default_rng(5)
     grid = unit_grid(24)
-    pieces = [((0.2, 0.3), 0.0), ((0.7, 0.4), 0.02), ((0.5, 0.8), -0.03)]
-    sol = PiecewiseGSolution(qot2, pieces, ((0.5, 0.5), 0.0))
+    ys = [(0.2, 0.3), (0.7, 0.4), (0.5, 0.8)]
+    zs = [0.0, 0.02, -0.03]
+    sol = PiecewiseGSolution(qot2, ys, zs)
     base = cell_masses(sol, grid).masses
     for _ in range(5):
         i = int(rng.integers(3))
         dz = float(rng.random()) * 0.05
-        newp = list(pieces)
-        newp[i] = (pieces[i][0], pieces[i][1] + dz)
-        masses = cell_masses(PiecewiseGSolution(qot2, newp, sol.anchor),
+        newz = list(zs)
+        newz[i] = zs[i] + dz
+        masses = cell_masses(PiecewiseGSolution(qot2, ys, newz),
                              grid).masses
         assert masses[i] <= base[i] + 1e-12
         for j in range(3):
@@ -433,7 +446,7 @@ def test_monotonicity_random_perturbations(qot2):
 def test_piece_admissibility_enforced(pb2):
     grid = unit_grid(16)
     # z too large: leaves I(x, y) at far grid corners
-    sol = PiecewiseGSolution(pb2, [((0.5, 0.5), 2.0)], ((0.5, 0.5), 0.8))
+    sol = PiecewiseGSolution(pb2, [(0.5, 0.5)], [2.0])
     with pytest.raises(DomainViolation):
         validate_pieces_on_grid(sol, grid)
     with pytest.raises(DomainViolation):

@@ -159,7 +159,7 @@ def test_separable_psi_matches_pointwise_scalar_formula(maker):
     y0 = np.array([0.1, -0.05])
     z0 = 0.4 if gf.name == "parallel_beam" else 0.8
     us = gf.value_batch(xs, y0, z0)
-    ps = gf.grad_x_batch(xs, y0, z0) + rng.normal(0.0, 0.01, xs.shape)
+    ps = gf.bundle_batch(xs, y0, z0).grad_x + rng.normal(0.0, 0.01, xs.shape)
 
     def f(x):
         return 1.0 + float(x @ x)
@@ -265,12 +265,40 @@ def test_ellipticity_solved_piecewise_degenerate(pb2):
     excl = interface_mask(grid, state.decomposition.assignment, widen=1)
     field, admissible = ellipticity_check(pb2, ufun, exclude=excl)
     assert admissible
-    assert field.masked_count == 0
+    assert field.masked_count == excl[1:-1, 1:-1].sum()
     # away from the kinks every node sits on one exact graph
     assert np.nanmax(np.abs(field.values[field.mask])) <= 1e-10
     # the unmasked run reports the kink nodes as evaluated: noisy there
     raw_field, _raw_adm = ellipticity_check(pb2, ufun)
     assert raw_field.mask.sum() > field.mask.sum()
+
+
+@pytest.mark.parametrize("exclude", [False, True], ids=["all", "exclude"])
+def test_masked_count_is_the_nan_interior(pb2, exclude):
+    # masked counts every interior node that carries no value: the nodes
+    # where u < 0 leaves the beam's forward map without a solution, and
+    # the excluded kink nodes
+    from gjet.gconvex import PiecewiseGSolution, interface_mask
+    from gjet.genfun import dual_H
+
+    grid = SourceGrid([0, 0], [1, 1], [16, 16])
+    ys = [[0.3, 0.4], [0.7, 0.6]]
+    zs = [dual_H(pb2, [0.5, 0.5], y, 0.75).z_root for y in ys]
+    vals = values_matrix(PiecewiseGSolution(pb2, ys, zs), grid)
+    u = vals.max(axis=0).reshape(grid.res)
+    u[:, :4] -= 2.0
+    ufun = GridFunction(grid, u)
+    excl = interface_mask(grid, np.argmax(vals, axis=0), widen=1) \
+        if exclude else None
+    psi = lambda xs, us, ps: np.zeros(len(xs))
+    fields = [ma_residual(pb2, ufun, psi, exclude=excl),
+              ellipticity_check(pb2, ufun, exclude=excl)[0]]
+    for field in fields:
+        nan = np.isnan(field.values[1:-1, 1:-1]).sum()
+        assert field.masked_count == nan
+        assert nan > (excl[1:-1, 1:-1].sum() if exclude else 0)
+    pje = pje_residual(pb2, ufun, psi)
+    assert pje.masked_count == np.isnan(pje.values[2:-2, 2:-2]).sum() > 0
 
 
 # --------------------------------------------------------------------------

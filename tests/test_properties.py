@@ -231,8 +231,7 @@ def test_cell_masses_partition_and_permute(gf):
         us = u0 * (1.0 + np.array([data.draw(st.floats(-0.05, 0.05))
                                    for _ in pts]))
         zs = [dual_H(gf, x0, y, u).z_root for y, u in zip(pts, us)]
-        sol = PiecewiseGSolution(gf, list(zip(map(tuple, pts), zs)),
-                                 (x0, u0))
+        sol = PiecewiseGSolution(gf, pts, zs)
         try:
             validate_pieces_on_grid(sol, grid)
         except DomainViolation:
@@ -242,8 +241,7 @@ def test_cell_masses_partition_and_permute(gf):
         assert masses.sum() == pytest.approx(total, rel=1e-13)
         # [0, total] up to summation order (total is a pairwise sum)
         assert np.all((masses >= 0.0) & (masses <= total * (1.0 + 1e-13)))
-        permuted = PiecewiseGSolution(gf, [sol.pieces[k] for k in perm],
-                                      sol.anchor)
+        permuted = PiecewiseGSolution(gf, sol.ys[perm], sol.zs[perm])
         moved = cell_masses(permuted, grid).masses
         assert np.max(np.abs(moved - masses[perm])) <= 1e-12 * total
 

@@ -62,9 +62,7 @@ def oracle_solve(prob, sweeps=30, steps=48):
         z_hi[i] = np.min(hi) * (1 - 1e-12)
 
     def masses_for(z):
-        sol = PiecewiseGSolution(
-            gf, [(tuple(y), float(zi)) for y, zi in zip(prob.targets, z)],
-            prob.anchor)
+        sol = PiecewiseGSolution(gf, prob.targets, z)
         return cell_masses(sol, grid).masses
 
     z = z_lo.copy()
