@@ -405,6 +405,8 @@ def _write_state(path, cfg, state, converged):
 
 
 def _state_from_file(path):
+    """(config, grid, solution) of a solution file, its pieces validated
+    on the grid (gconvex.validate_pieces_on_grid)."""
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"solution file {path}: expected a JSON object")
@@ -418,15 +420,16 @@ def _state_from_file(path):
     z = np.asarray(doc["z"], dtype=float)
     if z.ndim != 1 or len(z) != len(prob.targets) or len(z) == 0:
         raise ConfigError(f"solution file {path}: z length does not match targets")
-    return cfg, prob, z
+    sol = semidiscrete.solution_function(prob, z)
+    gconvex.validate_pieces_on_grid(sol, prob.grid)
+    return cfg, prob.grid, sol
 
 
 def cmd_transform(args) -> int:
-    cfg, prob, z = _state_from_file(args.solution)
-    sol = semidiscrete.solution_function(prob, z)
-    u = gconvex.values_matrix(sol, prob.grid).max(axis=0)
-    v = gconvex.g_transform(sol, prob.targets, prob.grid, u_grid=u)
-    vstar = gconvex.dual_transform(prob.gf, prob.targets, v, prob.grid)
+    cfg, grid, sol = _state_from_file(args.solution)
+    u = gconvex.values_matrix(sol, grid).max(axis=0)
+    v = gconvex.g_transform(sol, sol.ys, grid, u_grid=u)
+    vstar = gconvex.dual_transform(sol.gf, sol.ys, v, grid)
     err = float(np.max(np.abs(vstar.ravel() - u)))
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION,
@@ -447,15 +450,13 @@ def cmd_residual(args) -> int:
     if args.manufactured:
         ufun, psi = madiag.manufactured_case(args.manufactured, gf, grid)
     else:
-        _scfg, prob, z = _state_from_file(args.solution)
-        gf, grid = prob.gf, prob.grid
-        sol = semidiscrete.solution_function(prob, z)
+        _scfg, grid, sol = _state_from_file(args.solution)
+        gf = sol.gf
         vals = gconvex.values_matrix(sol, grid)
         ufun = madiag.GridFunction(grid, vals.max(axis=0).reshape(grid.res))
         # discrete image: the map is piecewise constant
         psi = lambda xs, us, ps: np.zeros(len(xs))
         # difference quotients across kinks carry no information: mask them
-        gconvex.validate_pieces_on_grid(sol, grid)
         # the cell labels alone: the argmax piece at each center
         exclude = gconvex.interface_mask(grid, np.argmax(vals, axis=0),
                                          widen=1)
@@ -473,14 +474,12 @@ def cmd_residual(args) -> int:
 
 
 def cmd_report(args) -> int:
-    _cfg, prob, z = _state_from_file(args.solution)
-    sol = semidiscrete.solution_function(prob, z)
-    gconvex.validate_pieces_on_grid(sol, prob.grid)
-    vals = gconvex.values_matrix(sol, prob.grid)
-    dec = gconvex.CellDecomposition.from_values(sol, prob.grid, vals)
-    _write_grid_csv(args.csv, sol, prob.grid, vals.max(axis=0), dec,
+    _cfg, grid, sol = _state_from_file(args.solution)
+    vals = gconvex.values_matrix(sol, grid)
+    dec = gconvex.CellDecomposition.from_values(sol, grid, vals)
+    _write_grid_csv(args.csv, sol, grid, vals.max(axis=0), dec,
                     with_mass=True)
-    print(f"report: {prob.grid.size} rows, {len(prob.targets)} pieces")
+    print(f"report: {grid.size} rows, {len(sol.zs)} pieces")
     return EXIT_OK
 
 

@@ -185,6 +185,16 @@ def _first_min(vals):
     return (k, v[k]) if v[k] < math.inf else (None, math.inf)
 
 
+def _at_z_fracs(gf: GeneratingFunction, xs, ys, z_fracs) -> tuple:
+    """(xs, ys, zs): each pair (xs[k], ys[k]) once per z at a quantile
+    z_fracs of I(x, y); C-ordered, as einsum rounds by memory layout."""
+    fracs = np.asarray(z_fracs, dtype=float)
+    z_lo, z_hi = gf.z_interval_batch(xs, ys)
+    zs = _map_fraction_rows(z_lo[:, None], z_hi[:, None], fracs).ravel()
+    xs, ys = (np.repeat(v, len(fracs), axis=0) for v in (xs, ys))
+    return xs, ys, zs
+
+
 def sample_triples(gf: GeneratingFunction, spec: SampleSpec):
     """Deterministic admissible triples as arrays (xs, ys, zs, fracs).
 
@@ -196,12 +206,8 @@ def sample_triples(gf: GeneratingFunction, spec: SampleSpec):
     xy = _uniform(np.random.default_rng(spec.seed), np.r_[spec.x_lo, spec.y_lo],
                   np.r_[spec.x_hi, spec.y_hi], 60 * spec.count)
     xy = xy[gf.admissible_pair_batch(xy[:, :n], xy[:, n:])][:spec.count]
-    fracs = np.asarray(spec.z_fracs, dtype=float)
-    z_lo, z_hi = gf.z_interval_batch(xy[:, :n], xy[:, n:])
-    zs = _map_fraction_rows(z_lo[:, None], z_hi[:, None], fracs).ravel()
-    fracs = np.tile(fracs, len(xy))
-    xy = np.repeat(xy, len(spec.z_fracs), axis=0)
-    return xy[:, :n], xy[:, n:], zs, fracs
+    xs, ys, zs = _at_z_fracs(gf, xy[:, :n], xy[:, n:], spec.z_fracs)
+    return xs, ys, zs, np.tile(np.asarray(spec.z_fracs, dtype=float), len(xy))
 
 
 def orthonormal_pair(rng, n: int):
@@ -266,9 +272,7 @@ def check_injectivity(gf: GeneratingFunction, direction: str,
         else:
             continue
         if direction == "primal":
-            z_lo, z_hi = gf.z_interval_batch(xs[keep], ys[keep])
-            zs = _map_fraction_rows(z_lo[:, None], z_hi[:, None], fracs).ravel()
-            xs, ys = (np.repeat(v[keep], len(fracs), axis=0) for v in (xs, ys))
+            xs, ys, zs = _at_z_fracs(gf, xs[keep], ys[keep], fracs)
         else:
             z = _map_fraction(*gf.z_interval(x_ref, y), fracs[len(fracs) // 2])
             xs = _uniform(rng, spec.x_lo, spec.x_hi, 12 * len(fracs))
@@ -572,10 +576,7 @@ def check_G5(gf: GeneratingFunction, omega, omega_star, spec: SampleSpec, *,
         ys.append(rng.dirichlet(np.ones(len(pts))) @ pts)
     xs, ys = (np.reshape(v, (-1, n)) for v in (xs, ys))
     adm = gf.admissible_pair_batch(xs, ys)
-    fracs = np.asarray(spec.z_fracs, dtype=float)
-    z_lo, z_hi = gf.z_interval_batch(xs[adm], ys[adm])
-    zs = _map_fraction_rows(z_lo[:, None], z_hi[:, None], fracs).ravel()
-    xs, ys = (np.repeat(v[adm], len(fracs), axis=0) for v in (xs, ys))
+    xs, ys, zs = _at_z_fracs(gf, xs[adm], ys[adm], spec.z_fracs)
     b = gf.bundle_batch(xs, ys, zs)
     keep = b.value > m0
     xs, ys, zs, value, grad = (v[keep] for v in (xs, ys, zs, b.value, b.grad_x))

@@ -61,6 +61,7 @@ __all__ = [
     "dual_transform",
     "cell_masses",
     "cell_split",
+    "grid_z_interval",
     "validate_pieces_on_grid",
     "interface_cell_count",
     "interface_mask",
@@ -349,19 +350,31 @@ def _active_tol(u):
     return ACTIVE_TOL * (1.0 + np.abs(u))
 
 
+def grid_z_interval(gf: GeneratingFunction, grid: SourceGrid, ys) -> tuple:
+    """(lo, hi): per target y_i of ys, the focal parameters admissible at
+    every cell center, max_c lo(x_c, y_i) < z < min_c hi(x_c, y_i).  Both
+    ends are NaN for a target that some center pairs inadmissibly with."""
+    ys = np.asarray(ys, dtype=float).reshape(-1, gf.dimension)
+    ends = np.full((2, len(ys)), np.nan)
+    for i, y in enumerate(ys):
+        if np.all(gf.admissible_pair_batch(grid.centers, y)):
+            lo, hi = gf.z_interval_batch(grid.centers, y)
+            ends[:, i] = np.max(lo), np.min(hi)
+    return ends[0], ends[1]
+
+
 def validate_pieces_on_grid(sol: PiecewiseGSolution, grid: SourceGrid) -> None:
     """Every piece must be admissible at every cell center: the pair
-    (x, y_i) in the admissible set and z inside I(x, y_i)."""
-    for i, (y, z) in enumerate(zip(sol.ys, sol.zs)):
-        if not np.all(sol.gf.admissible_pair_batch(grid.centers, y)):
-            raise DomainViolation(
-                f"piece {i}: some grid centers pair inadmissibly with its "
-                f"target")
-        lo, hi = sol.gf.z_interval_batch(grid.centers, y)
-        if not np.all((lo < z) & (z < hi)):
-            raise DomainViolation(
-                f"piece {i}: focal parameter {z} leaves its admissible "
-                f"interval on the grid")
+    (x, y_i) in the admissible set and z inside I(x, y_i).  Raises
+    DomainViolation for the first piece that is not."""
+    lo, hi = grid_z_interval(sol.gf, grid, sol.ys)
+    bad = np.flatnonzero(~((lo < sol.zs) & (sol.zs < hi)))
+    if len(bad):
+        i = bad[0]
+        raise DomainViolation(
+            f"piece {i}: some grid centers pair inadmissibly with its target"
+            if np.isnan(lo[i]) else f"piece {i}: focal parameter "
+            f"{sol.zs[i]} leaves its admissible interval on the grid")
 
 
 def _piece_rows(gf: GeneratingFunction, ys, zs, xs) -> np.ndarray:
@@ -567,18 +580,11 @@ def g_transform(sol: PiecewiseGSolution, targets, grid: SourceGrid, *,
 
 def dual_transform(gf: GeneratingFunction, targets, v_values,
                    grid: SourceGrid) -> np.ndarray:
-    """v*(x) = max_j G(x, y_j, v_j) on the grid (shape = grid.res)."""
-    targets = np.asarray(targets, dtype=float).reshape(-1, gf.dimension)
-    v_values = np.asarray(v_values, dtype=float).reshape(-1)
-    if len(targets) != len(v_values):
-        raise ValueError("targets and values lengths disagree")
-    for y, vj in zip(targets, v_values):
-        lo, hi = gf.z_interval_batch(grid.centers, y)
-        if not np.all((lo < vj) & (vj < hi)):
-            raise DomainViolation(
-                "transformed focal parameter leaves its admissible interval")
-    return _piece_rows(gf, targets, v_values,
-                       grid.centers).max(axis=0).reshape(grid.res)
+    """v*(x) = max_j G(x, y_j, v_j) on the grid (shape = grid.res), for
+    pieces (y_j, v_j) admissible there (validate_pieces_on_grid)."""
+    sol = PiecewiseGSolution(gf, targets, v_values)
+    validate_pieces_on_grid(sol, grid)
+    return values_matrix(sol, grid).max(axis=0).reshape(grid.res)
 
 
 def cell_masses(sol: PiecewiseGSolution, grid: SourceGrid) -> CellDecomposition:

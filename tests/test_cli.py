@@ -226,6 +226,28 @@ def test_solution_file_not_an_object_exits_4(tmp_path, capsys, command, text):
     assert "expected a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("z0", [1.5, -0.5])
+@pytest.mark.parametrize("command", ["report", "transform", "residual"])
+def test_solution_leaving_its_interval_exits_4(tmp_path, capsys, command, z0):
+    # the beam's I(x, y) is (0, 1/r): z0 leaves it on the grid
+    cfg = write_config(tmp_path)
+    path = tmp_path / "sol.json"
+    assert main(["solve", cfg, "--out", str(path)]) == EXIT_OK
+    doc = json.loads(path.read_text())
+    doc["z"][0] = z0
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = str(tmp_path / "out")
+    argv = {"report": ["report", str(path), "--csv", out],
+            "transform": ["transform", str(path), "--out", out],
+            "residual": ["residual", cfg, "--solution", str(path)]}[command]
+    assert main(argv) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        f"input error: piece 0: focal parameter {z0} leaves its admissible "
+        f"interval on the grid\n")
+    assert not os.path.exists(out)
+
+
 # --------------------------------------------------------------------------
 # residual
 # --------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from gjet.gconvex import (
     dual_transform,
     eval_piecewise,
     g_transform,
+    grid_z_interval,
     interface_cell_count,
     interface_point,
     interface_point_rows,
@@ -24,7 +25,13 @@ from gjet.gconvex import (
     validate_pieces_on_grid,
     values_matrix,
 )
-from gjet.genfun import GeneratingFunction, dual_H
+from gjet.genfun import (
+    GeneratingFunction,
+    ParallelBeam,
+    PointSourcePlane,
+    QuadraticOT,
+    dual_H,
+)
 
 
 def unit_grid(res=32, n=2):
@@ -389,6 +396,12 @@ def test_dual_transform_rejects_inadmissible(pb2):
         dual_transform(pb2, [[0.5, 0.5]], [5.0], grid)  # z beyond 1/max r
 
 
+def test_dual_transform_rejects_pairs_outside_the_domain(ps_neg):
+    # the unit square leaves the ball |x| < 1 at its far corner
+    with pytest.raises(DomainViolation, match="pair inadmissibly"):
+        dual_transform(ps_neg, [[0.2, 0.0]], [2.0], unit_grid(16))
+
+
 # --------------------------------------------------------------------------
 # cell masses
 # --------------------------------------------------------------------------
@@ -451,6 +464,45 @@ def test_piece_admissibility_enforced(pb2):
         validate_pieces_on_grid(sol, grid)
     with pytest.raises(DomainViolation):
         cell_masses(sol, grid)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["quadratic", "beam", "point_source",
+                                  "point_source_outside"])
+def test_grid_z_interval_is_the_per_center_reduction(kind, n):
+    gf, lo, hi = {
+        "quadratic": (QuadraticOT(n), 0.0, 1.0),
+        "beam": (ParallelBeam(n), 0.0, 1.0),
+        "point_source": (PointSourcePlane(n, tau=-1.0), -0.4, 0.4),
+        # the far corner cells leave the admissible ball |x| < 1
+        "point_source_outside": (PointSourcePlane(n, tau=-1.0), 0.0, 1.2),
+    }[kind]
+    grid = SourceGrid([lo] * n, [hi] * n, [5] * n)
+    ys = np.random.default_rng(n).uniform(-0.5, 1.5, (4, n))
+    ys[0] = grid.centers[len(grid.centers) // 2]   # the beam's I is unbounded
+    z_lo, z_hi = grid_z_interval(gf, grid, ys)
+    for i, y in enumerate(ys):
+        adm = [gf.admissible_pair_batch(x, y)[0] for x in grid.centers]
+        ends = np.array([gf.z_interval_batch(x, y) for x in grid.centers])
+        if all(adm):
+            assert z_lo[i] == ends[:, 0].max() and z_hi[i] == ends[:, 1].min()
+        else:
+            assert np.isnan(z_lo[i]) and np.isnan(z_hi[i])
+    assert np.isnan(z_lo).tolist() == [kind == "point_source_outside"] * 4
+
+
+def test_validation_names_the_first_failing_piece(pb2, ps_neg):
+    grid = unit_grid(16)
+    ok = pb_two_piece(pb2, grid)
+    sol = PiecewiseGSolution(pb2, ok.ys, [ok.zs[0], 2.0])
+    with pytest.raises(DomainViolation, match=r"^piece 1: focal parameter 2\.0 "
+                       r"leaves its admissible interval on the grid$"):
+        validate_pieces_on_grid(sol, grid)
+    # the unit square leaves the point source's ball |x| < 1
+    sol = PiecewiseGSolution(ps_neg, [(0.2, 0.0)], [2.0])
+    with pytest.raises(DomainViolation, match=r"^piece 0: some grid centers "
+                       r"pair inadmissibly with its target$"):
+        validate_pieces_on_grid(sol, grid)
 
 
 def test_interface_cell_count(pb2):

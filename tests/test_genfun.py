@@ -189,6 +189,26 @@ def test_scalar_entry_points_are_one_row_of_the_batch(gf):
             assert np.array_equal(getattr(one, name), getattr(batch, name)[k]), name
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_default_admissibility_is_the_row_wise_finite_mask(n):
+    # the default admissible_pair_batch tests finiteness column by column
+    gf = QuadraticOT(n)
+    assert type(gf).admissible_pair_batch is GeneratingFunction.admissible_pair_batch
+    rng = np.random.default_rng(n)
+    xs, ys = rng.uniform(-1.0, 1.0, (2, 80, n))
+    for rows in (xs, ys):
+        rows.flat[rng.integers(0, rows.size, 24)] = \
+            rng.choice([np.inf, -np.inf, np.nan], 24)
+
+    def reference(xs, ys):
+        return np.isfinite(xs).all(axis=1) & np.isfinite(ys).all(axis=1)
+
+    assert np.array_equal(gf.admissible_pair_batch(xs, ys), reference(xs, ys))
+    for y in (np.zeros(n), np.r_[np.nan, np.zeros(n - 1)], ys[0]):
+        assert np.array_equal(gf.admissible_pair_batch(xs, y),
+                              reference(xs, np.tile(y, (len(xs), 1))))
+
+
 @pytest.mark.parametrize("gf", CONTRACT_INSTANCES,
                          ids=lambda g: f"{g.name}{g.dimension}")
 def test_scalar_value_is_one_row_of_value_batch(gf):

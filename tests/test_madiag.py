@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gjet.errors import DomainViolation
 from gjet.gconvex import SourceGrid, values_matrix
 from gjet.genfun import (
     ParallelBeam,
@@ -44,6 +45,13 @@ def test_g_affine_residual_vanishes(maker):
     res = ma_residual(gf, ufun, psi)
     assert res.masked_count == 0
     assert res.max_abs() <= 1e-8
+
+
+def test_g_affine_rejects_a_grid_outside_the_domain():
+    # the unit square leaves the point source's ball |x| < 1
+    with pytest.raises(DomainViolation, match="g_affine"):
+        manufactured_case("g_affine", PointSourcePlane(2, -1.0),
+                          box_grid(16, lo=0.0, hi=1.0))
 
 
 def test_g_affine_residual_curved_target():

@@ -108,7 +108,7 @@ def test_validate_mass_imbalance(pb2):
     diags = validate_problem(prob)
     assert any(d["kind"] == "MassImbalance" for d in diags)
     with pytest.raises(MassImbalance):
-        validate_problem(prob, raise_on_error=True)
+        solve(prob)
 
 
 def test_validate_anchor_inadmissible(pb2):
