@@ -16,7 +16,8 @@ All JSON outputs carry a schema_version and the fully resolved config so
 a run can be reproduced from its artifacts alone.  CSV files are
 RFC-4180 with '.' decimals, LF line endings and 17-significant-digit
 floats; grid rows are ordered x1..xn, u, du1..dun, cell.  Outputs are
-byte-stable for identical config and seed.
+byte-stable for identical config and seed.  Each command imports the
+modules it runs, so that a process compiles only its command's code.
 """
 
 from __future__ import annotations
@@ -27,11 +28,15 @@ import json
 import math
 import os
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import conditions, gconvex, genfun, madiag, semidiscrete
+from . import genfun
 from .errors import ConfigError, GjetError, NoConvergence
+
+if TYPE_CHECKING:
+    from . import conditions, gconvex, semidiscrete
 
 SCHEMA_VERSION = "1.0"
 
@@ -50,8 +55,8 @@ _GENERATORS = {"quadratic_ot": genfun.QuadraticOT,
                "point_source": genfun.PointSourcePlane}
 
 _DEFAULT_CHECK = {"samples": 200, "seed": 1234,
-                  "fd_step": conditions.TENSOR_STEP, "g3_strict": False}
-_DEFAULT_SOLVER = dataclasses.asdict(semidiscrete.SolverTolerances())
+                  "fd_step": genfun.TENSOR_STEP, "g3_strict": False}
+_DEFAULT_SOLVER = dataclasses.asdict(genfun.SolverTolerances())
 
 
 def _require_keys(obj: dict, where: str, required, optional=()):
@@ -209,6 +214,7 @@ def build_generator(cfg: dict) -> genfun.GeneratingFunction:
 
 
 def build_grid(cfg: dict, base_dir: str = ".") -> gconvex.SourceGrid:
+    from . import gconvex
     src = cfg["source"]
     density = None
     if src["density"] != "uniform":
@@ -222,6 +228,7 @@ def build_grid(cfg: dict, base_dir: str = ".") -> gconvex.SourceGrid:
 
 
 def build_problem(cfg: dict, base_dir: str = ".") -> semidiscrete.SemiDiscreteProblem:
+    from . import semidiscrete
     if "targets" not in cfg or "normalization" not in cfg:
         raise ConfigError("solve requires config.targets and config.normalization")
     gf = build_generator(cfg)
@@ -229,7 +236,7 @@ def build_problem(cfg: dict, base_dir: str = ".") -> semidiscrete.SemiDiscretePr
     return semidiscrete.SemiDiscreteProblem(
         gf, grid, cfg["targets"]["points"], cfg["targets"]["masses"],
         (cfg["normalization"]["x0"], cfg["normalization"]["u0"]),
-        tolerances=semidiscrete.SolverTolerances(**cfg["solver"]))
+        tolerances=genfun.SolverTolerances(**cfg["solver"]))
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +248,7 @@ def _fmt(v: float) -> str:
 
 
 def _write_json(path: str, obj: dict) -> None:
-    text = json.dumps(conditions._jsonable(obj), sort_keys=True, indent=2)
+    text = json.dumps(genfun.jsonable(obj), sort_keys=True, indent=2)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
 
@@ -297,6 +304,7 @@ def _write_grid_csv(path, sol, grid, u, dec, with_mass=False):
 # --------------------------------------------------------------------------
 
 def _sample_spec_from(cfg: dict) -> conditions.SampleSpec:
+    from . import conditions
     box = cfg["source"]["box"]
     check = cfg["check"]
     if "y_box" in check:
@@ -322,6 +330,7 @@ def _corners(lo, hi) -> np.ndarray:
 
 
 def cmd_check(args) -> int:
+    from . import conditions
     cfg, _base = _load_config(args.config)
     gf = build_generator(cfg)
     spec = _sample_spec_from(cfg)
@@ -362,6 +371,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from . import gconvex, semidiscrete
     cfg, base = _load_config(args.config)
     prob = build_problem(cfg, base)
     try:
@@ -407,6 +417,7 @@ def _write_state(path, cfg, state, converged):
 def _state_from_file(path):
     """(config, grid, solution) of a solution file, its pieces validated
     on the grid (gconvex.validate_pieces_on_grid)."""
+    from . import gconvex, semidiscrete
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"solution file {path}: expected a JSON object")
@@ -426,6 +437,7 @@ def _state_from_file(path):
 
 
 def cmd_transform(args) -> int:
+    from . import gconvex
     cfg, grid, sol = _state_from_file(args.solution)
     u = gconvex.values_matrix(sol, grid).max(axis=0)
     v = gconvex.g_transform(sol, sol.ys, grid, u_grid=u)
@@ -443,6 +455,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_residual(args) -> int:
+    from . import gconvex, madiag
     cfg, base = _load_config(args.config)
     gf = build_generator(cfg)
     grid = build_grid(cfg, base)
@@ -474,6 +487,7 @@ def cmd_residual(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import gconvex
     _cfg, grid, sol = _state_from_file(args.solution)
     vals = gconvex.values_matrix(sol, grid)
     dec = gconvex.CellDecomposition.from_values(sol, grid, vals)
@@ -486,6 +500,12 @@ def cmd_report(args) -> int:
 # --------------------------------------------------------------------------
 # entry point
 # --------------------------------------------------------------------------
+
+class _ManufacturedNames:  # madiag's, imported when argparse reads them
+    def __iter__(self):
+        from . import madiag
+        return iter(madiag.MANUFACTURED_NAMES)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -514,7 +534,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--solution")
-    g.add_argument("--manufactured", choices=madiag.MANUFACTURED_NAMES)
+    # set after add_argument, which formats (so would import) the choices
+    g.add_argument("--manufactured").choices = _ManufacturedNames()
     p.add_argument("--out")
     p.set_defaults(fn=cmd_residual)
 

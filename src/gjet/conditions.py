@@ -33,7 +33,7 @@ import numpy as np
 
 from . import genfun
 from .errors import DomainViolation, GjetError, UnsupportedGeometry
-from .genfun import GeneratingFunction, fd_step
+from .genfun import TENSOR_STEP, GeneratingFunction, fd_step, jsonable
 
 __all__ = [
     "SampleSpec",
@@ -54,6 +54,7 @@ __all__ = [
     "hull_ratio",
     "hull_report",
     "orthonormal_pair",
+    "orthonormal_pairs",
 ]
 
 # default thresholds (see module report fields for the values in effect)
@@ -63,7 +64,6 @@ G3_MIN = 1e-6           # strict positivity margin for the tensor
 COLLISION_TOL = 1e-9    # output distance counted as a collision
 INPUT_TOL = 1e-6        # input separation required to call it a collision
 BOUNDARY_FRAC = 0.05    # interval fraction treated as "near the endpoint"
-TENSOR_STEP = 1e-3      # second-difference stencil step in p or q
 ORTHO_TOL = 1e-12       # |xi.eta| allowed after normalizing both
 G5_TOL = 1e-9           # relative slack on the gradient bound k0
 BOUNDARY_SAMPLES = 256  # ball boundary points of the boundary-form test
@@ -112,30 +112,7 @@ class ConditionReport:
     details: dict = field(default_factory=dict)
 
     def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "status": self.status,
-            "extremal_value": _jsonable(self.extremal_value),
-            "witness": _jsonable(self.witness),
-            "samples_used": int(self.samples_used),
-            "details": _jsonable(self.details),
-        }
-
-
-def _jsonable(obj):
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()] if obj.ndim else float(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        return jsonable(vars(self))
 
 
 # --------------------------------------------------------------------------
@@ -210,28 +187,44 @@ def sample_triples(gf: GeneratingFunction, spec: SampleSpec):
     return xs, ys, zs, np.tile(np.asarray(spec.z_fracs, dtype=float), len(xy))
 
 
-def orthonormal_pair(rng, n: int):
-    """Random unit xi and unit eta with eta projected orthogonal to xi."""
-    xi = rng.standard_normal(n)
-    xi /= np.linalg.norm(xi)
+def _unit(v):
+    return v / np.sqrt(_dots(v, v))[:, None]
+
+
+def orthonormal_pairs(rng, n: int, count: int):
+    """count rows of orthonormal_pair as (count, n) arrays xi and eta, from
+    the same draws and leaving the generator in the same state."""
+    draws = rng.standard_normal((count, 2 if n > 1 else 1, n))
     if n == 1:
-        # no orthogonal direction exists in 1-d; degenerate pair
-        return xi, np.zeros(1)
-    for _ in range(64):
-        eta = rng.standard_normal(n)
-        eta -= (eta @ xi) * xi
-        nrm = np.linalg.norm(eta)
-        if nrm >= 1e-6:
-            eta = eta / nrm
-            # mtw_tensor renormalizes both vectors before its test
-            unit_xi = xi / np.linalg.norm(xi)
-            if abs(float(unit_xi @ (eta / np.linalg.norm(eta)))) > ORTHO_TOL:
-                # a large cancelled component leaves rounding along xi;
-                # projecting the unit vector again removes it
-                eta -= (eta @ xi) * xi
-                eta /= np.linalg.norm(eta)
-            return xi, eta
-    raise GjetError("failed to draw an orthogonal pair")
+        # no orthogonal direction exists in 1-d; degenerate pairs
+        return _unit(draws[:, 0]), np.zeros((count, 1))
+    redrawn = []
+    while True:
+        xi = _unit(draws[:, 0])
+        eta = draws[:, 1] - _dots(draws[:, 1], xi)[:, None] * xi
+        nrm = np.sqrt(_dots(eta, eta))
+        short = np.flatnonzero(nrm < 1e-6)
+        if not len(short):
+            break
+        # pair k draws eta again, and every later draw moves on by one row
+        k = short[0]
+        redrawn.append(k)
+        if redrawn.count(k) == 64:
+            raise GjetError("failed to draw an orthogonal pair")
+        draws = np.concatenate([np.delete(draws.reshape(-1, n), 2 * k + 1, 0),
+                                rng.standard_normal((1, n))]).reshape(count, 2, n)
+    eta = eta / nrm[:, None]
+    # mtw_tensor renormalizes both before its test: rounding along xi left
+    # by a large cancelled component goes when the unit eta is projected again
+    far = np.abs(_dots(_unit(xi), _unit(eta))) > ORTHO_TOL
+    eta[far] = _unit(eta[far] - _dots(eta[far], xi[far])[:, None] * xi[far])
+    return xi, eta
+
+
+def orthonormal_pair(rng, n: int):
+    """Unit xi and unit eta orthogonal to it: one row of orthonormal_pairs."""
+    xi, eta = orthonormal_pairs(rng, n, 1)
+    return xi[0], eta[0]
 
 
 # --------------------------------------------------------------------------
@@ -375,7 +368,7 @@ def mtw_tensor_rows(gf: GeneratingFunction, side: str, a, b, zs, xi, eta, *,
     n = gf.dimension
     a, b, xi, eta = (genfun._rows(v, n) for v in (a, b, xi, eta))
     zs = genfun._per_row(zs, len(a))
-    xi = xi / np.sqrt(_dots(xi, xi))[:, None]
+    xi = _unit(xi)
     ena = np.sqrt(_dots(eta, eta))[:, None]
     eta = np.divide(eta, ena, out=eta.copy(), where=ena > 0)
     if np.any(np.abs(_dots(xi, eta)) > ORTHO_TOL):
@@ -437,13 +430,11 @@ def check_G3_family(gf: GeneratingFunction, spec: SampleSpec, strict: bool, *,
     primal/dual equivalence of the condition.
     """
     xs, ys, zs, _f = sample_triples(gf, spec)
-    rng = np.random.default_rng(spec.seed + 1)
     n = gf.dimension
-    pairs = [orthonormal_pair(rng, n) for _ in zs]
+    xi, eta = orthonormal_pairs(np.random.default_rng(spec.seed + 1), n, len(zs))
     if n == 1:
         # no orthogonal direction exists: nothing is evaluated
-        xs, ys, zs, pairs = xs[:0], ys[:0], zs[:0], []
-    xi, eta = (np.reshape([pair[i] for pair in pairs], (-1, n)) for i in (0, 1))
+        xs, ys, zs, xi, eta = (v[:0] for v in (xs, ys, zs, xi, eta))
     tp, ok = mtw_tensor_rows(gf, "primal", xs, ys, zs, xi, eta, step=step)
     td, ok_dual = mtw_tensor_rows(gf, "dual", ys, xs, zs, xi, eta, step=step)
     ok &= ok_dual

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import genfun
-from .conditions import ConditionReport, hull_report
 from .errors import DomainViolation
 from .genfun import GeneratingFunction
 
@@ -547,13 +546,14 @@ def section_set(sol: PiecewiseGSolution, grid: SourceGrid, piece_index: int,
 
 
 def section_convexity(sol: PiecewiseGSolution, grid: SourceGrid,
-                      piece_index: int, sigma: float) -> ConditionReport:
-    """Convexity of the section image under Q( . , y0, z0).
+                      piece_index: int, sigma: float):
+    """Convexity of the section image under Q( . , y0, z0): a ConditionReport.
 
     This is the hull-ratio diagnostic of the section-convexity property:
     sections of a G-convex function are G-convex with respect to the
     supporting piece, i.e. their Q-images are convex sets.
     """
+    from .conditions import hull_report  # here: solve does not load it
     mask = section_set(sol, grid, piece_index, sigma)
     image = sol.gf.q_batch(grid.centers[mask], sol.ys[piece_index],
                            sol.zs[piece_index])

@@ -82,6 +82,7 @@ H_ITER = 60             # H's bisection-guarded Newton steps
 H_INSET = 1e-13         # H's bracket inset from a finite end of I, relative
 H_DOUBLINGS = 200       # H's doublings towards an infinite end of I
 FD_BASE = 1e-5          # central-difference step per unit of max(1, |scale|)
+TENSOR_STEP = 1e-3      # G3 stencil step in p or q: conditions, check.fd_step
 
 
 # --------------------------------------------------------------------------
@@ -134,12 +135,37 @@ class G5Constants:
     k0: float
 
 
+@dataclass(frozen=True)
+class SolverTolerances:     # semidiscrete.solve's; every config embeds them
+    mass_tol_rel: float = 1e-3
+    anchor_tol: Optional[float] = None  # default 1e-8 * (1 + |u0|)
+    max_sweeps: int = 500        # Newton step budget
+
+    def anchor_tolerance(self, u0: float) -> float:
+        if self.anchor_tol is not None:
+            return self.anchor_tol
+        return 1e-8 * (1.0 + abs(u0))
+
+
 def fd_step(scale):
     """Central-difference step: FD_BASE * max(1, |scale|), elementwise.
 
     Documented so finite-difference oracle tolerances are reproducible.
     """
     return FD_BASE * np.maximum(1.0, np.abs(scale))
+
+
+def jsonable(obj):
+    """obj for json.dumps: numpy values, tuples and dict keys converted."""
+    if isinstance(obj, np.ndarray) and obj.ndim:
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [v if isinstance(v, float) else jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.ndarray)):
+        return float(obj)
+    return int(obj) if isinstance(obj, np.integer) else obj
 
 
 def _vec(p, n: int) -> np.ndarray:

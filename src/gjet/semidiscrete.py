@@ -31,12 +31,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import errors, genfun
-from .conditions import ConditionReport
 from .errors import GjetError, InfeasibleBracket, NoConvergence
 from .gconvex import (
     CellDecomposition,
@@ -50,7 +48,7 @@ from .gconvex import (
     neighbor_pairs,
     values_matrix,
 )
-from .genfun import GeneratingFunction
+from .genfun import GeneratingFunction, SolverTolerances
 
 __all__ = [
     "SolverTolerances",
@@ -62,18 +60,6 @@ __all__ = [
     "lipschitz_diagnostic",
     "range_diagnostic",
 ]
-
-
-@dataclass(frozen=True)
-class SolverTolerances:
-    mass_tol_rel: float = 1e-3
-    anchor_tol: Optional[float] = None  # default 1e-8 * (1 + |u0|)
-    max_sweeps: int = 500        # Newton step budget
-
-    def anchor_tolerance(self, u0: float) -> float:
-        if self.anchor_tol is not None:
-            return self.anchor_tol
-        return 1e-8 * (1.0 + abs(u0))
 
 
 @dataclass(frozen=True)
@@ -443,8 +429,8 @@ def _hull_test(points: np.ndarray, tol: float = 1e-9):
 
 
 def range_diagnostic(state: SolutionState, prob: SemiDiscreteProblem,
-                     omega_star_hull=None) -> ConditionReport:
-    """Targets reached by the solution stay in the target hull.
+                     omega_star_hull=None):
+    """A ConditionReport: targets reached by the solution stay in the hull.
 
     Piece targets are the declared points, so they lie in the hull
     trivially; the substantive part maps interpolated supports at cell
@@ -461,6 +447,7 @@ def range_diagnostic(state: SolutionState, prob: SemiDiscreteProblem,
     checked: y0 must lie in the padded hull.  All sampled interfaces go
     through those two row calls at once.
     """
+    from .conditions import ConditionReport  # here: solve does not load it
     grid = prob.grid
     hull_pts = prob.targets if omega_star_hull is None \
         else np.asarray(omega_star_hull, dtype=float)

@@ -550,31 +550,91 @@ def test_field_csv_bytes_match_the_per_cell_formatter(tmp_path):
     assert path.read_text().count(",nan,nan\n") == 3
 
 
+def run_python(code):
+    """stdout of a fresh interpreter that runs code with this gjet."""
+    import gjet
+
+    src = os.path.dirname(os.path.dirname(gjet.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env=env, timeout=120, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
 def test_solve_and_report_load_no_numpy_ma(tmp_path):
     # numpy.unique imports numpy.ma (three modules) under numpy 2; the
     # solver's band loop takes its distinct counts without it
-    def run(code):
-        import gjet
-
-        src = os.path.dirname(os.path.dirname(gjet.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, os.environ.get("PYTHONPATH", "")]))
-        return subprocess.run([sys.executable, "-c", code], env=env,
-                              timeout=120, capture_output=True, text=True,
-                              check=True).stdout.strip()
-
-    if run("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
+    if run_python("import sys, numpy; print('numpy.ma' in sys.modules)") == "True":
         pytest.skip("a bare import numpy loads numpy.ma")
     cfg = write_config(tmp_path, source=GRID16)
     sol, csv_path = tmp_path / "sol.json", tmp_path / "surfaces.csv"
     for argv in (["solve", cfg, "--out", str(sol), "--grid-out",
                   str(tmp_path / "grid.csv")],
                  ["report", str(sol), "--csv", str(csv_path)]):
-        out = run(textwrap.dedent(f"""
+        out = run_python(f"""
             import sys
             from gjet.cli import main
             assert main({argv!r}) == 0
             print(sorted(m for m in sys.modules
                          if m == "numpy.ma" or m.startswith("numpy.ma.")))
-        """))
+        """)
         assert out.splitlines()[-1] == "[]", argv
+
+
+def test_each_command_loads_only_the_modules_it_runs(tmp_path):
+    # without a bytecode cache a process compiles every module it imports,
+    # so each command imports the gjet modules it runs and no others
+    cfg = write_config(tmp_path, source=GRID16)
+    sol = str(tmp_path / "sol.json")
+    runs = [
+        (["check", cfg, "--out", str(tmp_path / "report.json")], (0, 2),
+         {"semidiscrete", "gconvex", "madiag"}),
+        (["solve", cfg, "--out", sol, "--grid-out", str(tmp_path / "grid.csv")],
+         (0,), {"conditions", "madiag"}),
+        (["transform", sol, "--out", str(tmp_path / "dual.json")], (0,),
+         {"conditions", "madiag"}),
+        (["report", sol, "--csv", str(tmp_path / "surfaces.csv")], (0,),
+         {"conditions", "madiag"}),
+        (["residual", cfg, "--solution", sol], (0,), {"conditions"}),
+        (["residual", cfg, "--manufactured", "g_affine"], (0,),
+         {"conditions", "semidiscrete"}),
+    ]
+    for argv, codes, absent in runs:
+        out = run_python(f"""
+            import sys
+            from gjet.cli import main
+            print(main({argv!r}))
+            print(" ".join(sorted(m for m in sys.modules if m.startswith("gjet."))))
+        """)
+        rc, loaded = out.splitlines()[-2:]
+        assert int(rc) in codes, argv
+        assert "gjet.cli" in loaded.split(), argv
+        assert not {"gjet." + m for m in absent} & set(loaded.split()), argv
+
+
+def test_manufactured_choices_parse_and_print_unchanged(tmp_path, capsys,
+                                                         monkeypatch):
+    # the parser reads madiag.MANUFACTURED_NAMES only when it tests or
+    # prints a choice; its usage error and help are argparse's own
+    from gjet import madiag
+
+    monkeypatch.setenv("COLUMNS", "80")
+    cfg = write_config(tmp_path)
+    assert main(["residual", cfg, "--manufactured", "bogus"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        "usage: gjet residual [-h]\n"
+        "                     (--solution SOLUTION | --manufactured "
+        "{g_affine,quadratic_ot_identity,quadratic_ot_cosh})\n"
+        "                     [--out OUT]\n"
+        "                     config\n"
+        "gjet residual: error: argument --manufactured: invalid choice: "
+        "'bogus' (choose from 'g_affine', 'quadratic_ot_identity', "
+        "'quadratic_ot_cosh')\n")
+    assert main(["--help"]) == EXIT_OK
+    assert "{check,solve,transform,residual,report}" in capsys.readouterr().out
+    assert main(["residual", "--help"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "--manufactured {g_affine,quadratic_ot_identity,quadratic_ot_cosh}" in out
+    assert madiag.MANUFACTURED_NAMES == ("g_affine", "quadratic_ot_identity",
+                                         "quadratic_ot_cosh")

@@ -652,3 +652,94 @@ def test_row_checks_repeat_the_per_sample_loops():
         statuses.add((label.split("-")[0], got["status"]))
     assert ("constant", "fail") in statuses
     assert ("sparse", "inconclusive") in statuses
+
+
+def reference_orthonormal_pair(rng, n, reprojected=None):
+    """One (xi, eta) draw in turn: the per-pair loop orthonormal_pairs
+    replaced.  A pair that takes the ORTHO_TOL re-projection appends to
+    reprojected."""
+    xi = rng.standard_normal(n)
+    xi /= np.linalg.norm(xi)
+    if n == 1:
+        return xi, np.zeros(1)
+    for _ in range(64):
+        eta = rng.standard_normal(n)
+        eta -= (eta @ xi) * xi
+        nrm = np.linalg.norm(eta)
+        if nrm >= 1e-6:
+            eta = eta / nrm
+            unit_xi = xi / np.linalg.norm(xi)
+            if abs(float(unit_xi @ (eta / np.linalg.norm(eta)))) > C.ORTHO_TOL:
+                if reprojected is not None:
+                    reprojected.append(len(reprojected))
+                eta -= (eta @ xi) * xi
+                eta /= np.linalg.norm(eta)
+            return xi, eta
+    raise GjetError("failed to draw an orthogonal pair")
+
+
+def assert_same_pairs(got, pairs, n):
+    for i in (0, 1):
+        assert got[i].shape == (len(pairs), n)
+        assert got[i].tobytes() == np.reshape([p[i] for p in pairs], (-1, n)).tobytes()
+
+
+# the check seed that made the old check_defect workload fail; its G3
+# draws (seed + 1) take the ORTHO_TOL re-projection at n = 2
+DEFECT_G3_SEED = 641987627 + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 7, DEFECT_G3_SEED])
+def test_orthonormal_pairs_repeat_the_per_pair_draws(seed, n):
+    count = 1000
+    rngs = [np.random.default_rng(seed) for _ in range(3)]
+    reprojected = []
+    loop = [reference_orthonormal_pair(rngs[0], n, reprojected) for _ in range(count)]
+    rows = [C.orthonormal_pair(rngs[1], n) for _ in range(count)]
+    got = C.orthonormal_pairs(rngs[2], n, count)
+    assert_same_pairs(got, loop, n)
+    assert_same_pairs(got, rows, n)
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state \
+        == rngs[2].bit_generator.state
+    if seed == DEFECT_G3_SEED and n == 2:
+        assert reprojected
+
+
+class FixedNormals:
+    """A generator stub whose standard_normal hands out a fixed sequence
+    in order; used counts the values handed out."""
+
+    def __init__(self, values):
+        self.values, self.used = np.asarray(values, dtype=float), 0
+
+    def standard_normal(self, size):
+        k = int(np.prod(size))
+        out = self.values[self.used:self.used + k].copy()
+        assert len(out) == k, "sequence exhausted"
+        self.used += k
+        return out.reshape(size)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orthonormal_pairs_redraw_a_short_eta_in_draw_order(n):
+    # an eta drawn parallel to xi leaves |eta_perp| < 1e-6: that pair
+    # draws eta again, and every later pair's draws move on
+    rows = np.random.default_rng(3).standard_normal((30, n))
+    rows[1], rows[2] = 2.0 * rows[0], -0.5 * rows[0]   # pair 0: twice
+    rows[5] = 3.0 * rows[4]                            # pair 1
+    rows[26] = 1.5 * rows[25]                          # pair 11, the last
+    count = 12
+    loop_rng, rows_rng, batch_rng = (FixedNormals(rows.ravel()) for _ in range(3))
+    loop = [reference_orthonormal_pair(loop_rng, n) for _ in range(count)]
+    ones = [C.orthonormal_pair(rows_rng, n) for _ in range(count)]
+    got = C.orthonormal_pairs(batch_rng, n, count)
+    assert loop_rng.used == 28 * n    # 2 rows per pair and 4 redraws
+    assert rows_rng.used == batch_rng.used == loop_rng.used
+    assert_same_pairs(got, loop, n)
+    assert_same_pairs(got, ones, n)
+    # 64 short draws in a row give up, as the loop does
+    for draw in (lambda r: reference_orthonormal_pair(r, 2),
+                 lambda r: C.orthonormal_pairs(r, 2, 3)):
+        with pytest.raises(GjetError, match="orthogonal pair"):
+            draw(FixedNormals([1.0, 0.0] * 200))
