@@ -286,11 +286,8 @@ def _write_grid_csv(path, sol, grid, u, dec, with_mass=False):
     """Rows x1..xn, u, du1..dun, cell[, mass] for every grid node of the
     solution sol with values u and cells dec."""
     assignment = dec.assignment
-    du = np.empty((grid.size, grid.n))
-    for i, (y, z) in enumerate(zip(sol.ys, sol.zs)):
-        mask = assignment == i
-        if mask.any():
-            du[mask] = sol.gf.bundle_batch(grid.centers[mask], y, z).grad_x
+    du = sol.gf.bundle_batch(grid.centers, sol.ys[assignment],
+                             sol.zs[assignment]).grad_x
     names = ["u"] + [f"du{k + 1}" for k in range(grid.n)] + ["cell"]
     columns = [u, du, assignment]
     if with_mass:
@@ -490,9 +487,9 @@ def cmd_report(args) -> int:
     from . import gconvex
     _cfg, grid, sol = _state_from_file(args.solution)
     vals = gconvex.values_matrix(sol, grid)
-    dec = gconvex.CellDecomposition.from_values(sol, grid, vals)
-    _write_grid_csv(args.csv, sol, grid, vals.max(axis=0), dec,
-                    with_mass=True)
+    dec = gconvex.CellDecomposition(
+        *gconvex.cell_split(sol.gf, sol.ys, sol.zs, grid, vals)[:2])
+    _write_grid_csv(args.csv, sol, grid, vals.max(axis=0), dec, with_mass=True)
     print(f"report: {grid.size} rows, {len(sol.zs)} pieces")
     return EXIT_OK
 

@@ -33,7 +33,14 @@ import numpy as np
 
 from . import genfun
 from .errors import DomainViolation, GjetError, UnsupportedGeometry
-from .genfun import TENSOR_STEP, GeneratingFunction, fd_step, jsonable
+from .genfun import (
+    TENSOR_STEP,
+    GeneratingFunction,
+    _map_fraction,
+    _map_fraction_rows,
+    fd_step,
+    jsonable,
+)
 
 __all__ = [
     "SampleSpec",
@@ -48,6 +55,7 @@ __all__ = [
     "mtw_tensor_rows",
     "check_G3_family",
     "dp_A_chainrule",
+    "dp_A_chainrule_rows",
     "check_G4w",
     "check_G5",
     "domain_convexity",
@@ -118,26 +126,6 @@ class ConditionReport:
 # --------------------------------------------------------------------------
 # sampling helpers
 # --------------------------------------------------------------------------
-
-def _map_fraction_rows(lo, hi, f) -> np.ndarray:
-    """Place interior quantiles f into possibly unbounded open intervals
-    (lo, hi); the arguments broadcast against each other."""
-    lo, hi, f = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                      for a in (lo, hi, f)))
-    flo, fhi = np.isfinite(lo), np.isfinite(hi)
-    with np.errstate(invalid="ignore"):
-        out = np.where(flo & fhi, lo + f * (hi - lo),
-                       np.where(flo, lo + f / (1.0 - f), hi - (1.0 - f) / f))
-    # math.log, whose rounding np.log does not always repeat
-    free = ~(flo | fhi)
-    out[free] = [math.log(v / (1.0 - v)) for v in f[free]]
-    return out
-
-
-def _map_fraction(lo: float, hi: float, f: float) -> float:
-    """One interior quantile: one row of _map_fraction_rows."""
-    return float(_map_fraction_rows(lo, hi, f))
-
 
 def _uniform(rng, lo, hi, rows: int = None):
     """One uniform point of the box [lo, hi), or (rows, n) points drawn as
@@ -360,7 +348,7 @@ def check_G2(gf: GeneratingFunction, spec: SampleSpec) -> ConditionReport:
 def mtw_tensor_rows(gf: GeneratingFunction, side: str, a, b, zs, xi, eta, *,
                     step: float = TENSOR_STEP) -> tuple:
     """mtw_tensor over rows (a_k, b_k, z_k, xi_k, eta_k): all stencil
-    points go through one matrix_A_rows (primal) or dual_Astar_Bstar_rows
+    points go through one matrix_A_B_rows (primal) or dual_Astar_Bstar_rows
     (dual) call.  Returns (values (m,), ok (m,)); a row is not ok, and its
     value NaN, when its point is off the admissible slice, G_z is not
     negative there, or a stencil point has no solution.
@@ -385,8 +373,8 @@ def mtw_tensor_rows(gf: GeneratingFunction, side: str, a, b, zs, xi, eta, *,
     slopes = (base + np.stack([h, 0 * h, -h])[:, :, None] * eta[ok]).reshape(-1, n)
     x3, xi3 = np.tile(x[ok], (3, 1)), np.tile(xi[ok], (3, 1))
     if side == "primal":
-        amat, status, _ = genfun.matrix_A_rows(gf, x3, np.tile(bnd.value[ok], 3),
-                                               slopes)
+        amat, _b, status, _ = genfun.matrix_A_B_rows(
+            gf, x3, np.tile(bnd.value[ok], 3), slopes)
     else:
         amat, _, status, _ = genfun.dual_Astar_Bstar_rows(
             gf, np.tile(y[ok], (3, 1)), np.tile(zs[ok], 3), slopes, x_initial=x3)
@@ -474,36 +462,51 @@ def check_G3_family(gf: GeneratingFunction, spec: SampleSpec, strict: bool, *,
     )
 
 
-def dp_A_chainrule(gf: GeneratingFunction, x, y, z) -> np.ndarray:
-    """Slope derivative D_{p_k} A_ij assembled through the chain rule.
-
-    Out[i, j, k] combines the inverse of E with x-derivatives of E and
-    the exact mixed xz-gradient:
+def dp_A_chainrule_rows(gf: GeneratingFunction, xs, ys, zs) -> tuple:
+    """Slope derivative D_{p_k} A_ij over rows (x_m, y_m, z_m), assembled
+    through the chain rule:
 
         D_{p_k} A_ij = sum_r (E^{-1})_{r k} dE_{i r}/dx_j
                        + (G_{x_i z} / G_z) delta_{j k},
 
     symmetrized over (i, j); dE/dx comes from central differences of the
-    exact E assembly.  Cross-checked against direct differences of A in
-    p by the test suite.
+    exact E assembly, the 2n stencil points of every row in one
+    bundle_batch call.  Returns (out (m, n, n, n), ok (m,)); a row is not
+    ok, and its out NaN, when its point is off the admissible slice, G_z
+    is not negative there or E is singular.  Cross-checked against direct
+    differences of A in p by the test suite.
     """
     n = gf.dimension
-    x = np.asarray(x, dtype=float).reshape(n)
-    y = np.asarray(y, dtype=float).reshape(n)
-    z = float(z)
-    b = genfun.eval_bundle(gf, x, y, z)
+    xs, ys = genfun._pair_rows(xs, ys, n)
+    zs = genfun._per_row(zs, len(xs))
+    ok = genfun._on_slice(gf, xs, ys, zs)
+    x, y, z = xs[ok], ys[ok], zs[ok]
+    b = gf.bundle_batch(x, y, z)
     e = genfun._e_matrix(b)
-    einv = np.linalg.inv(e)
-    h = fd_step(float(np.max(np.abs(x))))
-    steps = h * np.eye(n)
-    e_pm = genfun._e_matrix(gf.bundle_batch(
-        np.concatenate([x + steps, x - steps]), np.tile(y, (2 * n, 1)), z))
-    de_dx = ((e_pm[:n] - e_pm[n:]) / (2.0 * h)).transpose(1, 2, 0)  # [i, r, j]
+    keep = (b.dz < 0.0) & (np.linalg.det(e) != 0.0)
+    ok[ok] = keep
+    x, y, z, e = x[keep], y[keep], z[keep], e[keep]
+    h = fd_step(np.abs(x).max(axis=1))[:, None, None]
+    stencil = x[:, None] + h * np.concatenate([np.eye(n), -np.eye(n)])  # x +- h e_j
+    e_pm = genfun._e_matrix(gf.bundle_batch(stencil.reshape(-1, n), np.repeat(
+        y, 2 * n, axis=0), np.repeat(z, 2 * n))).reshape(len(x), 2, n, n, n)
+    de_dx = (e_pm[:, 0] - e_pm[:, 1]) / (2.0 * h[..., None])   # [m, j, i, r]
+    d = np.einsum("mrk,mjir->mijk", np.linalg.inv(e), de_dx) + np.einsum(
+        "mi,jk->mijk", (b.grad_xz / b.dz[:, None])[keep], np.eye(n))
+    out = np.full((len(xs), n, n, n), np.nan)
+    out[ok] = 0.5 * (d + d.transpose(0, 2, 1, 3))
+    return out, ok
 
-    term1 = np.einsum("rk,irj->ijk", einv, de_dx)
-    term2 = np.einsum("i,jk->ijk", b.grad_xz / b.dz, np.eye(n))
-    out = term1 + term2
-    return 0.5 * (out + out.transpose(1, 0, 2))
+
+def dp_A_chainrule(gf: GeneratingFunction, x, y, z) -> np.ndarray:
+    """D_{p_k} A_ij at one point: one row of dp_A_chainrule_rows.  Raises
+    DomainViolation as eval_bundle does, and LinAlgError when E is
+    singular."""
+    genfun.eval_bundle(gf, x, y, z)
+    out, ok = dp_A_chainrule_rows(gf, x, y, float(z))
+    if not ok[0]:
+        raise np.linalg.LinAlgError("Singular matrix")
+    return out[0]
 
 
 # --------------------------------------------------------------------------
@@ -516,9 +519,9 @@ def check_G4w(gf: GeneratingFunction, spec: SampleSpec) -> ConditionReport:
     b = gf.bundle_batch(xs, ys, zs)
     u, p = b.value, b.grad_x
     h = fd_step(u)
-    a, rows, _ = genfun.matrix_A_rows(gf, np.tile(xs, (2, 1)),
-                                      np.concatenate([u + h, u - h]),
-                                      np.tile(p, (2, 1)))
+    a, _b, rows, _ = genfun.matrix_A_B_rows(gf, np.tile(xs, (2, 1)),
+                                            np.concatenate([u + h, u - h]),
+                                            np.tile(p, (2, 1)))
     ok = (rows == genfun.RowStatus.OK).reshape(2, -1).all(axis=0)
     evaluated = int(ok.sum())
     ap, am = a.reshape((2, -1) + a.shape[1:])[:, ok]
@@ -692,29 +695,20 @@ def hull_ratio(points: np.ndarray):
                                 "occupied": int(len(occupied))}
 
 
-def _tangent_basis(gamma: np.ndarray):
-    n = len(gamma)
-    basis = []
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        t = e - (e @ gamma) * gamma
-        nrm = np.linalg.norm(t)
-        if nrm > 1e-8:
-            basis.append(t / nrm)
-    return basis[: n - 1]
-
-
 def domain_convexity(gf: GeneratingFunction, kind: str, geometry,
                      anchor) -> ConditionReport:
     """Domain convexity tests with respect to the generating function.
 
-    kind = "source_boundary": evaluate the boundary form
+    kind = "source_boundary": the least value of the boundary form
 
-        [ D_i gamma_j - (D_{p_k} G_xx)_{ij} gamma_k ] tau_i tau_j >= 0
+        [ D_i gamma_j - (D_{p_k} G_xx)_{ij} gamma_k ] tau_i tau_j
 
-    at BOUNDARY_SAMPLES points of an analytic ball boundary with anchor
-    (y0, z0); the slope derivative of G_xx comes from dp_A_chainrule.
+    over unit tangent vectors tau, at BOUNDARY_SAMPLES points of an
+    analytic ball boundary with anchor (y0, z0), must be >= 0; the slope
+    derivative of G_xx comes from one dp_A_chainrule_rows call.  The
+    minimum over the tangent plane is the least eigenvalue of P S P, S the
+    symmetrized form and P = I - gamma gamma^T, with gamma gamma^T lifted
+    above the tangent eigenvalues; the witness tau is its eigenvector.
 
     kind = "source_image": the image of the region under Q(., y0, z0)
     must be convex (hull-ratio test); anchor is (y0, z0).
@@ -727,38 +721,25 @@ def domain_convexity(gf: GeneratingFunction, kind: str, geometry,
         if not isinstance(geometry, Ball):
             raise UnsupportedGeometry(
                 "boundary form requires an analytic ball boundary")
-        y0 = np.asarray(anchor[0], dtype=float)
-        z0 = float(anchor[1])
         pts = geometry.boundary_samples(BOUNDARY_SAMPLES)
-        c = np.asarray(geometry.center, dtype=float)
-        min_form = math.inf
-        witness = None
-        used = 0
-        for x in pts:
-            gamma = (x - c) / geometry.radius
-            dgamma = (np.eye(n) - np.outer(gamma, gamma)) / geometry.radius
-            try:
-                dpa = dp_A_chainrule(gf, x, y0, z0)
-            except GjetError:
-                continue
-            used += 1
-            corr = np.einsum("ijk,k->ij", dpa, gamma)
-            mat = dgamma - corr
-            for tau in _tangent_basis(gamma):
-                val = float(tau @ mat @ tau)
-                if val < min_form:
-                    min_form = val
-                    if val < -WEAK_TOL:
-                        witness = {"x": x, "tau": tau, "form": val}
-        if used < 3:
-            status = "inconclusive"
-        else:
-            status = "pass" if min_form >= -WEAK_TOL else "fail"
+        gamma = (pts - np.asarray(geometry.center, dtype=float)) / geometry.radius
+        dpa, ok = dp_A_chainrule_rows(gf, pts, anchor[0], float(anchor[1]))
+        ok &= np.isfinite(dpa).all(axis=(1, 2, 3))
+        pts, gamma, dpa = pts[ok], gamma[ok], dpa[ok]
+        proj = np.eye(n) - gamma[:, :, None] * gamma[:, None, :]
+        form = proj / geometry.radius - np.einsum("mijk,mk->mij", dpa, gamma)
+        form = proj @ (0.5 * (form + form.transpose(0, 2, 1))) @ proj
+        lift = 1.0 + np.sqrt((form * form).sum(axis=(1, 2)))  # > |eigenvalues|
+        w, v = np.linalg.eigh(form + lift[:, None, None] * (np.eye(n) - proj))
+        k, min_form = _first_min(np.min(w[:, :n - 1], axis=1, initial=math.inf))
+        status = "inconclusive" if len(pts) < 3 \
+            else "pass" if min_form >= -WEAK_TOL else "fail"
         return ConditionReport(
             name="domain_convexity/source_boundary", status=status,
             extremal_value=min_form,
-            witness=witness if status == "fail" else None,
-            samples_used=used,
+            witness={"x": pts[k], "tau": v[k, :, 0], "form": min_form}
+            if status == "fail" else None,
+            samples_used=len(pts),
             details={"weak_tol": WEAK_TOL})
 
     if kind == "source_image":

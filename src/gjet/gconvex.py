@@ -99,11 +99,9 @@ class SourceGrid:
         self.density = np.asarray(density, dtype=float).reshape(self.res)
         if np.any(~np.isfinite(self.density)) or np.any(self.density < 0):
             raise ValueError("density must be finite and nonnegative")
-        axes = [self.lo[k] + (np.arange(self.res[k]) + 0.5) * self.h[k]
-                for k in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*[lo + (np.arange(r) + 0.5) * h for lo, r, h
+                             in zip(self.lo, self.res, self.h)], indexing="ij")
         self.centers = np.stack([m.ravel() for m in mesh], axis=1)
-        self.axes = axes
         self.cell_mass = (self.density * self.cell_vol).ravel()
         self.total_mass = float(self.cell_mass.sum())
         if not self.total_mass > 0:
@@ -141,14 +139,6 @@ class CellDecomposition:
 
     assignment: np.ndarray  # (cells,) argmax piece at each cell center
     masses: np.ndarray      # (pieces,) sub-cell masses (cell_split)
-
-    @classmethod
-    def from_values(cls, sol: "PiecewiseGSolution", grid: "SourceGrid",
-                    values: np.ndarray) -> "CellDecomposition":
-        """Cells of sol from its (pieces, cells) value matrix."""
-        assignment, masses, _jac = cell_split(sol.gf, sol.ys, sol.zs, grid,
-                                              values)
-        return cls(assignment, masses)
 
 
 def _box_fraction(b: np.ndarray, a: np.ndarray) -> tuple:
@@ -595,7 +585,8 @@ def cell_masses(sol: PiecewiseGSolution, grid: SourceGrid) -> CellDecomposition:
     source mass up to float summation order.
     """
     validate_pieces_on_grid(sol, grid)
-    return CellDecomposition.from_values(sol, grid, values_matrix(sol, grid))
+    return CellDecomposition(*cell_split(sol.gf, sol.ys, sol.zs, grid,
+                                         values_matrix(sol, grid))[:2])
 
 
 def neighbor_pairs(grid: SourceGrid, assignment: np.ndarray) -> np.ndarray:
@@ -630,5 +621,6 @@ def interface_mask(grid: SourceGrid, assignment: np.ndarray,
 
 def interface_cell_count(grid: SourceGrid, assignment: np.ndarray) -> int:
     """Number of interface cells: the cells with an axis neighbor of
-    another label, where the masses are split (cell_split)."""
+    another label.  cell_split splits a different set, the cells where a
+    piece near-ties the label, which may be larger."""
     return int(interface_mask(grid, assignment).sum())

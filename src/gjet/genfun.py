@@ -62,8 +62,8 @@ __all__ = [
     "forward_YZ_rows",
     "matrix_E",
     "matrix_A",
-    "matrix_A_rows",
     "matrix_A_B",
+    "matrix_A_B_rows",
     "matrix_A_via_yp",
     "map_Q",
     "map_X",
@@ -302,8 +302,7 @@ class GeneratingFunction(abc.ABC):
         return float(self.value_batch(_vec(x, self.dimension)[None, :], y, z)[0])
 
     def value_batch(self, xs, y, z) -> np.ndarray:
-        return self._piece_values(_rows(xs, self.dimension),
-                                  _vec(y, self.dimension)[None, :])(z)
+        return self.piece_values_fn(xs, y)(z)
 
     def q_batch(self, xs, y, z) -> np.ndarray:
         """Target-slope map Q = -G_y/G_z over rows of xs."""
@@ -776,12 +775,22 @@ def _newton_rows(v, ctx, thr, status, *, evaluate, jacobian,
     return out, status, rnorm
 
 
-def _z_mid(lo, hi) -> np.ndarray:
-    """A point inside each open interval (lo_k, hi_k)."""
-    flo, fhi = np.isfinite(lo), np.isfinite(hi)
+def _map_fraction_rows(lo, hi, f) -> np.ndarray:
+    """Place interior quantiles f into possibly unbounded open intervals
+    (lo, hi); the arguments broadcast against each other."""
+    f = np.asarray(f, dtype=float)
     with np.errstate(invalid="ignore"):
-        return np.where(flo & fhi, 0.5 * (lo + hi),
-                        np.where(flo, lo + 1.0, np.where(fhi, hi - 1.0, 0.0)))
+        # math.log, whose rounding np.log does not always repeat; once per f
+        logit = np.reshape([math.log(v / (1.0 - v)) for v in f.ravel()], f.shape)
+        lo, hi, f, logit = np.broadcast_arrays(lo, hi, f, logit)
+        flo, fhi = np.isfinite(lo), np.isfinite(hi)
+        return np.where(flo & fhi, lo + f * (hi - lo), np.where(
+            flo, lo + f / (1.0 - f), np.where(fhi, hi - (1.0 - f) / f, logit)))
+
+
+def _map_fraction(lo: float, hi: float, f: float) -> float:
+    """One interior quantile: one row of _map_fraction_rows."""
+    return float(_map_fraction_rows(lo, hi, f))
 
 
 # --------------------------------------------------------------------------
@@ -909,14 +918,14 @@ def dual_H(gf: GeneratingFunction, x, y, u) -> DualValue:
 def _forward_rows(gf: GeneratingFunction, xs, us, ps, initial=None) -> tuple:
     """Newton for G_x(x_k, Y, Z) = p_k, G(x_k, Y, Z) = u_k over rows, from
     the closed form where it holds, else the row of initial = (ys, zs),
-    else (x_k, midpoint of I(x_k, x_k)).  The Jacobian is [[G_xy, G_xz],
-    [G_y, G_z]]; a start within NEWTON_TOL * (1 + |u| + |p|_inf) is returned
-    unchanged.  Returns (v (m, n+1) = [Y, Z], status, rnorm) as
+    else (x_k, quantile 1/2 of I(x_k, x_k)).  The Jacobian is [[G_xy,
+    G_xz], [G_y, G_z]]; a start within NEWTON_TOL * (1 + |u| + |p|_inf) is
+    returned unchanged.  Returns (v (m, n+1) = [Y, Z], status, rnorm) as
     _newton_rows does.
     """
     n = gf.dimension
     if initial is None:
-        ys, zs = xs, _z_mid(*gf.z_interval_batch(xs, xs))
+        ys, zs = xs, _map_fraction_rows(*gf.z_interval_batch(xs, xs), 0.5)
     else:
         ys, zs = initial
     closed = gf.forward_yz_batch(xs, us, ps)
@@ -967,7 +976,7 @@ def forward_YZ(gf: GeneratingFunction, x, u, p, *, initial=None) -> tuple:
     Damped Newton on the (n+1)-system with the Jacobian assembled from
     exact second derivatives.  The initial guess comes from the closed
     form where the instance has one that holds, else from the caller,
-    else from (y, z) = (x, midpoint of I(x, x)).  One row of
+    else from (y, z) = (x, quantile 1/2 of I(x, x)).  One row of
     forward_YZ_rows; raises the exception its row status names.
     """
     n = gf.dimension
@@ -1011,29 +1020,6 @@ def _e_matrix(b) -> np.ndarray:
         / np.asarray(b.dz)[..., None, None]
 
 
-def matrix_A_rows(gf: GeneratingFunction, xs, us, ps) -> tuple:
-    """A(x_k, u_k, p_k) = G_xx(x_k, Y, Z) over rows, with (Y, Z) from the
-    forward row Newton.  Returns (a (m, n, n), status, rnorm); a is NaN
-    where status is not RowStatus.OK."""
-    n = gf.dimension
-    xs = _rows(xs, n)
-    v, status, rnorm = _forward_rows(gf, xs, _per_row(us, len(xs)), _rows(ps, n))
-    ok = status == RowStatus.OK
-    a = np.full((len(xs), n, n), np.nan)
-    a[ok] = gf._raw_batch(xs[ok], v[ok, :n], v[ok, n]).hess_xx
-    return a, status, rnorm
-
-
-def matrix_A(gf: GeneratingFunction, x, u, p) -> np.ndarray:
-    """Monge-Ampere coefficient A(x, u, p) = G_xx(x, Y, Z); one row of
-    matrix_A_rows, raising as forward_YZ does."""
-    n = gf.dimension
-    a, status, rnorm = matrix_A_rows(gf, _vec(x, n)[None, :], float(u),
-                                     _vec(p, n)[None, :])
-    _raise_for_status(_FORWARD_ERRORS, status[0], rnorm=rnorm[0])
-    return a[0]
-
-
 def _psi_rows(psi: Callable, xs, us, ps) -> np.ndarray:
     """Right-hand density psi over rows, as an (m,) array.
 
@@ -1043,18 +1029,43 @@ def _psi_rows(psi: Callable, xs, us, ps) -> np.ndarray:
     return np.broadcast_to(np.asarray(psi(xs, us, ps), dtype=float), (len(xs),))
 
 
-def matrix_A_B(gf: GeneratingFunction, x, u, p, psi) -> tuple:
-    """A and the right-hand side B = det E(x, Y, Z) * psi(x, u, p).
+def matrix_A_B_rows(gf: GeneratingFunction, xs, us, ps, psi=None) -> tuple:
+    """A = G_xx(x_k, Y, Z) and B = det E(x_k, Y, Z) * psi(x_k, u_k, p_k)
+    over rows, with (Y, Z) from the forward row Newton and one kernel call
+    on the solved rows.  psi is a row evaluator psi(xs, us, ps) -> (m,)
+    (default 1, so B = det E).  Returns (a (m, n, n), b (m,), status,
+    rnorm): a and b are NaN where status is not RowStatus.OK, and b also
+    where G_z >= 0 at (x_k, Y, Z), off the set where G decreases in z."""
+    n = gf.dimension
+    xs, ps = _rows(xs, n), _rows(ps, n)
+    us = _per_row(us, len(xs))
+    v, status, rnorm = _forward_rows(gf, xs, us, ps)
+    ok = status == RowStatus.OK
+    a = np.full((len(xs), n, n), np.nan)
+    b = np.full(len(xs), np.nan)
+    bnd = gf._raw_batch(xs[ok], v[ok, :n], v[ok, n])
+    a[ok] = bnd.hess_xx
+    b[ok] = np.where(bnd.dz < 0.0, np.linalg.det(_e_matrix(bnd)), np.nan)
+    if psi is not None and ok.any():
+        b[ok] *= _psi_rows(psi, xs[ok], us[ok], ps[ok])
+    return a, b, status, rnorm
 
-    psi is a row evaluator psi(xs, us, ps) -> (m,), called on one row.
-    """
-    x = _vec(x, gf.dimension)
-    p = _vec(p, gf.dimension)
-    y, z = forward_YZ(gf, x, u, p)
-    b = gf.bundle(x, y, z)
-    det = float(np.linalg.det(_e_matrix(b)))
-    psi_val = _psi_rows(psi, x[None, :], np.array([float(u)]), p[None, :])[0]
-    return b.hess_xx, det * float(psi_val)
+
+def matrix_A(gf: GeneratingFunction, x, u, p) -> np.ndarray:
+    """Monge-Ampere coefficient A(x, u, p) = G_xx(x, Y, Z); one row of
+    matrix_A_B_rows, raising as forward_YZ does."""
+    return matrix_A_B(gf, x, u, p)[0]
+
+
+def matrix_A_B(gf: GeneratingFunction, x, u, p, psi=None) -> tuple:
+    """A and the right-hand side B = det E(x, Y, Z) * psi(x, u, p), psi a
+    row evaluator (default 1); one row of matrix_A_B_rows, raising as
+    forward_YZ does."""
+    n = gf.dimension
+    a, b, status, rnorm = matrix_A_B_rows(gf, _vec(x, n)[None, :], float(u),
+                                          _vec(p, n)[None, :], psi)
+    _raise_for_status(_FORWARD_ERRORS, status[0], rnorm=rnorm[0])
+    return a[0], float(b[0])
 
 
 def matrix_A_via_yp(gf: GeneratingFunction, x, u, p) -> np.ndarray:

@@ -153,28 +153,18 @@ def _field(grid: SourceGrid, margin: int, idx: np.ndarray,
 def _linearization(gf, ufun: GridFunction, exclude) -> tuple:
     """(idx, D^2 u - A, det E, u, Du): the matrices and det E at the
     margin-1 interior nodes outside exclude whose forward map is
-    admissible with G_z < 0 (flat indices idx)."""
+    admissible with G_z < 0 (flat indices idx), from matrix_A_B_rows."""
     grid = ufun.grid
     u = ufun.values
-    d2u = _hessian(u, grid.h)
     interior = _interior_mask(grid.res, 1)
     if exclude is not None:
         interior = interior & ~np.asarray(exclude, dtype=bool).reshape(grid.res)
     u_flat = u.ravel()
     p_flat = _gradient(u, grid.h).reshape(grid.n, -1).T
-    ys, zs, ok = genfun.forward_YZ_rows(gf, grid.centers, u_flat, p_flat)
-    a = np.full((grid.size, grid.n, grid.n), np.nan)
-    det = np.full(grid.size, np.nan)
-    good = np.flatnonzero(ok)
-    ok = ok.copy()
-    if len(good):
-        bb = gf.bundle_batch(grid.centers[good], ys[good], zs[good])
-        a[good] = bb.hess_xx
-        det[good] = np.linalg.det(genfun._e_matrix(bb))
-        ok[good] = bb.dz < 0
-    idx = np.flatnonzero(ok & interior.ravel())
-    mats = d2u.reshape(grid.n, grid.n, -1).transpose(2, 0, 1)[idx] - a[idx]
-    return idx, mats, det[idx], u_flat, p_flat
+    a, det = genfun.matrix_A_B_rows(gf, grid.centers, u_flat, p_flat)[:2]
+    idx = np.flatnonzero(~np.isnan(det) & interior.ravel())
+    d2u = _hessian(u, grid.h).reshape(grid.n, grid.n, -1).transpose(2, 0, 1)
+    return idx, d2u[idx] - a[idx], det[idx], u_flat, p_flat
 
 
 def ma_residual(gf: GeneratingFunction, ufun: GridFunction,
@@ -327,7 +317,7 @@ def manufactured_case(name: str, gf: GeneratingFunction, grid: SourceGrid):
         if np.isnan(lo[0]):
             raise DomainViolation("g_affine: the grid leaves the domain of G")
         vals = gf.value_batch(grid.centers, y0,
-                              float(genfun._z_mid(lo[0], hi[0])))
+                              genfun._map_fraction(lo[0], hi[0], 0.5))
         return GridFunction(grid, vals.reshape(grid.res)), \
             (lambda xs, us, ps: np.zeros(len(xs)))
     if name == "quadratic_ot_identity":

@@ -205,45 +205,34 @@ class _Point:
     anchor_grad: np.ndarray
 
 
-def _threshold_step(prob, fns, i, z, values, z_lo, z_top, others) -> bool:
-    """Exact threshold step of piece i against others, the max of the
-    other pieces at each cell.
+def _threshold_pass(prob, fns, z, values, z_lo, z_top) -> bool:
+    """One Gauss-Seidel pass of exact threshold steps over the pieces.
 
-    Piece i owns cell c iff z_i < t_c = H(x_c, y_i, others_c) (one
-    h_batch call).  z_i moves to the threshold where the descending
-    cumulative cell mass reaches g_i, capped below z_top, when that
-    brings the mass of the cells it owns closer to g_i.  Updates z[i]
-    and values[i]; returns whether z_i moved.
+    Piece i owns cell c iff z_i < t_c = H(x_c, y_i, others_c), others
+    the max of the other pieces at each cell (one h_batch call).  z_i
+    moves to the threshold where the descending cumulative cell mass
+    reaches g_i, capped below z_top, when that brings the mass of the
+    cells it owns closer to g_i.  Rows after i are untouched until their
+    turn, so others is the running max of the rows before i and a suffix
+    max built once.  Updates z and values; returns whether any z_i moved.
     """
     cm, g = prob.grid.cell_mass, prob.masses
-    t = prob.gf.h_batch(prob.grid.centers, prob.targets[i], others)
-    order = np.argsort(-np.nan_to_num(t, nan=-np.inf), kind="stable")
-    k = min(int(np.searchsorted(np.cumsum(cm[order]), g[i])), len(t) - 1)
-    z_new = min(float(t[order[k]]), z_top[i])
-    if not z_lo[i] < z_new:
-        return False
-    vals = fns[i](z_new)
-    if abs(cm[vals > others].sum() - g[i]) \
-            >= abs(cm[values[i] > others].sum() - g[i]):
-        return False
-    z[i], values[i] = z_new, vals
-    return True
-
-
-def _threshold_pass(prob, fns, z, values, z_lo, z_top) -> bool:
-    """One Gauss-Seidel pass of threshold steps over the pieces.
-
-    Rows after i are untouched until their turn, so the max of the
-    others is the running max of the rows before i and a suffix max
-    built once.  Returns whether any z_i moved.
-    """
     after = np.maximum.accumulate(values[::-1], axis=0)[::-1]
     before = np.full(prob.grid.size, -np.inf)
     moved = False
     for i in range(len(z)):
         others = np.maximum(before, after[i + 1]) if i + 1 < len(z) \
             else before
-        moved |= _threshold_step(prob, fns, i, z, values, z_lo, z_top, others)
+        t = prob.gf.h_batch(prob.grid.centers, prob.targets[i], others)
+        order = np.argsort(-np.nan_to_num(t, nan=-np.inf), kind="stable")
+        k = min(int(np.searchsorted(np.cumsum(cm[order]), g[i])), len(t) - 1)
+        z_new = min(float(t[order[k]]), z_top[i])
+        if z_lo[i] < z_new:
+            vals = fns[i](z_new)
+            if abs(cm[vals > others].sum() - g[i]) \
+                    < abs(cm[values[i] > others].sum() - g[i]):
+                z[i], values[i] = z_new, vals
+                moved = True
         np.maximum(before, values[i], out=before)
     return moved
 

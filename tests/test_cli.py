@@ -169,6 +169,22 @@ def test_solve_mass_imbalance_exits_4(tmp_path, capsys):
     assert "MassImbalance" in capsys.readouterr().err
 
 
+def test_solve_lists_every_missing_anchored_parameter(tmp_path, capsys):
+    # the point source has G > 0, so no target attains u0 = -1 at x0
+    cfg = write_config(
+        tmp_path, generator={"kind": "point_source", "params": {"tau": -1.0}},
+        source={"box": {"lo": [-0.4, -0.4], "hi": [0.4, 0.4]},
+                "resolution": [16, 16]},
+        targets={"points": [[0.2, 0.1], [-0.2, -0.1]], "masses": [0.32, 0.32]},
+        normalization={"x0": [0.0, 0.0], "u0": -1.0})
+    out = tmp_path / "sol.json"
+    assert main(["solve", cfg, "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        f"validation: InfeasibleBracket: target {i}: anchored parameter does "
+        f"not exist (could not bracket the root from above)" for i in (0, 1)]
+    assert not out.exists()
+
+
 def test_solve_four_targets_symmetric(tmp_path):
     cfg = write_config(tmp_path, targets={
         "points": [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]],
@@ -522,7 +538,8 @@ def test_grid_csv_bytes_match_the_per_cell_formatter(tmp_path, dim, with_mass):
     sol = gconvex.PiecewiseGSolution(genfun.QuadraticOT(dim), ys,
                                      [0.0, 0.1, -0.07])
     vals = gconvex.values_matrix(sol, grid)
-    dec = gconvex.CellDecomposition.from_values(sol, grid, vals)
+    dec = gconvex.CellDecomposition(
+        *gconvex.cell_split(sol.gf, sol.ys, sol.zs, grid, vals)[:2])
     u = vals.max(axis=0)
     path = tmp_path / "grid.csv"
     cli._write_grid_csv(str(path), sol, grid, u, dec, with_mass=with_mass)

@@ -18,10 +18,11 @@ from gjet.conditions import (
     check_injectivity,
     domain_convexity,
     dp_A_chainrule,
+    dp_A_chainrule_rows,
     hull_ratio,
     mtw_tensor,
 )
-from gjet.errors import GjetError, UnsupportedGeometry
+from gjet.errors import DomainViolation, GjetError, UnsupportedGeometry
 from gjet.genfun import (
     ParallelBeam,
     PointSourcePlane,
@@ -29,7 +30,7 @@ from gjet.genfun import (
     matrix_A,
 )
 
-from conftest import ConstantInY, instance_boxes
+from conftest import ConstantInY, instance_boxes, sample_admissible
 
 
 def spec_for(gf, count=30, seed=42):
@@ -194,6 +195,36 @@ def test_G3_family_sign_agreement(pb2):
     assert rep.details["sign_mismatches"] == 0
 
 
+def test_G3_sign_mismatch_witness_is_the_last_mismatch(pb2, monkeypatch):
+    # the dual tensor with the signs of every third row flipped disagrees
+    # with the primal one there; the witness is the last such row drawn
+    spec = spec_for(pb2, count=20)
+    xs, ys, zs, _f = C.sample_triples(pb2, spec)
+    xi, eta = C.orthonormal_pairs(np.random.default_rng(spec.seed + 1), 2,
+                                  len(zs))
+    real = C.mtw_tensor_rows
+    tp, ok = real(pb2, "primal", xs, ys, zs, xi, eta)
+    td, ok_dual = real(pb2, "dual", ys, xs, zs, xi, eta)
+    assert ok.all() and ok_dual.all() and np.all(tp * td > 0)
+    flip = np.arange(len(zs)) % 3 == 1
+
+    def flipped(gf, side, *args, **kwargs):
+        vals, good = real(gf, side, *args, **kwargs)
+        return (np.where(flip, -vals, vals) if side == "dual" else vals), good
+
+    monkeypatch.setattr(C, "mtw_tensor_rows", flipped)
+    rep = check_G3_family(pb2, spec, strict=False)
+    j = np.flatnonzero(flip)[-1]
+    assert j != len(zs) - 1
+    assert rep.status == "fail"
+    assert rep.details["sign_mismatches"] == flip.sum()
+    w = rep.witness
+    assert w["kind"] == "sign_mismatch"
+    assert (w["primal"], w["dual"]) == (tp[j], -td[j])
+    for key, rows in (("x", xs), ("y", ys), ("z", zs), ("xi", xi), ("eta", eta)):
+        assert np.array_equal(w[key], rows[j]), key
+
+
 # --------------------------------------------------------------------------
 # slope chain rule
 # --------------------------------------------------------------------------
@@ -215,6 +246,28 @@ def test_dp_A_parallel_beam_values(pb2):
     assert dpa[0, 0, 0] == pytest.approx(0.4, abs=1e-6)
     assert dpa[1, 1, 0] == pytest.approx(0.4, abs=1e-6)
     assert dpa[0, 0, 1] == pytest.approx(0.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("gf", [
+    QuadraticOT(2), ParallelBeam(3), PointSourcePlane(2, -1.0),
+    PointSourcePlane(3, -0.5)], ids=["qot2", "pb3", "ps2", "ps3"])
+def test_dp_A_chainrule_is_one_row_of_dp_A_chainrule_rows(gf):
+    rng = np.random.default_rng(29)
+    x_box, y_box = instance_boxes(gf)
+    xs, ys, zs = (np.array(v) for v in zip(
+        *[sample_admissible(gf, rng, x_box, y_box) for _ in range(6)]))
+    if gf.name != "quadratic_ot":
+        zs[2] = -1.0            # below I(x, y) = (0, ...): off the slice
+    out, ok = dp_A_chainrule_rows(gf, xs, ys, zs)
+    assert ok.sum() == (6 if gf.name == "quadratic_ot" else 5)
+    for k in range(len(xs)):
+        if ok[k]:
+            assert np.array_equal(dp_A_chainrule(gf, xs[k], ys[k], zs[k]),
+                                  out[k]), k
+        else:
+            assert np.isnan(out[k]).all()
+            with pytest.raises(DomainViolation):
+                dp_A_chainrule(gf, xs[k], ys[k], zs[k])
 
 
 @pytest.mark.parametrize("maker", [
@@ -296,6 +349,36 @@ def test_boundary_form_quadratic_unit_ball(qot2):
                            Ball((0.0, 0.0), 1.0), ([0.2, 0.1], 0.5))
     assert rep.status == "pass"
     assert rep.extremal_value == pytest.approx(1.0, abs=1e-6)
+
+
+def test_boundary_form_is_the_tangent_plane_minimum():
+    # 3-D: the form's least value over the whole tangent plane, checked
+    # against tangent directions sampled on a fine circle at every point
+    gf = PointSourcePlane(3, tau=-0.5)
+    ball = Ball((0.1, 0.0, 0.2), 0.4)
+    anchor = ([1.0, -0.5, 0.7], 0.5)
+    rep = domain_convexity(gf, "source_boundary", ball, anchor)
+    th = np.linspace(0.0, np.pi, 721)
+    sampled = math.inf
+    for x in ball.boundary_samples(C.BOUNDARY_SAMPLES):
+        g = (x - ball.center) / ball.radius
+        form = (np.eye(3) - np.outer(g, g)) / ball.radius \
+            - np.einsum("ijk,k->ij", dp_A_chainrule(gf, x, *anchor), g)
+        t1 = np.cross(g, np.eye(3)[np.argmin(np.abs(g))])
+        t1 /= np.linalg.norm(t1)
+        taus = np.outer(np.cos(th), t1) + np.outer(np.sin(th), np.cross(g, t1))
+        sampled = min(sampled, np.einsum("ki,ij,kj->k", taus, form, taus).min())
+    assert rep.status == "pass" and rep.samples_used == C.BOUNDARY_SAMPLES
+    assert sampled - 1e-4 <= rep.extremal_value <= sampled + 1e-12
+
+
+def test_boundary_form_in_one_dimension_is_inconclusive():
+    # the boundary of a 1-d ball is two points with no tangent direction
+    rep = domain_convexity(QuadraticOT(1), "source_boundary",
+                           Ball((0.0,), 1.0), ([0.2], 0.5))
+    assert rep.status == "inconclusive"
+    assert rep.samples_used == 2 and rep.extremal_value == math.inf
+    assert rep.witness is None
 
 
 def test_boundary_form_requires_ball(qot2):

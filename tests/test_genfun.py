@@ -40,7 +40,7 @@ from gjet.genfun import (
     map_X_rows,
     matrix_A,
     matrix_A_B,
-    matrix_A_rows,
+    matrix_A_B_rows,
     matrix_A_via_yp,
     matrix_E,
 )
@@ -754,13 +754,39 @@ def test_matrix_A_is_one_row_of_matrix_A_rows(gf):
     us = np.array([gf.value(*pt) for pt in pts]) + rng.normal(0.0, 0.05, 12)
     ps = np.array([gf.bundle(*pt).grad_x for pt in pts])
     ps[0] = 2.0         # beyond the beam's slopes; solvable elsewhere
-    a, status, _ = matrix_A_rows(gf, xs, us, ps)
+    a, _b, status, _ = matrix_A_B_rows(gf, xs, us, ps)
     for k in range(len(xs)):
         got = outcome(matrix_A, gf, xs[k], us[k], ps[k])
         if status[k] == RowStatus.OK:
             assert np.array_equal(got, a[k]), k
         else:
             assert isinstance(got[0], type) and np.isnan(a[k]).all(), k
+    assert (status == RowStatus.OK).sum() >= 10
+
+
+@pytest.mark.parametrize("gf", CONTRACT_INSTANCES,
+                         ids=lambda g: f"{g.name}{g.dimension}")
+def test_matrix_A_B_is_one_row_of_matrix_A_B_rows(gf):
+    rng = np.random.default_rng(43)
+    x_box, y_box = instance_boxes(gf)
+    pts = [sample_admissible(gf, rng, x_box, y_box) for _ in range(12)]
+    xs = np.array([x for x, _, _ in pts])
+    us = np.array([gf.value(*pt) for pt in pts]) + rng.normal(0.0, 0.05, 12)
+    ps = np.array([gf.bundle(*pt).grad_x for pt in pts])
+    ps[0] = 2.0         # beyond the beam's slopes; solvable elsewhere
+
+    def psi(xs, us, ps):
+        return 1.0 + us * xs[:, 0]
+
+    a, b, status, _ = matrix_A_B_rows(gf, xs, us, ps, psi)
+    for k in range(len(xs)):
+        got = outcome(matrix_A_B, gf, xs[k], us[k], ps[k], psi)
+        if status[k] == RowStatus.OK:
+            assert np.array_equal(got[0], a[k]), k
+            assert np.array_equal(got[1], b[k], equal_nan=True), k
+        else:
+            assert isinstance(got[0], type), k
+            assert np.isnan(a[k]).all() and np.isnan(b[k]), k
     assert (status == RowStatus.OK).sum() >= 10
 
 
@@ -771,7 +797,7 @@ def test_row_newtons_report_every_singular_row():
     slopes = np.array([[0.5, 0.5], [-0.2, 0.1]])
     _xs, status, _ = map_X_rows(gf, pts, 1.0, slopes)
     assert status.tolist() == [RowStatus.SINGULAR] * 2
-    _a, status, _ = matrix_A_rows(gf, pts, [0.3, 0.7], slopes)
+    _a, _b, status, _ = matrix_A_B_rows(gf, pts, [0.3, 0.7], slopes)
     assert status.tolist() == [RowStatus.SINGULAR] * 2
     assert not forward_YZ_rows(gf, pts, [0.3, 0.7], slopes)[2].any()
 
