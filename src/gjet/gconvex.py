@@ -14,8 +14,9 @@ source density (generalized Laguerre cells).
 Every path evaluates the pieces through one evaluator, the (pieces,
 rows) matrix of G(x_k, y_i, z_i) from the generating function's single
 value formula: values_matrix on the cell centers, eval_piecewise and
-subdifferential on one row, the support interpolation, interface
-bisection and dual transform on their own rows.  One mass function,
+subdifferential on one row, the support interpolation and the dual
+transform on their own rows; interface_point_rows reads the bundles of
+each row's two pieces.  One mass function,
 cell_split, turns such a matrix into cells, sub-cell masses and their
 derivatives in z; the solver, cell_masses and `gjet report` call it.
 
@@ -72,8 +73,6 @@ FLAT = 1e-8         # cell-scaled normal components below FLAT times the
                     # largest one count as zero in a box fraction
 GATE = 4.0          # j's fraction against i counts in full once j holds
                     # 1 / GATE of the cell against every third piece
-BISECT_TOL = 1e-13  # interface bisection: shortest bracket, as a fraction
-                    # of the segment
 
 
 class SourceGrid:
@@ -396,53 +395,43 @@ def subdifferential(sol: PiecewiseGSolution, x):
             for i in active]
 
 
-def _pair_gap(sol: PiecewiseGSolution, pair: np.ndarray, xs) -> np.ndarray:
-    """G_i(x_k) - G_j(x_k) with (i, j) = pair[:, k]."""
-    vals = _piece_rows(sol.gf, sol.ys, sol.zs, xs)
-    rows = np.arange(len(xs))
-    return vals[pair[0], rows] - vals[pair[1], rows]
-
-
 def interface_point_rows(sol: PiecewiseGSolution, i, j, x_a, x_b):
     """Points on the segments [x_a[k], x_b[k]] where pieces i[k], j[k] tie.
 
-    Every row follows the bisection of interface_point: an endpoint
-    where G_i - G_j vanishes is returned as is, else the sign must flip
-    between the endpoints, and the bisection stops where the gap
-    vanishes or the bracket is shorter than BISECT_TOL.  Returns
-    (xs, exchange): exchange is False (and xs NaN) where the sign does not
-    flip.
+    An endpoint where G_i - G_j vanishes is returned as is; else the sign
+    must flip between the endpoints, and genfun._bracket_root_rows finds
+    the tie at x_a + s (x_b - x_a), s in [0, 1], from the secant start,
+    with f = G_i - G_j and df = (G_x,i - G_x,j).(x_b - x_a), signed so
+    that f(0) > 0, from one bundle per piece.  Returns (xs, exchange):
+    exchange is False (and xs NaN) where the sign does not flip.
     """
-    pair = np.stack([np.asarray(i, dtype=int).reshape(-1),
-                     np.asarray(j, dtype=int).reshape(-1)])
-    x_a = np.atleast_2d(np.asarray(x_a, dtype=float))
-    x_b = np.atleast_2d(np.asarray(x_b, dtype=float))
+    gf = sol.gf
+    i, j = (np.asarray(k, dtype=int).reshape(-1) for k in (i, j))
+    x_a, x_b = (np.atleast_2d(np.asarray(x, dtype=float)) for x in (x_a, x_b))
     d = x_b - x_a
-    fa = _pair_gap(sol, pair, x_a)
-    fb = _pair_gap(sol, pair, x_b)
-    s = np.full(len(x_a), np.nan)
+    sign = np.ones(len(x_a))
+
+    def gap(rows, x):
+        bi = gf._raw_batch(x, sol.ys[i[rows]], sol.zs[i[rows]])
+        bj = gf._raw_batch(x, sol.ys[j[rows]], sol.zs[j[rows]])
+        slope = np.einsum("ij,ij->i", bi.grad_x - bj.grad_x, d[rows])
+        return (sign[rows] * (bi.value - bj.value), sign[rows] * slope,
+                np.abs(bi.value) + np.abs(bj.value))
+
+    fa, fb = (gap(np.arange(len(x)), x)[0] for x in (x_a, x_b))
     exchange = ~(fa * fb > 0)
     run = np.flatnonzero(exchange & (fa != 0.0) & (fb != 0.0))
-    a = np.zeros(len(run))
-    b = np.ones(len(run))
-    for _ in range(200):
-        if not len(run):
-            break
-        m = 0.5 * (a + b)
-        fm = _pair_gap(sol, pair[:, run], x_a[run] + m[:, None] * d[run])
-        stop = (fm == 0.0) | (b - a < BISECT_TOL)
-        s[run[stop]] = m[stop]
-        go = ~stop
-        run, a, b, m, fm = run[go], a[go], b[go], m[go], fm[go]
-        left = (fm > 0) == (fa[run] > 0)
-        a = np.where(left, m, a)
-        b = np.where(left, b, m)
-    s[run] = 0.5 * (a + b)
+    sign[fa < 0.0] = -1.0
+    with np.errstate(invalid="ignore"):
+        start = fa[run] / (fa[run] - fb[run])
+    s = np.full(len(x_a), np.nan)
+    s[run] = genfun._bracket_root_rows(
+        lambda k, t: gap(run[k], x_a[run[k]] + t[:, None] * d[run[k]]),
+        np.zeros(len(run)), np.ones(len(run)),
+        np.where((0.0 < start) & (start < 1.0), start, 0.5))
     xs = x_a + s[:, None] * d
-    at_b = fb == 0.0
-    xs[at_b] = x_b[at_b]
-    at_a = fa == 0.0
-    xs[at_a] = x_a[at_a]
+    xs[fb == 0.0] = x_b[fb == 0.0]
+    xs[fa == 0.0] = x_a[fa == 0.0]
     xs[~exchange] = np.nan
     return xs, exchange
 
@@ -451,7 +440,7 @@ def interface_point(sol: PiecewiseGSolution, i: int, j: int, x_a, x_b):
     """Point on the segment [x_a, x_b] where pieces i and j tie.
 
     Requires the sign of G_i - G_j to flip between the endpoints;
-    bisection, deterministic.  One row of interface_point_rows.
+    deterministic.  One row of interface_point_rows.
     """
     xs, exchange = interface_point_rows(sol, [i], [j], x_a, x_b)
     if not exchange[0]:
@@ -557,8 +546,11 @@ def g_transform(sol: PiecewiseGSolution, targets, grid: SourceGrid, *,
 
     Grid nodes only; accuracy is limited by the grid, which is the
     stated contract.  For a piece (y_j, z_j) present in the solution the
-    supremum equals z_j.  u_grid is u at the cell centers when the
-    caller already has it.
+    supremum equals z_j, to H's accuracy: relative to z down to the
+    rounding of u, |H - z| <= 1e-10 |z| + 4 eps |u| / |G_z|
+    (genfun.dual_H_rows), so dual_transform returns u at every node to
+    within that error pushed through G.  u_grid is u at the cell centers
+    when the caller already has it.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1, sol.gf.dimension)
     u = values_matrix(sol, grid).max(axis=0) if u_grid is None else u_grid

@@ -10,6 +10,8 @@ convexity.  From G we build:
         G_x(x, Y, Z) = p,   G(x, Y, Z) = u,
   * the dual function H(x, y, u), the z-inverse of G:
         G(x, y, H(x, y, u)) = u,
+    accurate relative to z down to the rounding of u,
+        |H - z| <= 1e-10 |z| + 4 eps |u| / |G_z|,
   * the mixed matrix  E = G_xy - (1/G_z) G_xz (x) G_y  with Y_p = E^{-1},
   * the target-slope map  Q = -G_y / G_z  and its x-inverse X(y, z, q),
   * the Monge-Ampere coefficients
@@ -77,12 +79,13 @@ __all__ = [
 NEWTON_TOL = 1e-11      # forward and slope Newtons: acceptance, relative
 NEWTON_ITER = 50        # forward and slope Newtons: iteration budget
 SINGULAR_E_TOL = 1e-12  # matrix_E raises SingularE below this |det E|
-H_TOL = 1e-12           # H's bracket closes at H_TOL * (1 + |z|)
-H_ITER = 60             # H's bisection-guarded Newton steps
+ROOT_STEP_TOL = 1e-10   # bracketed roots: a row stops on a step below this * |s|
+ROOT_ITER = 100         # bracketed roots: iteration cap
 H_INSET = 1e-13         # H's bracket inset from a finite end of I, relative
 H_DOUBLINGS = 200       # H's doublings towards an infinite end of I
 FD_BASE = 1e-5          # central-difference step per unit of max(1, |scale|)
 TENSOR_STEP = 1e-3      # G3 stencil step in p or q: conditions, check.fd_step
+EPS = np.finfo(float).eps
 
 
 # --------------------------------------------------------------------------
@@ -478,16 +481,13 @@ class ParallelBeam(GeneratingFunction):
         return ys, zs, valid
 
     def _x_of(self, ys, zs, qs):
-        # invert q = 2 z^3 w / (1 + z^2 |w|^2) on the admissible branch;
-        # matmul rounds |q|^2 as the scalar q @ q does (einsum does not),
-        # and float_power is the C pow, which numpy's ** 4 is not
-        qn = np.sqrt(np.matmul(qs[:, None, :], qs[:, :, None])[:, 0, 0])
-        z2 = zs * zs
-        ok = ~((qn > 0.0) & (qn >= z2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = (z2 - np.sqrt(np.float_power(zs, 4) - qn * qn)) / (zs * qn)
-            xs = ys + (t / qn)[:, None] * qs
-        return np.where((qn == 0.0)[:, None], ys, xs), ok
+        # q = 2 z^3 w / (1 + t^2), t = z |w| < 1: qh = q / z^2 has norm
+        # rho = 2t / (1 + t^2), so w = qh / (z (1 + sqrt(1 - rho^2)))
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            qh = qs / (zs * zs)[:, None]
+            rho = np.sqrt(np.einsum("ij,ij->i", qh, qh))
+            xs = ys + qh / (zs * (1.0 + np.sqrt(1.0 - rho * rho)))[:, None]
+        return xs, rho <= 1.0
 
 
 # --------------------------------------------------------------------------
@@ -793,6 +793,37 @@ def _map_fraction(lo: float, hi: float, f: float) -> float:
     return float(_map_fraction_rows(lo, hi, f))
 
 
+def _bracket_root_rows(fn, a, b, s) -> np.ndarray:
+    """Roots over rows, from s in brackets [a, b] with f(a) >= 0 >= f(b).
+
+    fn(rows, s) -> (f, df, mag): f and its derivative at s for the row
+    indices rows, and the size of the values f is a difference of.  A
+    step moves the bracket end of f's sign to s, then goes to the Newton
+    point where it lies strictly inside the bracket, else to the
+    midpoint.  A row stops at the first of |f| <= 2 eps mag (rounding
+    level), a Newton step of at most ROOT_STEP_TOL |s| (taken) and a
+    bracket that no longer splits; ROOT_ITER steps cap the loop.
+    """
+    a, b, s = (np.array(v, dtype=float) for v in (a, b, s))
+    out, run = s.copy(), np.arange(len(s))
+    for _ in range(ROOT_ITER):
+        if not len(run):
+            break
+        f, df, mag = fn(run, s)
+        up = f >= 0.0
+        a, b = np.where(up, s, a), np.where(up, b, s)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            zn = s - f / df
+        inside, mid = (a < zn) & (zn < b), 0.5 * (a + b)
+        stop = (np.abs(f) <= 2.0 * EPS * mag) \
+            | (~inside & ((mid <= a) | (mid >= b)))
+        nxt = np.where(inside, zn, mid)
+        out[run] = np.where(stop, s, nxt)
+        keep = ~stop & ~(inside & (np.abs(zn - s) <= ROOT_STEP_TOL * np.abs(s)))
+        run, a, b, s = run[keep], a[keep], b[keep], nxt[keep]
+    return out
+
+
 # --------------------------------------------------------------------------
 # the dual function H
 # --------------------------------------------------------------------------
@@ -803,8 +834,9 @@ def dual_H_rows(gf: GeneratingFunction, xs, ys, us) -> tuple:
     G decreases in z.  A bracket end starts H_INSET inside a finite end
     of I, or at -1 or 1 and doubles towards an infinite one; an end that
     fails the sign test moves halfway to a finite end of I while it can.
-    A bisection-guarded Newton from _h_of (else the bracket midpoint)
-    runs until the bracket closes, then takes two polish steps.  Returns
+    _bracket_root_rows runs from _h_of (else the bracket midpoint) on
+    G - u, so a root is accurate relative to z down to the rounding of
+    u: |H - z| <= 1e-10 |z| + 4 eps |u| / |G_z|.  Returns
     (zs, status, g_range): zs is NaN where status is not RowStatus.OK;
     g_range (m, 2) is G at the upper and the lower bracket end.
     """
@@ -845,41 +877,18 @@ def dual_H_rows(gf: GeneratingFunction, xs, ys, us) -> tuple:
         gb = settle(b, hi, np.less_equal, RowStatus.NO_UPPER)
         status[(status == RowStatus.OK) & ~((ga >= us) & (us >= gb))] = \
             RowStatus.OUT_OF_RANGE
-
         run = np.flatnonzero(status == RowStatus.OK)
-        z = np.full(len(xs), np.nan)
         x, y, u, ar, br = (v[run] for v in (xs, ys, us, a, b))
-        h, zr = gf._h_of(x, y, u), 0.5 * (ar + br)
+        h, start = gf._h_of(x, y, u), 0.5 * (ar + br)
         if h is not None:
-            zr = np.where(np.isfinite(h) & (ar < h) & (h < br), h, zr)
-        for _ in range(H_ITER):
-            if not len(run):
-                break
-            bnd = gf._raw_batch(x, y, zr)
-            f, dz = bnd.value - u, bnd.dz
-            above = f >= 0.0
-            ar, br = np.where(above, zr, ar), np.where(above, br, zr)
-            done = br - ar <= H_TOL * (1.0 + np.abs(zr))
-            if done.any():
-                z[run], a[run], b[run] = zr, ar, br
-                run, x, y, u, zr, ar, br, f, dz = (
-                    v[~done] for v in (run, x, y, u, zr, ar, br, f, dz))
-            zn = zr - f / dz
-            zr = np.where((dz < 0.0) & (ar < zn) & (zn < br), zn, 0.5 * (ar + br))
-        z[run], a[run], b[run] = zr, ar, br
-        # quadratic polish: the bracket ends carry rounding noise of the
-        # sign test, so the Newton target gets a bracket-width slack
-        slack = (b - a) + H_TOL * (1.0 + np.abs(z))
-        run = np.flatnonzero(status == RowStatus.OK)
-        for _ in range(2):
-            if not len(run):
-                break
-            bnd = gf._raw_batch(xs[run], ys[run], z[run])
-            zn = z[run] - (bnd.value - us[run]) / bnd.dz
-            ok = (bnd.dz < 0.0) & (a[run] - slack[run] <= zn) \
-                & (zn <= b[run] + slack[run]) & (lo[run] < zn) & (zn < hi[run])
-            run = run[ok]
-            z[run] = zn[ok]
+            start = np.where(np.isfinite(h) & (ar < h) & (h < br), h, start)
+
+    def g_minus_u(rows, z):
+        bnd = gf._raw_batch(x[rows], y[rows], z)
+        return bnd.value - u[rows], bnd.dz, np.abs(bnd.value) + np.abs(u[rows])
+
+    z = np.full(len(xs), np.nan)
+    z[run] = _bracket_root_rows(g_minus_u, ar, br, start)
     return z, status, np.stack([gb, ga], axis=1)
 
 

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+# Hypothesis draws some floats from the numeric literals of the loaded
+# non-test modules; gjet's commands import their modules on demand, so
+# load them all here, or the draws depend on which tests ran first
+from gjet import cli, conditions, gconvex, madiag, semidiscrete  # noqa: F401
 from gjet.genfun import (
     GeneratingFunction,
     ParallelBeam,
@@ -89,3 +93,23 @@ class ConstantInY(GeneratingFunction):
             dz=np.full(m, -1.0), hess_xx=zero_m, hess_xy=zero_m.copy(),
             hess_yy=zero_m.copy(), grad_xz=zero_v.copy(),
             grad_yz=zero_v.copy(), dzz=np.zeros(m))
+
+
+class NoClosedForm(GeneratingFunction):
+    """A built-in instance behind the bare contract (kernel, intervals,
+    admissibility): without closed-form inverses every inverse map runs
+    its Newton."""
+
+    def __init__(self, inner):
+        super().__init__(inner.dimension)
+        self.inner = inner
+        self.name = inner.name
+
+    def z_interval_batch(self, xs, y):
+        return self.inner.z_interval_batch(xs, y)
+
+    def admissible_pair_batch(self, xs, y):
+        return self.inner.admissible_pair_batch(xs, y)
+
+    def _raw_batch(self, xs, ys, zs):
+        return self.inner._raw_batch(xs, ys, zs)

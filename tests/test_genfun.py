@@ -45,7 +45,12 @@ from gjet.genfun import (
     matrix_E,
 )
 
-from conftest import ConstantInY, instance_boxes, sample_admissible
+from conftest import (
+    ConstantInY,
+    NoClosedForm,
+    instance_boxes,
+    sample_admissible,
+)
 
 
 def all_instances():
@@ -316,26 +321,6 @@ def test_forward_roundtrip(gf):
         assert z2 == pytest.approx(z, abs=1e-8)
 
 
-class NoClosedForm(GeneratingFunction):
-    """A built-in instance behind the bare contract (kernel, intervals,
-    admissibility): without closed-form inverses every inverse map runs
-    its Newton."""
-
-    def __init__(self, inner):
-        super().__init__(inner.dimension)
-        self.inner = inner
-        self.name = inner.name
-
-    def z_interval_batch(self, xs, y):
-        return self.inner.z_interval_batch(xs, y)
-
-    def admissible_pair_batch(self, xs, y):
-        return self.inner.admissible_pair_batch(xs, y)
-
-    def _raw_batch(self, xs, ys, zs):
-        return self.inner._raw_batch(xs, ys, zs)
-
-
 def test_forward_generic_initialization(pb2):
     # force the generic path (no closed-form hint) through a wrapper
     gf = NoClosedForm(pb2)
@@ -559,6 +544,7 @@ def reference_dual_H(gf, x, y, u, z_tol=1e-12, max_iter=60):
 H_INSTANCES = CONTRACT_INSTANCES + [PointSourcePlane(n, tau=0.0)
                                     for n in (1, 2, 3)]
 H_EDGE_GAPS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15)
+EPS = np.finfo(float).eps
 
 
 def h_rows(gf, rng):
@@ -604,6 +590,12 @@ def h_id(gf):
         + ("-tau0" if tau == 0.0 else "")
 
 
+def h_bound(gf, x, y, z, u):
+    """The accuracy dual_H_rows promises for a root z of G(x, y, .) = u:
+    1e-10 relative to z, down to the rounding of u itself."""
+    return 1e-10 * abs(z) + 4.0 * EPS * abs(u) / abs(gf.bundle(x, y, z).dz)
+
+
 @pytest.mark.parametrize(
     "gf", [NoClosedForm(g) for g in H_INSTANCES] + H_INSTANCES, ids=h_id)
 def test_dual_H_rows_match_scalar_reference(gf):
@@ -637,6 +629,52 @@ def test_dual_H_rows_match_scalar_reference(gf):
             assert np.isnan(zs[k]), k
     # the draws reach the failing paths of the bracket and of the sign test
     assert (status != RowStatus.OK).any()
+
+
+@pytest.mark.parametrize(
+    "gf", [NoClosedForm(g) for g in CONTRACT_INSTANCES] + CONTRACT_INSTANCES,
+    ids=h_id)
+def test_dual_H_is_relatively_accurate_near_zero(gf):
+    # the stop rule is relative: a root near z = 0 keeps its digits down
+    # to the rounding of u, which alone limits the quadratic (u = c - z)
+    rng = np.random.default_rng(5)
+    x_box, y_box = instance_boxes(gf)
+    for _ in range(3):
+        x, y, _z = sample_admissible(gf, rng, x_box, y_box)
+        for z in (1e-14, 1e-12, 1e-10, 1e-8):
+            u = gf.value(x, y, z)
+            assert abs(dual_H(gf, x, y, u).z_root - z) \
+                <= h_bound(gf, x, y, z, u), (x, y, z)
+
+
+class CountingKernel(NoClosedForm):
+    """A built-in instance, closed-form H and value closure included,
+    that counts its kernel calls."""
+
+    calls = 0
+
+    def _raw_batch(self, xs, ys, zs):
+        self.calls += 1
+        return super()._raw_batch(xs, ys, zs)
+
+    def _piece_values(self, xs, ys):
+        return self.inner._piece_values(xs, ys)
+
+    def _h_of(self, xs, ys, us):
+        return self.inner._h_of(xs, ys, us)
+
+
+@pytest.mark.parametrize("gf", CONTRACT_INSTANCES, ids=h_id)
+def test_dual_H_from_the_closed_form_costs_two_kernel_calls(gf):
+    # the closed form already meets the stop rule: one kernel call for
+    # the root, one for the gradients
+    rng = np.random.default_rng(7)
+    x_box, y_box = instance_boxes(gf)
+    for _ in range(5):
+        x, y, z = sample_admissible(gf, rng, x_box, y_box)
+        counted = CountingKernel(gf)
+        dual_H(counted, x, y, gf.value(x, y, z))
+        assert counted.calls <= 2, (x, y, z)
 
 
 @pytest.mark.parametrize("gf", H_INSTANCES, ids=h_id)

@@ -10,14 +10,15 @@ Each is checked on interior draws and, separately, on each kind of
 edge-of-domain draw: z near an end of I(x, y), |x| -> 1 for the point
 source and r = |x - y| -> 0 for the parallel beam (see triples).
 
-With N = 1..4 pieces on a grid, the sub-cell masses partition the source
-mass and permute with the pieces, and the solver's focal parameters
-permute with the targets.  Runs are derandomized (see conftest.py).
+With N = 1..4 pieces on a grid, the G-transform pair is an involution
+at the nodes, the sub-cell masses partition the source mass and permute
+with the pieces, and the solver's focal parameters permute with the
+targets.  Runs are derandomized (see conftest.py).
 """
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from gjet.conditions import _map_fraction
@@ -25,9 +26,11 @@ from gjet.gconvex import (
     PiecewiseGSolution,
     SourceGrid,
     cell_masses,
+    dual_transform,
+    g_transform,
     validate_pieces_on_grid,
 )
-from gjet.errors import DomainViolation
+from gjet.errors import DomainViolation, NoConvergence, OutOfImage
 from gjet.genfun import (
     ParallelBeam,
     PointSourcePlane,
@@ -44,7 +47,7 @@ from gjet.semidiscrete import (
     validate_problem,
 )
 
-from conftest import instance_boxes
+from conftest import NoClosedForm, instance_boxes
 
 INSTANCES = [QuadraticOT(n) for n in (1, 2, 3)] \
     + [ParallelBeam(n) for n in (1, 2, 3)] \
@@ -63,6 +66,19 @@ GAPS = (1e-3, 1e-6, 1e-9, 1e-12, 1e-15)
 FOCUS_GAPS = (1e-80, 1e-150)
 
 
+def _placed(gf, region, x, y, f, gap):
+    """(x, y, z) with z at quantile f of I(x, y); z_lo and z_hi take f to
+    0 or 1 and rim takes |x| to 1, by gap."""
+    if region == "z_lo":
+        f = gap
+    elif region == "z_hi":
+        f = 1.0 - gap
+    elif region == "rim":
+        x = x / float(np.linalg.norm(x)) * (1.0 - gap)
+    lo, hi = gf.z_interval(x, y)
+    return x, y, _map_fraction(lo, hi, f)
+
+
 @st.composite
 def triples(draw, gf, region):
     """An admissible (x, y, z) in one region of the admissible set.
@@ -79,14 +95,8 @@ def triples(draw, gf, region):
     y = _point(draw, y_lo, y_hi)
     f = draw(st.floats(0.05, 0.95))
     gap = draw(st.sampled_from(GAPS + (FOCUS_GAPS if region == "focus" else ())))
-    if region == "z_lo":
-        f = gap
-    elif region == "z_hi":
-        f = 1.0 - gap
-    elif region == "rim":
-        r = float(np.linalg.norm(x))
-        assume(r > 0.0)
-        x = x / r * (1.0 - gap)
+    if region == "rim":
+        assume(np.linalg.norm(x) > 0.0)
     elif region == "focus":
         e = _point(draw, -np.ones(n), np.ones(n))
         assume(np.linalg.norm(e) > 0.0)
@@ -95,9 +105,9 @@ def triples(draw, gf, region):
         assume(np.linalg.norm(x) <= 1.0 - MARGIN)
     if region != "focus" and gf.name == "parallel_beam":
         assume(np.linalg.norm(x - y) >= MARGIN)
+    x, y, z = _placed(gf, region, x, y, f, gap)
     assume(gf.admissible_pair(x, y))
     lo, hi = gf.z_interval(x, y)
-    z = _map_fraction(lo, hi, f)
     assume(lo < z < hi)
     return x, y, z
 
@@ -125,33 +135,38 @@ def x_round_trip(gf, x, y, z):
 IDENTITIES = {"H_inverts_G": h_inverts_g, "YZ_round_trip": yz_round_trip,
               "X_round_trip": x_round_trip}
 
-# Edge regions where an identity fails today; each case must keep failing
-# (strict xfail) until its cause is mended.
+# Edge regions where an identity fails today: each cause names the error
+# it raises.  Each case must keep failing (strict xfail) with that error
+# until its cause is mended, and runs one explicit example (x, y, gap,
+# placed as triples places a draw) that shows the cause, so its outcome
+# does not hang on the draws.
 BEAM_FOLD = ("det E -> 0 as z r -> 1: the closed form divides by 1 - |p|^2 "
-             "and Y loses up to 5 digits")
+             "and Y loses up to 5 digits", AssertionError)
 RIM_FORWARD = ("G_x grows like 1/sqrt(1 - |x|^2) at the rim and Y loses up "
-               "to 6 digits")
-BEAM_X_LO = ("Q flattens like z^3 as z -> 0 and the closed-form X cancels "
-             "in z^2 - sqrt(z^4 - |q|^2)")
+               "to 6 digits", AssertionError)
 BEAM_X_HI = ("|Q| -> z^2, the edge of the image, as z r -> 1: the closed "
-             "form rules attainable slopes out (OutOfImage)")
-BEAM_X_FOCUS = ("|q|^2 overflows in the closed form for r below about "
-                "1e-77, where z reaches 1/r (OutOfImage)")
+             "form rules attainable slopes out (OutOfImage)", OutOfImage)
 PS_X_LO = ("Q_x -> 0 as z -> 0: the stop test |Q - q| <= tol (1 + |q|) "
-           "leaves x off by up to tol / |Q_x|")
-PS_X_RIM = "the slope Newton exhausts its budget near |x| = 1 (NoConvergence)"
+           "leaves x off by up to tol / |Q_x|", AssertionError)
+PS_X_RIM = ("the slope Newton exhausts its budget near |x| = 1 "
+            "(NoConvergence)", NoConvergence)
 KNOWN_EDGE_FAILURES = {
-    **{("YZ_round_trip", "parallel_beam", n, "z_hi"): BEAM_FOLD
-       for n in (1, 2, 3)},
-    **{("YZ_round_trip", "point_source", n, "rim"): RIM_FORWARD
-       for n in (1, 2, 3)},
-    **{("X_round_trip", "parallel_beam", n, r): why
-       for n in (1, 2, 3)
-       for r, why in (("z_lo", BEAM_X_LO), ("z_hi", BEAM_X_HI),
-                      ("focus", BEAM_X_FOCUS))},
-    **{("X_round_trip", "point_source", n, "z_lo"): PS_X_LO
-       for n in (1, 2, 3)},
-    **{("X_round_trip", "point_source", n, "rim"): PS_X_RIM for n in (2, 3)},
+    **{("YZ_round_trip", "parallel_beam", n, "z_hi"):
+       (BEAM_FOLD, ([0.3] * n, [-0.2] * n, 1e-12)) for n in (1, 2, 3)},
+    **{("YZ_round_trip", "point_source", n, "rim"):
+       (RIM_FORWARD, ([0.3] * n, [-0.2] * n, 1e-15)) for n in (1, 2, 3)},
+    ("X_round_trip", "parallel_beam", 1, "z_hi"):
+        (BEAM_X_HI, ([0.5], [-0.5], 1e-15)),
+    ("X_round_trip", "parallel_beam", 2, "z_hi"):
+        (BEAM_X_HI, ([0.6, -0.2], [0.2, 0.2], 1e-15)),
+    ("X_round_trip", "parallel_beam", 3, "z_hi"):
+        (BEAM_X_HI, ([0.6, 0.4, 0.3], [-0.1, 0.4, 0.7], 1e-12)),
+    **{("X_round_trip", "point_source", n, "z_lo"):
+       (PS_X_LO, ([0.3] * n, [-0.2] * n, 1e-9)) for n in (1, 2, 3)},
+    ("X_round_trip", "point_source", 2, "rim"):
+        (PS_X_RIM, ([-0.3, 0.4], [0.6, 0.4], 1e-9)),
+    ("X_round_trip", "point_source", 3, "rim"):
+        (PS_X_RIM, ([-0.2, -0.4, 0.5], [-0.1, 0.3, -0.5], 1e-9)),
 }
 
 
@@ -164,25 +179,31 @@ def _cases():
                 key = (ident, gf.name, gf.dimension, region)
                 marks = ()
                 if key in KNOWN_EDGE_FAILURES:
-                    marks = pytest.mark.xfail(strict=True,
-                                              reason=KNOWN_EDGE_FAILURES[key])
+                    (reason, raises), _example = KNOWN_EDGE_FAILURES[key]
+                    marks = pytest.mark.xfail(strict=True, reason=reason,
+                                              raises=raises)
                 yield pytest.param(ident, gf, region, marks=marks,
                                    id=f"{ident}-{gf.name}{gf.dimension}-{region}")
 
 
 @pytest.mark.parametrize("ident, gf, region", list(_cases()))
 def test_identity(ident, gf, region):
-    # no shrinking: the known edge failures would shrink on every run
-    @settings(max_examples=30, phases=(Phase.generate,))
-    @given(triples(gf, region))
     def check(xyz):
         IDENTITIES[ident](gf, *xyz)
 
-    check()
+    known = KNOWN_EDGE_FAILURES.get((ident, gf.name, gf.dimension, region))
+    if known:
+        x, y, gap = known[1]
+        check = example(_placed(gf, region, np.array(x), np.array(y), 0.5,
+                                gap))(check)
+    # no shrinking: the known edge failures would shrink on every run
+    settings(max_examples=30, phases=(Phase.explicit, Phase.generate))(
+        given(triples(gf, region))(check))()
 
 
 # --------------------------------------------------------------------------
-# cells and solutions: partition and order independence
+# pieces, cells and solutions: the G-transform pair, partition and order
+# independence
 # --------------------------------------------------------------------------
 
 CELL_RES = {1: 64, 2: 20, 3: 8}
@@ -219,6 +240,51 @@ def _cases_for(name):
         yield pytest.param(gf, id=f"{name}-{gf.name}{gf.dimension}")
 
 
+def _anchored_pieces(gf, layout, data):
+    """The layout's targets with pieces through the anchor, heights moved
+    by up to 5%; rejects layouts whose pieces leave I on the grid."""
+    grid, pts, _weights, _perm, (x0, u0) = layout
+    us = u0 * (1.0 + np.array([data.draw(st.floats(-0.05, 0.05))
+                               for _ in pts]))
+    zs = [dual_H(gf, x0, y, u).z_root for y, u in zip(pts, us)]
+    sol = PiecewiseGSolution(gf, pts, zs)
+    try:
+        validate_pieces_on_grid(sol, grid)
+    except DomainViolation:
+        assume(False)
+    return sol
+
+
+EPS = np.finfo(float).eps
+
+
+@pytest.mark.parametrize(
+    "gf", list(_cases_for("involution"))
+    + [pytest.param(NoClosedForm(PointSourcePlane(2, tau=-1.0)),
+                    id="involution-NoClosedForm-point_source2")])
+def test_g_transform_pair_is_an_involution(gf):
+    # v = g_transform(u) on the pieces' own targets, then
+    # dual_transform(v) = u at every node.  Exact in exact arithmetic;
+    # here to H's accuracy, |H - z| <= 1e-10 |z| + 4 eps |u| / |G_z|,
+    # pushed through G, plus the rounding of u
+    @settings(max_examples=10, phases=(Phase.generate,))
+    @given(layouts(gf), st.data())
+    def check(layout, data):
+        grid = layout[0]
+        sol = _anchored_pieces(gf, layout, data)
+        u = np.max([gf.value_batch(grid.centers, y, z)
+                    for y, z in zip(sol.ys, sol.zs)], axis=0)
+        v = g_transform(sol, sol.ys, grid)
+        back = dual_transform(gf, sol.ys, v, grid).ravel()
+        gz = np.abs([gf.bundle_batch(grid.centers, y, z).dz
+                     for y, z in zip(sol.ys, sol.zs)])
+        dz = 1e-10 * np.abs(sol.zs) + 4.0 * EPS * np.max(np.abs(u) / gz, axis=1)
+        tol = np.max(gz * dz[:, None], axis=0) + 4.0 * EPS * np.abs(u)
+        assert np.all(np.abs(back - u) <= tol)
+
+    check()
+
+
 @pytest.mark.parametrize("gf", list(_cases_for("cells")))
 def test_cell_masses_partition_and_permute(gf):
     # pieces through the anchor with heights moved by up to 5%: the
@@ -227,15 +293,8 @@ def test_cell_masses_partition_and_permute(gf):
     @settings(max_examples=15, phases=(Phase.generate,))
     @given(layouts(gf), st.data())
     def check(layout, data):
-        grid, pts, _weights, perm, (x0, u0) = layout
-        us = u0 * (1.0 + np.array([data.draw(st.floats(-0.05, 0.05))
-                                   for _ in pts]))
-        zs = [dual_H(gf, x0, y, u).z_root for y, u in zip(pts, us)]
-        sol = PiecewiseGSolution(gf, pts, zs)
-        try:
-            validate_pieces_on_grid(sol, grid)
-        except DomainViolation:
-            assume(False)
+        grid, perm = layout[0], layout[3]
+        sol = _anchored_pieces(gf, layout, data)
         masses = cell_masses(sol, grid).masses
         total = grid.total_mass
         assert masses.sum() == pytest.approx(total, rel=1e-13)
