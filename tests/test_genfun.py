@@ -596,24 +596,35 @@ def h_bound(gf, x, y, z, u):
     return 1e-10 * abs(z) + 4.0 * EPS * abs(u) / abs(gf.bundle(x, y, z).dz)
 
 
+def h_residual(gf, x, y, z, u):
+    """|G(x, y, z) - u| and its rounding level 2 eps (|G| + |u|)."""
+    g = gf.value(x, y, z)
+    return abs(g - u), 2.0 * EPS * (abs(g) + abs(u))
+
+
 @pytest.mark.parametrize(
     "gf", [NoClosedForm(g) for g in H_INSTANCES] + H_INSTANCES, ids=h_id)
 def test_dual_H_rows_match_scalar_reference(gf):
-    # rows whose bracket passes the sign test follow the per-point loop
-    # bit for bit; a failing end moves towards I's end, so every drawn
-    # root is found (to the property tests' tolerance: the bracket closes
-    # at 1e-12 (1 + |z|)); failing rows raise through dual_H the
-    # exception (type and message) their status names
+    # every drawn root is found to h_bound (a failing bracket end moves
+    # towards I's end); the per-point loop gives the statuses, and the
+    # rows that fail raise through dual_H the exception (type and
+    # message) their status names.  A root the reference finds is
+    # matched by a root at rounding level or with a residual no larger
     xs, ys, us, z_true = h_rows(gf, np.random.default_rng(43))
     zs, status, g_range = dual_H_rows(gf, xs, ys, us)
     drawn = np.isfinite(z_true)
     assert (status[drawn] == RowStatus.OK).all()
-    assert (np.abs(zs - z_true) <= 1e-7 * (1.0 + np.abs(z_true)))[drawn].all()
+    for k in np.flatnonzero(drawn):
+        assert abs(zs[k] - z_true[k]) \
+            <= h_bound(gf, xs[k], ys[k], z_true[k], us[k]), k
     for k in range(len(us)):
         want = outcome(reference_dual_H, gf, xs[k], ys[k], us[k])
         got = outcome(lambda *a: dual_H(*a).z_root, gf, xs[k], ys[k], us[k])
         if not isinstance(want, tuple):
-            assert got == want == zs[k], k
+            assert got == zs[k], k
+            res, rounding = h_residual(gf, xs[k], ys[k], got, us[k])
+            assert res <= max(rounding,
+                              h_residual(gf, xs[k], ys[k], want, us[k])[0]), k
         elif want[0] is RangeViolation and status[k] == RowStatus.OK:
             # the sign test failed at the inset bracket only
             lo, hi = gf.z_interval(xs[k], ys[k])
