@@ -10,8 +10,6 @@ convexity.  From G we build:
         G_x(x, Y, Z) = p,   G(x, Y, Z) = u,
   * the dual function H(x, y, u), the z-inverse of G:
         G(x, y, H(x, y, u)) = u,
-    accurate relative to z down to the rounding of u,
-        |H - z| <= 1e-10 |z| + 4 eps |u| / |G_z|,
   * the mixed matrix  E = G_xy - (1/G_z) G_xz (x) G_y  with Y_p = E^{-1},
   * the target-slope map  Q = -G_y / G_z  and its x-inverse X(y, z, q),
   * the Monge-Ampere coefficients
@@ -85,7 +83,6 @@ H_INSET = 1e-13         # H's bracket inset from a finite end of I, relative
 H_DOUBLINGS = 200       # H's doublings towards an infinite end of I
 FD_BASE = 1e-5          # central-difference step per unit of max(1, |scale|)
 TENSOR_STEP = 1e-3      # G3 stencil step in p or q: conditions, check.fd_step
-EPS = np.finfo(float).eps
 
 
 # --------------------------------------------------------------------------
@@ -815,7 +812,7 @@ def _bracket_root_rows(fn, a, b, s) -> np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             zn = s - f / df
         inside, mid = (a < zn) & (zn < b), 0.5 * (a + b)
-        stop = (np.abs(f) <= 2.0 * EPS * mag) \
+        stop = (np.abs(f) <= 2.0 * np.finfo(float).eps * mag) \
             | (~inside & ((mid <= a) | (mid >= b)))
         nxt = np.where(inside, zn, mid)
         out[run] = np.where(stop, s, nxt)
