@@ -45,6 +45,8 @@ EXIT_CONDITION_FAIL = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_INPUT_ERROR = 4
 
+CSV_BLOCK = 1024  # grid CSV rows formatted per write
+
 
 # --------------------------------------------------------------------------
 # config schema
@@ -273,13 +275,17 @@ def _load_config(path: str, doc: dict = None) -> tuple:
 def _write_csv(path: str, grid: gconvex.SourceGrid, names: list,
                columns: list) -> None:
     """A header, then one line per grid node: x1..xn and the named columns,
-    every value as '%.17g' (an integral value prints without a point)."""
+    every value as '%.17g' (an integral value prints without a point).
+    Rows are formatted CSV_BLOCK at a time, so the memory the text takes
+    does not grow with the grid."""
     header = [f"x{k + 1}" for k in range(grid.n)] + names
-    table = np.column_stack([grid.centers, *columns])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+        for k in range(0, grid.size, CSV_BLOCK):
+            table = np.column_stack(
+                [c[k:k + CSV_BLOCK] for c in (grid.centers, *columns)])
+            row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+            fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def _write_grid_csv(path, sol, grid, u, dec, with_mass=False):
@@ -411,9 +417,10 @@ def _write_state(path, cfg, state, converged):
     })
 
 
-def _state_from_file(path):
+def _state_from_file(path, config=None):
     """(config, grid, solution) of a solution file, its pieces validated
-    on the grid (gconvex.validate_pieces_on_grid)."""
+    on the grid (gconvex.validate_pieces_on_grid).  A resolved config,
+    when given, must have the solution's generator, dimension and source."""
     from . import gconvex, semidiscrete
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -424,6 +431,10 @@ def _state_from_file(path):
     if doc["kind"] != "solution":
         raise ConfigError(f"solution file {path}: wrong kind {doc['kind']!r}")
     cfg, base = _load_config(path, doc)
+    for key in ("generator", "dimension", "source") if config else ():
+        if config[key] != cfg[key]:
+            raise ConfigError(f"config.{key} differs from the one in "
+                              f"solution file {path}")
     prob = build_problem(cfg, base)
     z = np.asarray(doc["z"], dtype=float)
     if z.ndim != 1 or len(z) != len(prob.targets) or len(z) == 0:
@@ -454,13 +465,12 @@ def cmd_transform(args) -> int:
 def cmd_residual(args) -> int:
     from . import gconvex, madiag
     cfg, base = _load_config(args.config)
-    gf = build_generator(cfg)
-    grid = build_grid(cfg, base)
     exclude = None
     if args.manufactured:
+        gf, grid = build_generator(cfg), build_grid(cfg, base)
         ufun, psi = madiag.manufactured_case(args.manufactured, gf, grid)
     else:
-        _scfg, grid, sol = _state_from_file(args.solution)
+        _cfg, grid, sol = _state_from_file(args.solution, cfg)
         gf = sol.gf
         vals = gconvex.values_matrix(sol, grid)
         ufun = madiag.GridFunction(grid, vals.max(axis=0).reshape(grid.res))
@@ -471,15 +481,11 @@ def cmd_residual(args) -> int:
         exclude = gconvex.interface_mask(grid, np.argmax(vals, axis=0),
                                          widen=1)
     res = madiag.ma_residual(gf, ufun, psi, exclude=exclude)
-    ellip, admissible = madiag.ellipticity_check(gf, ufun, exclude=exclude)
-    verdict = "elliptic" if admissible else "not-elliptic"
-    if admissible and np.nanmin(ellip.values[ellip.mask]) < madiag.ELLIP_TOL:
-        verdict = "degenerate-elliptic"
-    print(f"residual: max_abs={_fmt(res.max_abs())} ellipticity={verdict} "
-          f"masked={res.masked_count}")
+    print(f"residual: max_abs={_fmt(res.max_abs())} "
+          f"ellipticity={res.ellipticity()} masked={res.masked_count}")
     if args.out:
         _write_csv(args.out, grid, ["residual", "min_eig"],
-                   [res.values.ravel(), ellip.values.ravel()])
+                   [res.values.ravel(), res.min_eig.ravel()])
     return EXIT_OK
 
 

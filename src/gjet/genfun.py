@@ -64,7 +64,6 @@ __all__ = [
     "matrix_A",
     "matrix_A_B",
     "matrix_A_B_rows",
-    "matrix_A_via_yp",
     "map_Q",
     "map_X",
     "map_X_rows",
@@ -1072,32 +1071,6 @@ def matrix_A_B(gf: GeneratingFunction, x, u, p, psi=None) -> tuple:
                                           _vec(p, n)[None, :], psi)
     _raise_for_status(_FORWARD_ERRORS, status[0], rnorm=rnorm[0])
     return a[0], float(b[0])
-
-
-def matrix_A_via_yp(gf: GeneratingFunction, x, u, p) -> np.ndarray:
-    """A by the vector-field formula A = -Y_p^{-1} (Y_x + Y_u (x) p).
-
-    All blocks are central finite differences of the forward map; this is
-    the independent cross-check route for the closed assembly above.
-    """
-    n = gf.dimension
-    x = _vec(x, n)
-    u = float(u)
-    p = _vec(p, n)
-    h = fd_step(max(abs(u), float(np.max(np.abs(p))), float(np.max(np.abs(x)))))
-
-    def yy(xv, uv, pv):
-        return forward_YZ(gf, xv, uv, pv)[0]
-
-    yp = np.zeros((n, n))
-    yx = np.zeros((n, n))
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = h
-        yp[:, j] = (yy(x, u, p + ej) - yy(x, u, p - ej)) / (2 * h)
-        yx[:, j] = (yy(x + ej, u, p) - yy(x - ej, u, p)) / (2 * h)
-    yu = (yy(x, u + h, p) - yy(x, u - h, p)) / (2 * h)
-    return -np.linalg.solve(yp, yx + np.outer(yu, p))
 
 
 def _q_of(b: BatchBundle) -> np.ndarray:

@@ -4,8 +4,8 @@ Diagnostics, not a PDE solver: given values of a function on the grid's
 nodal lattice (the cell centers), evaluate
 
   * the Monge-Ampere residual   det[D^2 u - A(., u, Du)] - B(., u, Du),
+    with the ellipticity field  min eig (D^2 u - A) of the same matrices,
   * the raw Jacobian residual   det DT - psi  with T = Y(., u, Du),
-  * the ellipticity field       min eig (D^2 u - A),
   * the dual-equation residual  det[D^2 v - A*(., v, Dv)] - B*(., v, Dv).
 
 Central differences with the grid's own spacing; a one-node margin is
@@ -25,7 +25,7 @@ which makes B = det E * psi nonnegative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -74,11 +74,20 @@ class ResidualField:
     values: np.ndarray
     mask: np.ndarray          # True where a value was computed
     masked_count: int         # margin-interior nodes without a value
+    min_eig: np.ndarray = None  # ma_residual's min eig of D^2 u - A
 
     def max_abs(self) -> float:
         if not self.mask.any():
             return math.nan
         return float(np.nanmax(np.abs(self.values[self.mask])))
+
+    def ellipticity(self) -> str:
+        """The verdict on min_eig (see ELLIP_TOL); "not-elliptic" where
+        no node was evaluated."""
+        low = np.nanmin(self.min_eig[self.mask]) if self.mask.any() else -math.inf
+        if low < -ELLIP_TOL:
+            return "not-elliptic"
+        return "degenerate-elliptic" if low < ELLIP_TOL else "elliptic"
 
 
 def _gradient(values: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -150,10 +159,18 @@ def _field(grid: SourceGrid, margin: int, idx: np.ndarray,
     return ResidualField(grid, out.reshape(grid.res), mask, masked)
 
 
-def _linearization(gf, ufun: GridFunction, exclude) -> tuple:
-    """(idx, D^2 u - A, det E, u, Du): the matrices and det E at the
-    margin-1 interior nodes outside exclude whose forward map is
-    admissible with G_z < 0 (flat indices idx), from matrix_A_B_rows."""
+def ma_residual(gf: GeneratingFunction, ufun: GridFunction,
+                psi: Callable, exclude: np.ndarray = None) -> ResidualField:
+    """det[D^2 u - A(., u, Du)] - det E * psi(., u, Du) per interior node.
+
+    One linearization (one matrix_A_B_rows call) gives D^2 u - A and
+    det E at the margin-1 interior nodes outside exclude whose forward
+    map is admissible with G_z < 0.  The field's min_eig is the min
+    eigenvalue of the same matrices, symmetrized (they are symmetric up
+    to finite-difference noise); its ellipticity() is the verdict.
+    exclude masks nodes whose stencils are known to be meaningless, e.g.
+    kink neighborhoods of a piecewise input; they count as masked.
+    """
     grid = ufun.grid
     u = ufun.values
     interior = _interior_mask(grid.res, 1)
@@ -164,24 +181,15 @@ def _linearization(gf, ufun: GridFunction, exclude) -> tuple:
     a, det = genfun.matrix_A_B_rows(gf, grid.centers, u_flat, p_flat)[:2]
     idx = np.flatnonzero(~np.isnan(det) & interior.ravel())
     d2u = _hessian(u, grid.h).reshape(grid.n, grid.n, -1).transpose(2, 0, 1)
-    return idx, d2u[idx] - a[idx], det[idx], u_flat, p_flat
-
-
-def ma_residual(gf: GeneratingFunction, ufun: GridFunction,
-                psi: Callable, exclude: np.ndarray = None) -> ResidualField:
-    """det[D^2 u - A(., u, Du)] - det E * psi(., u, Du) per interior node.
-
-    exclude masks nodes whose stencils are known to be meaningless, e.g.
-    kink neighborhoods of a piecewise input; they count as masked.
-    """
-    grid = ufun.grid
-    idx, mats, det, u_flat, p_flat = _linearization(gf, ufun, exclude)
-    vals = []
+    mats = d2u[idx] - a[idx]
+    vals = eig = []
     if len(idx):
         psi_vals = genfun._psi_rows(psi, grid.centers[idx], u_flat[idx],
                                    p_flat[idx])
-        vals = np.linalg.det(mats) - det * psi_vals
-    return _field(grid, 1, idx, vals)
+        vals = np.linalg.det(mats) - det[idx] * psi_vals
+        eig = np.linalg.eigvalsh(0.5 * (mats + mats.transpose(0, 2, 1)))[:, 0]
+    return replace(_field(grid, 1, idx, vals),
+                   min_eig=_field(grid, 1, idx, eig).values)
 
 
 def pje_residual(gf: GeneratingFunction, ufun: GridFunction,
@@ -216,20 +224,14 @@ def pje_residual(gf: GeneratingFunction, ufun: GridFunction,
 
 def ellipticity_check(gf: GeneratingFunction, ufun: GridFunction, *,
                       exclude: np.ndarray = None):
-    """Min eigenvalue field of D^2 u - A and the admissibility verdict.
-
-    The matrix is symmetrized before the eigensolve (it is symmetric up
-    to finite-difference noise).  Returns (field, admissible) where
-    admissible means min eig >= -ELLIP_TOL on every evaluated node.
-    exclude masks nodes whose stencils straddle kinks of a piecewise
-    input; the difference quotients carry no eigenvalue information
-    there, and they count as masked.
+    """(min eigenvalue field of D^2 u - A, admissible) from ma_residual:
+    admissible unless its verdict is "not-elliptic".  exclude masks nodes
+    whose stencils straddle kinks of a piecewise input; the difference
+    quotients carry no eigenvalue information there, and they count as
+    masked.
     """
-    idx, mats, _det, _u, _p = _linearization(gf, ufun, exclude)
-    vals = np.linalg.eigvalsh(0.5 * (mats + mats.transpose(0, 2, 1)))[:, 0]
-    field = _field(ufun.grid, 1, idx, vals)
-    admissible = bool(len(idx) and np.nanmin(vals) >= -ELLIP_TOL)
-    return field, admissible
+    res = ma_residual(gf, ufun, lambda xs, us, ps: 0.0, exclude)
+    return replace(res, values=res.min_eig), res.ellipticity() != "not-elliptic"
 
 
 def dual_residual(gf: GeneratingFunction, vfun: GridFunction,

@@ -46,7 +46,6 @@ from .gconvex import (
     interface_point_rows,
     interpolated_support_rows,
     neighbor_pairs,
-    values_matrix,
 )
 from .genfun import GeneratingFunction, SolverTolerances
 
@@ -57,7 +56,6 @@ __all__ = [
     "validate_problem",
     "solve",
     "solution_function",
-    "lipschitz_diagnostic",
     "range_diagnostic",
 ]
 
@@ -363,23 +361,6 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
 # --------------------------------------------------------------------------
 # diagnostics on solved states
 # --------------------------------------------------------------------------
-
-def lipschitz_diagnostic(state: SolutionState, prob: SemiDiscreteProblem) -> float:
-    """Max forward-difference gradient norm of u over interior cells.
-
-    For generators with a declared gradient bound the value should stay
-    below K0 + O(h); the caller asserts the bound.
-    """
-    grid = prob.grid
-    sol = solution_function(prob, state.z)
-    u = values_matrix(sol, grid).max(axis=0).reshape(grid.res)
-    corner = tuple(slice(0, r - 1) for r in grid.res)
-    sq = np.zeros(u[corner].shape)
-    for ax in range(grid.n):
-        d = np.diff(u, axis=ax)[corner] / grid.h[ax]
-        sq += d * d
-    return float(np.sqrt(sq.max()))
-
 
 HULL_BLOCK = 2 ** 16  # side tests per block of the facet search
 INTERP_T = 0.5        # range_diagnostic: support interpolation parameter

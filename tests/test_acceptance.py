@@ -33,18 +33,18 @@ from gjet.genfun import (
     dual_H,
     forward_YZ,
     matrix_A,
-    matrix_A_via_yp,
     matrix_E,
 )
 from gjet.madiag import ma_residual, manufactured_case
 from gjet.semidiscrete import (
     SemiDiscreteProblem,
-    lipschitz_diagnostic,
     solution_function,
     solve,
 )
 
 from conftest import instance_boxes, sample_admissible
+from test_genfun import matrix_A_via_yp
+from test_semidiscrete import lipschitz_diagnostic
 
 
 def _passed(num, text):

@@ -1,6 +1,7 @@
 """Command dispatch, exit codes, schema validation, byte-stable outputs."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,6 +20,9 @@ from gjet.cli import (
     resolve_config,
 )
 from gjet.errors import ConfigError
+
+
+GRID16 = {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "resolution": [16, 16]}
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -86,6 +90,63 @@ def test_resolve_config_rejects_booleans_as_ints(tmp_path, section, key,
     with pytest.raises(ConfigError) as err:
         resolve_config(raw)
     assert str(err.value) == message
+
+
+DROP = object()
+
+
+def _set(path, value):
+    """A config edit: value at the dotted path, or the key dropped when
+    value is DROP."""
+    def edit(raw):
+        *parents, key = path.split(".")
+        for k in parents:
+            raw = raw[k]
+        if value is DROP:
+            del raw[key]
+        else:
+            raw[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set("source", DROP), "config: missing keys ['source']"),
+    (_set("schema_version", "2.0"), "config.schema_version: expected '1.0'"),
+    (_set("generator", "parallel_beam"),
+     "config.generator: expected an object"),
+    (_set("generator.kind", "beam"),
+     "config.generator.kind: expected one of "
+     "('quadratic_ot', 'parallel_beam', 'point_source')"),
+    (_set("generator", {"kind": "point_source", "params": {"tau": 0.5}}),
+     "config.generator.params.tau: must be <= 0"),
+    (_set("source.box.lo", [1.0, 0.0]), "config.source.box: lo must be below hi"),
+    (_set("source.box.hi", [1.0]),
+     "config.source.box.hi: expected a list of 2 numbers"),
+    (_set("source.resolution", [16, 1]),
+     "config.source.resolution: expected int >= 2 per axis"),
+    (_set("targets.points", []), "config.targets.points: expected a nonempty list"),
+    (_set("targets.masses", [1.0]),
+     "config.targets.masses: one positive mass per point"),
+    (_set("targets.masses", [0.5, -0.5]), "config.targets.masses[]: must be positive"),
+    (_set("normalization.u0", "0.75"),
+     "config.normalization.u0: expected a number"),
+    (_set("normalization.u0", math.inf), "config.normalization.u0: must be finite"),
+    (_set("check.g3_strict", 1), "config.check.g3_strict: expected a bool"),
+    (_set("targets", DROP),
+     "solve requires config.targets and config.normalization"),
+], ids=["missing", "schema", "object", "kind", "tau", "box", "list",
+        "resolution", "points", "masses", "positive", "number", "finite",
+        "bool", "no-targets"])
+def test_config_errors_exit_4_with_their_message(tmp_path, capsys, edit,
+                                                 message):
+    raw = json.loads(open(write_config(tmp_path)).read())
+    edit(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "sol.json"
+    assert main(["solve", str(path), "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not out.exists()
 
 
 def test_malformed_json_exits_4(tmp_path):
@@ -205,6 +266,29 @@ def test_solve_no_convergence_exits_3(tmp_path, capsys):
     assert rc == EXIT_NO_CONVERGENCE
 
 
+@pytest.mark.parametrize("constant, value, message", [
+    ("TAU_MIN", 1.0, "Newton damping fell below"),
+    ("START_PASSES", 1, "threshold passes left 1 targets empty"),
+], ids=["damping", "empty-target"])
+def test_solve_no_convergence_writes_the_best_state(tmp_path, capsys,
+                                                    monkeypatch, constant,
+                                                    value, message):
+    # each NoConvergence route of the solver: exit 3, and the best state
+    # written with converged false
+    from gjet import semidiscrete
+
+    monkeypatch.setattr(semidiscrete, constant, value)
+    points = np.random.default_rng(2).uniform(0.0, 1.0, (16, 2)).tolist()
+    cfg = write_config(tmp_path, source=GRID16, targets={
+        "points": points, "masses": [1.0 / 16] * 16})
+    sol = tmp_path / "sol.json"
+    assert main(["solve", cfg, "--out", str(sol)]) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err.startswith("solver: " + message)
+    doc = json.loads(sol.read_text())
+    assert doc["converged"] is False
+    assert len(doc["z"]) == 16 and doc["sweeps"] == 0
+
+
 # --------------------------------------------------------------------------
 # transform
 # --------------------------------------------------------------------------
@@ -302,6 +386,73 @@ def test_residual_solution_degenerate(tmp_path, capsys):
     assert os.path.exists(tmp_path / "field.csv")
 
 
+@pytest.mark.parametrize("argv", [["--manufactured", "g_affine"],
+                                  ["--solution", "sol.json"]],
+                         ids=["manufactured", "solution"])
+def test_residual_solves_the_forward_map_once(tmp_path, capsys, monkeypatch,
+                                              argv):
+    # the Monge-Ampere residual and the ellipticity field come from one
+    # linearization: one forward solve over the grid's nodes
+    cfg = write_config(tmp_path, source=GRID16)
+    assert main(["solve", cfg, "--out", str(tmp_path / "sol.json")]) == EXIT_OK
+    monkeypatch.chdir(tmp_path)
+    rows = []
+    forward = genfun._forward_rows
+    monkeypatch.setattr(genfun, "_forward_rows", lambda gf, xs, *a, **k:
+                        rows.append(len(xs)) or forward(gf, xs, *a, **k))
+    assert main(["residual", cfg, *argv, "--out", "field.csv"]) == EXIT_OK
+    assert rows == [16 * 16]
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("generator", {"generator": {"kind": "point_source",
+                                 "params": {"tau": -1.0}},
+                   "source": {"box": {"lo": [-0.4, -0.4], "hi": [0.4, 0.4]},
+                              "resolution": 32}}),
+    ("dimension", {"dimension": 1,
+                   "source": {"box": {"lo": [0.0], "hi": [1.0]},
+                              "resolution": 16},
+                   "targets": {"points": [[0.25], [0.75]],
+                               "masses": [0.5, 0.5]},
+                   "normalization": {"x0": [0.5], "u0": 0.75}}),
+    ("source", {"source": dict(GRID16, resolution=[16, 32])}),
+], ids=["generator", "dimension", "source"])
+def test_residual_requires_the_solutions_config(tmp_path, capsys, key, edit):
+    # the residual of a solution is taken on the solution's own generator
+    # and grid; a config that names others is an input error
+    cfg = write_config(tmp_path, source=GRID16)
+    sol = str(tmp_path / "sol.json")
+    assert main(["solve", cfg, "--out", sol]) == EXIT_OK
+    other = write_config(tmp_path, "other.json", **edit)
+    field = tmp_path / "field.csv"
+    capsys.readouterr()
+    assert main(["residual", other, "--solution", sol, "--out", str(field)]) \
+        == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err == (
+        f"input error: config.{key} differs from the one in solution file "
+        f"{sol}\n")
+    assert not field.exists()
+
+
+def test_residual_takes_the_solutions_config_in_any_spelling(tmp_path, capsys):
+    # resolved configs are compared: the integer resolution shorthand, and
+    # keys residual does not read (targets), do not count
+    cfg = write_config(tmp_path, source=GRID16)
+    sol = str(tmp_path / "sol.json")
+    assert main(["solve", cfg, "--out", sol]) == EXIT_OK
+    same = write_config(tmp_path, "same.json",
+                        source=dict(GRID16, resolution=16),
+                        targets={"points": [[0.5, 0.5]], "masses": [1.0]})
+    outputs = []
+    for path in (cfg, same):
+        capsys.readouterr()
+        field = tmp_path / "field.csv"
+        assert main(["residual", path, "--solution", sol,
+                     "--out", str(field)]) == EXIT_OK
+        outputs.append((capsys.readouterr().out, field.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def count_calls(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
@@ -394,9 +545,6 @@ def test_gjet_threads_env_is_ignored(tmp_path, monkeypatch, capsys):
 # --------------------------------------------------------------------------
 # CLI paths: density CSV, y-box, check without targets, residual field
 # --------------------------------------------------------------------------
-
-GRID16 = {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "resolution": [16, 16]}
-
 
 def test_solve_follows_a_density_csv(tmp_path):
     # density 1 + 3 x1 on the unit square: total mass 2.5, and the
@@ -565,6 +713,56 @@ def test_field_csv_bytes_match_the_per_cell_formatter(tmp_path):
         for k in range(grid.size)]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
     assert path.read_text().count(",nan,nan\n") == 3
+
+
+def one_string_csv(path, grid, names, columns):
+    """The writer that formatted the whole table as one string: the
+    reference for the block writer's bytes."""
+    header = [f"x{k + 1}" for k in range(grid.n)] + names
+    table = np.column_stack([grid.centers, *columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+
+
+def grid_columns(res, seed=3):
+    """Columns shaped as the grid CSV's u, du, cell and mass on a res^2
+    grid, with NaN, infinite, negative-zero and integral values."""
+    grid = gconvex.SourceGrid([-1.0, 0.0], [1.0, 3.0], [res, res])
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=grid.size) * 10.0 ** rng.integers(-300, 300, grid.size)
+    u[[0, 5, 9]] = np.nan, np.inf, -0.0
+    cell = rng.integers(0, 16, grid.size)
+    return grid, ["u", "du1", "du2", "cell", "mass"], \
+        [u, rng.normal(size=(grid.size, 2)), cell, rng.random(16)[cell]]
+
+
+def test_csv_blocks_write_the_one_string_bytes(tmp_path):
+    # 45^2 rows: one full block and a partial one
+    grid, names, columns = grid_columns(45)
+    assert cli.CSV_BLOCK < grid.size < 2 * cli.CSV_BLOCK
+    cli._write_csv(str(tmp_path / "blocks.csv"), grid, names, columns)
+    one_string_csv(str(tmp_path / "one.csv"), grid, names, columns)
+    assert (tmp_path / "blocks.csv").read_bytes() \
+        == (tmp_path / "one.csv").read_bytes()
+
+
+def test_csv_writer_memory_does_not_grow_with_the_grid(tmp_path):
+    # the one-string writer peaked at 7.4 MB of allocations at 128^2 and
+    # 29.5 MB at 256^2
+    import tracemalloc
+
+    peaks = []
+    for res in (128, 256):
+        grid, names, columns = grid_columns(res)
+        tracemalloc.start()
+        try:
+            cli._write_csv(str(tmp_path / "grid.csv"), grid, names, columns)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def run_python(code):

@@ -13,13 +13,12 @@ from gjet.genfun import (
     map_Q,
     map_X,
     matrix_A,
-    matrix_A_via_yp,
     matrix_E,
 )
 from gjet.semidiscrete import SemiDiscreteProblem, solve
 
 from conftest import instance_boxes, sample_admissible
-from test_genfun import fd_bundle
+from test_genfun import fd_bundle, matrix_A_via_yp
 
 
 @pytest.mark.parametrize("n", [1, 3])

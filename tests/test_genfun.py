@@ -33,6 +33,7 @@ from gjet.genfun import (
     dual_H,
     dual_H_rows,
     eval_bundle,
+    fd_step,
     forward_YZ,
     forward_YZ_rows,
     map_Q,
@@ -41,7 +42,6 @@ from gjet.genfun import (
     matrix_A,
     matrix_A_B,
     matrix_A_B_rows,
-    matrix_A_via_yp,
     matrix_E,
 )
 
@@ -777,6 +777,30 @@ def test_matrix_B_with_unit_density(pb1):
     a, bval = matrix_A_B(pb1, x, b.value, b.grad_x, psi)
     _, det = matrix_E(pb1, x, [1.0], 0.5)
     assert bval == pytest.approx(det)
+
+
+def matrix_A_via_yp(gf, x, u, p):
+    """A by the vector-field formula A = -Y_p^{-1} (Y_x + Y_u (x) p).
+
+    All blocks are central finite differences of the forward map: the
+    independent reference for the closed assembly A = G_xx(x, Y, Z).
+    """
+    n = gf.dimension
+    x, p, u = np.asarray(x, dtype=float), np.asarray(p, dtype=float), float(u)
+    h = fd_step(max(abs(u), float(np.max(np.abs(p))), float(np.max(np.abs(x)))))
+
+    def yy(xv, uv, pv):
+        return forward_YZ(gf, xv, uv, pv)[0]
+
+    yp = np.zeros((n, n))
+    yx = np.zeros((n, n))
+    for j in range(n):
+        ej = np.zeros(n)
+        ej[j] = h
+        yp[:, j] = (yy(x, u, p + ej) - yy(x, u, p - ej)) / (2 * h)
+        yx[:, j] = (yy(x + ej, u, p) - yy(x - ej, u, p)) / (2 * h)
+    yu = (yy(x, u + h, p) - yy(x, u - h, p)) / (2 * h)
+    return -np.linalg.solve(yp, yx + np.outer(yu, p))
 
 
 @pytest.mark.parametrize("gf", all_instances(), ids=lambda g: f"{g.name}")

@@ -247,12 +247,15 @@ def test_ellipticity_identity_eigenvalue_one():
     assert np.allclose(field.values[field.mask], 1.0)
 
 
+def _concave(grid):
+    vals = -np.einsum("ij,ij->i", grid.centers, grid.centers)
+    return GridFunction(grid, vals.reshape(grid.res))
+
+
 def test_ellipticity_concave_case_fails():
     gf = QuadraticOT(2)
     grid = box_grid(48)
-    vals = -np.einsum("ij,ij->i", grid.centers, grid.centers)
-    field, admissible = ellipticity_check(
-        gf, GridFunction(grid, vals.reshape(grid.res)))
+    field, admissible = ellipticity_check(gf, _concave(grid))
     assert not admissible
     assert np.nanmin(field.values[field.mask]) == pytest.approx(-3.0)
 
@@ -279,6 +282,31 @@ def test_ellipticity_solved_piecewise_degenerate(pb2):
     # the unmasked run reports the kink nodes as evaluated: noisy there
     raw_field, _raw_adm = ellipticity_check(pb2, ufun)
     assert raw_field.mask.sum() > field.mask.sum()
+
+
+@pytest.mark.parametrize("case, exclude_all, verdict", [
+    ("g_affine", False, "degenerate-elliptic"),
+    ("quadratic_ot_identity", False, "elliptic"),
+    ("concave", False, "not-elliptic"),
+    ("quadratic_ot_identity", True, "not-elliptic"),
+], ids=["g_affine", "identity", "concave", "nothing-evaluated"])
+def test_ma_residual_carries_the_ellipticity_field(case, exclude_all,
+                                                   verdict):
+    # one linearization gives the residual, the min-eig field of the same
+    # matrices and the verdict; ellipticity_check is its reduction
+    gf = QuadraticOT(2)
+    grid = box_grid(24)
+    ufun = _concave(grid) if case == "concave" \
+        else manufactured_case(case, gf, grid)[0]
+    exclude = np.ones(grid.res, dtype=bool) if exclude_all else None
+    res = ma_residual(gf, ufun, lambda xs, us, ps: 0.0, exclude=exclude)
+    field, admissible = ellipticity_check(gf, ufun, exclude=exclude)
+    assert res.ellipticity() == verdict
+    assert admissible == (verdict != "not-elliptic")
+    assert np.array_equal(res.min_eig, field.values, equal_nan=True)
+    assert np.array_equal(np.isnan(res.min_eig), ~res.mask)
+    assert (field.mask == res.mask).all()
+    assert field.masked_count == res.masked_count
 
 
 @pytest.mark.parametrize("exclude", [False, True], ids=["all", "exclude"])

@@ -31,7 +31,6 @@ from gjet.semidiscrete import (
     SemiDiscreteProblem,
     SolverTolerances,
     _hull_test,
-    lipschitz_diagnostic,
     range_diagnostic,
     solution_function,
     solve,
@@ -252,6 +251,34 @@ def test_no_convergence_carries_best_state(pb2):
     assert exc_info.value.best.residual < 1.0
 
 
+# 16 random beam targets on 16^2 cells: the first Newton step backtracks,
+# and one threshold pass leaves a target empty
+SIXTEEN_TARGETS = np.random.default_rng(2).uniform(0.0, 1.0, (16, 2))
+
+
+@pytest.mark.parametrize("constant, value, message", [
+    ("TAU_MIN", 1.0, "Newton damping fell below 1.0e+00 at step 1; "),
+    ("START_PASSES", 1, "threshold passes left 1 targets empty"),
+], ids=["damping", "empty-target"])
+def test_no_convergence_routes_carry_the_best_state(pb2, monkeypatch,
+                                                    constant, value, message):
+    import gjet.semidiscrete as sd
+
+    monkeypatch.setattr(sd, constant, value)
+    prob = unit_problem(pb2, SIXTEEN_TARGETS, res=16)
+    with pytest.raises(NoConvergence) as exc_info:
+        solve(prob)
+    assert str(exc_info.value).startswith(message)
+    best = exc_info.value.best
+    assert best is not None and best.sweeps == 0
+    assert best.z.shape == (16,)
+    assert best.residual == np.max(np.abs(
+        best.decomposition.masses - prob.masses)) / prob.grid.total_mass
+    # without the limit the same problem solves
+    monkeypatch.undo()
+    assert solve(prob).residual <= prob.tolerances.mass_tol_rel
+
+
 def test_solve_other_generators():
     from gjet.genfun import PointSourcePlane, QuadraticOT
 
@@ -344,6 +371,23 @@ def test_validate_rejects_inadmissible_source_box():
 # --------------------------------------------------------------------------
 # diagnostics
 # --------------------------------------------------------------------------
+
+def lipschitz_diagnostic(state, prob):
+    """Max forward-difference gradient norm of u over interior cells.
+
+    For generators with a declared gradient bound the value should stay
+    below K0 + O(h); the caller asserts the bound.
+    """
+    grid = prob.grid
+    sol = solution_function(prob, state.z)
+    u = values_matrix(sol, grid).max(axis=0).reshape(grid.res)
+    corner = tuple(slice(0, r - 1) for r in grid.res)
+    sq = np.zeros(u[corner].shape)
+    for ax in range(grid.n):
+        d = np.diff(u, axis=ax)[corner] / grid.h[ax]
+        sq += d * d
+    return float(np.sqrt(sq.max()))
+
 
 def test_lipschitz_parallel_beam_bound(pb2):
     prob = unit_problem(pb2, [[0.3, 0.4], [0.7, 0.6]])
