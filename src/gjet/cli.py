@@ -94,6 +94,16 @@ def _vec_list(obj, where, dim):
     return [_num(v, where) for v in obj]
 
 
+def _box(obj, where, dim, name):
+    """A {"lo", "hi"} box with lo below hi on every axis; name prefixes
+    the messages about either end."""
+    _require_keys(obj, where, ("lo", "hi"))
+    box = {e: _vec_list(obj[e], f"{name}.{e}", dim) for e in ("lo", "hi")}
+    if any(a >= b for a, b in zip(box["lo"], box["hi"])):
+        raise ConfigError(f"{where}: lo must be below hi")
+    return box
+
+
 def resolve_config(raw: dict, base_dir: str = ".") -> dict:
     """Validate a raw config dict and fill defaults; rejects unknown keys."""
     _require_keys(raw, "config",
@@ -124,12 +134,7 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
 
     src = raw["source"]
     _require_keys(src, "config.source", ("box", "resolution"), ("density",))
-    box = src["box"]
-    _require_keys(box, "config.source.box", ("lo", "hi"))
-    lo = _vec_list(box["lo"], "config.source.box.lo", dim)
-    hi = _vec_list(box["hi"], "config.source.box.hi", dim)
-    if any(a >= b for a, b in zip(lo, hi)):
-        raise ConfigError("config.source.box: lo must be below hi")
+    box = _box(src["box"], "config.source.box", dim, "config.source.box")
     res = src["resolution"]
     if _is_int(res):
         res = [res] * dim
@@ -148,8 +153,7 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
         "schema_version": SCHEMA_VERSION,
         "generator": {"kind": gen["kind"], "params": params},
         "dimension": dim,
-        "source": {"box": {"lo": lo, "hi": hi}, "resolution": res,
-                   "density": density},
+        "source": {"box": box, "resolution": res, "density": density},
     }
 
     if "targets" in raw:
@@ -195,15 +199,16 @@ def resolve_config(raw: dict, base_dir: str = ".") -> dict:
             if k in ("samples", "seed"):
                 if not _is_int(v) or (k == "samples" and v <= 0):
                     raise ConfigError(f"config.check.{k}: expected an int")
+                if v < 0:
+                    raise ConfigError(
+                        "config.check.seed: expected a non-negative int")
                 check[k] = v
             elif k == "g3_strict":
                 if not isinstance(v, bool):
                     raise ConfigError("config.check.g3_strict: expected a bool")
                 check[k] = v
             elif k == "y_box":
-                _require_keys(v, "config.check.y_box", ("lo", "hi"))
-                check[k] = {"lo": _vec_list(v["lo"], "y_box.lo", dim),
-                            "hi": _vec_list(v["hi"], "y_box.hi", dim)}
+                check[k] = _box(v, "config.check.y_box", dim, "y_box")
             else:
                 check[k] = _num(v, f"config.check.{k}", positive=True)
     out["check"] = check

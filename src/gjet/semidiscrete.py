@@ -439,7 +439,7 @@ def range_diagnostic(state: SolutionState, prob: SemiDiscreteProblem,
     x_star, exchange = interface_point_rows(
         sol, lab[a], lab[b], grid.centers[a], grid.centers[b])
     x_star = x_star[exchange]
-    y0, _u0, _n_active, ok = interpolated_support_rows(sol, x_star, INTERP_T)
+    y0, *_, ok = interpolated_support_rows(sol, x_star, INTERP_T)
     x_star, y0 = x_star[ok], y0[ok]
     checked = len(y0)
     outside = np.flatnonzero(~in_hull(y0))

@@ -23,7 +23,7 @@ from gjet.gconvex import (
     interface_point_rows,
     neighbor_pairs,
     section_convexity,
-    support_check,
+    support_rows,
     values_matrix,
 )
 from gjet.genfun import (
@@ -291,24 +291,19 @@ def test_criterion_09_support_interpolation(solved_cases):
     prob, state = solved_cases[4]
     grid = prob.grid
     sol = solution_function(prob, state.z)
-    u_grid = values_matrix(sol, grid).max(axis=0)
     lab = state.decomposition.assignment
     a, b = neighbor_pairs(grid, lab)
     assert len(a)
     x_stars, exchange = interface_point_rows(
         sol, lab[a], lab[b], grid.centers[a], grid.centers[b])
     assert exchange.all()
-    checked = 0
-    for i, j, x_star in zip(lab[a], lab[b], x_stars):
-        try:
-            for t in np.arange(0.1, 0.95, 0.1):
-                _y0, _z0, ok = support_check(sol, grid, x_star, float(t),
-                                             u_grid=u_grid)
-                assert ok, (i, j, t)
-            checked += 1
-        except ValueError:
-            # more than two pieces tie at this crossing (cell corner)
-            continue
+    for t in np.arange(0.1, 0.95, 0.1):
+        _y0, _z0, below, n_active, ok = support_rows(sol, grid, x_stars,
+                                                     float(t))
+        # rows where more than two pieces tie (cell corners) are skipped
+        two = n_active == 2
+        assert np.all(ok[two] & below[two]), (np.flatnonzero(two & ~below), t)
+    checked = int(two.sum())
     assert checked >= 0.9 * len(a)
     _passed(9, f"interpolated supports hold for t in 0.1..0.9 on "
                f"{checked}/{len(a)} adjacent-cell interfaces")

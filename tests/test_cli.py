@@ -132,11 +132,14 @@ def _set(path, value):
      "config.normalization.u0: expected a number"),
     (_set("normalization.u0", math.inf), "config.normalization.u0: must be finite"),
     (_set("check.g3_strict", 1), "config.check.g3_strict: expected a bool"),
+    (_set("check.seed", -1), "config.check.seed: expected a non-negative int"),
+    (_set("check.y_box", {"lo": [1, 1], "hi": [0, 0]}),
+     "config.check.y_box: lo must be below hi"),
     (_set("targets", DROP),
      "solve requires config.targets and config.normalization"),
 ], ids=["missing", "schema", "object", "kind", "tau", "box", "list",
         "resolution", "points", "masses", "positive", "number", "finite",
-        "bool", "no-targets"])
+        "bool", "negative-seed", "y_box", "no-targets"])
 def test_config_errors_exit_4_with_their_message(tmp_path, capsys, edit,
                                                  message):
     raw = json.loads(open(write_config(tmp_path)).read())

@@ -18,20 +18,23 @@ from gjet.gconvex import (
     interface_point,
     interface_point_rows,
     interpolated_support_rows,
+    neighbor_pairs,
     section_convexity,
     section_set,
     subdifferential,
-    support_check,
+    support_rows,
     validate_pieces_on_grid,
     values_matrix,
 )
 from gjet.genfun import (
+    BatchBundle,
     GeneratingFunction,
     ParallelBeam,
     PointSourcePlane,
     QuadraticOT,
     dual_H,
 )
+from gjet.semidiscrete import SemiDiscreteProblem, solution_function, solve
 
 
 def unit_grid(res=32, n=2):
@@ -144,10 +147,10 @@ def test_support_check_endpoint_returns_piece(pb2):
     grid = unit_grid()
     sol = pb_two_piece(pb2, grid)
     x_star = interface_point(sol, 0, 1, [0.45, 0.5], [0.55, 0.5])
-    y0, z0, ok = support_check(sol, grid, x_star, 0.0)
-    assert ok
-    assert np.allclose(y0, sol.ys[0], atol=1e-7)
-    assert z0 == pytest.approx(sol.zs[0], abs=1e-7)
+    y0, z0, below, _n_active, ok = support_rows(sol, grid, x_star, 0.0)
+    assert ok[0] and below[0]
+    assert np.allclose(y0[0], sol.ys[0], atol=1e-7)
+    assert z0[0] == pytest.approx(sol.zs[0], abs=1e-7)
 
 
 @pytest.mark.parametrize("t", [0.25, 0.5, 0.75])
@@ -156,13 +159,119 @@ def test_support_check_midpoints(pb2, qot2, t):
     for gf, mk in ((pb2, pb_two_piece),):
         sol = mk(gf, grid)
         x_star = interface_point(sol, 0, 1, [0.45, 0.42], [0.55, 0.42])
-        _y0, _z0, ok = support_check(sol, grid, x_star, t)
-        assert ok, gf.name
+        _y0, _z0, below, _n_active, ok = support_rows(sol, grid, x_star, t)
+        assert ok[0] and below[0], gf.name
     # classical convexity: max of two quadratic supports
     sol = PiecewiseGSolution(qot2, [(0.3, 0.5), (0.7, 0.5)], [-0.1, -0.1])
     x_star = interface_point(sol, 0, 1, [0.45, 0.5], [0.55, 0.5])
-    _y0, _z0, ok = support_check(sol, grid, x_star, t)
-    assert ok
+    _y0, _z0, below, _n_active, ok = support_rows(sol, grid, x_star, t)
+    assert ok[0] and below[0]
+
+
+def reference_support_check(sol, grid, x0, t):
+    """The scalar support test that support_rows replaced, kept as the
+    oracle: one row of interpolated supports, the focal parameter
+    re-snapped through dual_H so the graph passes exactly through
+    (x0, u(x0)), and a sweep of the whole grid.  Returns (y0, z0, ok)."""
+    x0 = np.asarray(x0, dtype=float)
+    y0, _z0, u0, n_active, ok = interpolated_support_rows(sol, x0, t)
+    if n_active[0] != 2:
+        raise ValueError(
+            f"support interpolation needs exactly two active pieces, "
+            f"found {n_active[0]}")
+    if not ok[0]:
+        raise DomainViolation(
+            "no admissible interpolated support at the query point")
+    y0, u0 = y0[0], float(u0[0])
+    z0 = dual_H(sol.gf, x0, y0, u0).z_root
+    u_grid = values_matrix(sol, grid).max(axis=0)
+    cand = sol.gf.value_batch(grid.centers, y0, z0)
+    return y0, float(z0), bool(np.all(cand <= u_grid + 1e-8 * (1.0 + abs(u0))))
+
+
+class Hyperbolic(GeneratingFunction):
+    """Toy generator G = sqrt(1 + |x - y|^2) - z, whose supports
+    interpolated between two pieces rise above their max."""
+
+    name = "hyperbolic"
+
+    def __init__(self):
+        super().__init__(2)
+
+    def z_interval_batch(self, xs, y):
+        m = len(np.atleast_2d(xs))
+        return np.full(m, -math.inf), np.full(m, math.inf)
+
+    def _raw_batch(self, xs, ys, zs):
+        m, n = xs.shape
+        d = xs - ys
+        s = np.sqrt(1.0 + np.einsum("ij,ij->i", d, d))
+        h = np.eye(n) / s[:, None, None] \
+            - d[:, :, None] * d[:, None, :] / s[:, None, None] ** 3
+        return BatchBundle(s - zs, d / s[:, None], -d / s[:, None],
+                           np.full(m, -1.0), h, -h, h, np.zeros((m, n)),
+                           np.zeros((m, n)), np.zeros(m))
+
+
+@pytest.fixture(scope="module")
+def support_cases():
+    """(sol, grid, rows): the two-piece beam, quadratic and Hyperbolic
+    toy with rows on and off their interface, and a solved 4-target beam
+    at 48^2 with every adjacent-cell interface point and the center,
+    where all four pieces meet."""
+    pb2, grid = ParallelBeam(2), unit_grid(48)
+    off = np.array([[0.2, 0.2], [0.8, 0.6]])
+    x_a = np.array([[0.45, 0.5], [0.45, 0.42], [0.4, 0.1], [0.45, 0.9]])
+    cases = []
+    for sol in (pb_two_piece(pb2, grid),
+                PiecewiseGSolution(QuadraticOT(2), [(0.3, 0.5), (0.7, 0.5)],
+                                   [-0.1, -0.1]),
+                PiecewiseGSolution(Hyperbolic(), [(0.3, 0.5), (0.7, 0.6)],
+                                   [0.0, 0.0])):
+        xs, _exchange = interface_point_rows(sol, [0] * 4, [1] * 4, x_a,
+                                             x_a + [0.1, 0.0])
+        cases.append((sol, grid, np.vstack([xs, off])))
+    pts = [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]]
+    prob = SemiDiscreteProblem(pb2, grid, pts, np.full(4, grid.total_mass / 4),
+                               ([0.5, 0.5], 0.75))
+    state = solve(prob)
+    sol = solution_function(prob, state.z)
+    lab = state.decomposition.assignment
+    a, b = neighbor_pairs(grid, lab)
+    xs, _exchange = interface_point_rows(sol, lab[a], lab[b], grid.centers[a],
+                                         grid.centers[b])
+    cases.append((sol, grid, np.vstack([xs, [[0.5, 0.5]]])))
+    return cases
+
+
+@pytest.mark.parametrize("t", [0.0, 0.25, 0.5, 0.75, 1.0])
+def test_support_rows_match_scalar_reference(support_cases, t):
+    # below is the reference's verdict, and n_active and ok its
+    # ValueError and DomainViolation.  The supports hold for the beam and
+    # the quadratic and, between the ends, fail for the toy.  Where the
+    # forward map has a closed form, z0 is the re-snapped focal
+    # parameter to rounding; the toy's Newton z0 meets G = u only to the
+    # Newton tolerance
+    for sol, grid, xs in support_cases:
+        y0, z0, below, n_active, ok = support_rows(sol, grid, xs, t)
+        assert ok.any() and (n_active != 2).any()
+        toy = isinstance(sol.gf, Hyperbolic)
+        assert np.array_equal(below, ok & (not toy or t in (0.0, 1.0))), \
+            sol.gf.name
+        for r, x0 in enumerate(xs):
+            if n_active[r] != 2:
+                with pytest.raises(ValueError):
+                    reference_support_check(sol, grid, x0, t)
+            elif not ok[r]:
+                with pytest.raises(DomainViolation):
+                    reference_support_check(sol, grid, x0, t)
+            else:
+                ref_y, ref_z, ref_ok = reference_support_check(sol, grid, x0, t)
+                assert np.array_equal(y0[r], ref_y), r
+                assert toy or abs(z0[r] - ref_z) <= 1e-12 * abs(ref_z), r
+                assert below[r] == ref_ok, r
+            if not ok[r]:
+                assert not below[r] and np.isnan(z0[r]), r
 
 
 def reference_interface_point(sol, i, j, x_a, x_b, tol=1e-13):
@@ -259,12 +368,13 @@ def test_interpolated_support_rows_flags_rows(pb2):
     # one row on the interface (two active pieces), one inside a cell
     sol = pb_two_piece(pb2, unit_grid())
     x_star = interface_point(sol, 0, 1, [0.45, 0.5], [0.55, 0.5])
-    y0, u0, n_active, ok = interpolated_support_rows(
+    y0, z0, u0, n_active, ok = interpolated_support_rows(
         sol, np.stack([x_star, [0.2, 0.2]]), 0.0)
     assert n_active.tolist() == [2, 1]
     assert ok.tolist() == [True, False]
     assert np.allclose(y0[0], sol.ys[0], atol=1e-7)
     assert np.all(np.isnan(y0[1]))
+    assert z0[0] == pytest.approx(sol.zs[0], abs=1e-7) and np.isnan(z0[1])
     assert u0[1] == pytest.approx(eval_piecewise(sol, [0.2, 0.2])[0])
     with pytest.raises(ValueError):
         interpolated_support_rows(sol, x_star, 1.5)
@@ -273,8 +383,10 @@ def test_interpolated_support_rows_flags_rows(pb2):
 def test_support_check_needs_two_active(pb2):
     grid = unit_grid()
     sol = pb_two_piece(pb2, grid)
-    with pytest.raises(ValueError):
-        support_check(sol, grid, [0.2, 0.2], 0.5)
+    y0, z0, below, n_active, ok = support_rows(sol, grid, [0.2, 0.2], 0.5)
+    assert n_active.tolist() == [1]
+    assert not ok[0] and not below[0]
+    assert np.all(np.isnan(y0)) and np.isnan(z0[0])
 
 
 # --------------------------------------------------------------------------
