@@ -234,10 +234,14 @@ def build_grid(cfg: dict, base_dir: str = ".") -> gconvex.SourceGrid:
                               src["resolution"], density)
 
 
-def build_problem(cfg: dict, base_dir: str = ".") -> semidiscrete.SemiDiscreteProblem:
-    from . import semidiscrete
+def _require_targets(cfg: dict) -> None:
     if "targets" not in cfg or "normalization" not in cfg:
         raise ConfigError("solve requires config.targets and config.normalization")
+
+
+def build_problem(cfg: dict, base_dir: str = ".") -> semidiscrete.SemiDiscreteProblem:
+    from . import semidiscrete
+    _require_targets(cfg)
     gf = build_generator(cfg)
     grid = build_grid(cfg, base_dir)
     return semidiscrete.SemiDiscreteProblem(
@@ -426,7 +430,7 @@ def _state_from_file(path, config=None):
     """(config, grid, solution) of a solution file, its pieces validated
     on the grid (gconvex.validate_pieces_on_grid).  A resolved config,
     when given, must have the solution's generator, dimension and source."""
-    from . import gconvex, semidiscrete
+    from . import gconvex
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ConfigError(f"solution file {path}: expected a JSON object")
@@ -440,13 +444,15 @@ def _state_from_file(path, config=None):
         if config[key] != cfg[key]:
             raise ConfigError(f"config.{key} differs from the one in "
                               f"solution file {path}")
-    prob = build_problem(cfg, base)
+    _require_targets(cfg)
+    gf, grid = build_generator(cfg), build_grid(cfg, base)
+    targets = cfg["targets"]["points"]
     z = np.asarray(doc["z"], dtype=float)
-    if z.ndim != 1 or len(z) != len(prob.targets) or len(z) == 0:
+    if z.ndim != 1 or len(z) != len(targets) or len(z) == 0:
         raise ConfigError(f"solution file {path}: z length does not match targets")
-    sol = semidiscrete.solution_function(prob, z)
-    gconvex.validate_pieces_on_grid(sol, prob.grid)
-    return cfg, prob.grid, sol
+    sol = gconvex.PiecewiseGSolution(gf, targets, z)
+    gconvex.validate_pieces_on_grid(sol, grid)
+    return cfg, grid, sol
 
 
 def cmd_transform(args) -> int:

@@ -138,7 +138,7 @@ def _uniform(rng, lo, hi, rows: int = None):
 
 def _dots(a, b) -> np.ndarray:
     """Row dot products a_k . b_k; the stacked matmul rounds as the
-    one-point a @ b and np.linalg.norm do (einsum does not)."""
+    one-point a @ b and np.linalg.norm do (genfun._row_dot does not)."""
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
@@ -152,7 +152,7 @@ def _first_min(vals):
 
 def _at_z_fracs(gf: GeneratingFunction, xs, ys, z_fracs) -> tuple:
     """(xs, ys, zs): each pair (xs[k], ys[k]) once per z at a quantile
-    z_fracs of I(x, y); C-ordered, as einsum rounds by memory layout."""
+    z_fracs of I(x, y)."""
     fracs = np.asarray(z_fracs, dtype=float)
     z_lo, z_hi = gf.z_interval_batch(xs, ys)
     zs = _map_fraction_rows(z_lo[:, None], z_hi[:, None], fracs).ravel()
@@ -234,8 +234,7 @@ def check_injectivity(gf: GeneratingFunction, direction: str,
     rng = np.random.default_rng(spec.seed)
     n = gf.dimension
     fracs = np.asarray(spec.z_fracs, dtype=float)
-    # each base point's (x, y, z) rows, after an empty one; C-ordered, as
-    # the kernel's einsum row sums round by memory layout
+    # each base point's (x, y, z) rows, after an empty one
     bases = [(np.empty((0, n)), np.empty((0, n)), np.empty(0))]
     for _ in range(max(3, spec.count // 10)):
         for _ in range(40):

@@ -52,7 +52,6 @@ __all__ = [
     "values_matrix",
     "subdifferential",
     "support_rows",
-    "interface_point",
     "interface_point_rows",
     "interpolated_support_rows",
     "section_set",
@@ -414,7 +413,7 @@ def interface_point_rows(sol: PiecewiseGSolution, i, j, x_a, x_b):
     def gap(rows, x):
         bi = gf._raw_batch(x, sol.ys[i[rows]], sol.zs[i[rows]])
         bj = gf._raw_batch(x, sol.ys[j[rows]], sol.zs[j[rows]])
-        slope = np.einsum("ij,ij->i", bi.grad_x - bj.grad_x, d[rows])
+        slope = genfun._row_dot(bi.grad_x - bj.grad_x, d[rows])
         return (sign[rows] * (bi.value - bj.value), sign[rows] * slope,
                 np.abs(bi.value) + np.abs(bj.value))
 
@@ -434,18 +433,6 @@ def interface_point_rows(sol: PiecewiseGSolution, i, j, x_a, x_b):
     xs[fa == 0.0] = x_a[fa == 0.0]
     xs[~exchange] = np.nan
     return xs, exchange
-
-
-def interface_point(sol: PiecewiseGSolution, i: int, j: int, x_a, x_b):
-    """Point on the segment [x_a, x_b] where pieces i and j tie.
-
-    Requires the sign of G_i - G_j to flip between the endpoints;
-    deterministic.  One row of interface_point_rows.
-    """
-    xs, exchange = interface_point_rows(sol, [i], [j], x_a, x_b)
-    if not exchange[0]:
-        raise ValueError("pieces do not exchange along the segment")
-    return xs[0]
 
 
 def interpolated_support_rows(sol: PiecewiseGSolution, xs, t: float):
@@ -490,12 +477,9 @@ def support_rows(sol: PiecewiseGSolution, grid: SourceGrid, xs, t: float):
     """
     y0, z0, u0, n_active, ok = interpolated_support_rows(sol, xs, t)
     u = values_matrix(sol, grid).max(axis=0)
-    # in F order the kernels' one-target row ops run along the cells,
-    # about 2x faster: the same values at n <= 2, within 2 ulps at n = 3
-    centers = np.asfortranarray(grid.centers)
     below = np.zeros(len(ok), dtype=bool)
     for k in np.flatnonzero(ok):
-        cand = sol.gf.value_batch(centers, y0[k], z0[k])
+        cand = sol.gf.value_batch(grid.centers, y0[k], z0[k])
         below[k] = np.all(cand <= u + 1e-8 * (1.0 + abs(u0[k])))
     return y0, z0, below, n_active, ok
 

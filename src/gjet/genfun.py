@@ -205,6 +205,24 @@ def _pair_rows(xs, ys, n: int) -> tuple:
     return xs, ys
 
 
+def _row_dot(a, b, diff: bool = False) -> np.ndarray:
+    """a_k . b_k over (m, n) or (1, n) rows, or |a_k - b_k|^2 if diff,
+    added a column at a time from +0.0 in the order numpy's einsum takes
+    on C-ordered rows (columns 0, 2, 1 at n = 3): the same bits for any
+    memory layout and row count, and several times faster on C-ordered
+    rows than a reduction over their short axis."""
+    def column(k):
+        if diff:   # squared in place: one new array per column
+            d = a[:, k] - b[:, k]
+            return np.multiply(d, d, out=d)
+        return a[:, k] * b[:, k]
+    s = column(0)
+    s += 0.0
+    for k in (2, 1) if a.shape[1] == 3 else range(1, a.shape[1]):
+        s += column(k)
+    return s
+
+
 def _eye_batch(m: int, n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(n), (m, n, n)).copy()
 
@@ -284,10 +302,9 @@ class GeneratingFunction(abc.ABC):
     def _piece_values(self, xs, ys) -> Callable:
         """Closure z -> G(x_k, y_k, z) over rows xs (m, n), ys (1, n) or
         (m, n), for one z or one per row; the built-in instances write G
-        only here (with einsum row sums, which round alike for any row
-        count) and take _raw_batch's value from it, passing the z-free
-        terms (``_terms``) that _raw_batch computes once for both.  The
-        default evaluates the kernel."""
+        only here and take _raw_batch's value from it, passing the z-free
+        terms that _raw_batch computes once for both.  The default
+        evaluates the kernel."""
         xs = xs.copy()
         ys = np.broadcast_to(ys, xs.shape)
         return lambda z: self._raw_batch(xs, ys, np.full(len(xs), z, float)).value
@@ -357,22 +374,17 @@ class QuadraticOT(GeneratingFunction):
         m = len(_rows(xs, self.dimension))
         return np.full(m, -math.inf), np.full(m, math.inf)
 
-    def _terms(self, xs, ys):
-        d = xs - ys
-        return d, 0.5 * np.einsum("ij,ij->i", d, d)
-
-    def _piece_values(self, xs, ys, terms=None):
-        _d, c = terms or self._terms(xs, ys)
+    def _piece_values(self, xs, ys):
+        c = 0.5 * _row_dot(xs, ys, diff=True)
         return lambda z: c - z
 
     def _raw_batch(self, xs, ys, zs):
         m, n = xs.shape
-        terms = self._terms(xs, ys)
-        d = terms[0]
+        d = xs - ys
         eye = _eye_batch(m, n)
         zero_v = np.zeros((m, n))
         return BatchBundle(
-            value=self._piece_values(xs, ys, terms)(zs),
+            value=self._piece_values(xs, ys)(zs),
             grad_x=d,
             grad_y=-d,
             dz=np.full(m, -1.0),
@@ -385,15 +397,14 @@ class QuadraticOT(GeneratingFunction):
         )
 
     def _h_of(self, xs, ys, us):
-        _d, c = self._terms(xs, ys)
-        return c - us
+        return self._piece_values(xs, ys)(us)   # G = c - z, so H = c - u
 
     def forward_yz_batch(self, xs, us, ps):
         xs = _rows(xs, self.dimension)
         ps = _rows(ps, self.dimension)
         us = np.asarray(us, dtype=float).reshape(-1)
         ys = xs - ps
-        zs = 0.5 * np.einsum("ij,ij->i", ps, ps) - us
+        zs = 0.5 * _row_dot(ps, ps) - us
         return ys, zs, np.ones(len(xs), dtype=bool)
 
     def _x_of(self, ys, zs, qs):
@@ -428,28 +439,23 @@ class ParallelBeam(GeneratingFunction):
         super().__init__(dimension, g5_constants=G5Constants(m0=0.0, k0=1.0))
 
     def z_interval_batch(self, xs, y):
-        _d, r2 = self._terms(*_pair_rows(xs, y, self.dimension))
-        r = np.sqrt(r2)
+        r = np.sqrt(_row_dot(*_pair_rows(xs, y, self.dimension), diff=True))
         hi = np.full(len(r), math.inf)
         np.divide(1.0, r, out=hi, where=r > 0)
         return np.zeros(len(r)), hi
 
-    def _terms(self, xs, ys):
-        d = xs - ys
-        return d, np.einsum("ij,ij->i", d, d)
-
-    def _piece_values(self, xs, ys, terms=None):
-        _d, r2 = terms or self._terms(xs, ys)
+    def _piece_values(self, xs, ys, r2=None):
+        r2 = _row_dot(xs, ys, diff=True) if r2 is None else r2
         return lambda z: 0.5 / z - 0.5 * z * r2
 
     def _raw_batch(self, xs, ys, zs):
         m, n = xs.shape
-        terms = self._terms(xs, ys)
-        w, r2 = terms
+        w = xs - ys
+        r2 = _row_dot(w, w)
         z = zs
         eye = _eye_batch(m, n)
         return BatchBundle(
-            value=self._piece_values(xs, ys, terms)(z),
+            value=self._piece_values(xs, ys, r2)(z),
             grad_x=-z[:, None] * w,
             grad_y=z[:, None] * w,
             dz=-0.5 * (z ** -2 + r2),
@@ -462,14 +468,13 @@ class ParallelBeam(GeneratingFunction):
         )
 
     def _h_of(self, xs, ys, us):
-        _d, r2 = self._terms(xs, ys)
-        return 1.0 / (us + np.sqrt(us ** 2 + r2))
+        return 1.0 / (us + np.sqrt(us ** 2 + _row_dot(xs, ys, diff=True)))
 
     def forward_yz_batch(self, xs, us, ps):
         xs = _rows(xs, self.dimension)
         ps = _rows(ps, self.dimension)
         us = np.asarray(us, dtype=float).reshape(-1)
-        p2 = np.einsum("ij,ij->i", ps, ps)
+        p2 = _row_dot(ps, ps)
         valid = (us > 0) & (p2 < 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             zs = (1.0 - p2) / (2.0 * us)
@@ -481,7 +486,7 @@ class ParallelBeam(GeneratingFunction):
         # rho = 2t / (1 + t^2), so w = qh / (z (1 + sqrt(1 - rho^2)))
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             qh = qs / (zs * zs)[:, None]
-            rho = np.sqrt(np.einsum("ij,ij->i", qh, qh))
+            rho = np.sqrt(_row_dot(qh, qh))
             xs = ys + qh / (zs * (1.0 + np.sqrt(1.0 - rho * rho)))[:, None]
         return xs, rho <= 1.0
 
@@ -526,12 +531,11 @@ class PointSourcePlane(GeneratingFunction):
 
     def admissible_pair_batch(self, xs, y):
         xs = _rows(xs, self.dimension)
-        return np.einsum("ij,ij->i", xs, xs) < 1.0
+        return _row_dot(xs, xs) < 1.0
 
     def _terms(self, xs, ys):
-        w = np.sqrt(1.0 - np.einsum("ij,ij->i", xs, xs))
-        return (w, np.einsum("ij,ij->i", xs, ys),
-                np.einsum("ij,ij->i", ys, ys))
+        w = np.sqrt(1.0 - _row_dot(xs, xs))
+        return w, _row_dot(xs, ys), _row_dot(ys, ys)
 
     def _piece_values(self, xs, ys, terms=None):
         w, xy, y2 = terms or self._terms(xs, ys)
@@ -575,9 +579,9 @@ class PointSourcePlane(GeneratingFunction):
         xs = _rows(xs, self.dimension)
         ps = _rows(ps, self.dimension)
         us = np.asarray(us, dtype=float).reshape(-1)
-        x2 = np.einsum("ij,ij->i", xs, xs)
-        ubar = us - np.einsum("ij,ij->i", ps, xs)
-        p2 = np.einsum("ij,ij->i", ps, ps)
+        x2 = _row_dot(xs, xs)
+        ubar = us - _row_dot(ps, xs)
+        p2 = _row_dot(ps, ps)
         denom = ubar ** 2 - p2
         valid = (x2 < 1.0) & (ubar > 0) & (denom > 0) & (us > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -836,7 +840,7 @@ def dual_H_rows(gf: GeneratingFunction, xs, ys, us) -> tuple:
     (zs, status, g_range): zs is NaN where status is not RowStatus.OK;
     g_range (m, 2) is G at the upper and the lower bracket end.
     """
-    xs, ys = (np.ascontiguousarray(a) for a in _pair_rows(xs, ys, gf.dimension))
+    xs, ys = _pair_rows(xs, ys, gf.dimension)
     us = _per_row(us, len(xs))
     status = np.where(gf.admissible_pair_batch(xs, ys),
                       RowStatus.OK, RowStatus.BAD_START)

@@ -326,7 +326,7 @@ def manufactured_case(name: str, gf: GeneratingFunction, grid: SourceGrid):
         if gf.name != "quadratic_ot":
             raise ValueError(f"case {name!r} requires the quadratic generator")
         sign = (-1.0) ** n
-        vals = np.einsum("ij,ij->i", grid.centers, grid.centers)
+        vals = genfun._row_dot(grid.centers, grid.centers)
         return GridFunction(grid, vals.reshape(grid.res)), \
             (lambda xs, us, ps: np.full(len(xs), sign))
     if name == "quadratic_ot_cosh":

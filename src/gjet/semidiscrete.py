@@ -389,7 +389,7 @@ def _hull_test(points: np.ndarray, tol: float = 1e-9):
         nrm = np.cross(d[:, 0], d[:, 1]) if n == 3 else d[:, 0, ::-1] * [1, -1]
         keep = (size := np.linalg.norm(nrm, axis=1)) > slack * scale ** (n - 2)
         nrm = nrm[keep] / size[keep, None]
-        off = np.einsum("ij,ij->i", nrm, points[idx[::n][keep]])
+        off = genfun._row_dot(nrm, points[idx[::n][keep]])
         side = points @ nrm.T - off
         for sign, on in ((1.0, np.all(side <= slack, axis=0)),
                          (-1.0, np.all(side >= -slack, axis=0))):

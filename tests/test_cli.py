@@ -811,10 +811,11 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path):
         (["solve", cfg, "--out", sol, "--grid-out", str(tmp_path / "grid.csv")],
          (0,), {"conditions", "madiag"}),
         (["transform", sol, "--out", str(tmp_path / "dual.json")], (0,),
-         {"conditions", "madiag"}),
+         {"conditions", "madiag", "semidiscrete"}),
         (["report", sol, "--csv", str(tmp_path / "surfaces.csv")], (0,),
-         {"conditions", "madiag"}),
-        (["residual", cfg, "--solution", sol], (0,), {"conditions"}),
+         {"conditions", "madiag", "semidiscrete"}),
+        (["residual", cfg, "--solution", sol], (0,),
+         {"conditions", "semidiscrete"}),
         (["residual", cfg, "--manufactured", "g_affine"], (0,),
          {"conditions", "semidiscrete"}),
     ]

@@ -15,7 +15,6 @@ from gjet.gconvex import (
     g_transform,
     grid_z_interval,
     interface_cell_count,
-    interface_point,
     interface_point_rows,
     interpolated_support_rows,
     neighbor_pairs,
@@ -128,10 +127,18 @@ def test_subdifferential_forward_map_identity(pb2):
             assert np.allclose(y2, y, atol=1e-8)
 
 
+def tie_point(sol, x_a, x_b):
+    """Where pieces 0 and 1 tie on [x_a, x_b]: a one-row
+    interface_point_rows call."""
+    xs, exchange = interface_point_rows(sol, [0], [1], x_a, x_b)
+    assert exchange[0]
+    return xs[0]
+
+
 def test_subdifferential_symmetric_beam_pieces(pb2):
     grid = unit_grid()
     sol = pb_two_piece(pb2, grid)
-    x_star = interface_point(sol, 0, 1, [0.45, 0.5], [0.55, 0.5])
+    x_star = tie_point(sol, [0.45, 0.5], [0.55, 0.5])
     pairs = subdifferential(sol, x_star)
     assert len(pairs) == 2
     # opposite tangential slope components across the symmetry plane
@@ -146,7 +153,7 @@ def test_subdifferential_symmetric_beam_pieces(pb2):
 def test_support_check_endpoint_returns_piece(pb2):
     grid = unit_grid()
     sol = pb_two_piece(pb2, grid)
-    x_star = interface_point(sol, 0, 1, [0.45, 0.5], [0.55, 0.5])
+    x_star = tie_point(sol, [0.45, 0.5], [0.55, 0.5])
     y0, z0, below, _n_active, ok = support_rows(sol, grid, x_star, 0.0)
     assert ok[0] and below[0]
     assert np.allclose(y0[0], sol.ys[0], atol=1e-7)
@@ -158,12 +165,12 @@ def test_support_check_midpoints(pb2, qot2, t):
     grid = unit_grid(48)
     for gf, mk in ((pb2, pb_two_piece),):
         sol = mk(gf, grid)
-        x_star = interface_point(sol, 0, 1, [0.45, 0.42], [0.55, 0.42])
+        x_star = tie_point(sol, [0.45, 0.42], [0.55, 0.42])
         _y0, _z0, below, _n_active, ok = support_rows(sol, grid, x_star, t)
         assert ok[0] and below[0], gf.name
     # classical convexity: max of two quadratic supports
     sol = PiecewiseGSolution(qot2, [(0.3, 0.5), (0.7, 0.5)], [-0.1, -0.1])
-    x_star = interface_point(sol, 0, 1, [0.45, 0.5], [0.55, 0.5])
+    x_star = tie_point(sol, [0.45, 0.5], [0.55, 0.5])
     _y0, _z0, below, _n_active, ok = support_rows(sol, grid, x_star, t)
     assert ok[0] and below[0]
 
@@ -315,13 +322,13 @@ def tie_gap(sol, i, j, x):
 
 
 def test_interface_rows_match_scalar_reference(pb2, qot2):
-    # the batched root against the per-segment bisection it replaced and
-    # against its own one-row calls, with a segment the pieces do not
-    # exchange on and, where the tie at x1 = 0.5 is exact (quadratic
-    # pieces at 0.25 and 0.75), segments that start or end on it.  The
-    # reference gives the exchange flags, the endpoint rows and the
-    # exception; a root lies on its segment and is a tie (a gap at
-    # rounding level) or has a gap no larger than the reference's
+    # the batched root against the per-segment bisection it replaced,
+    # with a segment the pieces do not exchange on and, where the tie at
+    # x1 = 0.5 is exact (quadratic pieces at 0.25 and 0.75), segments
+    # that start or end on it.  The reference gives the exchange flags
+    # (one-row calls included), the endpoint rows and the exception; a
+    # root lies on its segment and is a tie (a gap at rounding level) or
+    # has a gap no larger than the reference's
     rng = np.random.default_rng(43)
     x_a = np.array([[0.45, 0.5], [0.45, 0.2], [0.1, 0.5], [0.5, 0.3],
                     [0.4, 0.5]])
@@ -352,14 +359,12 @@ def test_interface_rows_match_scalar_reference(pb2, qot2):
                     gap, rounding = tie_gap(sol, i[r], j[r], xs[r])
                     assert gap <= max(rounding,
                                       tie_gap(sol, i[r], j[r], ref)[0]), r
-                assert np.array_equal(
-                    xs[r], interface_point(sol, i[r], j[r], x_a[r], x_b[r]))
             else:
                 assert np.all(np.isnan(xs[r]))
                 with pytest.raises(ValueError):
                     reference_interface_point(sol, i[r], j[r], x_a[r], x_b[r])
-                with pytest.raises(ValueError):
-                    interface_point(sol, i[r], j[r], x_a[r], x_b[r])
+                assert not interface_point_rows(
+                    sol, i[r], j[r], x_a[r], x_b[r])[1][0]
     assert np.array_equal(xs[3], x_a[3])
     assert np.array_equal(xs[4], x_b[4])
 
@@ -367,7 +372,7 @@ def test_interface_rows_match_scalar_reference(pb2, qot2):
 def test_interpolated_support_rows_flags_rows(pb2):
     # one row on the interface (two active pieces), one inside a cell
     sol = pb_two_piece(pb2, unit_grid())
-    x_star = interface_point(sol, 0, 1, [0.45, 0.5], [0.55, 0.5])
+    x_star = tie_point(sol, [0.45, 0.5], [0.55, 0.5])
     y0, z0, u0, n_active, ok = interpolated_support_rows(
         sol, np.stack([x_star, [0.2, 0.2]]), 0.0)
     assert n_active.tolist() == [2, 1]

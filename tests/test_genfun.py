@@ -20,6 +20,7 @@ from gjet.errors import (
     RangeViolation,
     SingularE,
 )
+from gjet import genfun
 from gjet.conditions import _map_fraction
 from gjet.genfun import (
     BatchBundle,
@@ -192,6 +193,78 @@ def test_scalar_entry_points_are_one_row_of_the_batch(gf):
         one = gf.bundle(x, y, z)
         for name in names:
             assert np.array_equal(getattr(one, name), getattr(batch, name)[k]), name
+
+
+def layouts(a):
+    """The same (m, n) rows C-ordered, F-ordered and as a column slice."""
+    wide = np.zeros((len(a), a.shape[1] + 1))
+    wide[:, 1:] = a
+    return {"C": np.ascontiguousarray(a), "F": np.asfortranarray(a),
+            "sliced": wide[:, 1:]}
+
+
+def kernel_outputs(gf, xs, ys, zs, us, ps, qs, y, z):
+    """Every row output of the kernels and their closed forms, by name."""
+    b = gf.bundle_batch(xs, ys, zs)
+    out = {f.name: getattr(b, f.name) for f in dataclasses.fields(b)}
+    out["value_batch"] = gf.value_batch(xs, y, z)
+    out["h_batch"] = gf.h_batch(xs, ys, us)
+    out["z_lo"], out["z_hi"] = gf.z_interval_batch(xs, ys)
+    out["admissible"] = gf.admissible_pair_batch(xs, ys)
+    for name, v in zip(("Y", "Z", "valid"), gf.forward_yz_batch(xs, us, ps)):
+        out[f"forward_{name}"] = v
+    closed_x = gf._x_of(ys, zs, qs)   # None: the point source has none
+    if closed_x is not None:
+        out["X"], out["X_ok"] = closed_x
+    return out
+
+
+@pytest.mark.parametrize("gf", CONTRACT_INSTANCES,
+                         ids=lambda g: f"{g.name}{g.dimension}")
+def test_kernel_bits_do_not_depend_on_the_row_layout(gf):
+    # the row sums run column by column in one order, so C-ordered,
+    # F-ordered, column-sliced and one-row inputs give the same bits;
+    # edge rows (point source |x| -> 1, beam r -> 0) and rows whose
+    # products x_k y_k are all -0.0 included
+    rng = np.random.default_rng(53)
+    n = gf.dimension
+    xs, ys = edge_rows(gf, rng, 60)
+    xs = np.vstack([xs, np.zeros((2, n))])
+    ys = np.vstack([ys, np.full((1, n), -0.25), np.full((1, n), 0.25)])
+    xs[-1] = -0.0
+    adm = gf.admissible_pair_batch(xs, ys)
+    xs, ys = xs[adm], ys[adm]
+    zs = genfun._map_fraction_rows(*gf.z_interval_batch(xs, ys), 0.5)
+    b = gf.bundle_batch(xs, ys, zs)
+    us, ps, qs = b.value, b.grad_x, gf.q_batch(xs, ys, zs)
+    y, z = ys[0], zs[0]
+    ref = kernel_outputs(gf, xs, ys, zs, us, ps, qs, y, z)
+    variants = [layouts(a) for a in (xs, ys, ps, qs)]
+    for name in variants[0]:
+        xs_l, ys_l, ps_l, qs_l = (v[name] for v in variants)
+        got = kernel_outputs(gf, xs_l, ys_l, zs, us, ps_l, qs_l, y, z)
+        for key, v in ref.items():
+            assert got[key].tobytes() == v.tobytes(), (name, key)
+    for k in range(len(xs)):
+        row = slice(k, k + 1)
+        got = kernel_outputs(gf, xs[row], ys[row], zs[row], us[row],
+                             ps[row], qs[row], y, z)
+        for key, v in ref.items():
+            assert got[key].tobytes() == v[row].tobytes(), (k, key)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_row_sums_repeat_einsum_on_c_ordered_rows(n):
+    # the kernels' row sum keeps the bits of the einsum it replaced on
+    # C-ordered rows, and sums products that are all -0.0 to +0.0
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((4000, n)) * 10.0 ** rng.integers(-8, 9, (4000, n))
+    b = rng.standard_normal((4000, n))
+    a[:10], b[:10] = 0.0, -1.0
+    for lhs, rhs in ((a, b), (a, b[:1]), (a[:1], b)):
+        assert genfun._row_dot(lhs, rhs).tobytes() == \
+            np.einsum("ij,ij->i", lhs, rhs).tobytes()
+    assert not np.signbit(genfun._row_dot(a[:10], b[:10])).any()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
