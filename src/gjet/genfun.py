@@ -212,10 +212,7 @@ def _row_dot(a, b, diff: bool = False) -> np.ndarray:
     memory layout and row count, and several times faster on C-ordered
     rows than a reduction over their short axis."""
     def column(k):
-        if diff:   # squared in place: one new array per column
-            d = a[:, k] - b[:, k]
-            return np.multiply(d, d, out=d)
-        return a[:, k] * b[:, k]
+        return np.square(a[:, k] - b[:, k]) if diff else a[:, k] * b[:, k]
     s = column(0)
     s += 0.0
     for k in (2, 1) if a.shape[1] == 3 else range(1, a.shape[1]):
