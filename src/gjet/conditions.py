@@ -26,8 +26,7 @@ values produce bit-identical reports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,11 +34,11 @@ from . import genfun
 from .errors import DomainViolation, GjetError, UnsupportedGeometry
 from .genfun import (
     TENSOR_STEP,
+    ConditionReport,
     GeneratingFunction,
     _map_fraction,
     _map_fraction_rows,
     fd_step,
-    jsonable,
 )
 
 __all__ = [
@@ -102,25 +101,6 @@ class SampleSpec:
         for f in self.z_fracs:
             if not 0.0 < f < 1.0:
                 raise ValueError("z_fracs must lie strictly inside (0, 1)")
-
-
-@dataclass
-class ConditionReport:
-    """Per-condition verdict with the extremal sampled value.
-
-    witness is present whenever status == "fail"; details carries
-    condition-specific diagnostics (coverage counters, thresholds).
-    """
-
-    name: str
-    status: str
-    extremal_value: float
-    witness: Optional[dict]
-    samples_used: int
-    details: dict = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        return jsonable(vars(self))
 
 
 # --------------------------------------------------------------------------

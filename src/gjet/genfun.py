@@ -33,7 +33,7 @@ from __future__ import annotations
 import abc
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -165,6 +165,25 @@ def jsonable(obj):
     if isinstance(obj, (np.floating, np.ndarray)):
         return float(obj)
     return int(obj) if isinstance(obj, np.integer) else obj
+
+
+@dataclass
+class ConditionReport:
+    """Per-condition verdict with the extremal sampled value.
+
+    witness is present whenever status == "fail"; details carries
+    condition-specific diagnostics (coverage counters, thresholds).
+    """
+
+    name: str
+    status: str
+    extremal_value: float
+    witness: Optional[dict]
+    samples_used: int
+    details: dict = field(default_factory=dict)
+
+    def to_jsonable(self) -> dict:
+        return jsonable(vars(self))
 
 
 def _vec(p, n: int) -> np.ndarray:
@@ -332,10 +351,12 @@ class GeneratingFunction(abc.ABC):
     # -- closed-form inverses: None when the instance has none -------------
 
     def forward_yz_batch(self, xs, us, ps):
-        """Vectorized closed-form forward map, or None when unavailable;
-        the forward row Newton starts from it where it is valid.
+        """Closed-form forward map for rows xs, ps (m, n) and us (m,), or
+        None when unavailable.
 
-        Returns (Y (m,n), Z (m,), valid (m,) bool)."""
+        Returns (Y (m, n), Z (m,), valid (m,) bool).  valid is False only
+        where no admissible (Y, Z) has G = u and G_x = p at x: the forward
+        row Newton retires those rows and starts the others from (Y, Z)."""
         return None
 
     def _h_of(self, xs, ys, us):
@@ -397,12 +418,9 @@ class QuadraticOT(GeneratingFunction):
         return self._piece_values(xs, ys)(us)   # G = c - z, so H = c - u
 
     def forward_yz_batch(self, xs, us, ps):
-        xs = _rows(xs, self.dimension)
-        ps = _rows(ps, self.dimension)
-        us = np.asarray(us, dtype=float).reshape(-1)
         ys = xs - ps
         zs = 0.5 * _row_dot(ps, ps) - us
-        return ys, zs, np.ones(len(xs), dtype=bool)
+        return ys, zs, np.ones(len(xs), dtype=bool)   # every (u, p) is reached
 
     def _x_of(self, ys, zs, qs):
         return ys - qs, np.ones(len(ys), dtype=bool)
@@ -468,9 +486,8 @@ class ParallelBeam(GeneratingFunction):
         return 1.0 / (us + np.sqrt(us ** 2 + _row_dot(xs, ys, diff=True)))
 
     def forward_yz_batch(self, xs, us, ps):
-        xs = _rows(xs, self.dimension)
-        ps = _rows(ps, self.dimension)
-        us = np.asarray(us, dtype=float).reshape(-1)
+        """valid is exact: on I, G = 1/(2z) - z r^2/2 > 0 and |G_x| = z r < 1,
+        so a root needs u > 0 and |p| < 1; then Z > 0 and Z r = |p| < 1."""
         p2 = _row_dot(ps, ps)
         valid = (us > 0) & (p2 < 1.0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -573,19 +590,20 @@ class PointSourcePlane(GeneratingFunction):
         return ((1.0 - 2.0 * us * beta) + np.sqrt(disc)) / (2.0 * us ** 2)
 
     def forward_yz_batch(self, xs, us, ps):
-        xs = _rows(xs, self.dimension)
-        ps = _rows(ps, self.dimension)
-        us = np.asarray(us, dtype=float).reshape(-1)
+        """valid is exact (tau <= 0).  G > 0, as s > |y| >= x.y and -w tau
+        >= 0; a root has s = z ubar + tau/w and z (ubar^2 - |p|^2) = 1 - 2
+        tau u/w, so it needs u > 0, ubar > 0 and ubar^2 > |p|^2.  Then Z > 0
+        and (Y, Z) is a root: s^2 = (Z ubar + tau/w)^2, and Z ubar + tau/w =
+        (ubar + |tau| (u^2 + |p|^2 - (p.x)^2)/w) / (ubar^2 - |p|^2) > 0."""
         x2 = _row_dot(xs, xs)
         ubar = us - _row_dot(ps, xs)
         p2 = _row_dot(ps, ps)
         denom = ubar ** 2 - p2
-        valid = (x2 < 1.0) & (ubar > 0) & (denom > 0) & (us > 0)
+        valid = (x2 < 1.0) & (us > 0) & (ubar > 0) & (denom > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.sqrt(1.0 - x2)
             zs = (1.0 - 2.0 * self.tau * us / w) / denom
             ys = -ps * zs[:, None] + (self.tau / w)[:, None] * xs
-        valid &= np.isfinite(zs) & (zs > 0)
         return ys, zs, valid
 
 
@@ -622,7 +640,7 @@ class RowStatus:
     """Outcome codes of the row solvers; only OK rows carry a result."""
 
     OK = 0
-    OUT_OF_IMAGE = 1   # the closed form rules the slope out
+    OUT_OF_IMAGE = 1   # the closed form rules (u, p) or the slope q out
     BAD_START = 2      # the initial iterate (for H: the pair) is inadmissible
     SINGULAR = 3       # singular Newton system
     NO_STEP = 4        # no admissible decreasing step within 45 halvings
@@ -923,21 +941,23 @@ def dual_H(gf: GeneratingFunction, x, y, u) -> DualValue:
 
 def _forward_rows(gf: GeneratingFunction, xs, us, ps, initial=None) -> tuple:
     """Newton for G_x(x_k, Y, Z) = p_k, G(x_k, Y, Z) = u_k over rows, from
-    the closed form where it holds, else the row of initial = (ys, zs),
-    else (x_k, quantile 1/2 of I(x_k, x_k)).  The Jacobian is [[G_xy,
-    G_xz], [G_y, G_z]]; a start within NEWTON_TOL * (1 + |u| + |p|_inf) is
-    returned unchanged.  Returns (v (m, n+1) = [Y, Z], status, rnorm) as
-    _newton_rows does.
+    the closed form when the instance has one (rows it rules out are
+    OUT_OF_IMAGE and never reach the kernel), else from the row of
+    initial = (ys, zs), else from (x_k, quantile 1/2 of I(x_k, x_k)).
+    The Jacobian is [[G_xy, G_xz], [G_y, G_z]]; a start within
+    NEWTON_TOL * (1 + |u| + |p|_inf) is returned unchanged.  Returns
+    (v (m, n+1) = [Y, Z], status, rnorm) as _newton_rows does.
     """
     n = gf.dimension
-    if initial is None:
-        ys, zs = xs, _map_fraction_rows(*gf.z_interval_batch(xs, xs), 0.5)
-    else:
-        ys, zs = initial
+    status = np.zeros(len(xs), dtype=int)    # RowStatus.OK
     closed = gf.forward_yz_batch(xs, us, ps)
     if closed is not None:
-        ys = np.where(closed[2][:, None], closed[0], ys)
-        zs = np.where(closed[2], closed[1], zs)
+        ys, zs, valid = closed
+        status[~valid] = RowStatus.OUT_OF_IMAGE
+    elif initial is not None:
+        ys, zs = initial
+    else:
+        ys, zs = xs, _map_fraction_rows(*gf.z_interval_batch(xs, xs), 0.5)
 
     def evaluate(v, ctx):
         x, u, p = ctx
@@ -959,11 +979,12 @@ def _forward_rows(gf: GeneratingFunction, xs, us, ps, initial=None) -> tuple:
     return _newton_rows(
         np.concatenate([ys, zs[:, None]], axis=1), (xs, us, ps),
         NEWTON_TOL * (1.0 + np.abs(us) + np.abs(ps).max(axis=1)),
-        np.zeros(len(xs), dtype=int), evaluate=evaluate, jacobian=jacobian,
-        admissible=admissible)
+        status, evaluate=evaluate, jacobian=jacobian, admissible=admissible)
 
 
 _FORWARD_ERRORS = {
+    RowStatus.OUT_OF_IMAGE: (
+        OutOfImage, "forward map: no solution, the closed form rules (u, p) out"),
     RowStatus.BAD_START: (
         DomainViolation, "forward map: initial iterate is inadmissible"),
     RowStatus.SINGULAR: (NoConvergence, "forward map: singular Newton system"),
@@ -981,9 +1002,10 @@ def forward_YZ(gf: GeneratingFunction, x, u, p, *, initial=None) -> tuple:
 
     Damped Newton on the (n+1)-system with the Jacobian assembled from
     exact second derivatives.  The initial guess comes from the closed
-    form where the instance has one that holds, else from the caller,
-    else from (y, z) = (x, quantile 1/2 of I(x, x)).  One row of
-    forward_YZ_rows; raises the exception its row status names.
+    form when the instance has one, else from the caller, else from
+    (y, z) = (x, quantile 1/2 of I(x, x)).  One row of forward_YZ_rows;
+    raises the exception its row status names: OutOfImage where the
+    closed form rules (u, p) out.
     """
     n = gf.dimension
     init = None if initial is None else (_vec(initial[0], n)[None, :],
@@ -996,7 +1018,8 @@ def forward_YZ(gf: GeneratingFunction, x, u, p, *, initial=None) -> tuple:
 
 def forward_YZ_rows(gf: GeneratingFunction, xs, us, ps) -> tuple:
     """(Y, Z) over rows: the row Newton of forward_YZ, started from the
-    instance's closed form where it holds.
+    instance's closed form, which retires the rows without a solution
+    before the first kernel call.
 
     Returns (ys (m, n), zs (m,), ok (m,) bool); rows without an
     admissible solution are not ok and hold NaN.

@@ -47,7 +47,7 @@ from .gconvex import (
     interpolated_support_rows,
     neighbor_pairs,
 )
-from .genfun import GeneratingFunction, SolverTolerances
+from .genfun import ConditionReport, GeneratingFunction, SolverTolerances
 
 __all__ = [
     "SolverTolerances",
@@ -417,7 +417,6 @@ def range_diagnostic(state: SolutionState, prob: SemiDiscreteProblem,
     checked: y0 must lie in the padded hull.  All sampled interfaces go
     through those two row calls at once.
     """
-    from .conditions import ConditionReport  # here: solve does not load it
     grid = prob.grid
     hull_pts = prob.targets if omega_star_hull is None \
         else np.asarray(omega_star_hull, dtype=float)

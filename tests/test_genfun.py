@@ -411,13 +411,17 @@ def test_forward_infeasible_raises(pb2):
 
 def reference_forward_YZ(gf, x, u, p, tol=1e-11, max_iter=50, initial=None):
     """The per-point forward Newton that the row Newton replaced, kept as
-    the oracle: scalar bundles, scalar admissibility, one point at a time."""
+    the oracle: scalar bundles, scalar admissibility, one point at a time;
+    a row that the closed form rules out raises OutOfImage at once."""
     n = gf.dimension
     x, p, u = np.asarray(x, dtype=float), np.asarray(p, dtype=float), float(u)
     scale = 1.0 + abs(u) + float(np.max(np.abs(p)))
     y = None
-    closed = gf.forward_yz_batch(x[None, :], [u], p[None, :])
-    if closed is not None and closed[2][0]:
+    closed = gf.forward_yz_batch(x[None, :], np.array([u]), p[None, :])
+    if closed is not None:
+        if not closed[2][0]:
+            raise OutOfImage(
+                "forward map: no solution, the closed form rules (u, p) out")
         y, z = closed[0][0], float(closed[1][0])
     if y is None and initial is not None:
         y, z = np.asarray(initial[0], dtype=float).copy(), float(initial[1])

@@ -4,7 +4,10 @@ Three identities, over the three built-in instances and n = 1..3:
 
 * H inverts G in z:          H(x, y, G(x, y, z)) = z;
 * (Y, Z) round-trips (G_x, G): (Y, Z)(x, G(x, y, z), G_x(x, y, z)) = (y, z);
-* X round-trips Q:           X(y, z, Q(x, y, z)) = x.
+* X round-trips Q:           X(y, z, Q(x, y, z)) = x;
+
+and the forward closed form's flag admits every (G, G_x) (YZ_flag): it
+may rule out only rows without a solution.
 
 Each is checked on interior draws and, separately, on each kind of
 edge-of-domain draw: z near an end of I(x, y), |x| -> 1 for the point
@@ -15,6 +18,8 @@ at the nodes, the sub-cell masses partition the source mass and permute
 with the pieces, and the solver's focal parameters permute with the
 targets.  Runs are derandomized (see conftest.py).
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +42,7 @@ from gjet.genfun import (
     QuadraticOT,
     dual_H,
     forward_YZ,
+    forward_YZ_rows,
     map_Q,
     map_X,
 )
@@ -132,8 +138,14 @@ def x_round_trip(gf, x, y, z):
     assert _close(map_X(gf, y, z, map_Q(gf, x, y, z)), x)
 
 
+def yz_flag(gf, x, y, z):
+    b = gf.bundle(x, y, z)
+    assert gf.forward_yz_batch(x[None, :], np.array([b.value]),
+                               b.grad_x[None, :])[2][0]
+
+
 IDENTITIES = {"H_inverts_G": h_inverts_g, "YZ_round_trip": yz_round_trip,
-              "X_round_trip": x_round_trip}
+              "X_round_trip": x_round_trip, "YZ_flag": yz_flag}
 
 # Edge regions where an identity fails today: each cause names the error
 # it raises.  Each case must keep failing (strict xfail) with that error
@@ -199,6 +211,39 @@ def test_identity(ident, gf, region):
     # no shrinking: the known edge failures would shrink on every run
     settings(max_examples=30, phases=(Phase.explicit, Phase.generate))(
         given(triples(gf, region))(check))()
+
+
+@pytest.mark.parametrize("gf", INSTANCES, ids=lambda g: f"{g.name}{g.dimension}")
+def test_forward_rows_without_a_solution_leave_before_the_newton(
+        gf, monkeypatch):
+    # rows the flag rules out come back not ok without a kernel row or a
+    # RuntimeWarning, and forward_YZ raises OutOfImage for them
+    n = gf.dimension
+    rng = np.random.default_rng(5)
+    (x_lo, x_hi), _ = instance_boxes(gf)
+    xs = rng.uniform(x_lo, x_hi, (400, n))
+    us = rng.uniform(-1.0, 4.0, 400)
+    ps = rng.uniform(-3.0, 3.0, (400, n))
+    out = ~gf.forward_yz_batch(xs, us, ps)[2]
+    assert out.any() == (gf.name != "quadratic_ot")
+    kernel_rows = []
+    raw = gf._raw_batch
+
+    def counted(xs, ys, zs):
+        kernel_rows.append(len(xs))
+        return raw(xs, ys, zs)
+
+    monkeypatch.setattr(gf, "_raw_batch", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ys, zs, ok = forward_YZ_rows(gf, xs[out], us[out], ps[out])
+        assert not ok.any() and np.isnan(zs).all() and np.isnan(ys).all()
+        assert kernel_rows == []
+        for k in np.flatnonzero(out)[:5]:
+            with pytest.raises(OutOfImage, match="no solution"):
+                forward_YZ(gf, xs[k], us[k], ps[k])
+        assert kernel_rows == []
+        assert forward_YZ_rows(gf, xs, us, ps)[2][~out].any()
 
 
 # --------------------------------------------------------------------------

@@ -512,7 +512,8 @@ def test_hull_test_matches_qhull(n, points):
 
 def test_range_diagnostic_imports_no_scipy():
     # the diagnose path must not pull scipy in through a lazy import: the
-    # first import of scipy.spatial costs about half a second and 30 MB
+    # first import of scipy.spatial costs about half a second and 30 MB;
+    # nor gjet.conditions, whose compile was most of a first call's time
     code = textwrap.dedent("""
         import sys
         import numpy as np
@@ -526,7 +527,8 @@ def test_range_diagnostic_imports_no_scipy():
             np.full(3, grid.total_mass / 3), (np.array([0.5, 0.5]), 0.75))
         rep = range_diagnostic(solve(prob), prob)
         assert rep.details["interfaces_checked"] > 0, rep
-        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+        print(sorted(m for m in sys.modules
+                     if m.split(".")[0] == "scipy" or m == "gjet.conditions"))
     """)
     import gjet
 
