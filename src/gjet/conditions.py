@@ -356,7 +356,7 @@ def mtw_tensor_rows(gf: GeneratingFunction, side: str, a, b, zs, xi, eta, *,
             gf, x3, np.tile(bnd.value[ok], 3), slopes)
     else:
         amat, _, status, _ = genfun.dual_Astar_Bstar_rows(
-            gf, np.tile(y[ok], (3, 1)), np.tile(zs[ok], 3), slopes, x_initial=x3)
+            gf, np.tile(y[ok], (3, 1)), np.tile(zs[ok], 3), slopes)
     phi = _dots(np.matmul(xi3[:, None, :], amat)[:, 0, :], xi3).reshape(3, -1)
     solved = (status == genfun.RowStatus.OK).reshape(3, -1).all(axis=0)
     out = np.full(len(a), np.nan)

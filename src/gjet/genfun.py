@@ -528,6 +528,15 @@ class PointSourcePlane(GeneratingFunction):
         Z = (1 - 2 tau u / w) / (ubar^2 - |p|^2),
         Y = -p Z + tau x / w.
 
+    Given (y, z, q), x = a + t q inverts Q = (y/s - x) / (G - 1/(2s)),
+    with a = y/s - (s/z - 1/(2s)) q and k = z - q.y: t = (x.y + tau w)/z
+    solves k t - a.y = tau w(t).  Its square has discriminant tau^2 D, and
+    t is the root with the smaller k t - a.y (t = a.y/k at tau = 0):
+
+        D = k^2 (1-|a|^2) - 2k (a.y)(a.q) - (a.y)^2 |q|^2
+            + tau^2 ((a.q)^2 + |q|^2 (1-|a|^2)),
+        t = (k a.y - tau^2 a.q - sgn(k) |tau| sqrt(D)) / (k^2 + tau^2 |q|^2).
+
     At tau = 0 the function is linear in x, so A = G_xx = 0 identically.
     """
 
@@ -605,6 +614,26 @@ class PointSourcePlane(GeneratingFunction):
             zs = (1.0 - 2.0 * self.tau * us / w) / denom
             ys = -ps * zs[:, None] + (self.tau / w)[:, None] * xs
         return ys, zs, valid
+
+    def _x_of(self, ys, zs, qs):
+        """ok is exact: False only where no x with |x| < 1 has Q = q.  The
+        root taken has k t - a.y = -|tau| w1, w1 = (|tau| (k a.q + |q|^2 a.y)
+        + |k| sqrt(D)) / (k^2 + tau^2 |q|^2); ok is w1 > 0.  A preimage has
+        k t - a.y = tau w, w > 0, so D >= 0 and w1 >= w (at tau = 0 it is
+        the root, as k = 0 would make a + t q a line of preimages).  If w1 >
+        0, 1 - |x|^2 = w1^2 and x is a preimage wherever G_z != 0."""
+        tt, at = self.tau * self.tau, abs(self.tau)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            s = np.sqrt(zs + _row_dot(ys, ys) + tt)
+            a = ys / s[:, None] - (s / zs - 0.5 / s)[:, None] * qs
+            ay, aq, qq = _row_dot(a, ys), _row_dot(a, qs), _row_dot(qs, qs)
+            k, e = zs - _row_dot(qs, ys), 1.0 - _row_dot(a, a)
+            root = np.sqrt(k * k * e - 2.0 * k * ay * aq - ay * ay * qq
+                           + tt * (aq * aq + qq * e))
+            den = k * k + tt * qq
+            t = (k * ay - tt * aq - np.sign(k) * at * root) / den
+            w1 = (at * (k * aq + qq * ay) + np.abs(k) * root) / den
+            return a + t[:, None] * qs, w1 > 0.0
 
 
 # --------------------------------------------------------------------------
@@ -939,14 +968,13 @@ def dual_H(gf: GeneratingFunction, x, y, u) -> DualValue:
                      float(1.0 / b.dz))
 
 
-def _forward_rows(gf: GeneratingFunction, xs, us, ps, initial=None) -> tuple:
+def _forward_rows(gf: GeneratingFunction, xs, us, ps) -> tuple:
     """Newton for G_x(x_k, Y, Z) = p_k, G(x_k, Y, Z) = u_k over rows, from
     the closed form when the instance has one (rows it rules out are
-    OUT_OF_IMAGE and never reach the kernel), else from the row of
-    initial = (ys, zs), else from (x_k, quantile 1/2 of I(x_k, x_k)).
-    The Jacobian is [[G_xy, G_xz], [G_y, G_z]]; a start within
-    NEWTON_TOL * (1 + |u| + |p|_inf) is returned unchanged.  Returns
-    (v (m, n+1) = [Y, Z], status, rnorm) as _newton_rows does.
+    OUT_OF_IMAGE and never reach the kernel), else from (x_k, quantile
+    1/2 of I(x_k, x_k)).  The Jacobian is [[G_xy, G_xz], [G_y, G_z]]; a
+    start within NEWTON_TOL * (1 + |u| + |p|_inf) is returned unchanged.
+    Returns (v (m, n+1) = [Y, Z], status, rnorm) as _newton_rows does.
     """
     n = gf.dimension
     status = np.zeros(len(xs), dtype=int)    # RowStatus.OK
@@ -954,8 +982,6 @@ def _forward_rows(gf: GeneratingFunction, xs, us, ps, initial=None) -> tuple:
     if closed is not None:
         ys, zs, valid = closed
         status[~valid] = RowStatus.OUT_OF_IMAGE
-    elif initial is not None:
-        ys, zs = initial
     else:
         ys, zs = xs, _map_fraction_rows(*gf.z_interval_batch(xs, xs), 0.5)
 
@@ -997,21 +1023,18 @@ _FORWARD_ERRORS = {
 }
 
 
-def forward_YZ(gf: GeneratingFunction, x, u, p, *, initial=None) -> tuple:
+def forward_YZ(gf: GeneratingFunction, x, u, p) -> tuple:
     """Solve G_x(x, Y, Z) = p, G(x, Y, Z) = u for (Y, Z).
 
     Damped Newton on the (n+1)-system with the Jacobian assembled from
-    exact second derivatives.  The initial guess comes from the closed
-    form when the instance has one, else from the caller, else from
-    (y, z) = (x, quantile 1/2 of I(x, x)).  One row of forward_YZ_rows;
-    raises the exception its row status names: OutOfImage where the
-    closed form rules (u, p) out.
+    exact second derivatives.  It starts from the closed form when the
+    instance has one, else from (y, z) = (x, quantile 1/2 of I(x, x)).
+    One row of forward_YZ_rows; raises the exception its row status
+    names: OutOfImage where the closed form rules (u, p) out.
     """
     n = gf.dimension
-    init = None if initial is None else (_vec(initial[0], n)[None, :],
-                                         np.array([float(initial[1])]))
     v, status, rnorm = _forward_rows(
-        gf, _vec(x, n)[None, :], np.array([float(u)]), _vec(p, n)[None, :], init)
+        gf, _vec(x, n)[None, :], np.array([float(u)]), _vec(p, n)[None, :])
     _raise_for_status(_FORWARD_ERRORS, status[0], rnorm=rnorm[0])
     return v[0, :n], float(v[0, n])
 
@@ -1121,17 +1144,14 @@ _SLOPE_ERRORS = {
 }
 
 
-def map_X_rows(gf: GeneratingFunction, ys, zs, qs, *, initial=None) -> tuple:
+def map_X_rows(gf: GeneratingFunction, ys, zs, qs) -> tuple:
     """Invert x -> Q(x, y_k, z_k) = q_k for every row at once.
 
     Every row starts from the closed form (rows it rules out are
-    OUT_OF_IMAGE), else from the row of initial, else from y or 0, and
-    runs the row Newton with residual Q - q, Jacobian Q_x = -E^T / G_z and
-    acceptance test against NEWTON_TOL * (1 + |q|_inf).
-
-    Returns (xs, status, rnorm): xs is NaN where status is not
-    RowStatus.OK, and rnorm is each row's last residual norm (NaN for rows
-    that never reached the kernel).
+    OUT_OF_IMAGE), else from y or 0, and runs the row Newton with
+    residual Q - q, Jacobian Q_x = -E^T / G_z and acceptance test against
+    NEWTON_TOL * (1 + |q|_inf).  Returns (xs, status, rnorm) as
+    _newton_rows does.
     """
     n = gf.dimension
     ys = _rows(ys, n)
@@ -1143,8 +1163,6 @@ def map_X_rows(gf: GeneratingFunction, ys, zs, qs, *, initial=None) -> tuple:
     if closed is not None:
         xs, in_image = closed
         status[~in_image] = RowStatus.OUT_OF_IMAGE
-    elif initial is not None:
-        xs = np.array(_pair_rows(initial, ys, n)[0])
     else:
         xs = np.where(gf.admissible_pair_batch(ys, ys)[:, None], ys, 0.0)
 
@@ -1166,27 +1184,25 @@ def map_X_rows(gf: GeneratingFunction, ys, zs, qs, *, initial=None) -> tuple:
                         admissible=admissible)
 
 
-def map_X(gf: GeneratingFunction, y, z, q, *, initial=None) -> np.ndarray:
+def map_X(gf: GeneratingFunction, y, z, q) -> np.ndarray:
     """Invert x -> Q(x, y, z) on the admissible slice.
 
     Damped Newton with Jacobian Q_x = -E^T / G_z; the admissible-slice
     restriction z in I(x, y) pins the correct branch.  Raises OutOfImage
     when the closed form rules the slope out, DomainViolation when the
-    initial iterate is inadmissible, NoConvergence otherwise on failure.
+    start is inadmissible, NoConvergence otherwise on failure.
     One row of map_X_rows.
     """
     n = gf.dimension
     y = _vec(y, n)
     q = _vec(q, n)
-    init = None if initial is None else _vec(initial, n)[None, :]
-    xs, status, rnorm = map_X_rows(gf, y[None, :], float(z), q[None, :],
-                                   initial=init)
+    xs, status, rnorm = map_X_rows(gf, y[None, :], float(z), q[None, :])
     _raise_for_status(_SLOPE_ERRORS, status[0], q=q, rnorm=rnorm[0])
     return xs[0]
 
 
-def dual_Astar_Bstar_rows(gf: GeneratingFunction, ys, zs, qs, f=None, g=None,
-                          *, x_initial=None) -> tuple:
+def dual_Astar_Bstar_rows(gf: GeneratingFunction, ys, zs, qs, f=None,
+                          g=None) -> tuple:
     """Dual Monge-Ampere coefficients at every row (y_k, z_k, q_k).
 
     X comes from map_X_rows; A* and B* are assembled from one kernel call
@@ -1199,7 +1215,7 @@ def dual_Astar_Bstar_rows(gf: GeneratingFunction, ys, zs, qs, f=None, g=None,
     qs = _rows(qs, n)
     m = len(ys)
     zs = _per_row(zs, m)
-    xs, status, rnorm = map_X_rows(gf, ys, zs, qs, initial=x_initial)
+    xs, status, rnorm = map_X_rows(gf, ys, zs, qs)
     ok = status == RowStatus.OK
     every = ok.all()
     x, y, z, q = (xs, ys, zs, qs) if every else (xs[ok], ys[ok], zs[ok], qs[ok])
@@ -1224,8 +1240,7 @@ def dual_Astar_Bstar_rows(gf: GeneratingFunction, ys, zs, qs, f=None, g=None,
     return astar_all, bstar_all, status, rnorm
 
 
-def dual_Astar_Bstar(gf: GeneratingFunction, y, z, q, f=None, g=None, *,
-                     x_initial=None) -> tuple:
+def dual_Astar_Bstar(gf: GeneratingFunction, y, z, q, f=None, g=None) -> tuple:
     """Dual Monge-Ampere coefficients at (y, z, q).
 
     A* is the Hessian of the dual function along its own graph,
@@ -1239,8 +1254,7 @@ def dual_Astar_Bstar(gf: GeneratingFunction, y, z, q, f=None, g=None, *,
     n = gf.dimension
     y = _vec(y, n)
     q = _vec(q, n)
-    init = None if x_initial is None else _vec(x_initial, n)[None, :]
     astar, bstar, status, rnorm = dual_Astar_Bstar_rows(
-        gf, y[None, :], float(z), q[None, :], f, g, x_initial=init)
+        gf, y[None, :], float(z), q[None, :], f, g)
     _raise_for_status(_SLOPE_ERRORS, status[0], q=q, rnorm=rnorm[0])
     return astar[0], float(bstar[0])

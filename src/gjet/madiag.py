@@ -241,10 +241,10 @@ def dual_residual(gf: GeneratingFunction, vfun: GridFunction,
     Per node: z = v(y), q = Dv(y); X solves the slope inversion; then
     det[D^2 v - A*(y, z, q)] - B*(y, z, q) with the dual coefficients
     assembled from exact derivatives at (X, y, z).  All interior nodes go
-    through one dual_Astar_Bstar_rows call, each node Newton-started on
-    its own (no warm start from a neighbour).  Densities are pointwise
-    callables, default 1; pass g = 0 for graphs of the dual function
-    itself.  Nodes whose slope inversion fails are masked.
+    through one dual_Astar_Bstar_rows call, each started from the
+    instance's closed-form X.  Densities are pointwise callables, default
+    1; pass g = 0 for graphs of the dual function itself.  Nodes whose
+    slope inversion fails are masked.
     """
     grid = vfun.grid
     v = vfun.values

@@ -409,23 +409,20 @@ def test_forward_infeasible_raises(pb2):
         forward_YZ(pb2, [0.0, 0.0], 0.5, [1.5, 0.0])  # |p| >= 1 unreachable
 
 
-def reference_forward_YZ(gf, x, u, p, tol=1e-11, max_iter=50, initial=None):
+def reference_forward_YZ(gf, x, u, p, tol=1e-11, max_iter=50):
     """The per-point forward Newton that the row Newton replaced, kept as
     the oracle: scalar bundles, scalar admissibility, one point at a time;
     a row that the closed form rules out raises OutOfImage at once."""
     n = gf.dimension
     x, p, u = np.asarray(x, dtype=float), np.asarray(p, dtype=float), float(u)
     scale = 1.0 + abs(u) + float(np.max(np.abs(p)))
-    y = None
     closed = gf.forward_yz_batch(x[None, :], np.array([u]), p[None, :])
     if closed is not None:
         if not closed[2][0]:
             raise OutOfImage(
                 "forward map: no solution, the closed form rules (u, p) out")
         y, z = closed[0][0], float(closed[1][0])
-    if y is None and initial is not None:
-        y, z = np.asarray(initial[0], dtype=float).copy(), float(initial[1])
-    if y is None:
+    else:
         y = x.copy()
         lo, hi = gf.z_interval(x, y)
         if math.isfinite(lo) and math.isfinite(hi):
@@ -495,6 +492,28 @@ FORWARD_INSTANCES = [NoClosedForm(gf) for gf in CONTRACT_INSTANCES] \
     + CONTRACT_INSTANCES
 
 
+class FarStart(NoClosedForm):
+    """inner behind start hooks that hand each known row its own start
+    (rows: (m, 2n + 1) rows [a, b, c] of a hook's arguments), flagged as
+    inner's closed form flags the row, or True where inner has none."""
+
+    def __init__(self, inner, rows, starts):
+        super().__init__(inner)
+        self.starts = {r.tobytes(): v for r, v in zip(rows, starts)}
+
+    def _start(self, a, b, c, closed):
+        v = np.array([self.starts[r.tobytes()]
+                      for r in np.column_stack([a, b, c])])
+        return v, np.ones(len(v), dtype=bool) if closed is None else closed[-1]
+
+    def forward_yz_batch(self, xs, us, ps):
+        v, ok = self._start(xs, us, ps, self.inner.forward_yz_batch(xs, us, ps))
+        return v[:, :-1], v[:, -1], ok
+
+    def _x_of(self, ys, zs, qs):
+        return self._start(ys, zs, qs, self.inner._x_of(ys, zs, qs))
+
+
 @pytest.mark.parametrize("with_initial", [False, True], ids=["cold", "initial"])
 @pytest.mark.parametrize(
     "gf", FORWARD_INSTANCES,
@@ -502,7 +521,9 @@ FORWARD_INSTANCES = [NoClosedForm(gf) for gf in CONTRACT_INSTANCES] \
 def test_forward_matches_scalar_reference(gf, with_initial):
     # forward_YZ is one row of the row Newton: it must equal the per-point
     # loop bit for bit, and raise the loop's exception with its message;
-    # forward_YZ_rows must solve the same rows to the same bits
+    # forward_YZ_rows must solve the same rows to the same bits.  With
+    # initial, every row starts from a far start that FarStart's hook hands
+    # in, so rows accept damped steps at different halvings
     rng = np.random.default_rng(37)
     n = gf.dimension
     m = 14
@@ -515,15 +536,15 @@ def test_forward_matches_scalar_reference(gf, with_initial):
     ps[4:] += rng.normal(0.0, 0.05, (m - 4, n))
     if gf.name == "parallel_beam":
         ps[2] = np.full(n, 2.0)         # |p| > 1: no beam target reaches it
+    if with_initial:
+        far = [np.append(y + (0.05 if k % 2 else 0.5) * rng.normal(0.0, 1.0, n),
+                         z * rng.uniform(0.5, 1.5))
+               for k, (_x, y, z) in enumerate(pts)]
+        gf = FarStart(gf, np.column_stack([xs, us, ps]), far)
     outcomes = []
-    for k, (x, y, z) in enumerate(pts):
-        init = None
-        if with_initial:
-            # far starts: rows accept damped steps at different halvings
-            init = (y + (0.05 if k % 2 else 0.5) * rng.normal(0.0, 1.0, n),
-                    z * rng.uniform(0.5, 1.5))
-        want = outcome(reference_forward_YZ, gf, x, us[k], ps[k], initial=init)
-        got = outcome(forward_YZ, gf, x, us[k], ps[k], initial=init)
+    for k, x in enumerate(xs):
+        want = outcome(reference_forward_YZ, gf, x, us[k], ps[k])
+        got = outcome(forward_YZ, gf, x, us[k], ps[k])
         if isinstance(want[0], type):
             assert got == want, k
         else:
@@ -531,8 +552,6 @@ def test_forward_matches_scalar_reference(gf, with_initial):
         outcomes.append(want)
     solved = [not isinstance(w[0], type) for w in outcomes]
     assert sum(solved) >= m // 2
-    if with_initial:
-        return
     ys, zs, ok = forward_YZ_rows(gf, xs, us, ps)
     assert ok.tolist() == solved
     for k, want in enumerate(outcomes):
@@ -1005,8 +1024,8 @@ def test_xq_jacobian_relation(gf):
         for j in range(gf.dimension):
             ej = np.zeros(gf.dimension)
             ej[j] = h
-            xq[:, j] = (map_X(gf, y, z, q + ej, initial=x)
-                        - map_X(gf, y, z, q - ej, initial=x)) / (2 * h)
+            xq[:, j] = (map_X(gf, y, z, q + ej)
+                        - map_X(gf, y, z, q - ej)) / (2 * h)
         ref = -b.dz * np.linalg.inv(e).T
         assert np.allclose(xq, ref, atol=1e-5 * max(1, np.max(np.abs(ref)))), \
             gf.name
@@ -1024,7 +1043,8 @@ class NewtonBeam(ParallelBeam):
 
 ROW_INSTANCES = [cls(n) for cls in (QuadraticOT, ParallelBeam, NewtonBeam)
                  for n in (1, 2, 3)] \
-    + [PointSourcePlane(n, tau=-1.0) for n in (1, 2, 3)]
+    + [PointSourcePlane(n, tau=-1.0) for n in (1, 2, 3)] \
+    + [PointSourcePlane(2, tau=0.0)]
 STATUS_ERRORS = {RowStatus.OUT_OF_IMAGE: OutOfImage,
                  RowStatus.BAD_START: DomainViolation,
                  RowStatus.SINGULAR: NoConvergence,
@@ -1032,7 +1052,7 @@ STATUS_ERRORS = {RowStatus.OUT_OF_IMAGE: OutOfImage,
                  RowStatus.BUDGET: NoConvergence}
 
 
-def reference_map_X(gf, y, z, q, initial=None, tol=1e-11, max_iter=50):
+def reference_map_X(gf, y, z, q, tol=1e-11, max_iter=50):
     """The per-point slope inversion that map_X_rows replaced, kept as the
     oracle: scalar bundles, scalar admissibility, one row at a time."""
     n = gf.dimension
@@ -1043,8 +1063,6 @@ def reference_map_X(gf, y, z, q, initial=None, tol=1e-11, max_iter=50):
         if not closed[1][0]:
             raise OutOfImage("closed form rules the slope out")
         x = closed[0][0]
-    elif initial is not None:
-        x = np.asarray(initial, dtype=float).copy()
     else:
         x = np.zeros(n) if not gf.admissible_pair(y, y) else y.copy()
 
@@ -1096,12 +1114,15 @@ def reference_dual_coefficients(gf, x, y, z, q, f, g):
 
 @pytest.mark.parametrize("with_initial", [False, True], ids=["cold", "initial"])
 @pytest.mark.parametrize("gf", ROW_INSTANCES,
-                         ids=lambda g: f"{g.name}{g.dimension}")
+                         ids=lambda g: f"{g.name}{g.dimension}"
+                         + ("-tau0" if getattr(g, "tau", None) == 0.0 else ""))
 def test_row_cores_match_scalar_reference(gf, with_initial):
     # map_X_rows and dual_Astar_Bstar_rows over all rows must equal, bit
     # for bit, both the per-point loop they replaced and their own one-row
     # calls (map_X, dual_Astar_Bstar); a failing row must report the
-    # status whose exception the one-row call and the loop raise
+    # status whose exception the one-row call and the loop raise.  With
+    # initial, every row starts from a far start that FarStart's hook
+    # hands in
     rng = np.random.default_rng(31)
     n = gf.dimension
     m = 16
@@ -1126,6 +1147,8 @@ def test_row_cores_match_scalar_reference(gf, with_initial):
     if gf.name == "point_source" and with_initial:
         init[1] = np.full(n, 1.5 / math.sqrt(n))    # |x| > 1: inadmissible
         expect_fail[1] = RowStatus.BAD_START
+    if with_initial:
+        gf = FarStart(gf, np.column_stack([ys, zs, qs]), init)
 
     def f(x):
         return 1.0 + float(x @ x)
@@ -1133,9 +1156,8 @@ def test_row_cores_match_scalar_reference(gf, with_initial):
     def g(y):
         return 2.0 + float(y[0])
 
-    xs, status, _ = map_X_rows(gf, ys, zs, qs, initial=init)
-    astar, bstar, dstatus, _ = dual_Astar_Bstar_rows(gf, ys, zs, qs, f, g,
-                                                     x_initial=init)
+    xs, status, _ = map_X_rows(gf, ys, zs, qs)
+    astar, bstar, dstatus, _ = dual_Astar_Bstar_rows(gf, ys, zs, qs, f, g)
     assert np.array_equal(status, dstatus)
     for k, code in expect_fail.items():
         assert status[k] == code
@@ -1143,28 +1165,25 @@ def test_row_cores_match_scalar_reference(gf, with_initial):
     assert not ok[0] or not gf.name.startswith("parallel_beam")
     assert ok[[2, 4]].all()     # exact slopes, near starts
     for k in range(m):
-        x_k = None if init is None else init[k]
-        one = map_X_rows(gf, ys[k:k + 1], zs[k:k + 1], qs[k:k + 1],
-                         initial=None if init is None else init[k:k + 1])
+        one = map_X_rows(gf, ys[k:k + 1], zs[k:k + 1], qs[k:k + 1])
         assert one[1][0] == status[k]
         if not ok[k]:
             error = STATUS_ERRORS[status[k]]
             with pytest.raises(error):
-                reference_map_X(gf, ys[k], zs[k], qs[k], initial=x_k)
+                reference_map_X(gf, ys[k], zs[k], qs[k])
             with pytest.raises(error):
-                map_X(gf, ys[k], zs[k], qs[k], initial=x_k)
+                map_X(gf, ys[k], zs[k], qs[k])
             with pytest.raises(error):
-                dual_Astar_Bstar(gf, ys[k], zs[k], qs[k], f, g, x_initial=x_k)
+                dual_Astar_Bstar(gf, ys[k], zs[k], qs[k], f, g)
             assert np.all(np.isnan(xs[k])) and np.isnan(bstar[k])
             continue
-        x_ref = reference_map_X(gf, ys[k], zs[k], qs[k], initial=x_k)
+        x_ref = reference_map_X(gf, ys[k], zs[k], qs[k])
         a_ref, b_ref = reference_dual_coefficients(gf, x_ref, ys[k], zs[k],
                                                    qs[k], f, g)
         assert np.array_equal(xs[k], x_ref)
         assert np.array_equal(astar[k], a_ref) and bstar[k] == b_ref
-        assert np.array_equal(map_X(gf, ys[k], zs[k], qs[k], initial=x_k),
-                              x_ref)
-        a, b = dual_Astar_Bstar(gf, ys[k], zs[k], qs[k], f, g, x_initial=x_k)
+        assert np.array_equal(map_X(gf, ys[k], zs[k], qs[k]), x_ref)
+        a, b = dual_Astar_Bstar(gf, ys[k], zs[k], qs[k], f, g)
         assert np.array_equal(a, a_ref) and b == b_ref
 
 
@@ -1190,11 +1209,10 @@ def test_dual_rows_match_scalar_assembly_on_many_rows(gf):
     def g(y):
         return 2.0 + float(y[0])
 
-    astar, bstar, status, _ = dual_Astar_Bstar_rows(gf, ys, zs, qs, f, g,
-                                                    x_initial=xs)
+    astar, bstar, status, _ = dual_Astar_Bstar_rows(gf, ys, zs, qs, f, g)
     assert np.all(status == RowStatus.OK)
     for k in range(m):
-        x = map_X(gf, ys[k], zs[k], qs[k], initial=xs[k])
+        x = map_X(gf, ys[k], zs[k], qs[k])
         a_ref, b_ref = reference_dual_coefficients(gf, x, ys[k], zs[k],
                                                    qs[k], f, g)
         assert np.array_equal(astar[k], a_ref) and bstar[k] == b_ref, k
@@ -1227,7 +1245,7 @@ def test_dual_Astar_is_dual_hessian(gf):
         x0, y, z = sample_admissible(gf, rng, x_box, y_box)
         u0 = gf.value(x0, y, z)
         q = map_Q(gf, x0, y, z)
-        astar, _ = dual_Astar_Bstar(gf, y, z, q, x_initial=x0)
+        astar, _ = dual_Astar_Bstar(gf, y, z, q)
         h = 1e-4
         n = gf.dimension
         hess = np.empty((n, n))
@@ -1251,7 +1269,7 @@ def test_dual_Astar_is_dual_hessian(gf):
 def test_dual_Bstar_with_unit_densities(pb2):
     x, y, z = np.array([0.2, 0.1]), np.array([0.5, 0.5]), 0.8
     q = map_Q(pb2, x, y, z)
-    _, bstar = dual_Astar_Bstar(pb2, y, z, q, x_initial=x)
+    _, bstar = dual_Astar_Bstar(pb2, y, z, q)
     b = pb2.bundle(x, y, z)
     _, det = matrix_E(pb2, x, y, z)
     assert bstar == pytest.approx((-1 / b.dz) ** 2 * abs(det))

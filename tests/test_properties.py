@@ -6,8 +6,9 @@ Three identities, over the three built-in instances and n = 1..3:
 * (Y, Z) round-trips (G_x, G): (Y, Z)(x, G(x, y, z), G_x(x, y, z)) = (y, z);
 * X round-trips Q:           X(y, z, Q(x, y, z)) = x;
 
-and the forward closed form's flag admits every (G, G_x) (YZ_flag): it
-may rule out only rows without a solution.
+and the closed forms' flags admit every (G, G_x) (YZ_flag) and every
+Q (X_flag), whose closed-form X is x: each may rule out only rows
+without a solution.
 
 Each is checked on interior draws and, separately, on each kind of
 edge-of-domain draw: z near an end of I(x, y), |x| -> 1 for the point
@@ -35,7 +36,7 @@ from gjet.gconvex import (
     g_transform,
     validate_pieces_on_grid,
 )
-from gjet.errors import DomainViolation, NoConvergence, OutOfImage
+from gjet.errors import DomainViolation, OutOfImage
 from gjet.genfun import (
     ParallelBeam,
     PointSourcePlane,
@@ -144,8 +145,14 @@ def yz_flag(gf, x, y, z):
                                b.grad_x[None, :])[2][0]
 
 
+def x_flag(gf, x, y, z):
+    xs, ok = gf._x_of(y[None, :], np.array([z]), map_Q(gf, x, y, z)[None, :])
+    assert ok[0] and _close(xs[0], x)
+
+
 IDENTITIES = {"H_inverts_G": h_inverts_g, "YZ_round_trip": yz_round_trip,
-              "X_round_trip": x_round_trip, "YZ_flag": yz_flag}
+              "X_round_trip": x_round_trip, "YZ_flag": yz_flag,
+              "X_flag": x_flag}
 
 # Edge regions where an identity fails today: each cause names the error
 # it raises.  Each case must keep failing (strict xfail) with that error
@@ -158,27 +165,32 @@ RIM_FORWARD = ("G_x grows like 1/sqrt(1 - |x|^2) at the rim and Y loses up "
                "to 6 digits", AssertionError)
 BEAM_X_HI = ("|Q| -> z^2, the edge of the image, as z r -> 1: the closed "
              "form rules attainable slopes out (OutOfImage)", OutOfImage)
-PS_X_LO = ("Q_x -> 0 as z -> 0: the stop test |Q - q| <= tol (1 + |q|) "
-           "leaves x off by up to tol / |Q_x|", AssertionError)
-PS_X_RIM = ("the slope Newton exhausts its budget near |x| = 1 "
-            "(NoConvergence)", NoConvergence)
+BEAM_X_FLAG_HI = ("|Q| -> z^2, the edge of the image, as z r -> 1: the "
+                  "closed form's flag rules attainable slopes out",
+                  AssertionError)
+BEAM_X_HI_EXAMPLES = {1: ([0.5], [-0.5], 1e-15),
+                      2: ([0.6, -0.2], [0.2, 0.2], 1e-15),
+                      3: ([0.6, 0.4, 0.3], [-0.1, 0.4, 0.7], 1e-12)}
 KNOWN_EDGE_FAILURES = {
     **{("YZ_round_trip", "parallel_beam", n, "z_hi"):
        (BEAM_FOLD, ([0.3] * n, [-0.2] * n, 1e-12)) for n in (1, 2, 3)},
     **{("YZ_round_trip", "point_source", n, "rim"):
        (RIM_FORWARD, ([0.3] * n, [-0.2] * n, 1e-15)) for n in (1, 2, 3)},
-    ("X_round_trip", "parallel_beam", 1, "z_hi"):
-        (BEAM_X_HI, ([0.5], [-0.5], 1e-15)),
-    ("X_round_trip", "parallel_beam", 2, "z_hi"):
-        (BEAM_X_HI, ([0.6, -0.2], [0.2, 0.2], 1e-15)),
-    ("X_round_trip", "parallel_beam", 3, "z_hi"):
-        (BEAM_X_HI, ([0.6, 0.4, 0.3], [-0.1, 0.4, 0.7], 1e-12)),
+    **{("X_round_trip", "parallel_beam", n, "z_hi"):
+       (BEAM_X_HI, BEAM_X_HI_EXAMPLES[n]) for n in (1, 2, 3)},
+    **{("X_flag", "parallel_beam", n, "z_hi"):
+       (BEAM_X_FLAG_HI, BEAM_X_HI_EXAMPLES[n]) for n in (1, 2, 3)},
+}
+# Witnesses of mended edge failures, still run as explicit examples: the
+# point source's slope inversion left x off by up to tol / |Q_x| as z -> 0
+# (z_lo) and ran out of Newton steps near |x| = 1 (rim).
+MENDED_EDGE_EXAMPLES = {
     **{("X_round_trip", "point_source", n, "z_lo"):
-       (PS_X_LO, ([0.3] * n, [-0.2] * n, 1e-9)) for n in (1, 2, 3)},
+       ([0.3] * n, [-0.2] * n, 1e-9) for n in (1, 2, 3)},
     ("X_round_trip", "point_source", 2, "rim"):
-        (PS_X_RIM, ([-0.3, 0.4], [0.6, 0.4], 1e-9)),
+        ([-0.3, 0.4], [0.6, 0.4], 1e-9),
     ("X_round_trip", "point_source", 3, "rim"):
-        (PS_X_RIM, ([-0.2, -0.4, 0.5], [-0.1, 0.3, -0.5], 1e-9)),
+        ([-0.2, -0.4, 0.5], [-0.1, 0.3, -0.5], 1e-9),
 }
 
 
@@ -203,9 +215,11 @@ def test_identity(ident, gf, region):
     def check(xyz):
         IDENTITIES[ident](gf, *xyz)
 
-    known = KNOWN_EDGE_FAILURES.get((ident, gf.name, gf.dimension, region))
-    if known:
-        x, y, gap = known[1]
+    key = (ident, gf.name, gf.dimension, region)
+    witness = KNOWN_EDGE_FAILURES.get(key, (None, None))[1] \
+        or MENDED_EDGE_EXAMPLES.get(key)
+    if witness:
+        x, y, gap = witness
         check = example(_placed(gf, region, np.array(x), np.array(y), 0.5,
                                 gap))(check)
     # no shrinking: the known edge failures would shrink on every run
