@@ -350,10 +350,10 @@ def mtw_tensor_rows(gf: GeneratingFunction, side: str, a, b, zs, xi, eta, *,
     base = (bnd.grad_x if side == "primal" else genfun._q_of(bnd))[ok]
     h = step * np.maximum(1.0, np.abs(base).max(axis=1, initial=0.0))
     slopes = (base + np.stack([h, 0 * h, -h])[:, :, None] * eta[ok]).reshape(-1, n)
-    x3, xi3 = np.tile(x[ok], (3, 1)), np.tile(xi[ok], (3, 1))
+    xi3 = np.tile(xi[ok], (3, 1))
     if side == "primal":
         amat, _b, status, _ = genfun.matrix_A_B_rows(
-            gf, x3, np.tile(bnd.value[ok], 3), slopes)
+            gf, np.tile(x[ok], (3, 1)), np.tile(bnd.value[ok], 3), slopes)
     else:
         amat, _, status, _ = genfun.dual_Astar_Bstar_rows(
             gf, np.tile(y[ok], (3, 1)), np.tile(zs[ok], 3), slopes)
