@@ -281,6 +281,16 @@ def _load_config(path: str, doc: dict = None) -> tuple:
     return resolve_config(raw, base), base
 
 
+def _config_at(cfg: dict, base: str, path: str) -> dict:
+    """cfg, whose relative paths start at the directory base, as the file
+    at path records it: with the density csv path from path's directory."""
+    density = cfg["source"]["density"]
+    if density != "uniform":
+        density = {"csv": os.path.relpath(os.path.join(base, density["csv"]),
+                                          os.path.dirname(path) or ".")}
+    return {**cfg, "source": {**cfg["source"], "density": density}}
+
+
 def _write_csv(path: str, grid: gconvex.SourceGrid, names: list,
                columns: list) -> None:
     """A header, then one line per grid node: x1..xn and the named columns,
@@ -343,7 +353,7 @@ def _corners(lo, hi) -> np.ndarray:
 
 def cmd_check(args) -> int:
     from . import conditions
-    cfg, _base = _load_config(args.config)
+    cfg, base = _load_config(args.config)
     gf = build_generator(cfg)
     spec = _sample_spec_from(cfg)
     step = cfg["check"]["fd_step"]
@@ -372,7 +382,7 @@ def cmd_check(args) -> int:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kind": "condition_report",
-        "config": cfg,
+        "config": _config_at(cfg, base, args.out),
         "results": {k: r.to_jsonable() for k, r in reports.items()},
         "overall": overall,
     }
@@ -391,7 +401,7 @@ def cmd_solve(args) -> int:
     except NoConvergence as exc:
         print(f"solver: {exc}", file=sys.stderr)
         if exc.best is not None:
-            _write_state(args.out, cfg, exc.best, converged=False)
+            _write_state(args.out, cfg, base, exc.best, converged=False)
         return EXIT_NO_CONVERGENCE
     except GjetError as exc:
         # solve validates first; a failed validation lists every diagnostic
@@ -400,7 +410,7 @@ def cmd_solve(args) -> int:
         for d in exc.diagnostics:
             print(f"validation: {d['kind']}: {d['message']}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    _write_state(args.out, cfg, state, converged=True)
+    _write_state(args.out, cfg, base, state, converged=True)
     if args.grid_out:
         sol = semidiscrete.solution_function(prob, state.z)
         u = gconvex.values_matrix(sol, prob.grid).max(axis=0)
@@ -410,11 +420,11 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _write_state(path, cfg, state, converged):
+def _write_state(path, cfg, base, state, converged):
     _write_json(path, {
         "schema_version": SCHEMA_VERSION,
         "kind": "solution",
-        "config": cfg,
+        "config": _config_at(cfg, base, path),
         "converged": converged,
         "z": state.z,
         "masses": state.decomposition.masses,
@@ -426,10 +436,11 @@ def _write_state(path, cfg, state, converged):
     })
 
 
-def _state_from_file(path, config=None):
-    """(config, grid, solution) of a solution file, its pieces validated
-    on the grid (gconvex.validate_pieces_on_grid).  A resolved config,
-    when given, must have the solution's generator, dimension and source."""
+def _state_from_file(path, config=None, config_base="."):
+    """(config, base directory, grid, solution) of a solution file, its
+    pieces validated on the grid (gconvex.validate_pieces_on_grid).  A
+    resolved config (paths from config_base), when given, must have the
+    file's generator, dimension and source, the same density file too."""
     from . import gconvex
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -441,7 +452,8 @@ def _state_from_file(path, config=None):
         raise ConfigError(f"solution file {path}: wrong kind {doc['kind']!r}")
     cfg, base = _load_config(path, doc)
     for key in ("generator", "dimension", "source") if config else ():
-        if config[key] != cfg[key]:
+        if _config_at(config, config_base, path)[key] \
+                != _config_at(cfg, base, path)[key]:
             raise ConfigError(f"config.{key} differs from the one in "
                               f"solution file {path}")
     _require_targets(cfg)
@@ -452,12 +464,12 @@ def _state_from_file(path, config=None):
         raise ConfigError(f"solution file {path}: z length does not match targets")
     sol = gconvex.PiecewiseGSolution(gf, targets, z)
     gconvex.validate_pieces_on_grid(sol, grid)
-    return cfg, grid, sol
+    return cfg, base, grid, sol
 
 
 def cmd_transform(args) -> int:
     from . import gconvex
-    cfg, grid, sol = _state_from_file(args.solution)
+    cfg, base, grid, sol = _state_from_file(args.solution)
     u = gconvex.values_matrix(sol, grid).max(axis=0)
     v = gconvex.g_transform(sol, sol.ys, grid, u_grid=u)
     vstar = gconvex.dual_transform(sol.gf, sol.ys, v, grid)
@@ -465,7 +477,7 @@ def cmd_transform(args) -> int:
     _write_json(args.out, {
         "schema_version": SCHEMA_VERSION,
         "kind": "dual_transform",
-        "config": cfg,
+        "config": _config_at(cfg, base, args.out),
         "v": v,
         "involution_error": err,
     })
@@ -481,7 +493,7 @@ def cmd_residual(args) -> int:
         gf, grid = build_generator(cfg), build_grid(cfg, base)
         ufun, psi = madiag.manufactured_case(args.manufactured, gf, grid)
     else:
-        _cfg, grid, sol = _state_from_file(args.solution, cfg)
+        _cfg, _base, grid, sol = _state_from_file(args.solution, cfg, base)
         gf = sol.gf
         vals = gconvex.values_matrix(sol, grid)
         ufun = madiag.GridFunction(grid, vals.max(axis=0).reshape(grid.res))
@@ -502,7 +514,7 @@ def cmd_residual(args) -> int:
 
 def cmd_report(args) -> int:
     from . import gconvex
-    _cfg, grid, sol = _state_from_file(args.solution)
+    _cfg, _base, grid, sol = _state_from_file(args.solution)
     vals = gconvex.values_matrix(sol, grid)
     dec = gconvex.CellDecomposition(
         *gconvex.cell_split(sol.gf, sol.ys, sol.zs, grid, vals)[:2])

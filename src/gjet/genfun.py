@@ -307,7 +307,7 @@ class GeneratingFunction(abc.ABC):
         """Derivative bundle at one point: row 0 of a one-row batch."""
         b = self._raw_batch(_vec(x, self.dimension)[None, :],
                             _vec(y, self.dimension)[None, :], np.array([float(z)]))
-        return BatchBundle(*(getattr(b, f.name)[0] for f in fields(b)))
+        return _fieldwise(lambda a: a[0], b)
 
     def bundle_batch(self, xs, ys, zs) -> BatchBundle:
         xs, ys = _pair_rows(xs, ys, self.dimension)
@@ -707,6 +707,12 @@ def _solve_rows(a, rhs) -> tuple:
         return out, singular
 
 
+def _fieldwise(fn, *bundles) -> BatchBundle:
+    """The bundle of fn over the bundles' arrays, one field at a time."""
+    return BatchBundle(*(fn(*(getattr(b, f.name) for b in bundles))
+                         for f in fields(BatchBundle)))
+
+
 def _newton_rows(v, ctx, thr, status, *, evaluate, jacobian,
                  admissible) -> tuple:
     """Masked, safeguarded, damped Newton over rows.
@@ -717,50 +723,46 @@ def _newton_rows(v, ctx, thr, status, *, evaluate, jacobian,
     evaluate(v, ctx) -> (bundle, residual (r, k), max-norm (r,));
     jacobian(bundle) -> (r, k, k); admissible(v, ctx) -> (r,) bool.
     Rows with an inadmissible start are BAD_START.  A row is done when its
-    norm is at most thr; otherwise it solves its Newton system and takes
-    the first of 45 halved steps that stays admissible and lowers its norm
-    or meets thr; rows still running after NEWTON_ITER steps are BUDGET.
-    The kernel runs on the still-active rows only.
+    norm is at most thr; otherwise it solves the Newton system built from
+    the bundle at its iterate and takes the first of 45 halved steps that
+    stays admissible and lowers its norm or meets thr; rows still running
+    after NEWTON_ITER steps are BUDGET.  The kernel runs on the still-active
+    rows only, never on zero rows.
 
-    Returns (out, status, rnorm): out is NaN where status is not OK, and
-    rnorm is each row's last residual norm (NaN for rows that never
-    reached the kernel).
+    Returns (out, status, rnorm, bundle): out is NaN where status is not
+    OK, rnorm is each row's last residual norm (NaN for rows that never
+    reached the kernel), bundle the OK rows' bundles at their accepted
+    iterates, in row order (None when no row is OK).
     """
     m = len(v)
-    out = np.full(v.shape, np.nan)
-    rnorm = np.full(m, np.nan)
+    out, rnorm = np.full(v.shape, np.nan), np.full(m, np.nan)
     start = admissible(v, ctx)
     status[~start & (status == RowStatus.OK)] = RowStatus.BAD_START
     act = (status == RowStatus.OK).nonzero()[0]
     if not len(act):
-        return out, status, rnorm
+        return out, status, rnorm, None
     if len(act) < m:
         v, thr = v[act], thr[act]
         ctx = tuple(a[act] for a in ctx)
     b, res, rn = evaluate(v, ctx)
-    jac = None
-
-    def jac_now():
-        nonlocal jac
-        if jac is None:
-            jac = jacobian(b)
-        return jac
+    kept = []       # (rows, bundle) of the rows that finished OK
 
     def finish(mask, code):
-        nonlocal act, v, ctx, thr, res, rn, jac
+        nonlocal act, v, ctx, thr, res, rn, b
         every = mask.all()
         sel = slice(None) if every else mask
         status[act[sel]] = code
         rnorm[act[sel]] = rn[sel]
         if code == RowStatus.OK:
             out[act[sel]] = v[sel]
+            kept.append((act[sel], b if every else _fieldwise(lambda a: a[mask], b)))
         if every:
             act = act[:0]
         else:
             keep = ~mask
-            act, v, thr, res, rn, jac = (
-                a[keep] for a in (act, v, thr, res, rn, jac_now()))
+            act, v, thr, res, rn = (a[keep] for a in (act, v, thr, res, rn))
             ctx = tuple(a[keep] for a in ctx)
+            b = _fieldwise(lambda a: a[keep], b)
 
     for it in range(NEWTON_ITER + 1):
         if not len(act):
@@ -768,55 +770,42 @@ def _newton_rows(v, ctx, thr, status, *, evaluate, jacobian,
         done = rn <= thr
         if done.any():
             finish(done, RowStatus.OK)
-            if not len(act):
-                break
-        if it == NEWTON_ITER:
+        if len(act) and it == NEWTON_ITER:
             finish(np.ones(len(act), dtype=bool), RowStatus.BUDGET)
+        if not len(act):
             break
-        step, singular = _solve_rows(jac_now(), -res)
+        step, singular = _solve_rows(jacobian(b), -res)
         if singular is not None:
             finish(singular, RowStatus.SINGULAR)
-            if not len(act):
-                break
             step = step[~singular]
-        # line search over the rows that have not accepted a step yet;
-        # pend is None while that is every row
-        pend = None
-        lam = 1.0
+        # line search over the rows pend that have not accepted a step yet
+        pend, lam = np.arange(len(act)), 1.0
         for _ in range(45):
-            rows = slice(None) if pend is None else pend
-            v_try = v[rows] + lam * step[rows]
-            sub = ctx if pend is None else tuple(a[rows] for a in ctx)
+            if not len(pend):
+                break
+            v_try = v[pend] + lam * step[pend]
+            sub = tuple(a[pend] for a in ctx)
             adm = admissible(v_try, sub)
-            if not adm.all():
-                if pend is None:
-                    pend = np.arange(len(act))
-                rows, v_try = pend[adm], v_try[adm]
-                sub = tuple(a[rows] for a in ctx)
-            if len(v_try):
-                bt, res_t, rn_t = evaluate(v_try, sub)
+            rows, v_try = pend[adm], v_try[adm]
+            if len(rows):
+                bt, res_t, rn_t = evaluate(v_try, tuple(a[adm] for a in sub))
                 acc = (rn_t < rn[rows]) | (rn_t <= thr[rows])
-                if pend is None and acc.all():
-                    # every row accepted its full step: swap, no gathers
-                    v, res, rn, jac, b = v_try, res_t, rn_t, None, bt
-                    break
-                if acc.any():
-                    if pend is None:
-                        pend = rows = np.arange(len(act))
-                    sel = rows[acc]
-                    v[sel] = v_try[acc]
-                    res[sel] = res_t[acc]
-                    rn[sel] = rn_t[acc]
-                    jac_now()[sel] = jacobian(bt)[acc]
-                    pend = pend[~np.isin(pend, sel)]
-                    if not len(pend):
-                        break
+                sel = rows[acc]
+                v[sel], res[sel], rn[sel] = v_try[acc], res_t[acc], rn_t[acc]
+                # bt's accepted rows replace b's rows sel in new arrays: the
+                # kernel's arrays need not be fresh or writable
+                idx = np.arange(len(act))
+                idx[sel] = len(act) + np.arange(len(sel))
+                b = _fieldwise(lambda a, at: np.concatenate([a, at[acc]])[idx], b, bt)
+                pend = pend[~np.isin(pend, sel)]
             lam *= 0.5
-        else:
-            failed = np.zeros(len(act), dtype=bool)
-            failed[slice(None) if pend is None else pend] = True
-            finish(failed, RowStatus.NO_STEP)
-    return out, status, rnorm
+        if len(pend):
+            finish(np.isin(np.arange(len(act)), pend), RowStatus.NO_STEP)
+    bundle = kept[0][1] if len(kept) == 1 else None
+    if len(kept) > 1:
+        order = np.argsort(np.concatenate([r for r, _ in kept]))
+        bundle = _fieldwise(lambda *a: np.concatenate(a)[order], *(k for _, k in kept))
+    return out, status, rnorm, bundle
 
 
 def _map_fraction_rows(lo, hi, f) -> np.ndarray:
@@ -974,7 +963,7 @@ def _forward_rows(gf: GeneratingFunction, xs, us, ps) -> tuple:
     OUT_OF_IMAGE and never reach the kernel), else from (x_k, quantile
     1/2 of I(x_k, x_k)).  The Jacobian is [[G_xy, G_xz], [G_y, G_z]]; a
     start within NEWTON_TOL * (1 + |u| + |p|_inf) is returned unchanged.
-    Returns (v (m, n+1) = [Y, Z], status, rnorm) as _newton_rows does.
+    Returns ([Y, Z] (m, n+1), status, rnorm, bundle) as _newton_rows does.
     """
     n = gf.dimension
     status = np.zeros(len(xs), dtype=int)    # RowStatus.OK
@@ -992,12 +981,9 @@ def _forward_rows(gf: GeneratingFunction, xs, us, ps) -> tuple:
         return b, res, np.abs(res).max(axis=1)
 
     def jacobian(b):
-        jac = np.empty((len(b.dz), n + 1, n + 1))
-        jac[:, :n, :n] = b.hess_xy
-        jac[:, :n, n] = b.grad_xz
-        jac[:, n, :n] = b.grad_y
-        jac[:, n, n] = b.dz
-        return jac
+        top = np.concatenate([b.hess_xy, b.grad_xz[:, :, None]], axis=2)
+        bottom = np.concatenate([b.grad_y, b.dz[:, None]], axis=1)
+        return np.concatenate([top, bottom[:, None, :]], axis=1)
 
     def admissible(v, ctx):
         return _on_slice(gf, ctx[0], v[:, :n], v[:, n])
@@ -1033,7 +1019,7 @@ def forward_YZ(gf: GeneratingFunction, x, u, p) -> tuple:
     names: OutOfImage where the closed form rules (u, p) out.
     """
     n = gf.dimension
-    v, status, rnorm = _forward_rows(
+    v, status, rnorm, _b = _forward_rows(
         gf, _vec(x, n)[None, :], np.array([float(u)]), _vec(p, n)[None, :])
     _raise_for_status(_FORWARD_ERRORS, status[0], rnorm=rnorm[0])
     return v[0, :n], float(v[0, n])
@@ -1049,7 +1035,7 @@ def forward_YZ_rows(gf: GeneratingFunction, xs, us, ps) -> tuple:
     """
     n = gf.dimension
     xs = _rows(xs, n)
-    v, status, _rnorm = _forward_rows(gf, xs, _per_row(us, len(xs)), _rows(ps, n))
+    v, status = _forward_rows(gf, xs, _per_row(us, len(xs)), _rows(ps, n))[:2]
     return v[:, :n].copy(), v[:, n].copy(), status == RowStatus.OK
 
 
@@ -1083,23 +1069,23 @@ def _psi_rows(psi: Callable, xs, us, ps) -> np.ndarray:
 
 def matrix_A_B_rows(gf: GeneratingFunction, xs, us, ps, psi=None) -> tuple:
     """A = G_xx(x_k, Y, Z) and B = det E(x_k, Y, Z) * psi(x_k, u_k, p_k)
-    over rows, with (Y, Z) from the forward row Newton and one kernel call
-    on the solved rows.  psi is a row evaluator psi(xs, us, ps) -> (m,)
-    (default 1, so B = det E).  Returns (a (m, n, n), b (m,), status,
-    rnorm): a and b are NaN where status is not RowStatus.OK, and b also
-    where G_z >= 0 at (x_k, Y, Z), off the set where G decreases in z."""
+    over rows, from the bundle the forward row Newton accepted at (x_k, Y,
+    Z): no kernel call of its own.  psi is a row evaluator psi(xs, us, ps)
+    -> (m,) (default 1, so B = det E).  Returns (a (m, n, n), b (m,),
+    status, rnorm): a and b are NaN where status is not RowStatus.OK, and
+    b also where G_z >= 0 at (x_k, Y, Z), off the set where G decreases."""
     n = gf.dimension
     xs, ps = _rows(xs, n), _rows(ps, n)
     us = _per_row(us, len(xs))
-    v, status, rnorm = _forward_rows(gf, xs, us, ps)
+    _v, status, rnorm, bnd = _forward_rows(gf, xs, us, ps)
     ok = status == RowStatus.OK
     a = np.full((len(xs), n, n), np.nan)
     b = np.full(len(xs), np.nan)
-    bnd = gf._raw_batch(xs[ok], v[ok, :n], v[ok, n])
-    a[ok] = bnd.hess_xx
-    b[ok] = np.where(bnd.dz < 0.0, np.linalg.det(_e_matrix(bnd)), np.nan)
-    if psi is not None and ok.any():
-        b[ok] *= _psi_rows(psi, xs[ok], us[ok], ps[ok])
+    if bnd is not None:
+        a[ok] = bnd.hess_xx
+        b[ok] = np.where(bnd.dz < 0.0, np.linalg.det(_e_matrix(bnd)), np.nan)
+        if psi is not None:
+            b[ok] *= _psi_rows(psi, xs[ok], us[ok], ps[ok])
     return a, b, status, rnorm
 
 
@@ -1144,21 +1130,12 @@ _SLOPE_ERRORS = {
 }
 
 
-def map_X_rows(gf: GeneratingFunction, ys, zs, qs) -> tuple:
-    """Invert x -> Q(x, y_k, z_k) = q_k for every row at once.
-
-    Every row starts from the closed form (rows it rules out are
-    OUT_OF_IMAGE), else from y or 0, and runs the row Newton with
-    residual Q - q, Jacobian Q_x = -E^T / G_z and acceptance test against
-    NEWTON_TOL * (1 + |q|_inf).  Returns (xs, status, rnorm) as
-    _newton_rows does.
-    """
-    n = gf.dimension
-    ys = _rows(ys, n)
-    qs = _rows(qs, n)
-    m = len(ys)
-    zs = _per_row(zs, m)
-    status = np.zeros(m, dtype=int)    # RowStatus.OK
+def _x_rows(gf: GeneratingFunction, ys, zs, qs) -> tuple:
+    """Newton for Q(x, y_k, z_k) = q_k over rows, from the closed form
+    (rows it rules out are OUT_OF_IMAGE), else from y or 0, with Jacobian
+    Q_x = -E^T / G_z; a row is done within NEWTON_TOL * (1 + |q|_inf).
+    Returns (xs, status, rnorm, bundle) as _newton_rows does."""
+    status = np.zeros(len(ys), dtype=int)    # RowStatus.OK
     closed = gf._x_of(ys, zs, qs)
     if closed is not None:
         xs, in_image = closed
@@ -1184,6 +1161,15 @@ def map_X_rows(gf: GeneratingFunction, ys, zs, qs) -> tuple:
                         admissible=admissible)
 
 
+def map_X_rows(gf: GeneratingFunction, ys, zs, qs) -> tuple:
+    """Invert x -> Q(x, y_k, z_k) = q_k for every row at once: the slope
+    row Newton of map_X.  Returns (xs, status, rnorm) as _newton_rows
+    does."""
+    n = gf.dimension
+    ys, qs = _rows(ys, n), _rows(qs, n)
+    return _x_rows(gf, ys, _per_row(zs, len(ys)), qs)[:3]
+
+
 def map_X(gf: GeneratingFunction, y, z, q) -> np.ndarray:
     """Invert x -> Q(x, y, z) on the admissible slice.
 
@@ -1205,21 +1191,20 @@ def dual_Astar_Bstar_rows(gf: GeneratingFunction, ys, zs, qs, f=None,
                           g=None) -> tuple:
     """Dual Monge-Ampere coefficients at every row (y_k, z_k, q_k).
 
-    X comes from map_X_rows; A* and B* are assembled from one kernel call
-    over the rows it inverted.  f and g are pointwise densities (default
-    1).  Returns (astar (m, n, n), bstar (m,), status, rnorm); A* and B*
-    are NaN where status is not RowStatus.OK.
+    X comes from the row Newton of map_X_rows, and A* and B* from the
+    bundle it accepted at (X, y_k, z_k): no kernel call of their own.  f
+    and g are pointwise densities (default 1).  Returns (astar (m, n, n),
+    bstar (m,), status, rnorm); NaN where status is not RowStatus.OK.
     """
     n = gf.dimension
-    ys = _rows(ys, n)
-    qs = _rows(qs, n)
+    ys, qs = _rows(ys, n), _rows(qs, n)
     m = len(ys)
-    zs = _per_row(zs, m)
-    xs, status, rnorm = map_X_rows(gf, ys, zs, qs)
+    xs, status, rnorm, b = _x_rows(gf, ys, _per_row(zs, m), qs)
     ok = status == RowStatus.OK
+    if b is None:       # no row solved
+        return np.full((m, n, n), np.nan), np.full(m, np.nan), status, rnorm
     every = ok.all()
-    x, y, z, q = (xs, ys, zs, qs) if every else (xs[ok], ys[ok], zs[ok], qs[ok])
-    b = gf._raw_batch(x, y, z)
+    x, y, q = (xs, ys, qs) if every else (xs[ok], ys[ok], qs[ok])
     gz = b.dz
     # float_power is the C pow of the scalar formula; ** 2 would square
     gz2 = np.float_power(gz, 2)

@@ -275,20 +275,22 @@ def pointwise(fn: Callable) -> Callable:
 def make_separable_psi(gf: GeneratingFunction, f: Callable, g: Callable):
     """psi = f(x) / g(Y(x, u, p)) * sign(det E at (x, Y, Z)) over rows.
 
-    f and g are pointwise densities.  Y, Z come from the batched forward
-    map; a row without an admissible forward solution raises
-    DomainViolation.
+    f and g are pointwise densities.  Y and det E come from the bundle the
+    forward row Newton accepts, with no kernel call of their own; a row
+    without an admissible forward solution raises DomainViolation.
     """
 
     def psi(xs, us, ps):
-        xs = np.asarray(xs, dtype=float).reshape(-1, gf.dimension)
-        ys, zs, ok = genfun.forward_YZ_rows(gf, xs, us, ps)
-        if not np.all(ok):
+        n = gf.dimension
+        xs = np.asarray(xs, dtype=float).reshape(-1, n)
+        v, status, _rnorm, bnd = genfun._forward_rows(
+            gf, xs, genfun._per_row(us, len(xs)), genfun._rows(ps, n))
+        if not np.all(status == genfun.RowStatus.OK):
             raise DomainViolation(
                 "separable psi: no admissible forward solution at some rows")
-        det = np.linalg.det(genfun._e_matrix(gf.bundle_batch(xs, ys, zs)))
+        det = np.linalg.det(genfun._e_matrix(bnd)) if len(xs) else np.zeros(0)
         fx = np.array([float(f(x)) for x in xs])
-        gy = np.array([float(g(y)) for y in ys])
+        gy = np.array([float(g(y)) for y in v[:, :n]])
         return fx / gy * np.copysign(1.0, det)
 
     return psi

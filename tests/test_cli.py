@@ -572,6 +572,50 @@ def test_solve_follows_a_density_csv(tmp_path):
     assert len(edge) == 1 and abs((edge[0] + 1) / 16 - s) <= 1.0 / 16
 
 
+def test_a_solution_elsewhere_reads_its_density_csv(tmp_path, capsys):
+    # a solution records its density csv path from its own directory: one
+    # written away from its config reads back, and its readers write the
+    # bytes they write for one next to the config
+    cfg_dir, out_dir = tmp_path / "cfg", tmp_path / "out"
+    cfg_dir.mkdir()
+    out_dir.mkdir()
+    grid = gconvex.SourceGrid([0.0, 0.0], [1.0, 1.0], [16, 16])
+    density = (1.0 + 3.0 * grid.centers[:, 0]).reshape(16, 16)
+    for name in ("dens.csv", "other.csv"):
+        np.savetxt(cfg_dir / name, density, delimiter=",")
+    fields = dict(generator={"kind": "quadratic_ot", "params": {}},
+                  targets={"points": [[0.25, 0.5], [0.75, 0.5]],
+                           "masses": [1.25, 1.25]},
+                  normalization={"x0": [0.5, 0.5], "u0": 0.0})
+    cfg = write_config(cfg_dir, source=dict(GRID16, density={"csv": "dens.csv"}),
+                       **fields)
+    outputs = []
+    for where in (cfg_dir, out_dir):
+        sol = str(where / "sol.json")
+        assert main(["solve", cfg, "--out", sol]) == EXIT_OK
+        assert main(["report", sol, "--csv", str(tmp_path / "report.csv")]) \
+            == EXIT_OK
+        assert main(["transform", sol, "--out", str(tmp_path / "dual.json")]) \
+            == EXIT_OK
+        assert main(["residual", cfg, "--solution", sol,
+                     "--out", str(tmp_path / "field.csv")]) == EXIT_OK
+        outputs.append([capsys.readouterr().out] + [
+            (tmp_path / name).read_bytes()
+            for name in ("report.csv", "dual.json", "field.csv")])
+    assert outputs[0] == outputs[1]
+    recorded = [json.loads((where / "sol.json").read_text())["config"]
+                ["source"]["density"] for where in (cfg_dir, out_dir)]
+    assert recorded == [{"csv": "dens.csv"},
+                        {"csv": os.path.join("..", "cfg", "dens.csv")}]
+    # another file with the same values is another source
+    other = write_config(cfg_dir, name="other.json",
+                         source=dict(GRID16, density={"csv": "other.csv"}),
+                         **fields)
+    assert main(["residual", other, "--solution", str(out_dir / "sol.json")]) \
+        == EXIT_INPUT_ERROR
+    assert "config.source differs" in capsys.readouterr().err
+
+
 def test_density_csv_errors_exit_4(tmp_path, capsys):
     cfg = write_config(tmp_path, source=dict(GRID16, density={"csv": "d.csv"}))
     out = str(tmp_path / "sol.json")

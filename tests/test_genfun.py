@@ -959,6 +959,106 @@ def test_matrix_A_B_is_one_row_of_matrix_A_B_rows(gf):
     assert (status == RowStatus.OK).sum() >= 10
 
 
+def counted_kernel(monkeypatch, gf):
+    """The row counts of gf's kernel calls from now on."""
+    calls, raw = [], gf._raw_batch
+
+    def counted(xs, ys, zs):
+        calls.append(len(xs))
+        return raw(xs, ys, zs)
+
+    monkeypatch.setattr(gf, "_raw_batch", counted)
+    return calls
+
+
+@pytest.mark.parametrize("start", ["cold", "far"])
+@pytest.mark.parametrize("gf", CONTRACT_INSTANCES,
+                         ids=lambda g: f"{g.name}{g.dimension}")
+def test_matrix_A_B_rows_match_a_bundle_at_the_solution(gf, start, monkeypatch):
+    # the primal twin of the dual rows' bit-for-bit check: rows that take
+    # Newton steps (cold starts without a closed form, far starts through
+    # FarStart's hook) assemble A and B from the bundle the Newton
+    # accepted, which must equal a fresh bundle at the returned (Y, Z)
+    rng = np.random.default_rng(53)
+    n = gf.dimension
+    m = 14
+    x_box, y_box = instance_boxes(gf)
+    pts = [sample_admissible(gf, rng, x_box, y_box) for _ in range(m)]
+    xs = np.array([x for x, _, _ in pts])
+    us = np.array([gf.value(*pt) for pt in pts]) + rng.normal(0.0, 0.05, m)
+    ps = np.array([gf.bundle(*pt).grad_x for pt in pts]) \
+        + rng.normal(0.0, 0.05, (m, n))
+    if start == "far":
+        far = [np.append(y + (0.05 if k % 2 else 0.5) * rng.normal(0.0, 1.0, n),
+                         z * rng.uniform(0.5, 1.5))
+               for k, (_x, y, z) in enumerate(pts)]
+        gf = FarStart(gf, np.column_stack([xs, us, ps]), far)
+    else:
+        gf = NoClosedForm(gf)
+
+    def psi(xs, us, ps):
+        return 1.0 + us * xs[:, 0]
+
+    ys, zs, ok = forward_YZ_rows(gf, xs, us, ps)
+    calls = counted_kernel(monkeypatch, gf)
+    a, b, status, _ = matrix_A_B_rows(gf, xs, us, ps, psi)
+    assert len(calls) > 1 and ok.sum() >= m // 2     # the rows took steps
+    assert np.array_equal(status == RowStatus.OK, ok)
+    monkeypatch.undo()
+    for k in range(m):
+        if not ok[k]:
+            assert np.isnan(a[k]).all() and np.isnan(b[k]), k
+            continue
+        bnd = gf.bundle(xs[k], ys[k], zs[k])
+        det = float(np.linalg.det(
+            bnd.hess_xy - np.outer(bnd.grad_xz, bnd.grad_y) / bnd.dz))
+        assert np.array_equal(a[k], bnd.hess_xx), k
+        assert b[k] == det * (1.0 + us[k] * xs[k, 0]), k
+
+
+def exact_rows(gf, rng, m=12):
+    """(xs, ys, zs) of m admissible interior draws, and each row's forward
+    data (u, p) and slope q there."""
+    x_box, y_box = instance_boxes(gf)
+    pts = [sample_admissible(gf, rng, x_box, y_box) for _ in range(m)]
+    xs, ys, zs = (np.array(v) for v in zip(*pts))
+    bnd = gf.bundle_batch(xs, ys, zs)
+    return xs, ys, zs, bnd.value, bnd.grad_x, -bnd.grad_y / bnd.dz[:, None]
+
+
+@pytest.mark.parametrize("gf", H_INSTANCES, ids=h_id)
+def test_assemblies_make_one_kernel_call(gf, monkeypatch):
+    # on rows where the closed form is exact, the Newton's one evaluation
+    # at the start is also the evaluation that A/B, A*/B* and psi read
+    from gjet.madiag import make_separable_psi
+
+    xs, ys, zs, us, ps, qs = exact_rows(gf, np.random.default_rng(59))
+    psi = make_separable_psi(gf, lambda x: 1.0 + x[0] ** 2, lambda y: 2.0)
+    for assemble in (lambda: matrix_A_B_rows(gf, xs, us, ps),
+                     lambda: dual_Astar_Bstar_rows(gf, ys, zs, qs),
+                     lambda: psi(xs, us, ps)):
+        calls = counted_kernel(monkeypatch, gf)
+        assemble()
+        assert calls == [len(xs)]
+        monkeypatch.undo()
+    # no row, no kernel call
+    calls = counted_kernel(monkeypatch, gf)
+    assert psi(xs[:0], us[:0], ps[:0]).shape == (0,) and calls == []
+
+
+@pytest.mark.parametrize("gf", H_INSTANCES, ids=h_id)
+def test_exact_interior_rows_take_no_newton_step(gf, monkeypatch):
+    # the closed forms meet the row Newton's tolerance on exact interior
+    # rows: neither inverse solves a Newton system
+    xs, ys, zs, us, ps, qs = exact_rows(gf, np.random.default_rng(61))
+    solves, solve = [], genfun._solve_rows
+    monkeypatch.setattr(genfun, "_solve_rows",
+                        lambda a, rhs: solves.append(len(a)) or solve(a, rhs))
+    assert forward_YZ_rows(gf, xs, us, ps)[2].all()
+    assert (map_X_rows(gf, ys, zs, qs)[1] == RowStatus.OK).all()
+    assert solves == []
+
+
 def test_row_newtons_report_every_singular_row():
     # G = -z: every Newton system is singular at once; each row says so
     gf = ConstantInY(2)
