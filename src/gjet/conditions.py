@@ -525,21 +525,19 @@ def check_G4w(gf: GeneratingFunction, spec: SampleSpec) -> ConditionReport:
 # G5: gradient bound
 # --------------------------------------------------------------------------
 
-def check_G5(gf: GeneratingFunction, omega, omega_star, spec: SampleSpec, *,
-             m0: float = None, k0: float = None) -> ConditionReport:
-    """Verify |G_x| <= k0 on samples with G > m0.
+def check_G5(gf: GeneratingFunction, omega, omega_star,
+             spec: SampleSpec) -> ConditionReport:
+    """Verify |G_x| <= k0 on samples with G > m0, for the constants that
+    gf.g5_bound(omega, omega_star) declares.
 
     omega is a source box (lo, hi); omega_star is a point set whose
     convex hull is the target region (samples are random convex
-    combinations, so they stay inside the hull exactly).  m0 and k0
-    default to the instance constants; overrides support derived bounds,
-    e.g. a diameter bound for the quadratic instance.
+    combinations, so they stay inside the hull exactly).
     """
-    if m0 is None or k0 is None:
-        if gf.g5_constants is None:
-            raise ValueError("no gradient-bound constants declared or supplied")
-        m0 = gf.g5_constants.m0 if m0 is None else m0
-        k0 = gf.g5_constants.k0 if k0 is None else k0
+    bound = gf.g5_bound(omega, omega_star)
+    if bound is None:
+        raise ValueError(f"{gf.name} declares no gradient-bound constants")
+    m0, k0 = bound.m0, bound.k0
     rng = np.random.default_rng(spec.seed)
     n = gf.dimension
     pts = np.asarray(omega_star, dtype=float).reshape(-1, n)
@@ -597,10 +595,7 @@ class Ball:
         return c + self.radius * pts
 
     def raster(self, res: int):
-        c = np.asarray(self.center, dtype=float)
-        pts = BoxRegion(tuple(c - self.radius), tuple(c + self.radius)).raster(res)
-        keep = np.linalg.norm(pts - c, axis=1) <= self.radius
-        return pts[keep]
+        return Annulus(self.center, 0.0, self.radius).raster(res)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,6 @@ __all__ = [
     "cell_split",
     "grid_z_interval",
     "validate_pieces_on_grid",
-    "interface_cell_count",
     "interface_mask",
     "neighbor_pairs",
 ]
@@ -586,9 +585,3 @@ def interface_mask(grid: SourceGrid, assignment: np.ndarray,
         boundary[neighbor_pairs(grid, boundary).ravel()] = True
     return boundary.reshape(grid.res)
 
-
-def interface_cell_count(grid: SourceGrid, assignment: np.ndarray) -> int:
-    """Number of interface cells: the cells with an axis neighbor of
-    another label.  cell_split splits a different set, the cells where a
-    piece near-ties the label, which may be larger."""
-    return int(interface_mask(grid, assignment).sum())

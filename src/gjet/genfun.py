@@ -155,15 +155,17 @@ def fd_step(scale):
 
 
 def jsonable(obj):
-    """obj for json.dumps: numpy values, tuples and dict keys converted."""
+    """obj for strict json.dumps: numpy values, tuples and dict keys
+    converted, and every non-finite float (NaN, +-inf) as None (null)."""
     if isinstance(obj, np.ndarray) and obj.ndim:
         obj = obj.tolist()
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [v if isinstance(v, float) else jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.ndarray)):
-        return float(obj)
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (float, np.floating, np.ndarray)):
+        obj = float(obj)
+        return obj if math.isfinite(obj) else None
     return int(obj) if isinstance(obj, np.integer) else obj
 
 
@@ -243,6 +245,12 @@ def _eye_batch(m: int, n: int) -> np.ndarray:
     return np.broadcast_to(np.eye(n), (m, n, n)).copy()
 
 
+def _corners(lo, hi) -> np.ndarray:
+    """The 2^n corners of the box [lo, hi], one per row."""
+    mesh = np.meshgrid(*zip(lo, hi), indexing="ij")
+    return np.array(mesh).reshape(len(lo), -1).T
+
+
 # --------------------------------------------------------------------------
 # the generating-function contract
 # --------------------------------------------------------------------------
@@ -255,21 +263,21 @@ class GeneratingFunction(abc.ABC):
     write G once as a per-target closure (``_piece_values``) that serves
     every value path and the bundle's value alike, narrow the admissible
     pair set U (``admissible_pair_batch``; the default admits every finite
-    pair) and supply closed-form inverses as batched hooks that return
-    None when there is none: ``forward_yz_batch`` for (Y, Z) (the start
-    of the forward row Newton), ``_h_of`` for H (the start of
-    dual_H_rows) and ``_x_of`` for X.  The scalar methods are one-row
-    calls of these.  Instances are immutable after construction and safe
-    to share; every method is pure.
+    pair), declare G5's constants on a domain pair (``g5_bound``) and
+    supply closed-form inverses as batched hooks that return None when
+    there is none: ``forward_yz_batch`` for (Y, Z) (the start of the
+    forward row Newton), ``_h_of`` for H (the start of dual_H_rows) and
+    ``_x_of`` for X.  The scalar methods are one-row calls of these.
+    Instances are immutable after construction and safe to share; every
+    method is pure.
     """
 
     name = "generic"
 
-    def __init__(self, dimension: int, g5_constants: Optional[G5Constants] = None):
+    def __init__(self, dimension: int):
         if dimension not in (1, 2, 3):
             raise ValueError("supported dimensions are 1, 2 and 3")
         self.dimension = int(dimension)
-        self.g5_constants = g5_constants
 
     # -- admissibility -----------------------------------------------------
 
@@ -296,6 +304,12 @@ class GeneratingFunction(abc.ABC):
     @abc.abstractmethod
     def z_interval_batch(self, xs, y) -> tuple:
         """(lo, hi) arrays of I(x_k, y_k); y is one point or rows."""
+
+    def g5_bound(self, omega, omega_star) -> Optional[G5Constants]:
+        """G5's constants (m0, K0) on the source box omega = (lo, hi) and
+        the hull of the target points omega_star (rows), or None when the
+        instance declares none."""
+        return None
 
     # -- derivatives -------------------------------------------------------
 
@@ -385,9 +399,6 @@ class QuadraticOT(GeneratingFunction):
 
     name = "quadratic_ot"
 
-    def __init__(self, dimension: int):
-        super().__init__(dimension, g5_constants=None)
-
     def z_interval_batch(self, xs, y):
         m = len(_rows(xs, self.dimension))
         return np.full(m, -math.inf), np.full(m, math.inf)
@@ -425,6 +436,14 @@ class QuadraticOT(GeneratingFunction):
     def _x_of(self, ys, zs, qs):
         return ys - qs, np.ones(len(ys), dtype=bool)
 
+    def g5_bound(self, omega, omega_star):
+        """|G_x| = |x - y| is convex in (x, y), so on omega x hull(omega_star)
+        it peaks at a corner of omega and a point of omega_star; K0 is that
+        peak with a relative margin of 1e-12, and no value floor m0."""
+        k0 = max(float(np.linalg.norm(c - y)) for c in _corners(*omega)
+                 for y in np.asarray(omega_star, dtype=float))
+        return G5Constants(m0=-math.inf, k0=k0 * (1 + 1e-12))
+
 
 # --------------------------------------------------------------------------
 # built-in instance: parallel-beam reflector
@@ -450,8 +469,8 @@ class ParallelBeam(GeneratingFunction):
 
     name = "parallel_beam"
 
-    def __init__(self, dimension: int):
-        super().__init__(dimension, g5_constants=G5Constants(m0=0.0, k0=1.0))
+    def g5_bound(self, omega, omega_star):
+        return G5Constants(m0=0.0, k0=1.0)
 
     def z_interval_batch(self, xs, y):
         r = np.sqrt(_row_dot(*_pair_rows(xs, y, self.dimension), diff=True))
@@ -545,7 +564,7 @@ class PointSourcePlane(GeneratingFunction):
     def __init__(self, dimension: int, tau: float = 0.0):
         if tau > 0.0:
             raise ValueError("the hyperplane height tau must satisfy tau <= 0")
-        super().__init__(dimension, g5_constants=None)
+        super().__init__(dimension)
         self.tau = float(tau)
 
     def z_interval_batch(self, xs, y):
@@ -1071,9 +1090,10 @@ def matrix_A_B_rows(gf: GeneratingFunction, xs, us, ps, psi=None) -> tuple:
     """A = G_xx(x_k, Y, Z) and B = det E(x_k, Y, Z) * psi(x_k, u_k, p_k)
     over rows, from the bundle the forward row Newton accepted at (x_k, Y,
     Z): no kernel call of its own.  psi is a row evaluator psi(xs, us, ps)
-    -> (m,) (default 1, so B = det E).  Returns (a (m, n, n), b (m,),
-    status, rnorm): a and b are NaN where status is not RowStatus.OK, and
-    b also where G_z >= 0 at (x_k, Y, Z), off the set where G decreases."""
+    -> (m,) (default 1, so B = det E), called once on the rows whose B
+    exists and on no others.  Returns (a (m, n, n), b (m,), status, rnorm):
+    a and b are NaN where status is not RowStatus.OK, and b also where G_z
+    >= 0 at (x_k, Y, Z), off the set where G decreases."""
     n = gf.dimension
     xs, ps = _rows(xs, n), _rows(ps, n)
     us = _per_row(us, len(xs))
@@ -1084,8 +1104,9 @@ def matrix_A_B_rows(gf: GeneratingFunction, xs, us, ps, psi=None) -> tuple:
     if bnd is not None:
         a[ok] = bnd.hess_xx
         b[ok] = np.where(bnd.dz < 0.0, np.linalg.det(_e_matrix(bnd)), np.nan)
-        if psi is not None:
-            b[ok] *= _psi_rows(psi, xs[ok], us[ok], ps[ok])
+        has = np.flatnonzero(~np.isnan(b))
+        if psi is not None and len(has):
+            b[has] *= _psi_rows(psi, xs[has], us[has], ps[has])
     return a, b, status, rnorm
 
 

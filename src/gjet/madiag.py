@@ -40,7 +40,6 @@ __all__ = [
     "ResidualField",
     "ma_residual",
     "pje_residual",
-    "ellipticity_check",
     "dual_residual",
     "make_separable_psi",
     "pointwise",
@@ -83,7 +82,10 @@ class ResidualField:
 
     def ellipticity(self) -> str:
         """The verdict on min_eig (see ELLIP_TOL); "not-elliptic" where
-        no node was evaluated."""
+        no node was evaluated.  Only ma_residual fields carry min_eig."""
+        if self.min_eig is None:
+            raise ValueError("no eigenvalues: only ma_residual fields carry "
+                             "an ellipticity verdict")
         low = np.nanmin(self.min_eig[self.mask]) if self.mask.any() else -math.inf
         if low < -ELLIP_TOL:
             return "not-elliptic"
@@ -161,32 +163,33 @@ def _field(grid: SourceGrid, margin: int, idx: np.ndarray,
 
 def ma_residual(gf: GeneratingFunction, ufun: GridFunction,
                 psi: Callable, exclude: np.ndarray = None) -> ResidualField:
-    """det[D^2 u - A(., u, Du)] - det E * psi(., u, Du) per interior node.
+    """det[D^2 u - A(., u, Du)] - B(., u, Du) per interior node.
 
-    One linearization (one matrix_A_B_rows call) gives D^2 u - A and
-    det E at the margin-1 interior nodes outside exclude whose forward
-    map is admissible with G_z < 0.  The field's min_eig is the min
-    eigenvalue of the same matrices, symmetrized (they are symmetric up
-    to finite-difference noise); its ellipticity() is the verdict.
-    exclude masks nodes whose stencils are known to be meaningless, e.g.
-    kink neighborhoods of a piecewise input; they count as masked.
+    One matrix_A_B_rows call over the margin-1 interior nodes outside
+    exclude gives A and B = det E * psi; a node gets a value where its
+    forward map is admissible with G_z < 0.  The field's min_eig is the
+    min eigenvalue of the same matrices D^2 u - A, symmetrized (they are
+    symmetric up to finite-difference noise); its ellipticity() is the
+    verdict.  exclude masks nodes whose stencils are known to be
+    meaningless, e.g. kink neighborhoods of a piecewise input; they count
+    as masked.
     """
     grid = ufun.grid
     u = ufun.values
     interior = _interior_mask(grid.res, 1)
     if exclude is not None:
         interior = interior & ~np.asarray(exclude, dtype=bool).reshape(grid.res)
-    u_flat = u.ravel()
+    rows = np.flatnonzero(interior)
     p_flat = _gradient(u, grid.h).reshape(grid.n, -1).T
-    a, det = genfun.matrix_A_B_rows(gf, grid.centers, u_flat, p_flat)[:2]
-    idx = np.flatnonzero(~np.isnan(det) & interior.ravel())
+    a, b = genfun.matrix_A_B_rows(gf, grid.centers[rows], u.ravel()[rows],
+                                  p_flat[rows], psi)[:2]
+    has = ~np.isnan(b)
+    idx = rows[has]
     d2u = _hessian(u, grid.h).reshape(grid.n, grid.n, -1).transpose(2, 0, 1)
-    mats = d2u[idx] - a[idx]
+    mats = d2u[idx] - a[has]
     vals = eig = []
     if len(idx):
-        psi_vals = genfun._psi_rows(psi, grid.centers[idx], u_flat[idx],
-                                   p_flat[idx])
-        vals = np.linalg.det(mats) - det[idx] * psi_vals
+        vals = np.linalg.det(mats) - b[has]
         eig = np.linalg.eigvalsh(0.5 * (mats + mats.transpose(0, 2, 1)))[:, 0]
     return replace(_field(grid, 1, idx, vals),
                    min_eig=_field(grid, 1, idx, eig).values)
@@ -220,18 +223,6 @@ def pje_residual(gf: GeneratingFunction, ufun: GridFunction,
                                    p_flat[idx])
         vals = np.linalg.det(mats) - psi_vals
     return _field(grid, 2, idx, vals)
-
-
-def ellipticity_check(gf: GeneratingFunction, ufun: GridFunction, *,
-                      exclude: np.ndarray = None):
-    """(min eigenvalue field of D^2 u - A, admissible) from ma_residual:
-    admissible unless its verdict is "not-elliptic".  exclude masks nodes
-    whose stencils straddle kinks of a piecewise input; the difference
-    quotients carry no eigenvalue information there, and they count as
-    masked.
-    """
-    res = ma_residual(gf, ufun, lambda xs, us, ps: 0.0, exclude)
-    return replace(res, values=res.min_eig), res.ellipticity() != "not-elliptic"
 
 
 def dual_residual(gf: GeneratingFunction, vfun: GridFunction,

@@ -42,7 +42,7 @@ from .gconvex import (
     SourceGrid,
     cell_split,
     grid_z_interval,
-    interface_cell_count,
+    interface_mask,
     interface_point_rows,
     interpolated_support_rows,
     neighbor_pairs,
@@ -94,7 +94,7 @@ class SolutionState:
     anchor_value: float
     sweeps: int
     residual_history: tuple
-    interface_cells: int
+    interface_cells: int    # cells with an axis neighbor of another label
 
 
 def solution_function(prob: SemiDiscreteProblem, z) -> PiecewiseGSolution:
@@ -139,9 +139,10 @@ def _validate(prob: SemiDiscreteProblem) -> tuple:
     if not interior:
         diags.append({"kind": "AnchorInadmissible",
                       "message": "anchor point x0 is not interior to the box"})
-    if gf.g5_constants is not None and interior:
+    bound = gf.g5_bound((grid.lo, grid.hi), prob.targets)
+    if bound is not None and interior:
         dist = float(min(np.min(x0 - grid.lo), np.min(grid.hi - x0)))
-        floor = gf.g5_constants.m0 + gf.g5_constants.k0 * dist
+        floor = bound.m0 + bound.k0 * dist
         if not u0 > floor:
             diags.append({
                 "kind": "AnchorInadmissible",
@@ -295,7 +296,7 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
             decomposition=CellDecomposition(pt.assignment, pt.masses),
             residual=residual_of(pt), anchor_value=pt.anchor, sweeps=sweeps,
             residual_history=tuple(history),
-            interface_cells=interface_cell_count(grid, pt.assignment))
+            interface_cells=int(interface_mask(grid, pt.assignment).sum()))
 
     z = z_anchor.copy()
     values = np.stack([fns[i](z[i]) for i in range(n_pieces)])

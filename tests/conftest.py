@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import settings
 # load them all here, or the draws depend on which tests ran first
 from gjet import cli, conditions, gconvex, madiag, semidiscrete  # noqa: F401
 from gjet.genfun import (
+    G5Constants,
     GeneratingFunction,
     ParallelBeam,
     PointSourcePlane,
@@ -69,6 +71,16 @@ def instance_boxes(gf):
                (np.full(n, -0.8), np.full(n, 0.8))
     return (np.full(n, -0.7), np.full(n, 0.7)), \
            (np.full(n, -0.9), np.full(n, 0.9))
+
+
+def declaring_g5(gf, m0, k0):
+    """gf as an instance of a subclass of its class whose g5_bound
+    declares (m0, k0) on every pair of domains."""
+    cls = type(f"Declared{type(gf).__name__}", (type(gf),),
+               {"g5_bound": lambda self, omega, omega_star: G5Constants(m0, k0)})
+    out = copy.copy(gf)
+    out.__class__ = cls
+    return out
 
 
 class ConstantInY(GeneratingFunction):

@@ -1,5 +1,7 @@
 """Command dispatch, exit codes, schema validation, byte-stable outputs."""
 
+import ast
+import inspect
 import json
 import math
 import os
@@ -395,16 +397,24 @@ def test_residual_solution_degenerate(tmp_path, capsys):
 def test_residual_solves_the_forward_map_once(tmp_path, capsys, monkeypatch,
                                               argv):
     # the Monge-Ampere residual and the ellipticity field come from one
-    # linearization: one forward solve over the grid's nodes
+    # linearization: one forward solve over the nodes it reads, the
+    # margin-1 interior outside the kink mask of a solution
     cfg = write_config(tmp_path, source=GRID16)
     assert main(["solve", cfg, "--out", str(tmp_path / "sol.json")]) == EXIT_OK
     monkeypatch.chdir(tmp_path)
+    excl = np.zeros((16, 16), dtype=bool)
+    if argv[0] == "--solution":
+        _cfg, _base, grid, sol = cli._state_from_file("sol.json")
+        excl = gconvex.interface_mask(
+            grid, np.argmax(gconvex.values_matrix(sol, grid), axis=0), widen=1)
+    read = int((~excl[1:-1, 1:-1]).sum())
     rows = []
     forward = genfun._forward_rows
     monkeypatch.setattr(genfun, "_forward_rows", lambda gf, xs, *a, **k:
                         rows.append(len(xs)) or forward(gf, xs, *a, **k))
     assert main(["residual", cfg, *argv, "--out", "field.csv"]) == EXIT_OK
-    assert rows == [16 * 16]
+    assert rows == [read]
+    assert read <= 14 * 14
 
 
 @pytest.mark.parametrize("key, edit", [
@@ -645,6 +655,66 @@ def test_check_reads_the_y_box(tmp_path):
         results.append(doc["results"])
     assert results[1] == results[0]
     assert results[2] != results[0]
+
+
+def test_cli_reads_no_generator_name():
+    # what differs between generators is the generator's to say (its
+    # g5_bound, for one): the commands never test which one they run
+    tree = ast.parse(inspect.getsource(cli))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "name"]
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not JSON")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=reject)
+
+
+def test_json_outputs_are_strict(tmp_path):
+    # every JSON file the commands write parses with a parser that rejects
+    # NaN and Infinity; a non-finite value is written as null
+    beam1 = write_config(
+        tmp_path, "beam1.json", dimension=1,
+        source={"box": {"lo": [0.0], "hi": [1.0]}, "resolution": 16},
+        targets={"points": [[0.25], [0.75]], "masses": [0.5, 0.5]},
+        normalization={"x0": [0.5], "u0": 0.75})
+    q3 = write_config(
+        tmp_path, "q3.json", generator={"kind": "quadratic_ot"}, dimension=3,
+        source={"box": {"lo": [0.0] * 3, "hi": [1.0] * 3}, "resolution": 4},
+        targets={"points": [[0.3, 0.4, 0.5], [0.7, 0.6, 0.5]],
+                 "masses": [0.5, 0.5]},
+        normalization={"x0": [0.5] * 3, "u0": 0.0})
+    ps2 = write_config(
+        tmp_path, "ps2.json",
+        generator={"kind": "point_source", "params": {"tau": -1.0}},
+        source={"box": {"lo": [-0.4, -0.4], "hi": [0.4, 0.4]},
+                "resolution": 16})
+    out = {name: str(tmp_path / f"{name}_report.json")
+           for name in ("beam1", "q3", "ps2")}
+    for name, cfg in (("beam1", beam1), ("q3", q3), ("ps2", ps2)):
+        assert main(["check", cfg, "--out", out[name]]) \
+            in (EXIT_OK, EXIT_CONDITION_FAIL)
+    sol, dual = str(tmp_path / "sol.json"), str(tmp_path / "dual.json")
+    assert main(["solve", beam1, "--out", sol]) == EXIT_OK
+    assert main(["transform", sol, "--out", dual]) == EXIT_OK
+    docs = {path: _strict_json(path) for path in [*out.values(), sol, dual]}
+    # the values that used to be written as -Infinity and Infinity
+    assert docs[out["q3"]]["results"]["G5"]["details"]["m0"] is None
+    g3 = docs[out["beam1"]]["results"]["G3"]
+    assert g3["extremal_value"] is None
+    assert g3["details"]["min_primal"] is None
+    assert g3["details"]["min_dual"] is None
+
+
+def test_jsonable_writes_non_finite_floats_as_null():
+    doc = genfun.jsonable({"a": math.nan, "b": [1.5, -math.inf, np.inf],
+                           "c": np.array([np.nan, 2.0]), "d": np.float64(3.0),
+                           "e": (math.inf, 4), 5: np.int64(6)})
+    assert doc == {"a": None, "b": [1.5, None, None], "c": [None, 2.0],
+                   "d": 3.0, "e": [None, 4], "5": 6}
+    assert json.dumps(doc, allow_nan=False)
 
 
 def test_check_without_targets_takes_g5_targets_from_y_box_corners(tmp_path):

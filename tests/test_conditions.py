@@ -1,5 +1,6 @@
 """Condition certification: injectivity, nondegeneracy, tensors, bounds."""
 
+import itertools
 import math
 
 import numpy as np
@@ -30,7 +31,12 @@ from gjet.genfun import (
     matrix_A,
 )
 
-from conftest import ConstantInY, instance_boxes, sample_admissible
+from conftest import (
+    ConstantInY,
+    declaring_g5,
+    instance_boxes,
+    sample_admissible,
+)
 
 
 def spec_for(gf, count=30, seed=42):
@@ -326,17 +332,51 @@ def test_G5_quadratic_with_diameter_bound(qot2):
     omega = (np.zeros(2), np.ones(2))
     star = np.array([[0.0, 0.0], [1.0, 1.0]])
     k0 = math.sqrt(2.0)  # max |x - y| over box corners and hull points
-    rep = check_G5(qot2, omega, star, spec_for(qot2, count=40),
-                   m0=-math.inf, k0=k0)
+    spec = spec_for(qot2, count=40)
+    rep = check_G5(declaring_g5(qot2, -math.inf, k0), omega, star, spec)
     assert rep.status == "pass"
+    # the instance's own bound is that diameter, with its 1e-12 margin
+    rep = check_G5(qot2, omega, star, spec)
+    assert rep.status == "pass"
+    assert rep.details["m0"] == -math.inf
+    assert rep.details["k0"] == pytest.approx(k0 * (1 + 1e-12), rel=1e-15)
 
 
 def test_G5_misdeclared_bound_fails(pb2):
+    # an instance that declares a bound tighter than the beam's |G_x| < 1
     omega = (np.zeros(2), np.ones(2))
     star = np.array([[0.2, 0.2], [0.8, 0.8]])
-    rep = check_G5(pb2, omega, star, spec_for(pb2, count=60), k0=0.5)
+    rep = check_G5(declaring_g5(pb2, 0.0, 0.5), omega, star,
+                   spec_for(pb2, count=60))
     assert rep.status == "fail"
     assert rep.witness is not None
+    assert rep.witness["grad_norm"] > 0.5 and rep.witness["value"] > 0.0
+
+
+def test_G5_needs_a_declared_bound(ps_neg):
+    omega = (np.full(2, -0.4), np.full(2, 0.4))
+    star = np.array([[0.1, 0.0], [0.0, 0.1]])
+    with pytest.raises(ValueError, match="point_source declares no "
+                       "gradient-bound constants"):
+        check_G5(ps_neg, omega, star, spec_for(ps_neg))
+
+
+def test_g5_bound_hooks():
+    # the quadratic's bound: the largest corner-to-target distance, here
+    # on the 3-D bench layout (unit cube, four targets in [0.2, 0.8]^3)
+    rng = np.random.default_rng(3)
+    star = rng.uniform(0.2, 0.8, (4, 3))
+    omega = ([0.0] * 3, [1.0] * 3)
+    k0 = max(float(np.linalg.norm(np.array(c) - y))
+             for c in itertools.product(*zip(*omega)) for y in star)
+    assert QuadraticOT(3).g5_bound(omega, star) \
+        == genfun.G5Constants(m0=-math.inf, k0=k0 * (1 + 1e-12))
+    # the beam's holds on any domain; the point source declares none
+    for n, omega, star in ((2, ([0.0, 0.0], [1.0, 1.0]), star[:, :2]),
+                           (1, ([-3.0], [5.0]), np.array([[40.0]]))):
+        assert ParallelBeam(n).g5_bound(omega, star) \
+            == genfun.G5Constants(m0=0.0, k0=1.0)
+        assert PointSourcePlane(n, -1.0).g5_bound(omega, star) is None
 
 
 # --------------------------------------------------------------------------
@@ -676,7 +716,8 @@ def oracle_cases():
         n = gf.dimension
         lo, hi = instance_boxes(gf)[0]
         star = np.random.default_rng(n).uniform(-0.5, 0.5, (3, n))
-        m0, k0 = (0.0, 0.7) if gf.g5_constants else (-math.inf, 1.1)
+        m0, k0 = (0.0, 0.7) if isinstance(gf, ParallelBeam) else (-math.inf, 1.1)
+        declared = declaring_g5(gf, m0, k0)
         label = f"{gf.name}{n}"
         cases += [
             (label + "-G1", lambda gf=gf, s=spec: check_injectivity(gf, "primal", s),
@@ -689,8 +730,8 @@ def oracle_cases():
              lambda gf=gf, s=spec: reference_G3(gf, s, True)),
             (label + "-G4w", lambda gf=gf, s=spec: check_G4w(gf, s),
              lambda gf=gf, s=spec: reference_G4w(gf, s)),
-            (label + "-G5", lambda gf=gf, s=spec, a=(lo, hi, star, m0, k0):
-             check_G5(gf, (a[0], a[1]), a[2], s, m0=a[3], k0=a[4]),
+            (label + "-G5", lambda gf=declared, s=spec, a=(lo, hi, star):
+             check_G5(gf, (a[0], a[1]), a[2], s),
              lambda gf=gf, s=spec, a=(lo, hi, star, m0, k0):
              reference_G5(gf, (a[0], a[1]), a[2], s, a[3], a[4])),
         ]

@@ -12,11 +12,13 @@ from gjet.genfun import (
     PointSourcePlane,
     QuadraticOT,
     forward_YZ,
+    matrix_A_B_rows,
 )
 from gjet.madiag import (
     GridFunction,
+    _gradient,
+    _hessian,
     dual_residual,
-    ellipticity_check,
     ma_residual,
     make_separable_psi,
     manufactured_case,
@@ -226,6 +228,10 @@ def test_ma_residual_calls_psi_once_on_the_evaluated_nodes():
 # ellipticity
 # --------------------------------------------------------------------------
 
+def _zero(xs, us, ps):
+    return 0.0
+
+
 @pytest.mark.parametrize("maker", [
     lambda: QuadraticOT(2), lambda: ParallelBeam(2),
     lambda: PointSourcePlane(2, 0.0)], ids=["qot", "pb", "ps0"])
@@ -233,18 +239,18 @@ def test_ellipticity_zero_on_g_affine(maker):
     gf = maker()
     grid = box_grid(48)
     ufun, _psi = manufactured_case("g_affine", gf, grid)
-    field, admissible = ellipticity_check(gf, ufun)
-    assert admissible
-    assert np.nanmax(np.abs(field.values[field.mask])) <= 1e-10
+    res = ma_residual(gf, ufun, _zero)
+    assert res.ellipticity() != "not-elliptic"
+    assert np.nanmax(np.abs(res.min_eig[res.mask])) <= 1e-10
 
 
 def test_ellipticity_identity_eigenvalue_one():
     gf = QuadraticOT(2)
     grid = box_grid(48)
     ufun, _psi = manufactured_case("quadratic_ot_identity", gf, grid)
-    field, admissible = ellipticity_check(gf, ufun)
-    assert admissible
-    assert np.allclose(field.values[field.mask], 1.0)
+    res = ma_residual(gf, ufun, _zero)
+    assert res.ellipticity() != "not-elliptic"
+    assert np.allclose(res.min_eig[res.mask], 1.0)
 
 
 def _concave(grid):
@@ -255,9 +261,9 @@ def _concave(grid):
 def test_ellipticity_concave_case_fails():
     gf = QuadraticOT(2)
     grid = box_grid(48)
-    field, admissible = ellipticity_check(gf, _concave(grid))
-    assert not admissible
-    assert np.nanmin(field.values[field.mask]) == pytest.approx(-3.0)
+    res = ma_residual(gf, _concave(grid), _zero)
+    assert res.ellipticity() == "not-elliptic"
+    assert np.nanmin(res.min_eig[res.mask]) == pytest.approx(-3.0)
 
 
 def test_ellipticity_solved_piecewise_degenerate(pb2):
@@ -274,14 +280,14 @@ def test_ellipticity_solved_piecewise_degenerate(pb2):
     ufun = GridFunction(grid, vals.reshape(grid.res))
     # stencils across the kinks carry no information and are masked
     excl = interface_mask(grid, state.decomposition.assignment, widen=1)
-    field, admissible = ellipticity_check(pb2, ufun, exclude=excl)
-    assert admissible
-    assert field.masked_count == excl[1:-1, 1:-1].sum()
+    res = ma_residual(pb2, ufun, _zero, exclude=excl)
+    assert res.ellipticity() != "not-elliptic"
+    assert res.masked_count == excl[1:-1, 1:-1].sum()
     # away from the kinks every node sits on one exact graph
-    assert np.nanmax(np.abs(field.values[field.mask])) <= 1e-10
+    assert np.nanmax(np.abs(res.min_eig[res.mask])) <= 1e-10
     # the unmasked run reports the kink nodes as evaluated: noisy there
-    raw_field, _raw_adm = ellipticity_check(pb2, ufun)
-    assert raw_field.mask.sum() > field.mask.sum()
+    raw = ma_residual(pb2, ufun, _zero)
+    assert raw.mask.sum() > res.mask.sum()
 
 
 @pytest.mark.parametrize("case, exclude_all, verdict", [
@@ -293,20 +299,30 @@ def test_ellipticity_solved_piecewise_degenerate(pb2):
 def test_ma_residual_carries_the_ellipticity_field(case, exclude_all,
                                                    verdict):
     # one linearization gives the residual, the min-eig field of the same
-    # matrices and the verdict; ellipticity_check is its reduction
+    # matrices on the same nodes, and the verdict
     gf = QuadraticOT(2)
     grid = box_grid(24)
     ufun = _concave(grid) if case == "concave" \
         else manufactured_case(case, gf, grid)[0]
     exclude = np.ones(grid.res, dtype=bool) if exclude_all else None
-    res = ma_residual(gf, ufun, lambda xs, us, ps: 0.0, exclude=exclude)
-    field, admissible = ellipticity_check(gf, ufun, exclude=exclude)
+    res = ma_residual(gf, ufun, _zero, exclude=exclude)
     assert res.ellipticity() == verdict
-    assert admissible == (verdict != "not-elliptic")
-    assert np.array_equal(res.min_eig, field.values, equal_nan=True)
     assert np.array_equal(np.isnan(res.min_eig), ~res.mask)
-    assert (field.mask == res.mask).all()
-    assert field.masked_count == res.masked_count
+    assert np.array_equal(np.isnan(res.values), ~res.mask)
+    assert res.masked_count == (22 * 22 if exclude_all else 0)
+
+
+def test_ellipticity_needs_the_eigenvalue_field(qot2):
+    # only ma_residual fields carry min_eig: the other residuals' fields
+    # have no verdict, and say so
+    grid = box_grid(8)
+    ufun, _psi = manufactured_case("quadratic_ot_identity", qot2, grid)
+    fields = [pje_residual(qot2, ufun, lambda xs, us, ps: 1.0),
+              dual_residual(qot2, ufun)]
+    for field in fields:
+        assert field.min_eig is None
+        with pytest.raises(ValueError, match="only ma_residual fields"):
+            field.ellipticity()
 
 
 @pytest.mark.parametrize("exclude", [False, True], ids=["all", "exclude"])
@@ -327,14 +343,51 @@ def test_masked_count_is_the_nan_interior(pb2, exclude):
     excl = interface_mask(grid, np.argmax(vals, axis=0), widen=1) \
         if exclude else None
     psi = lambda xs, us, ps: np.zeros(len(xs))
-    fields = [ma_residual(pb2, ufun, psi, exclude=excl),
-              ellipticity_check(pb2, ufun, exclude=excl)[0]]
-    for field in fields:
-        nan = np.isnan(field.values[1:-1, 1:-1]).sum()
-        assert field.masked_count == nan
+    res = ma_residual(pb2, ufun, psi, exclude=excl)
+    for values in (res.values, res.min_eig):
+        nan = np.isnan(values[1:-1, 1:-1]).sum()
+        assert res.masked_count == nan
         assert nan > (excl[1:-1, 1:-1].sum() if exclude else 0)
     pje = pje_residual(pb2, ufun, psi)
     assert pje.masked_count == np.isnan(pje.values[2:-2, 2:-2]).sum() > 0
+
+
+def test_ma_residual_reads_B_from_matrix_A_B_rows(pb2):
+    # psi runs once, inside matrix_A_B_rows, on exactly the nodes that get
+    # a value; the residual is det(D^2 u - A) - B with that B, bit for bit
+    from gjet.gconvex import PiecewiseGSolution, interface_mask
+    from gjet.genfun import dual_H
+
+    grid = SourceGrid([0, 0], [1, 1], [16, 16])
+    ys = [[0.3, 0.4], [0.7, 0.6]]
+    zs = [dual_H(pb2, [0.5, 0.5], y, 0.75).z_root for y in ys]
+    vals = values_matrix(PiecewiseGSolution(pb2, ys, zs), grid)
+    u = vals.max(axis=0).reshape(grid.res)
+    u[:, :4] -= 2.0          # no forward solution there: psi must not see it
+    ufun = GridFunction(grid, u)
+    excl = interface_mask(grid, np.argmax(vals, axis=0), widen=1)
+    separable = make_separable_psi(pb2, f=lambda x: 1.0 + x[0],
+                                   g=lambda y: 2.0 + y[1])
+    calls = []
+
+    def recording(xs, us, ps):
+        calls.append((xs.copy(), us.copy(), ps.copy()))
+        return separable(xs, us, ps)
+
+    res = ma_residual(pb2, ufun, recording, exclude=excl)
+    node = res.mask.ravel()
+    assert 0 < node.sum() < (~excl[1:-1, 1:-1]).sum()
+    p = _gradient(u, grid.h).reshape(2, -1).T
+    assert len(calls) == 1
+    assert np.array_equal(calls[0][0], grid.centers[node])
+    assert np.array_equal(calls[0][1], u.ravel()[node])
+    assert np.array_equal(calls[0][2], p[node])
+    a, b = matrix_A_B_rows(pb2, grid.centers[node], u.ravel()[node], p[node],
+                           separable)[:2]
+    mats = _hessian(u, grid.h).reshape(2, 2, -1).transpose(2, 0, 1)[node] - a
+    assert np.array_equal(res.values.ravel()[node], np.linalg.det(mats) - b)
+    assert np.array_equal(res.min_eig.ravel()[node], np.linalg.eigvalsh(
+        0.5 * (mats + mats.transpose(0, 2, 1)))[:, 0])
 
 
 # --------------------------------------------------------------------------

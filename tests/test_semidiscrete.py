@@ -24,6 +24,7 @@ from gjet.gconvex import (
     SourceGrid,
     cell_masses,
     eval_piecewise,
+    interface_mask,
     values_matrix,
 )
 from gjet.genfun import PointSourcePlane, dual_H
@@ -36,6 +37,8 @@ from gjet.semidiscrete import (
     solve,
     validate_problem,
 )
+
+from conftest import declaring_g5
 
 
 def unit_problem(gf, targets, masses=None, res=48, u0=0.75, x0=None,
@@ -119,6 +122,18 @@ def test_validate_anchor_inadmissible(pb2):
         solve(prob)
 
 
+def test_validate_reads_the_declared_g5_bound(qot2):
+    # the anchor floor m0 + K0 dist(x0, boundary) comes from g5_bound: the
+    # quadratic's has no value floor (m0 = -inf), a declared one has
+    prob = unit_problem(qot2, [[0.3, 0.4], [0.7, 0.6]], u0=0.0)
+    assert validate_problem(prob) == []
+    prob = unit_problem(declaring_g5(qot2, 0.5, 1.0),
+                        [[0.3, 0.4], [0.7, 0.6]], u0=0.9)
+    diags = validate_problem(prob)
+    assert [d["kind"] for d in diags] == ["AnchorInadmissible"]
+    assert diags[0]["floor"] == 1.0
+
+
 def test_validate_infeasible_bracket(pb2):
     # far target with a low anchor: the anchored parameter exceeds the
     # grid-admissible cap (verified numerically for this geometry)
@@ -198,6 +213,9 @@ def test_partition_invariant_at_solution(pb2):
     state = solve(prob)
     assert state.decomposition.masses.sum() == \
         pytest.approx(prob.grid.total_mass, rel=1e-13)
+    # the cells with an axis neighbor owned by another piece
+    assert state.interface_cells == interface_mask(
+        prob.grid, state.decomposition.assignment).sum() > 0
 
 
 def test_duplicate_target_infeasible(pb2):
