@@ -71,6 +71,10 @@ FLAT = 1e-8         # cell-scaled normal components below FLAT times the
                     # largest one count as zero in a box fraction
 GATE = 4.0          # j's fraction against i counts in full once j holds
                     # 1 / GATE of the cell against every third piece
+FACE_TOL = 2.0 ** -50  # 4 ulps: a gap v_i - v_j and the half-width w of
+                    # its linearisation over a cell carry a few ulps of
+                    # |v_i| + |v_j| + 2 w; within FACE_TOL times that of each
+                    # other, the interface lies on a cell face
 
 
 class SourceGrid:
@@ -138,7 +142,7 @@ class CellDecomposition:
     masses: np.ndarray      # (pieces,) sub-cell masses (cell_split)
 
 
-def _box_fraction(b: np.ndarray, a: np.ndarray) -> tuple:
+def _box_fraction(b: np.ndarray, a: np.ndarray, mag: np.ndarray) -> tuple:
     """Share of a cell where b + a.s > 0, and its derivative in b.
 
     s is uniform on the centered box with unit edges and a (k, n) holds
@@ -148,13 +152,17 @@ def _box_fraction(b: np.ndarray, a: np.ndarray) -> tuple:
     inclusion-exclusion over the box vertices, and the density f(t) is
     the same sum with the power m - 1.  Components below FLAT times the
     largest are dropped, so axis-aligned interfaces are exact and nearly
-    aligned ones do not cancel.  Returns (phi, psi): the share and
-    d phi / d b; the share of -b, -a is 1 - phi.
+    aligned ones do not cancel.  An axis-aligned interface on a face (t
+    within FACE_TOL, mag the values' |v_i| + |v_j|) has a one-sided rate,
+    1 / alpha into the cell and 0 out of it: psi is half of it in each of
+    the two cells.  Returns (phi, psi): the share and d phi / d b; the
+    share of -b, -a is 1 - phi.
     """
     alpha = -np.sort(-np.abs(a), axis=1)
     alpha[alpha <= FLAT * alpha[:, :1]] = 0.0
     m_of = np.count_nonzero(alpha, axis=1)
     t = 0.5 * alpha.sum(axis=1) - np.abs(b)
+    face = (m_of == 1) & (np.abs(t) <= FACE_TOL * (mag + alpha[:, 0]))
     small = np.zeros(len(b))
     psi = np.zeros(len(b))
     for m in range(1, a.shape[1] + 1):
@@ -173,6 +181,7 @@ def _box_fraction(b: np.ndarray, a: np.ndarray) -> tuple:
         scale = np.prod(al, axis=1)
         small[rows] = vol / (math.factorial(m) * scale)
         psi[rows] = dens / (math.factorial(m - 1) * scale)
+    psi[face] = 0.5 / alpha[face, 0]
     phi = np.where(b > 0.0, 1.0 - small, np.where(b < 0.0, small, 0.5))
     return phi, psi
 
@@ -226,7 +235,9 @@ def _split_band(piece, val, grad, dz, is_owner, cm, n_p):
     rows = np.arange(len(piece))
     top = np.argmax(is_owner, axis=1)
     spread = 0.5 * np.abs(grad - grad[rows, top][:, None, :]).sum(axis=2)
-    live = val[rows, top][:, None] - val < spread
+    mag = np.abs(val)
+    live = val[rows, top][:, None] - val <= spread + FACE_TOL * (
+        mag[rows, top][:, None] + mag + 2.0 * spread)   # faces included
     live[rows, top] = True
 
     # pairwise fractions; fac_ij = 1 - (1 - phi_ij) gate_ij, where the
@@ -238,7 +249,8 @@ def _split_band(piece, val, grad, dz, is_owner, cm, n_p):
     psi = np.zeros(pair.shape)
     phi[pair], psi[pair] = _box_fraction(
         (val[:, :, None] - val[:, None, :])[pair],
-        (grad[:, :, None, :] - grad[:, None, :, :])[pair])
+        (grad[:, :, None, :] - grad[:, None, :, :])[pair],
+        (mag[:, :, None] + mag[:, None, :])[pair])
     low = np.argsort(phi, axis=2, kind="stable")[..., :2]  # per j: k, k'
     skip = low[:, None, :, 0] == slots[None, :, None]      # [c, i, j]: k == i
 

@@ -440,8 +440,11 @@ class QuadraticOT(GeneratingFunction):
         """|G_x| = |x - y| is convex in (x, y), so on omega x hull(omega_star)
         it peaks at a corner of omega and a point of omega_star; K0 is that
         peak with a relative margin of 1e-12, and no value floor m0."""
-        k0 = max(float(np.linalg.norm(c - y)) for c in _corners(*omega)
-                 for y in np.asarray(omega_star, dtype=float))
+        n = self.dimension
+        d = (_corners(*omega)[:, None, :] - np.asarray(
+            omega_star, dtype=float).reshape(1, -1, n)).reshape(-1, n)
+        # |d| as np.linalg.norm rounds it, sqrt of the dot product per row
+        k0 = float(np.sqrt(np.matmul(d[:, None, :], d[:, :, None])).max())
         return G5Constants(m0=-math.inf, k0=k0 * (1 + 1e-12))
 
 

@@ -94,47 +94,32 @@ class ResidualField:
 
 def _gradient(values: np.ndarray, h: np.ndarray) -> np.ndarray:
     """(n, res...) central-difference gradient (edges one-sided, unused)."""
-    if values.ndim == 1:
-        return np.gradient(values, *h)[None, :]
-    return np.stack(np.gradient(values, *h), axis=0)
-
-
-def _shifted(values: np.ndarray, shifts) -> np.ndarray:
-    """View of the margin-1 interior shifted by one node per axis."""
-    sl = []
-    for k, s in enumerate(shifts):
-        stop = values.shape[k] - 1 + s
-        sl.append(slice(1 + s, stop if stop != 0 else None))
-    return values[tuple(sl)]
+    return np.reshape(np.gradient(values, *h), (values.ndim,) + values.shape)
 
 
 def _hessian(values: np.ndarray, h: np.ndarray) -> np.ndarray:
     """(n, n, res...) second-order stencils on the margin-1 interior.
 
     Direct stencils, not composed gradients: composing first differences
-    drags the one-sided edge error one ring into the interior.
+    drags the one-sided edge error one ring into the interior.  A 2-node
+    axis has an empty interior.
     """
     n = values.ndim
     out = np.zeros((n, n) + values.shape)
     interior = tuple(slice(1, -1) for _ in range(n))
-    zero = (0,) * n
 
-    def unit(ax, s):
-        e = [0] * n
-        e[ax] = s
-        return tuple(e)
+    def at(*steps):     # the interior shifted by steps (axis, +-1)
+        sl = [slice(1, r - 1) for r in values.shape]
+        for ax, s in steps:
+            sl[ax] = slice(1 + s, values.shape[ax] - 1 + s)
+        return values[tuple(sl)]
 
     for i in range(n):
         out[(i, i) + interior] = (
-            _shifted(values, unit(i, 1)) - 2.0 * _shifted(values, zero)
-            + _shifted(values, unit(i, -1))) / h[i] ** 2
+            at((i, 1)) - 2.0 * at() + at((i, -1))) / h[i] ** 2
         for j in range(i + 1, n):
-            pp = tuple(a + b for a, b in zip(unit(i, 1), unit(j, 1)))
-            pm = tuple(a + b for a, b in zip(unit(i, 1), unit(j, -1)))
-            mp = tuple(a + b for a, b in zip(unit(i, -1), unit(j, 1)))
-            mm = tuple(a + b for a, b in zip(unit(i, -1), unit(j, -1)))
-            cross = (_shifted(values, pp) - _shifted(values, pm)
-                     - _shifted(values, mp) + _shifted(values, mm)) \
+            cross = (at((i, 1), (j, 1)) - at((i, 1), (j, -1))
+                     - at((i, -1), (j, 1)) + at((i, -1), (j, -1))) \
                 / (4.0 * h[i] * h[j])
             out[(i, j) + interior] = cross
             out[(j, i) + interior] = cross
@@ -161,38 +146,43 @@ def _field(grid: SourceGrid, margin: int, idx: np.ndarray,
     return ResidualField(grid, out.reshape(grid.res), mask, masked)
 
 
+def _assemble(fun: GridFunction, coeff_rows: Callable,
+              exclude: np.ndarray = None) -> tuple:
+    """(nodes, D^2 u - A, B) of an equation det[D^2 u - A] = B.
+
+    coeff_rows(xs, us, ps) -> (A (m, n, n), B (m,)) is called once on the
+    margin-1 interior nodes outside exclude, with the central gradient as
+    the slopes; the flat nodes whose B is not NaN are kept.
+    """
+    grid, u = fun.grid, fun.values
+    interior = _interior_mask(grid.res, 1)
+    if exclude is not None:
+        interior &= ~np.asarray(exclude, dtype=bool).reshape(grid.res)
+    rows = np.flatnonzero(interior)
+    p_flat = _gradient(u, grid.h).reshape(grid.n, -1).T
+    a, b = coeff_rows(grid.centers[rows], u.ravel()[rows], p_flat[rows])
+    has = ~np.isnan(b)
+    d2u = _hessian(u, grid.h).reshape(grid.n, grid.n, -1).transpose(2, 0, 1)
+    return rows[has], d2u[rows[has]] - a[has], b[has]
+
+
 def ma_residual(gf: GeneratingFunction, ufun: GridFunction,
                 psi: Callable, exclude: np.ndarray = None) -> ResidualField:
     """det[D^2 u - A(., u, Du)] - B(., u, Du) per interior node.
 
-    One matrix_A_B_rows call over the margin-1 interior nodes outside
-    exclude gives A and B = det E * psi; a node gets a value where its
-    forward map is admissible with G_z < 0.  The field's min_eig is the
-    min eigenvalue of the same matrices D^2 u - A, symmetrized (they are
-    symmetric up to finite-difference noise); its ellipticity() is the
-    verdict.  exclude masks nodes whose stencils are known to be
-    meaningless, e.g. kink neighborhoods of a piecewise input; they count
-    as masked.
+    A and B = det E * psi come from one matrix_A_B_rows call (_assemble);
+    a node gets a value where its forward map is admissible with G_z < 0.
+    min_eig is the min eigenvalue of D^2 u - A, symmetrized (it is so up
+    to finite-difference noise); ellipticity() is the verdict.  exclude
+    masks nodes whose stencils are known to be meaningless, e.g. kink
+    neighborhoods of a piecewise input; they count as masked.
     """
-    grid = ufun.grid
-    u = ufun.values
-    interior = _interior_mask(grid.res, 1)
-    if exclude is not None:
-        interior = interior & ~np.asarray(exclude, dtype=bool).reshape(grid.res)
-    rows = np.flatnonzero(interior)
-    p_flat = _gradient(u, grid.h).reshape(grid.n, -1).T
-    a, b = genfun.matrix_A_B_rows(gf, grid.centers[rows], u.ravel()[rows],
-                                  p_flat[rows], psi)[:2]
-    has = ~np.isnan(b)
-    idx = rows[has]
-    d2u = _hessian(u, grid.h).reshape(grid.n, grid.n, -1).transpose(2, 0, 1)
-    mats = d2u[idx] - a[has]
-    vals = eig = []
-    if len(idx):
-        vals = np.linalg.det(mats) - b[has]
-        eig = np.linalg.eigvalsh(0.5 * (mats + mats.transpose(0, 2, 1)))[:, 0]
-    return replace(_field(grid, 1, idx, vals),
-                   min_eig=_field(grid, 1, idx, eig).values)
+    idx, mats, b = _assemble(
+        ufun, lambda xs, us, ps: genfun.matrix_A_B_rows(gf, xs, us, ps, psi)[:2],
+        exclude)
+    eig = np.linalg.eigvalsh(0.5 * (mats + mats.transpose(0, 2, 1)))[:, 0]
+    return replace(_field(ufun.grid, 1, idx, np.linalg.det(mats) - b),
+                   min_eig=_field(ufun.grid, 1, idx, eig).values)
 
 
 def pje_residual(gf: GeneratingFunction, ufun: GridFunction,
@@ -229,28 +219,17 @@ def dual_residual(gf: GeneratingFunction, vfun: GridFunction,
                   f: Callable = None, g: Callable = None) -> ResidualField:
     """Residual of the dual equation for a function v on a target grid.
 
-    Per node: z = v(y), q = Dv(y); X solves the slope inversion; then
-    det[D^2 v - A*(y, z, q)] - B*(y, z, q) with the dual coefficients
-    assembled from exact derivatives at (X, y, z).  All interior nodes go
-    through one dual_Astar_Bstar_rows call, each started from the
-    instance's closed-form X.  Densities are pointwise callables, default
-    1; pass g = 0 for graphs of the dual function itself.  Nodes whose
-    slope inversion fails are masked.
+    Per node: z = v(y), q = Dv(y), X from the slope inversion, and then
+    det[D^2 v - A*(y, z, q)] - B*(y, z, q) with A* and B* from exact
+    derivatives at (X, y, z), in one dual_Astar_Bstar_rows call
+    (_assemble).  Densities are pointwise callables, default 1; pass g = 0
+    for graphs of the dual function itself.  Nodes without a B* (the slope
+    inversion fails, or a density gives NaN) are masked.
     """
-    grid = vfun.grid
-    v = vfun.values
-    dv = _gradient(v, grid.h)
-    d2v = _hessian(v, grid.h)
-    interior = _interior_mask(grid.res, 1)
-    idx = np.flatnonzero(interior.ravel())
-    q_flat = dv.reshape(grid.n, -1).T
-    d2_flat = d2v.reshape(grid.n, grid.n, -1).transpose(2, 0, 1)
-    astar, bstar, status, _rnorm = genfun.dual_Astar_Bstar_rows(
-        gf, grid.centers[idx], v.ravel()[idx], q_flat[idx], f=f, g=g)
-    good = status == genfun.RowStatus.OK
-    k = idx[good]
-    return _field(grid, 1, k,
-                  np.linalg.det(d2_flat[k] - astar[good]) - bstar[good])
+    idx, mats, bstar = _assemble(
+        vfun, lambda ys, zs, qs: genfun.dual_Astar_Bstar_rows(
+            gf, ys, zs, qs, f=f, g=g)[:2])
+    return _field(vfun.grid, 1, idx, np.linalg.det(mats) - bstar)
 
 
 def pointwise(fn: Callable) -> Callable:
@@ -305,7 +284,9 @@ def manufactured_case(name: str, gf: GeneratingFunction, grid: SourceGrid):
     the matching analytic right-hand side; the discrete residual decays at
     the central-difference rate under refinement.
     """
-    n = grid.n
+    if name not in MANUFACTURED_NAMES:
+        raise ValueError(f"unknown manufactured case {name!r}; "
+                         f"choose from {MANUFACTURED_NAMES}")
     if name == "g_affine":
         y0 = 0.5 * (grid.lo + grid.hi)
         lo, hi = grid_z_interval(gf, grid, y0)
@@ -315,22 +296,16 @@ def manufactured_case(name: str, gf: GeneratingFunction, grid: SourceGrid):
                               genfun._map_fraction(lo[0], hi[0], 0.5))
         return GridFunction(grid, vals.reshape(grid.res)), \
             (lambda xs, us, ps: np.zeros(len(xs)))
+    if gf.name != "quadratic_ot":
+        raise ValueError(f"case {name!r} requires the quadratic generator")
+    sign = (-1.0) ** grid.n
     if name == "quadratic_ot_identity":
-        if gf.name != "quadratic_ot":
-            raise ValueError(f"case {name!r} requires the quadratic generator")
-        sign = (-1.0) ** n
         vals = genfun._row_dot(grid.centers, grid.centers)
         return GridFunction(grid, vals.reshape(grid.res)), \
             (lambda xs, us, ps: np.full(len(xs), sign))
-    if name == "quadratic_ot_cosh":
-        if gf.name != "quadratic_ot":
-            raise ValueError(f"case {name!r} requires the quadratic generator")
-        sign = (-1.0) ** n
-        vals = 2.0 * np.cosh(grid.centers).sum(axis=1)
+    vals = 2.0 * np.cosh(grid.centers).sum(axis=1)
 
-        def psi(xs, us, ps):
-            return sign * np.prod(2.0 * np.cosh(np.asarray(xs)) - 1.0, axis=1)
+    def psi(xs, us, ps):
+        return sign * np.prod(2.0 * np.cosh(np.asarray(xs)) - 1.0, axis=1)
 
-        return GridFunction(grid, vals.reshape(grid.res)), psi
-    raise ValueError(f"unknown manufactured case {name!r}; "
-                     f"choose from {MANUFACTURED_NAMES}")
+    return GridFunction(grid, vals.reshape(grid.res)), psi

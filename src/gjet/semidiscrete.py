@@ -240,13 +240,14 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
     """Damped Newton on the sub-cell masses and the anchor.
 
     Raises NoConvergence with the best state attached when max_sweeps
-    Newton steps are used up, when the damping falls below TAU_MIN or
-    when threshold passes leave a target empty, and InfeasibleBracket on
-    a certificate: the threshold passes reach a fixed point while a
-    target stays empty and its Jacobian row is zero (it can gain no mass
-    by moving alone, as a duplicate target cannot).  A problem that
-    fails validate_problem raises its first diagnostic's exception, with
-    every diagnostic in its diagnostics attribute.
+    Newton steps are used up, when a Newton system is singular, when the
+    damping falls below TAU_MIN or when threshold passes leave a target
+    empty, and InfeasibleBracket on a certificate: the threshold passes
+    reach a fixed point while a target stays empty and its Jacobian row
+    is zero (it can gain no mass by moving alone, as a duplicate target
+    cannot).  A problem that fails validate_problem raises its first
+    diagnostic's exception, with every diagnostic in its diagnostics
+    attribute.
     """
     diags, z_anchor, z_lo, z_hi = _validate(prob)
     if diags:
@@ -329,10 +330,12 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
     for sweep in range(1, tol.max_sweeps + 1):
         lhs = pt.jac + scale * pt.anchor_grad[None, :]
         rhs = (pt.masses - g_fit) + scale * (pt.anchor - u0)
-        try:
-            step = np.linalg.solve(lhs, -rhs)
-        except np.linalg.LinAlgError:
-            step = np.full(n_pieces, np.nan)
+        step, singular = genfun._solve_rows(lhs[None], -rhs[None])
+        if singular is not None:
+            raise NoConvergence(
+                f"singular Newton system at step {sweep}; best residual "
+                f"{best[0]:.3e}", best=state(best[1], best[2]))
+        step = step[0]
         tau, now = 1.0, merit(pt)
         while True:
             z_try = pt.z + tau * step

@@ -23,6 +23,8 @@ from gjet.cli import (
 )
 from gjet.errors import ConfigError
 
+from conftest import cut_off_two_targets
+
 
 GRID16 = {"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}, "resolution": [16, 16]}
 
@@ -274,7 +276,9 @@ def test_solve_no_convergence_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("constant, value, message", [
     ("TAU_MIN", 1.0, "Newton damping fell below"),
     ("START_PASSES", 1, "threshold passes left 1 targets empty"),
-], ids=["damping", "empty-target"])
+    ("cell_split", cut_off_two_targets(gconvex.cell_split),
+     "singular Newton system at step 1"),
+], ids=["damping", "empty-target", "singular"])
 def test_solve_no_convergence_writes_the_best_state(tmp_path, capsys,
                                                     monkeypatch, constant,
                                                     value, message):
@@ -375,6 +379,21 @@ def test_residual_manufactured_identity_elliptic(tmp_path, capsys):
     rc = main(["residual", cfg, "--manufactured", "quadratic_ot_identity"])
     assert rc == EXIT_OK
     assert "ellipticity=elliptic" in capsys.readouterr().out
+
+
+def test_residual_on_a_two_node_axis_is_an_empty_field(tmp_path, capsys):
+    # a 2-node axis leaves no margin-1 interior: every node is NaN
+    cfg = write_config(
+        tmp_path, generator={"kind": "quadratic_ot", "params": {}},
+        source={"box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
+                "resolution": [2, 8]})
+    field = tmp_path / "field.csv"
+    assert main(["residual", cfg, "--manufactured", "quadratic_ot_identity",
+                 "--out", str(field)]) == EXIT_OK
+    assert capsys.readouterr().out == (
+        "residual: max_abs=nan ellipticity=not-elliptic masked=0\n")
+    rows = field.read_text().splitlines()
+    assert len(rows) == 17 and all(r.endswith(",nan,nan") for r in rows[1:])
 
 
 def test_residual_solution_degenerate(tmp_path, capsys):

@@ -379,6 +379,20 @@ def test_g5_bound_hooks():
         assert PointSourcePlane(n, -1.0).g5_bound(omega, star) is None
 
 
+def test_quadratic_g5_bound_rounds_as_the_norm_loop():
+    # the vectorised K0 equals, bit for bit, the loop of np.linalg.norm
+    # calls over corners and targets that the check reports printed
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        n = int(rng.integers(1, 4))
+        lo = rng.uniform(-2.0, 0.0, n)
+        omega = (lo, lo + rng.uniform(0.1, 3.0, n))
+        star = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 40)), n))
+        k0 = max(float(np.linalg.norm(np.array(c) - y))
+                 for c in itertools.product(*zip(*omega)) for y in star)
+        assert QuadraticOT(n).g5_bound(omega, star).k0 == k0 * (1 + 1e-12)
+
+
 # --------------------------------------------------------------------------
 # domain convexity
 # --------------------------------------------------------------------------

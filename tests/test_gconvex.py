@@ -10,6 +10,7 @@ from gjet.gconvex import (
     PiecewiseGSolution,
     SourceGrid,
     cell_masses,
+    cell_split,
     dual_transform,
     eval_piecewise,
     g_transform,
@@ -640,6 +641,45 @@ def test_validation_names_the_first_failing_piece(pb2, ps_neg):
     with pytest.raises(DomainViolation, match=r"^piece 0: some grid centers "
                        r"pair inadmissibly with its target$"):
         validate_pieces_on_grid(sol, grid)
+
+
+def face_aligned_quadratic(n, k):
+    """The quadratic instance with targets (j + 1/2) / k on the lattice
+    of [0, 1]^n and parameters whose interfaces are the planes x_a = j / k:
+    u = |x|^2 / 2 + max_i (w_i - x.y_i) with w separable, and w_j of the
+    1-D layout continuous at each plane."""
+    t = (np.arange(k) + 0.5) / k
+    w = np.zeros(k)
+    for j in range(k - 1):      # target j + 1 owns the cells left of target j
+        w[j + 1] = w[j] + (k - 1 - j) / k * (t[j + 1] - t[j])
+    idx = np.stack(np.meshgrid(*[np.arange(k)] * n, indexing="ij"),
+                   axis=-1).reshape(-1, n)
+    ys = t[idx]
+    zs = 0.5 * np.sum(ys ** 2, axis=1) - w[idx].sum(axis=1)
+    return PiecewiseGSolution(QuadraticOT(n), ys, zs)
+
+
+@pytest.mark.parametrize("n, k, res", [(1, 8, 960), (1, 8, 1000),
+                                       (1, 8, 1024), (2, 4, 64), (3, 2, 16)])
+def test_face_aligned_jacobian_has_rank_n_minus_1(n, k, res):
+    # every interface lies on cell faces; each face gives its one-sided
+    # rate, density x face measure / |G_x(y_i) - G_x(y_j)| x |G_z|, to the
+    # two pieces it separates (half from each of its cells), so jac has
+    # rank N - 1 as at any state where the cells connect all pieces
+    sol = face_aligned_quadratic(n, k)
+    grid = SourceGrid(np.zeros(n), np.ones(n), [res] * n)
+    _owner, masses, jac = cell_split(sol.gf, sol.ys, sol.zs, grid,
+                                     values_matrix(sol, grid))
+    big_n = len(sol.ys)
+    np.testing.assert_allclose(masses, grid.total_mass / big_n, rtol=1e-12)
+    assert np.linalg.matrix_rank(jac) == big_n - 1
+    gap = np.abs(sol.ys[:, None, :] - sol.ys[None, :, :])
+    neighbor = np.isclose(gap.sum(axis=2), 1.0 / k) \
+        & (np.count_nonzero(gap > 0.5 / k, axis=2) == 1)
+    rate = np.where(neighbor, (1.0 / k) ** (n - 1) * k, 0.0)
+    np.testing.assert_allclose(jac - np.diag(np.diag(jac)), rate,
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(jac.sum(axis=0), 0.0, atol=1e-12 * k ** n)
 
 
 def test_interface_cell_count(pb2):

@@ -11,6 +11,8 @@ from gjet.genfun import (
     ParallelBeam,
     PointSourcePlane,
     QuadraticOT,
+    RowStatus,
+    dual_Astar_Bstar_rows,
     forward_YZ,
     matrix_A_B_rows,
 )
@@ -390,6 +392,70 @@ def test_ma_residual_reads_B_from_matrix_A_B_rows(pb2):
         0.5 * (mats + mats.transpose(0, 2, 1)))[:, 0])
 
 
+def _hessian_by_shifts(values, h):
+    """The stencils built from shift tuples, as madiag did before one
+    slicing helper replaced them: the reference for _hessian on grids
+    whose axes all have at least three nodes."""
+
+    def _shifted(values, shifts):
+        sl = []
+        for k, s in enumerate(shifts):
+            stop = values.shape[k] - 1 + s
+            sl.append(slice(1 + s, stop if stop != 0 else None))
+        return values[tuple(sl)]
+
+    n = values.ndim
+    out = np.zeros((n, n) + values.shape)
+    interior = tuple(slice(1, -1) for _ in range(n))
+    zero = (0,) * n
+
+    def unit(ax, s):
+        e = [0] * n
+        e[ax] = s
+        return tuple(e)
+
+    for i in range(n):
+        out[(i, i) + interior] = (
+            _shifted(values, unit(i, 1)) - 2.0 * _shifted(values, zero)
+            + _shifted(values, unit(i, -1))) / h[i] ** 2
+        for j in range(i + 1, n):
+            pp = tuple(a + b for a, b in zip(unit(i, 1), unit(j, 1)))
+            pm = tuple(a + b for a, b in zip(unit(i, 1), unit(j, -1)))
+            mp = tuple(a + b for a, b in zip(unit(i, -1), unit(j, 1)))
+            mm = tuple(a + b for a, b in zip(unit(i, -1), unit(j, -1)))
+            cross = (_shifted(values, pp) - _shifted(values, pm)
+                     - _shifted(values, mp) + _shifted(values, mm)) \
+                / (4.0 * h[i] * h[j])
+            out[(i, j) + interior] = cross
+            out[(j, i) + interior] = cross
+    return out
+
+
+def test_hessian_equals_the_shift_tuple_stencils():
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        n = int(rng.integers(1, 4))
+        shape = tuple(int(r) for r in rng.integers(3, 9, size=n))
+        values = rng.normal(size=shape)
+        h = rng.uniform(0.01, 1.0, size=n)
+        assert np.array_equal(_hessian(values, h),
+                              _hessian_by_shifts(values, h))
+
+
+@pytest.mark.parametrize("res", [[2, 8], [8, 2], [2, 2]])
+def test_a_two_node_axis_gives_an_empty_field(qot2, res):
+    grid = SourceGrid([0.1, 0.1], [0.9, 0.9], res)
+    ufun = GridFunction(grid, np.sum(grid.centers ** 2, axis=1))
+    fields = [ma_residual(qot2, ufun, lambda xs, us, ps: 1.0),
+              pje_residual(qot2, ufun, lambda xs, us, ps: 1.0),
+              dual_residual(qot2, ufun)]
+    for res_field in fields:
+        assert not res_field.mask.any() and res_field.masked_count == 0
+        assert np.all(np.isnan(res_field.values))
+        assert math.isnan(res_field.max_abs())
+    assert fields[0].ellipticity() == "not-elliptic"
+
+
 # --------------------------------------------------------------------------
 # dual-equation residual
 # --------------------------------------------------------------------------
@@ -456,3 +522,38 @@ def test_dual_residual_from_forward_transform(qot2):
     res = dual_residual(qot2, vfun, f=f_density, g=lambda y: 1.0)
     h = float(np.max(tg.h))
     assert res.max_abs() <= 5.0 * h
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: ParallelBeam(2), lambda: PointSourcePlane(2, tau=-1.0)],
+    ids=["pb", "ps"])
+def test_dual_residual_masks_the_nodes_without_B_star(maker):
+    # slopes that leave the slope image on part of the grid: the masked
+    # nodes are those whose B* is NaN, for the built-ins the rows whose
+    # status is not OK
+    gf = maker()
+    grid = box_grid(12, lo=-0.4, hi=0.4)
+    c = grid.centers
+    vfun = GridFunction(grid, 0.8 + 2.0 * c[:, 0] ** 2 + 0.5 * c[:, 1])
+    res = dual_residual(gf, vfun)
+    nodes = np.flatnonzero(np.pad(np.ones((10, 10), dtype=bool), 1))
+    q = _gradient(vfun.values, grid.h).reshape(2, -1).T
+    _a, bstar, status, _r = dual_Astar_Bstar_rows(
+        gf, c[nodes], vfun.values.ravel()[nodes], q[nodes])
+    assert np.array_equal(np.isnan(bstar), status != RowStatus.OK)
+    assert 0 < np.isnan(bstar).sum() < len(nodes)
+    assert np.array_equal(np.flatnonzero(res.mask), nodes[~np.isnan(bstar)])
+    assert res.masked_count == int(np.isnan(bstar).sum())
+
+
+def test_dual_residual_masks_a_nan_density(qot2):
+    # the Legendre pair of test_dual_residual_legendre_pair with a target
+    # density that is NaN at one node: that node is masked, not NaN-valued
+    grid = box_grid(16)
+    vfun = GridFunction(grid, np.sum(grid.centers ** 2, axis=1))
+    k = 5 * 16 + 7
+    hole = grid.centers[k]
+    res = dual_residual(qot2, vfun, f=lambda x: 1.0,
+                        g=lambda y: math.nan if np.array_equal(y, hole) else 1.0)
+    assert not res.mask.ravel()[k] and res.masked_count == 1
+    assert res.max_abs() <= 1e-10

@@ -23,11 +23,12 @@ from gjet.gconvex import (
     PiecewiseGSolution,
     SourceGrid,
     cell_masses,
+    cell_split,
     eval_piecewise,
     interface_mask,
     values_matrix,
 )
-from gjet.genfun import PointSourcePlane, dual_H
+from gjet.genfun import PointSourcePlane, QuadraticOT, dual_H
 from gjet.semidiscrete import (
     SemiDiscreteProblem,
     SolverTolerances,
@@ -38,7 +39,7 @@ from gjet.semidiscrete import (
     validate_problem,
 )
 
-from conftest import declaring_g5
+from conftest import cut_off_two_targets, declaring_g5
 
 
 def unit_problem(gf, targets, masses=None, res=48, u0=0.75, x0=None,
@@ -277,7 +278,9 @@ SIXTEEN_TARGETS = np.random.default_rng(2).uniform(0.0, 1.0, (16, 2))
 @pytest.mark.parametrize("constant, value, message", [
     ("TAU_MIN", 1.0, "Newton damping fell below 1.0e+00 at step 1; "),
     ("START_PASSES", 1, "threshold passes left 1 targets empty"),
-], ids=["damping", "empty-target"])
+    ("cell_split", cut_off_two_targets(cell_split),
+     "singular Newton system at step 1; best residual "),
+], ids=["damping", "empty-target", "singular"])
 def test_no_convergence_routes_carry_the_best_state(pb2, monkeypatch,
                                                     constant, value, message):
     import gjet.semidiscrete as sd
@@ -295,6 +298,27 @@ def test_no_convergence_routes_carry_the_best_state(pb2, monkeypatch,
     # without the limit the same problem solves
     monkeypatch.undo()
     assert solve(prob).residual <= prob.tolerances.mass_tol_rel
+
+
+# interfaces on cell faces: equal masses on layouts the grid divides
+# evenly, with the anchor on an interface (x0 = 1/2); every size solves
+@pytest.mark.parametrize("cells", range(960, 1089, 16))
+def test_face_aligned_1d_layout_solves(cells):
+    grid = SourceGrid([0.0], [1.0], [cells])
+    prob = SemiDiscreteProblem(QuadraticOT(1), grid,
+                               np.linspace(0.1, 0.9, 8)[:, None],
+                               np.full(8, 1.0 / 8), ([0.5], 0.0))
+    assert solve(prob).residual <= prob.tolerances.mass_tol_rel
+
+
+@pytest.mark.parametrize("res", [32, 48, 64, 96, 128, 256])
+def test_face_aligned_quadratic_lattice_solves(res):
+    pts = [((i + 0.5) / 4, (j + 0.5) / 4) for i in range(4) for j in range(4)]
+    prob = unit_problem(QuadraticOT(2), pts, res=res, u0=0.0,
+                        x0=[0.5, 0.5])
+    state = solve(prob)
+    assert state.residual <= prob.tolerances.mass_tol_rel
+    assert abs(state.anchor_value) <= prob.tolerances.anchor_tolerance(0.0)
 
 
 def test_solve_other_generators():
