@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import genfun
-from .errors import DomainViolation, GjetError, UnsupportedGeometry
+from .errors import DomainViolation, UnsupportedGeometry
 from .genfun import (
     TENSOR_STEP,
     ConditionReport,
@@ -160,33 +160,17 @@ def _unit(v):
 
 
 def orthonormal_pairs(rng, n: int, count: int):
-    """count rows of orthonormal_pair as (count, n) arrays xi and eta, from
-    the same draws and leaving the generator in the same state."""
+    """count rows of orthonormal_pair as (count, n) arrays xi and eta: the
+    Q factors of the n x 2 draw matrices, signed so that R's diagonal is
+    not negative.  xi follows the first draw and eta the part of the
+    second orthogonal to it; Q is orthonormal even where that part is 0."""
     draws = rng.standard_normal((count, 2 if n > 1 else 1, n))
     if n == 1:
         # no orthogonal direction exists in 1-d; degenerate pairs
         return _unit(draws[:, 0]), np.zeros((count, 1))
-    redrawn = []
-    while True:
-        xi = _unit(draws[:, 0])
-        eta = draws[:, 1] - _dots(draws[:, 1], xi)[:, None] * xi
-        nrm = np.sqrt(_dots(eta, eta))
-        short = np.flatnonzero(nrm < 1e-6)
-        if not len(short):
-            break
-        # pair k draws eta again, and every later draw moves on by one row
-        k = short[0]
-        redrawn.append(k)
-        if redrawn.count(k) == 64:
-            raise GjetError("failed to draw an orthogonal pair")
-        draws = np.concatenate([np.delete(draws.reshape(-1, n), 2 * k + 1, 0),
-                                rng.standard_normal((1, n))]).reshape(count, 2, n)
-    eta = eta / nrm[:, None]
-    # mtw_tensor renormalizes both before its test: rounding along xi left
-    # by a large cancelled component goes when the unit eta is projected again
-    far = np.abs(_dots(_unit(xi), _unit(eta))) > ORTHO_TOL
-    eta[far] = _unit(eta[far] - _dots(eta[far], xi[far])[:, None] * xi[far])
-    return xi, eta
+    q, r = np.linalg.qr(draws.transpose(0, 2, 1))
+    q = q * np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)[:, None, :]
+    return q[:, :, 0], q[:, :, 1]
 
 
 def orthonormal_pair(rng, n: int):
@@ -284,11 +268,11 @@ def check_injectivity(gf: GeneratingFunction, direction: str,
 
 
 def _find_collision(inputs, outputs):
+    """The first pair i < j (row-major) whose outputs meet and inputs do not."""
     d_out = np.linalg.norm(outputs[:, None, :] - outputs[None, :, :], axis=-1)
-    d_in = np.linalg.norm(inputs[:, None, :] - inputs[None, :, :], axis=-1)
-    bad = (d_out < COLLISION_TOL) & (d_in > INPUT_TOL)
-    idx = np.argwhere(np.triu(bad, k=1))
-    return (int(idx[0, 0]), int(idx[0, 1])) if len(idx) else None
+    i, j = np.argwhere(np.triu(d_out < COLLISION_TOL, k=1)).T
+    far = np.flatnonzero(np.linalg.norm(inputs[i] - inputs[j], axis=-1) > INPUT_TOL)
+    return (int(i[far[0]]), int(j[far[0]])) if len(far) else None
 
 
 # --------------------------------------------------------------------------

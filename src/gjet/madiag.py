@@ -81,12 +81,14 @@ class ResidualField:
         return float(np.nanmax(np.abs(self.values[self.mask])))
 
     def ellipticity(self) -> str:
-        """The verdict on min_eig (see ELLIP_TOL); "not-elliptic" where
+        """The verdict on min_eig (see ELLIP_TOL); "inconclusive" where
         no node was evaluated.  Only ma_residual fields carry min_eig."""
         if self.min_eig is None:
             raise ValueError("no eigenvalues: only ma_residual fields carry "
                              "an ellipticity verdict")
-        low = np.nanmin(self.min_eig[self.mask]) if self.mask.any() else -math.inf
+        if not self.mask.any():
+            return "inconclusive"
+        low = np.nanmin(self.min_eig[self.mask])
         if low < -ELLIP_TOL:
             return "not-elliptic"
         return "degenerate-elliptic" if low < ELLIP_TOL else "elliptic"

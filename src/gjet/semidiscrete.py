@@ -330,12 +330,8 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
     for sweep in range(1, tol.max_sweeps + 1):
         lhs = pt.jac + scale * pt.anchor_grad[None, :]
         rhs = (pt.masses - g_fit) + scale * (pt.anchor - u0)
-        step, singular = genfun._solve_rows(lhs[None], -rhs[None])
-        if singular is not None:
-            raise NoConvergence(
-                f"singular Newton system at step {sweep}; best residual "
-                f"{best[0]:.3e}", best=state(best[1], best[2]))
-        step = step[0]
+        # a step NaN where LAPACK meets a zero pivot
+        step = genfun._solve_rows(lhs[None], -rhs[None])[0][0]
         tau, now = 1.0, merit(pt)
         while True:
             z_try = pt.z + tau * step
@@ -346,9 +342,12 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
                     break
             tau *= 0.5
             if tau < TAU_MIN:
+                # LAPACK may factor a rank-deficient system without a
+                # zero pivot; the SVD names it, on this failure path only
+                what = "singular Newton system" if np.linalg.matrix_rank(lhs) \
+                    < len(lhs) else f"Newton damping fell below {TAU_MIN:.1e}"
                 raise NoConvergence(
-                    f"Newton damping fell below {TAU_MIN:.1e} at step "
-                    f"{sweep}; best residual {best[0]:.3e}",
+                    f"{what} at step {sweep}; best residual {best[0]:.3e}",
                     best=state(best[1], best[2]))
         pt = trial
         history.append(residual_of(pt))

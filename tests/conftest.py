@@ -83,16 +83,20 @@ def declaring_g5(gf, m0, k0):
     return out
 
 
-def cut_off_two_targets(cell_split):
+def cut_off_two_targets(cell_split, columns=True):
     """cell_split with the rows and columns of the first two targets of
     its jac zeroed, as a face-aligned interface used to zero them: at
     most one of the two moves the anchor value, so the anchored Newton
-    system has a zero column and is singular."""
+    system has a zero column and is singular.  With columns=False only
+    the rows are zeroed: the system is still rank-deficient, but LAPACK
+    meets no zero pivot in it."""
 
     def split(*args):
         owner, masses, jac = cell_split(*args)
         jac = jac.copy()
-        jac[:2] = jac[:, :2] = 0.0
+        jac[:2] = 0.0
+        if columns:
+            jac[:, :2] = 0.0
         return owner, masses, jac
 
     return split

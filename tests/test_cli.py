@@ -391,7 +391,7 @@ def test_residual_on_a_two_node_axis_is_an_empty_field(tmp_path, capsys):
     assert main(["residual", cfg, "--manufactured", "quadratic_ot_identity",
                  "--out", str(field)]) == EXIT_OK
     assert capsys.readouterr().out == (
-        "residual: max_abs=nan ellipticity=not-elliptic masked=0\n")
+        "residual: max_abs=nan ellipticity=inconclusive masked=0\n")
     rows = field.read_text().splitlines()
     assert len(rows) == 17 and all(r.endswith(",nan,nan") for r in rows[1:])
 

@@ -780,6 +780,58 @@ def oracle_cases():
     return cases
 
 
+class LatticeSlopes(genfun.GeneratingFunction):
+    """Toy kernel for G1 and G1*: where x_2 < 1/2 the slopes G_x and G_y
+    round to a 1/4 lattice, so rows there collide; where x_1 > 0.7, E
+    vanishes, so the Jacobians there are degenerate."""
+
+    name = "lattice_slopes"
+
+    def __init__(self):
+        super().__init__(2)
+
+    def z_interval_batch(self, xs, y):
+        m = len(np.atleast_2d(xs))
+        return np.full(m, -1.0), np.full(m, 1.0)
+
+    def _raw_batch(self, xs, ys, zs):
+        m, n = xs.shape
+        fold = (xs[:, 1] < 0.5)[:, None]
+        grad_x = np.where(fold, np.floor(4.0 * ys) / 4.0, ys)
+        grad_y = np.where(fold, np.floor(4.0 * xs) / 4.0, xs)
+        e = np.where(xs[:, 0] > 0.7, 0.0, 1.0)[:, None, None] * np.eye(n)
+        zero_v, zero_m = np.zeros((m, n)), np.zeros((m, n, n))
+        return genfun.BatchBundle(
+            value=np.sum(xs * grad_x, axis=1) - zs, grad_x=grad_x,
+            grad_y=grad_y, dz=np.full(m, -1.0), hess_xx=zero_m, hess_xy=e,
+            hess_yy=zero_m, grad_xz=zero_v, grad_yz=zero_v, dzz=np.zeros(m))
+
+
+def test_injectivity_equals_the_all_pairs_collision_search(monkeypatch):
+    # _find_collision measures input distances only where outputs meet;
+    # the reports must be those of the all-pairs search, bit for bit
+    toy = LatticeSlopes()
+    cases = [(gf, spec_for(gf, count=20, seed=seed))
+             for gf in ORACLE_INSTANCES for seed in (1, 2)]
+    # at seed 1 a base before the primal degenerate row's collides, and the
+    # rule skips it; at seed 3 the last base collides
+    cases += [(toy, SampleSpec(count=40, seed=seed, x_lo=(0.0, 0.0),
+                               x_hi=(1.0, 1.0), y_lo=(0.0, 0.0), y_hi=(1.0, 1.0)))
+              for seed in (1, 3)]
+    cases.append((ConstantInY(2), spec_for(QuadraticOT(2), count=20, seed=5)))
+    kinds = []
+    for gf, spec in cases:
+        for direction in ("primal", "dual"):
+            got = check_injectivity(gf, direction, spec).to_jsonable()
+            with monkeypatch.context() as m:
+                m.setattr(C, "_find_collision", reference_find_collision)
+                want = check_injectivity(gf, direction, spec).to_jsonable()
+            assert got == want, (gf.name, gf.dimension, direction, spec.seed)
+            if gf is toy:
+                kinds.append((got["witness"] or {}).get("kind"))
+    assert kinds == ["degenerate_jacobian", "collision", "collision", "collision"]
+
+
 def test_row_checks_repeat_the_per_sample_loops():
     # every sampled check evaluates all its rows at once; the report must
     # be the per-sample loop's, byte for byte, witnesses included
@@ -792,28 +844,15 @@ def test_row_checks_repeat_the_per_sample_loops():
     assert ("sparse", "inconclusive") in statuses
 
 
-def reference_orthonormal_pair(rng, n, reprojected=None):
-    """One (xi, eta) draw in turn: the per-pair loop orthonormal_pairs
-    replaced.  A pair that takes the ORTHO_TOL re-projection appends to
-    reprojected."""
-    xi = rng.standard_normal(n)
-    xi /= np.linalg.norm(xi)
+def reference_orthonormal_pair(rng, n):
+    """One (xi, eta) draw in turn: one QR of the n x 2 draw matrix, each Q
+    column signed as R's diagonal entry (zero counting as +)."""
     if n == 1:
-        return xi, np.zeros(1)
-    for _ in range(64):
-        eta = rng.standard_normal(n)
-        eta -= (eta @ xi) * xi
-        nrm = np.linalg.norm(eta)
-        if nrm >= 1e-6:
-            eta = eta / nrm
-            unit_xi = xi / np.linalg.norm(xi)
-            if abs(float(unit_xi @ (eta / np.linalg.norm(eta)))) > C.ORTHO_TOL:
-                if reprojected is not None:
-                    reprojected.append(len(reprojected))
-                eta -= (eta @ xi) * xi
-                eta /= np.linalg.norm(eta)
-            return xi, eta
-    raise GjetError("failed to draw an orthogonal pair")
+        xi = rng.standard_normal(n)
+        return xi / np.linalg.norm(xi), np.zeros(1)
+    q, r = np.linalg.qr(rng.standard_normal((2, n)).T)
+    q = q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    return q[:, 0], q[:, 1]
 
 
 def assert_same_pairs(got, pairs, n):
@@ -822,8 +861,14 @@ def assert_same_pairs(got, pairs, n):
         assert got[i].tobytes() == np.reshape([p[i] for p in pairs], (-1, n)).tobytes()
 
 
-# the check seed that made the old check_defect workload fail; its G3
-# draws (seed + 1) take the ORTHO_TOL re-projection at n = 2
+def assert_orthonormal(xi, eta, tol=4 * np.finfo(float).eps):
+    assert np.max(np.abs(np.sum(xi * eta, axis=1))) <= tol
+    for v in (xi, eta):
+        assert np.max(np.abs(np.linalg.norm(v, axis=1) - 1.0)) <= tol
+
+
+# the check seed that made the old check_defect workload fail: its G3
+# draws (seed + 1) took the old Gram-Schmidt re-projection at n = 2
 DEFECT_G3_SEED = 641987627 + 1
 
 
@@ -832,16 +877,14 @@ DEFECT_G3_SEED = 641987627 + 1
 def test_orthonormal_pairs_repeat_the_per_pair_draws(seed, n):
     count = 1000
     rngs = [np.random.default_rng(seed) for _ in range(3)]
-    reprojected = []
-    loop = [reference_orthonormal_pair(rngs[0], n, reprojected) for _ in range(count)]
+    loop = [reference_orthonormal_pair(rngs[0], n) for _ in range(count)]
     rows = [C.orthonormal_pair(rngs[1], n) for _ in range(count)]
     got = C.orthonormal_pairs(rngs[2], n, count)
     assert_same_pairs(got, loop, n)
     assert_same_pairs(got, rows, n)
+    # exactly 2 n count normals (n count in 1-d) were drawn by each
     assert rngs[0].bit_generator.state == rngs[1].bit_generator.state \
         == rngs[2].bit_generator.state
-    if seed == DEFECT_G3_SEED and n == 2:
-        assert reprojected
 
 
 class FixedNormals:
@@ -860,24 +903,37 @@ class FixedNormals:
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_orthonormal_pairs_redraw_a_short_eta_in_draw_order(n):
-    # an eta drawn parallel to xi leaves |eta_perp| < 1e-6: that pair
-    # draws eta again, and every later pair's draws move on
-    rows = np.random.default_rng(3).standard_normal((30, n))
-    rows[1], rows[2] = 2.0 * rows[0], -0.5 * rows[0]   # pair 0: twice
-    rows[5] = 3.0 * rows[4]                            # pair 1
-    rows[26] = 1.5 * rows[25]                          # pair 11, the last
+def test_orthonormal_pairs_take_parallel_draws_as_they_come(n):
+    # a second draw parallel to the first (or zero) leaves no part
+    # orthogonal to it; the pair is still unit and orthogonal, and no
+    # normal is drawn again
+    rows = np.random.default_rng(3).standard_normal((24, n))
+    rows[1] = 2.0 * rows[0]      # pair 0
+    rows[3] = -0.5 * rows[2]     # pair 1
+    rows[11] = 0.0               # pair 5
+    rows[23] = 1.5 * rows[22]    # pair 11, the last
     count = 12
     loop_rng, rows_rng, batch_rng = (FixedNormals(rows.ravel()) for _ in range(3))
     loop = [reference_orthonormal_pair(loop_rng, n) for _ in range(count)]
     ones = [C.orthonormal_pair(rows_rng, n) for _ in range(count)]
     got = C.orthonormal_pairs(batch_rng, n, count)
-    assert loop_rng.used == 28 * n    # 2 rows per pair and 4 redraws
-    assert rows_rng.used == batch_rng.used == loop_rng.used
+    assert loop_rng.used == rows_rng.used == batch_rng.used == 2 * n * count
     assert_same_pairs(got, loop, n)
     assert_same_pairs(got, ones, n)
-    # 64 short draws in a row give up, as the loop does
-    for draw in (lambda r: reference_orthonormal_pair(r, 2),
-                 lambda r: C.orthonormal_pairs(r, 2, 3)):
-        with pytest.raises(GjetError, match="orthogonal pair"):
-            draw(FixedNormals([1.0, 0.0] * 200))
+    assert_orthonormal(*got)
+    # xi still follows the first draw
+    first = rows[0::2] / np.linalg.norm(rows[0::2], axis=1)[:, None]
+    assert np.max(np.abs(got[0] - first)) <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_orthonormal_pairs_follow_the_draws_to_rounding(n):
+    # xi is the unit first draw and eta the unit part of the second draw
+    # orthogonal to it, to a few ulps, over many pairs
+    count = 100_000
+    draws = np.random.default_rng(11).standard_normal((count, 2, n))
+    xi, eta = C.orthonormal_pairs(np.random.default_rng(11), n, count)
+    assert_orthonormal(xi, eta)
+    first = draws[:, 0] / np.linalg.norm(draws[:, 0], axis=1)[:, None]
+    assert np.max(np.abs(xi - first)) <= 4 * np.finfo(float).eps
+    assert np.all(np.sum(eta * draws[:, 1], axis=1) > 0.0)

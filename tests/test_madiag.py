@@ -296,7 +296,7 @@ def test_ellipticity_solved_piecewise_degenerate(pb2):
     ("g_affine", False, "degenerate-elliptic"),
     ("quadratic_ot_identity", False, "elliptic"),
     ("concave", False, "not-elliptic"),
-    ("quadratic_ot_identity", True, "not-elliptic"),
+    ("quadratic_ot_identity", True, "inconclusive"),
 ], ids=["g_affine", "identity", "concave", "nothing-evaluated"])
 def test_ma_residual_carries_the_ellipticity_field(case, exclude_all,
                                                    verdict):
@@ -453,7 +453,7 @@ def test_a_two_node_axis_gives_an_empty_field(qot2, res):
         assert not res_field.mask.any() and res_field.masked_count == 0
         assert np.all(np.isnan(res_field.values))
         assert math.isnan(res_field.max_abs())
-    assert fields[0].ellipticity() == "not-elliptic"
+    assert fields[0].ellipticity() == "inconclusive"
 
 
 # --------------------------------------------------------------------------

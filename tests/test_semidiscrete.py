@@ -280,7 +280,9 @@ SIXTEEN_TARGETS = np.random.default_rng(2).uniform(0.0, 1.0, (16, 2))
     ("START_PASSES", 1, "threshold passes left 1 targets empty"),
     ("cell_split", cut_off_two_targets(cell_split),
      "singular Newton system at step 1; best residual "),
-], ids=["damping", "empty-target", "singular"])
+    ("cell_split", cut_off_two_targets(cell_split, columns=False),
+     "singular Newton system at step 1; best residual "),
+], ids=["damping", "empty-target", "singular", "rank-deficient"])
 def test_no_convergence_routes_carry_the_best_state(pb2, monkeypatch,
                                                     constant, value, message):
     import gjet.semidiscrete as sd
