@@ -259,8 +259,12 @@ def _fmt(v: float) -> str:
     return "%.17g" % float(v)
 
 
-def _write_json(path: str, obj: dict) -> None:
-    text = json.dumps(genfun.jsonable(obj), sort_keys=True, indent=2,
+def _write_doc(path: str, kind: str, cfg: dict, base: str, **fields) -> None:
+    """The JSON document at path: schema_version, kind, the config as the
+    file at path records it, and fields, with sorted keys."""
+    doc = {"schema_version": SCHEMA_VERSION, "kind": kind,
+           "config": _config_at(cfg, base, path), **fields}
+    text = json.dumps(genfun.jsonable(doc), sort_keys=True, indent=2,
                       allow_nan=False)
     with open(path, "w", newline="\n") as fh:
         fh.write(text + "\n")
@@ -369,14 +373,8 @@ def cmd_check(args) -> int:
         reports["G5"] = conditions.check_G5(gf, box, star, spec)
     overall = "pass" if all(r.status != "fail" for r in reports.values()) \
         else "fail"
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "condition_report",
-        "config": _config_at(cfg, base, args.out),
-        "results": {k: r.to_jsonable() for k, r in reports.items()},
-        "overall": overall,
-    }
-    _write_json(args.out, payload)
+    _write_doc(args.out, "condition_report", cfg, base, overall=overall,
+               results={k: r.to_jsonable() for k, r in reports.items()})
     print(f"conditions: {overall} "
           f"({', '.join(k + '=' + r.status for k, r in reports.items())})")
     return EXIT_OK if overall == "pass" else EXIT_CONDITION_FAIL
@@ -411,19 +409,11 @@ def cmd_solve(args) -> int:
 
 
 def _write_state(path, cfg, base, state, converged):
-    _write_json(path, {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "solution",
-        "config": _config_at(cfg, base, path),
-        "converged": converged,
-        "z": state.z,
-        "masses": state.decomposition.masses,
-        "residual": state.residual,
-        "anchor_value": state.anchor_value,
-        "sweeps": state.sweeps,
-        "interface_cells": state.interface_cells,
-        "residual_history": list(state.residual_history),
-    })
+    _write_doc(path, "solution", cfg, base, converged=converged, z=state.z,
+               masses=state.decomposition.masses, residual=state.residual,
+               anchor_value=state.anchor_value, sweeps=state.sweeps,
+               interface_cells=state.interface_cells,
+               residual_history=list(state.residual_history))
 
 
 def _state_from_file(path, config=None, config_base="."):
@@ -464,13 +454,8 @@ def cmd_transform(args) -> int:
     v = gconvex.g_transform(sol, sol.ys, grid, u_grid=u)
     vstar = gconvex.dual_transform(sol.gf, sol.ys, v, grid)
     err = float(np.max(np.abs(vstar.ravel() - u)))
-    _write_json(args.out, {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "dual_transform",
-        "config": _config_at(cfg, base, args.out),
-        "v": v,
-        "involution_error": err,
-    })
+    _write_doc(args.out, "dual_transform", cfg, base, v=v,
+               involution_error=err)
     print(f"transform: involution_error={_fmt(err)}")
     return EXIT_OK
 

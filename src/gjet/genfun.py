@@ -97,7 +97,9 @@ class BatchBundle:
     x-side blocks because the dual linearization A* needs exact y,y second
     derivatives.  GeneratingFunction.bundle returns row 0 of a one-row
     bundle: scalars for value, dz and dzz, and the arrays without their
-    leading axis.
+    leading axis.  A bundle is a read-only value: its fields may be
+    broadcast views and share memory (the quadratic's hess_xx is its
+    hess_yy), and readers build new arrays instead of writing into them.
     """
 
     value: np.ndarray      # (m,)
@@ -239,10 +241,6 @@ def _row_dot(a, b, diff: bool = False) -> np.ndarray:
     for k in (2, 1) if a.shape[1] == 3 else range(1, a.shape[1]):
         s += column(k)
     return s
-
-
-def _eye_batch(m: int, n: int) -> np.ndarray:
-    return np.broadcast_to(np.eye(n), (m, n, n)).copy()
 
 
 def _corners(lo, hi) -> np.ndarray:
@@ -410,18 +408,18 @@ class QuadraticOT(GeneratingFunction):
     def _raw_batch(self, xs, ys, zs):
         m, n = xs.shape
         d = xs - ys
-        eye = _eye_batch(m, n)
-        zero_v = np.zeros((m, n))
+        eye = np.broadcast_to(np.eye(n), (m, n, n))
+        zero = np.zeros((m, n))
         return BatchBundle(
             value=self._piece_values(xs, ys)(zs),
             grad_x=d,
             grad_y=-d,
             dz=np.full(m, -1.0),
             hess_xx=eye,
-            hess_xy=-eye.copy(),
-            hess_yy=eye.copy(),
-            grad_xz=zero_v,
-            grad_yz=zero_v.copy(),
+            hess_xy=-eye,
+            hess_yy=eye,
+            grad_xz=zero,
+            grad_yz=zero,
             dzz=np.zeros(m),
         )
 
@@ -486,21 +484,20 @@ class ParallelBeam(GeneratingFunction):
         return lambda z: 0.5 / z - 0.5 * z * r2
 
     def _raw_batch(self, xs, ys, zs):
-        m, n = xs.shape
         w = xs - ys
         r2 = _row_dot(w, w)
         z = zs
-        eye = _eye_batch(m, n)
+        hess_xx = -z[:, None, None] * np.eye(xs.shape[1])
         return BatchBundle(
             value=self._piece_values(xs, ys, r2)(z),
             grad_x=-z[:, None] * w,
             grad_y=z[:, None] * w,
             dz=-0.5 * (z ** -2 + r2),
-            hess_xx=-z[:, None, None] * eye,
-            hess_xy=z[:, None, None] * eye.copy(),
-            hess_yy=-z[:, None, None] * eye.copy(),
+            hess_xx=hess_xx,
+            hess_xy=-hess_xx,
+            hess_yy=hess_xx,
             grad_xz=-w,
-            grad_yz=w.copy(),
+            grad_yz=w,
             dzz=z ** -3,
         )
 
@@ -519,12 +516,17 @@ class ParallelBeam(GeneratingFunction):
 
     def _x_of(self, ys, zs, qs):
         # q = 2 z^3 w / (1 + t^2), t = z |w| < 1: qh = q / z^2 has norm
-        # rho = 2t / (1 + t^2), so w = qh / (z (1 + sqrt(1 - rho^2)))
+        # rho = 2t / (1 + t^2), so w = qh / (z (1 + sqrt(1 - rho^2))).  rho
+        # rounds by up to (n + 6)/4 eps relative, so the flag admits the
+        # image's rounded edge, rho <= 1 + 4 eps, and takes min(rho, 1); t
+        # is capped at 1 - 4 eps, inside I (a factor of exactly 1 if rho < 1)
+        edge = 4.0 * np.finfo(float).eps
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             qh = qs / (zs * zs)[:, None]
             rho = np.sqrt(_row_dot(qh, qh))
-            xs = ys + qh / (zs * (1.0 + np.sqrt(1.0 - rho * rho)))[:, None]
-        return xs, rho <= 1.0
+            w = qh / (zs * (1.0 + np.sqrt(1.0 - np.minimum(rho, 1.0) ** 2)))[:, None]
+            cap = np.fmin(1.0, (1.0 - edge) / (zs * np.sqrt(_row_dot(w, w))))
+            return ys + cap[:, None] * w, rho <= 1.0 + edge
 
 
 # --------------------------------------------------------------------------
@@ -589,7 +591,6 @@ class PointSourcePlane(GeneratingFunction):
         return lambda z: (np.sqrt(z + y2 + tt) - xy - wt) / z
 
     def _raw_batch(self, xs, ys, zs):
-        m, n = xs.shape
         tau = self.tau
         terms = self._terms(xs, ys)
         w, _xy, y2 = terms
@@ -599,13 +600,13 @@ class PointSourcePlane(GeneratingFunction):
         grad_x = (-ys + (tau / w)[:, None] * xs) / z[:, None]
         grad_y = (ys / s[:, None] - xs) / z[:, None]
         dz = -value / z + 1.0 / (2.0 * z * s)
-        eye = _eye_batch(m, n)
+        eye = np.eye(xs.shape[1])
         xx = np.einsum("ij,ik->ijk", xs, xs)
         yy = np.einsum("ij,ik->ijk", ys, ys)
         hess_xx = (tau / (z * w ** 3))[:, None, None] * (
             (w ** 2)[:, None, None] * eye + xx)
-        hess_xy = -eye.copy() / z[:, None, None]
-        hess_yy = (eye.copy() / s[:, None, None] - yy / (s ** 3)[:, None, None]) \
+        hess_xy = -eye / z[:, None, None]
+        hess_yy = (eye / s[:, None, None] - yy / (s ** 3)[:, None, None]) \
             / z[:, None, None]
         grad_xz = -grad_x / z[:, None]
         grad_yz = -grad_y / z[:, None] - ys / (2.0 * z * s ** 3)[:, None]
@@ -715,18 +716,15 @@ def _on_slice(gf: GeneratingFunction, xs, ys, zs) -> np.ndarray:
 
 
 def _solve_rows(a, rhs) -> tuple:
-    """Row-wise solve a_k s_k = rhs_k; returns (s, singular mask or None)."""
-    try:
+    """Row-wise solve a_k s_k = rhs_k; returns (s, singular mask or None):
+    s is NaN where the LU meets an exact zero pivot (slogdet's sign 0)."""
+    with np.errstate(invalid="ignore"):   # a NaN system warns; its sign is 1
+        singular = np.linalg.slogdet(a)[0] == 0.0
+    if not singular.any():
         return np.linalg.solve(a, rhs[:, :, None])[:, :, 0], None
-    except np.linalg.LinAlgError:
-        out = np.full(rhs.shape, np.nan)
-        singular = np.zeros(len(a), dtype=bool)
-        for k in range(len(a)):
-            try:
-                out[k] = np.linalg.solve(a[k], rhs[k])
-            except np.linalg.LinAlgError:
-                singular[k] = True
-        return out, singular
+    out = np.full(rhs.shape, np.nan)
+    out[~singular] = np.linalg.solve(a[~singular], rhs[~singular, :, None])[:, :, 0]
+    return out, singular
 
 
 def _fieldwise(fn, *bundles) -> BatchBundle:

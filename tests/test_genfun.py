@@ -7,6 +7,7 @@ independent finite-difference oracle of G itself.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -1071,6 +1072,147 @@ def test_row_newtons_report_every_singular_row():
     assert not forward_YZ_rows(gf, pts, [0.3, 0.7], slopes)[2].any()
 
 
+def reference_solve_rows(a, rhs):
+    """The per-row solve that _solve_rows replaced, kept as its oracle:
+    the stacked solve, and on a LinAlgError one solve per row."""
+    try:
+        return np.linalg.solve(a, rhs[:, :, None])[:, :, 0], None
+    except np.linalg.LinAlgError:
+        out = np.full(rhs.shape, np.nan)
+        singular = np.zeros(len(a), dtype=bool)
+        for k in range(len(a)):
+            try:
+                out[k] = np.linalg.solve(a[k], rhs[k])
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return out, singular
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+def test_solve_rows_repeats_the_per_row_solves(k):
+    # stacks of regular, zero, duplicate-row, integer rank-one and NaN
+    # systems: the same solutions and singular masks as the per-row loop,
+    # bit for bit, and no RuntimeWarning (a NaN system is not singular)
+    rng = np.random.default_rng(40 + k)
+    a = rng.standard_normal((400, k, k))
+    rhs = rng.standard_normal((400, k))
+    kind = rng.integers(0, 5, 400)
+    a[kind == 1] = 0.0
+    if k > 1:
+        a[kind == 2, 1] = a[kind == 2, 0]
+        ones = (kind == 3).sum()
+        a[kind == 3] = rng.integers(-3, 4, (ones, k, 1)) \
+            * rng.integers(-3, 4, (ones, 1, k)).astype(float)
+    a[kind == 4, 0, k - 1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for rows in (slice(None), kind == 0, kind == 4, kind == 1):
+            s, singular = genfun._solve_rows(a[rows], rhs[rows])
+            s_ref, singular_ref = reference_solve_rows(a[rows], rhs[rows])
+            assert s.tobytes() == s_ref.tobytes()
+            if singular_ref is None:
+                assert singular is None
+            else:
+                assert np.array_equal(singular, singular_ref)
+    assert reference_solve_rows(a, rhs)[1].sum() >= (kind == 1).sum() > 0
+    assert np.isnan(genfun._solve_rows(a[kind == 4], rhs[kind == 4])[0]).all()
+
+
+class ReadOnlyBundles(GeneratingFunction):
+    """A built-in instance, every hook delegated to it, whose bundles have
+    no writeable field: its callers may only read them."""
+
+    HOOKS = ("admissible_pair_batch", "g5_bound", "_piece_values",
+             "forward_yz_batch", "_h_of", "_x_of")
+
+    def __init__(self, inner):
+        super().__init__(inner.dimension)
+        self.inner, self.name = inner, inner.name
+        for hook in self.HOOKS:
+            setattr(self, hook, getattr(inner, hook))
+
+    def z_interval_batch(self, xs, y):
+        return self.inner.z_interval_batch(xs, y)
+
+    def _raw_batch(self, xs, ys, zs):
+        def frozen(a):
+            a = a.view()
+            a.flags.writeable = False
+            return a
+
+        return genfun._fieldwise(frozen, self.inner._raw_batch(xs, ys, zs))
+
+
+def assert_same_bits(a, b):
+    """a and b hold the same arrays, bit for bit, in the same structure."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        a, b = ([getattr(v, f.name) for f in dataclasses.fields(v)]
+                for v in (a, b))
+    if isinstance(a, (tuple, list)):
+        assert len(a) == len(b)
+        for u, v in zip(a, b):
+            assert_same_bits(u, v)
+    elif isinstance(a, (np.ndarray, np.generic, float, int)):
+        u, v = np.asarray(a), np.asarray(b)
+        assert u.dtype == v.dtype and u.shape == v.shape
+        assert u.tobytes() == v.tobytes()
+    else:
+        assert a is b       # the grid of a residual field
+
+
+@pytest.mark.parametrize("inner", [QuadraticOT(2), ParallelBeam(2),
+                                   PointSourcePlane(2, tau=-1.0)],
+                         ids=lambda g: g.name)
+def test_read_only_bundles_give_the_same_results(inner):
+    # every reader of a bundle builds new arrays: the row cores (with and
+    # without closed-form starts), cell_masses, solve, ma_residual and
+    # dual_residual on read-only bundles repeat the built-in bit for bit
+    from gjet.gconvex import PiecewiseGSolution, SourceGrid, cell_masses, \
+        values_matrix
+    from gjet.madiag import GridFunction, dual_residual, ma_residual
+    from gjet.semidiscrete import SemiDiscreteProblem, solve
+
+    frozen = ReadOnlyBundles(inner)
+    b = frozen.bundle_batch(*exact_rows(inner, np.random.default_rng(7))[:3])
+    assert not any(getattr(b, f.name).flags.writeable
+                   for f in dataclasses.fields(BatchBundle))
+    rng = np.random.default_rng(67)
+    xs, ys, zs, us, ps, qs = exact_rows(inner, rng, m=40)
+    us, ps, qs = (v + rng.normal(0.0, 0.02, v.shape) for v in (us, ps, qs))
+    for gf, ro in ((inner, frozen),
+                   (NoClosedForm(inner), ReadOnlyBundles(NoClosedForm(inner)))):
+        for core in (
+                lambda g: forward_YZ_rows(g, xs, us, ps),
+                lambda g: map_X_rows(g, ys, zs, qs),
+                lambda g: dual_H_rows(g, xs, ys, us),
+                lambda g: matrix_A_B_rows(g, xs, us, ps, lambda x, u, p: 2.0),
+                lambda g: dual_Astar_Bstar_rows(g, ys, zs, qs)):
+            assert_same_bits(core(ro), core(gf))
+
+    if inner.name == "point_source":
+        box, u0 = (-0.4, 0.4), 2.5
+        targets = [[-0.2, 0.1], [0.2, 0.15], [0.0, -0.2]]
+    else:
+        box, u0 = (0.0, 1.0), 0.75 if inner.name == "parallel_beam" else 0.2
+        targets = [[0.25, 0.3], [0.7, 0.35], [0.5, 0.8]]
+    grid = SourceGrid([box[0]] * 2, [box[1]] * 2, [24, 24])
+    x0 = 0.5 * (grid.lo + grid.hi)
+    results = []
+    for gf in (inner, frozen):
+        prob = SemiDiscreteProblem(gf, grid, targets,
+                                   np.full(3, grid.total_mass / 3), (x0, u0))
+        state = solve(prob)
+        sol = PiecewiseGSolution(gf, prob.targets, state.z)
+        ufun = GridFunction(grid, values_matrix(sol, grid).max(axis=0))
+        vfun = GridFunction(grid, gf.h_batch(x0[None, :], grid.centers, u0))
+        ma = ma_residual(gf, ufun, lambda xs, us, ps: 1.0)
+        dual = dual_residual(gf, vfun, g=lambda y: 0.0)
+        assert ma.mask.any() and dual.mask.any()
+        results.append((state, cell_masses(sol, grid), ma, dual))
+    assert_same_bits(*results)
+
+
 # --------------------------------------------------------------------------
 # slope maps Q and X
 # --------------------------------------------------------------------------
@@ -1095,6 +1237,54 @@ def test_map_X_out_of_image(pb1):
     # the image of Q(., y, z) is the open ball of radius z^2
     with pytest.raises(OutOfImage):
         map_X(pb1, [1.0], 0.5, [0.3])
+
+
+def reference_beam_x_of(ys, zs, qs):
+    """ParallelBeam._x_of before it admitted the rounded edge of the
+    image, kept as the oracle of its interior rows."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        qh = qs / (zs * zs)[:, None]
+        rho = np.sqrt(genfun._row_dot(qh, qh))
+        xs = ys + qh / (zs * (1.0 + np.sqrt(1.0 - rho * rho)))[:, None]
+    return xs, rho <= 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_beam_x_admits_the_rounded_edge_of_the_image(n):
+    # rho = |q| / z^2 <= 1 on the image; rho rounds by up to 2.25 eps.
+    # Slopes with rho in (1, 1 + 4 eps] map to an x inside the slice that
+    # the row Newton accepts, rho >= 1 + 1e-12 stays out of the image, and
+    # rows with rho < 1 keep the old formula's bits
+    gf = ParallelBeam(n)
+    rng = np.random.default_rng(80 + n)
+    m = 3000
+    ys = rng.uniform(-0.9, 0.9, (m, n))
+    zs = rng.uniform(0.2, 2.0, m)
+    e = rng.standard_normal((m, n))
+    e /= np.linalg.norm(e, axis=1)[:, None]
+    eps = np.finfo(float).eps
+    band = np.where(rng.random(m) < 0.5, rng.uniform(0.0, 1.0, m),
+                    1.0 + eps * rng.integers(-1, 5, m))
+    qs = (zs * zs * band)[:, None] * e
+    qh = qs / (zs * zs)[:, None]
+    rho = np.sqrt(genfun._row_dot(qh, qh))
+    xs, ok = gf._x_of(ys, zs, qs)
+    old_xs, old_ok = reference_beam_x_of(ys, zs, qs)
+    inner = rho < 1.0
+    edge = (rho > 1.0) & (rho <= 1.0 + 4 * eps)
+    assert inner.sum() > 100 and edge.sum() > 100
+    assert ok[inner].all() and old_ok[inner].all()
+    assert xs[inner].tobytes() == old_xs[inner].tobytes()
+    assert ok[edge].all() and not old_ok[edge].any()
+    assert genfun._on_slice(gf, xs[edge], ys[edge], zs[edge]).all()
+    status = map_X_rows(gf, ys[edge], zs[edge], qs[edge])[1]
+    assert (status == RowStatus.OK).all()
+
+    far = qs[:20] * (1.0 + 1e-12) / band[:20, None]
+    assert not gf._x_of(ys[:20], zs[:20], far)[1].any()
+    for k in range(3):
+        with pytest.raises(OutOfImage):
+            map_X(gf, ys[k], zs[k], far[k])
 
 
 @pytest.mark.parametrize("gf", all_instances(), ids=lambda g: f"{g.name}")

@@ -163,28 +163,22 @@ BEAM_FOLD = ("det E -> 0 as z r -> 1: the closed form divides by 1 - |p|^2 "
              "and Y loses up to 5 digits", AssertionError)
 RIM_FORWARD = ("G_x grows like 1/sqrt(1 - |x|^2) at the rim and Y loses up "
                "to 6 digits", AssertionError)
-BEAM_X_HI = ("|Q| -> z^2, the edge of the image, as z r -> 1: the closed "
-             "form rules attainable slopes out (OutOfImage)", OutOfImage)
-BEAM_X_FLAG_HI = ("|Q| -> z^2, the edge of the image, as z r -> 1: the "
-                  "closed form's flag rules attainable slopes out",
-                  AssertionError)
-BEAM_X_HI_EXAMPLES = {1: ([0.5], [-0.5], 1e-15),
-                      2: ([0.6, -0.2], [0.2, 0.2], 1e-15),
-                      3: ([0.6, 0.4, 0.3], [-0.1, 0.4, 0.7], 1e-12)}
 KNOWN_EDGE_FAILURES = {
     **{("YZ_round_trip", "parallel_beam", n, "z_hi"):
        (BEAM_FOLD, ([0.3] * n, [-0.2] * n, 1e-12)) for n in (1, 2, 3)},
     **{("YZ_round_trip", "point_source", n, "rim"):
        (RIM_FORWARD, ([0.3] * n, [-0.2] * n, 1e-15)) for n in (1, 2, 3)},
-    **{("X_round_trip", "parallel_beam", n, "z_hi"):
-       (BEAM_X_HI, BEAM_X_HI_EXAMPLES[n]) for n in (1, 2, 3)},
-    **{("X_flag", "parallel_beam", n, "z_hi"):
-       (BEAM_X_FLAG_HI, BEAM_X_HI_EXAMPLES[n]) for n in (1, 2, 3)},
 }
 # Witnesses of mended edge failures, still run as explicit examples: the
 # point source's slope inversion left x off by up to tol / |Q_x| as z -> 0
-# (z_lo) and ran out of Newton steps near |x| = 1 (rim).
+# (z_lo) and ran out of Newton steps near |x| = 1 (rim); the beam's closed
+# form ruled out slopes whose |Q| / z^2 rounded past 1 as z r -> 1 (z_hi).
+BEAM_X_HI_EXAMPLES = {1: ([0.5], [-0.5], 1e-15),
+                      2: ([0.6, -0.2], [0.2, 0.2], 1e-15),
+                      3: ([0.6, 0.4, 0.3], [-0.1, 0.4, 0.7], 1e-12)}
 MENDED_EDGE_EXAMPLES = {
+    **{(ident, "parallel_beam", n, "z_hi"): BEAM_X_HI_EXAMPLES[n]
+       for ident in ("X_round_trip", "X_flag") for n in (1, 2, 3)},
     **{("X_round_trip", "point_source", n, "z_lo"):
        ([0.3] * n, [-0.2] * n, 1e-9) for n in (1, 2, 3)},
     ("X_round_trip", "point_source", 2, "rim"):
