@@ -10,20 +10,18 @@ continuous in z (gconvex.cell_split), as in Kitagawa-Merigot-Thibert,
 "Convergence of a Newton algorithm for semi-discrete optimal transport"
 (JEMS 2019).  The equations are the N mass equations, of which N - 1
 are independent because the masses always sum to the source mass, plus
-the anchor equation max_i G(x0, y_i, z_i) = u0.  Every piece starts at
-its anchor value z_i = H(x0, y_i, u0); a Gauss-Seidel pass of exact
-threshold steps follows: piece i owns cell c iff
-z_i < H(x_c, y_i, max_{j != i} G(x_c, y_j, z_j)), and z_i goes where the
-descending cumulative mass of those thresholds reaches g_i, if that
-brings the mass of its cells closer to g_i.  The pass is repeated only
-while some target is empty.  Each Newton step solves one dense N x N
-system; the step is halved until every mass stays at least half the
-smaller of the smallest start mass and the smallest g_i, and the
-residual drops by the factor 1 - tau / 2.  One step costs one value pass
-over the M cells and bundles on the cells that two pieces share.
+the anchor equation max_i G(x0, y_i, z_i) = u0.  The start (_start)
+puts every piece at its anchor value z_i = H(x0, y_i, u0) and runs
+Gauss-Seidel passes of exact threshold steps (_threshold_pass) while
+some target is empty; the Newton starts when every target has mass.
+Each Newton step solves one dense N x N system; the step is halved
+until every mass stays at least half the smaller of the smallest start
+mass and the smallest g_i, and the residual drops by the factor
+1 - tau / 2.  One step costs one value pass over the M cells and
+bundles on the cells that two pieces share.
 
-The contract is "converged or explicit NoConvergence": the solver never
-returns a silently unconverged state.
+The contract is "converged or explicit NoConvergence", and only
+validation calls a problem infeasible (InfeasibleBracket).
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors, genfun
-from .errors import GjetError, InfeasibleBracket, NoConvergence
+from .errors import GjetError, NoConvergence
 from .gconvex import (
     CellDecomposition,
     PiecewiseGSolution,
@@ -106,10 +104,12 @@ def solution_function(prob: SemiDiscreteProblem, z) -> PiecewiseGSolution:
 # --------------------------------------------------------------------------
 
 def validate_problem(prob: SemiDiscreteProblem):
-    """Mass balance, anchor admissibility and bracket feasibility.
+    """Mass balance, anchor admissibility, brackets and distinct targets.
 
     Returns a list of diagnostic dicts, empty for a valid problem; solve
-    raises the first one's exception.
+    raises the first one's exception.  An InfeasibleBracket proves that
+    u0 lies below every grid-admissible graph of target i at x0, or that
+    target i repeats an earlier target (README, "validate_problem").
     """
     return _validate(prob)[0]
 
@@ -124,7 +124,7 @@ def _validate(prob: SemiDiscreteProblem) -> tuple:
     tol = prob.tolerances
     total = grid.total_mass
 
-    if np.any(prob.masses <= 0):
+    if not np.all(prob.masses > 0):
         diags.append({"kind": "MassImbalance",
                       "message": "target masses must be positive"})
     imbalance = abs(float(prob.masses.sum()) - total)
@@ -157,6 +157,12 @@ def _validate(prob: SemiDiscreteProblem) -> tuple:
     z_rows, status, g_range = genfun.dual_H_rows(gf, x0[None, :],
                                                  prob.targets, u0)
     for i in range(len(prob.targets)):
+        same = np.flatnonzero((prob.targets[:i] == prob.targets[i]).all(1))
+        if len(same):
+            diags.append({"kind": "InfeasibleBracket", "piece": i,
+                          "message": f"target {i} repeats target {same[0]}: "
+                                     f"their graphs are ordered on the whole "
+                                     f"box, so they cannot both own mass"})
         if np.isnan(z_lo[i]):
             diags.append({
                 "kind": "DomainViolation", "piece": i,
@@ -236,49 +242,60 @@ def _threshold_pass(prob, fns, z, values, z_lo, z_top) -> bool:
     return moved
 
 
+def _point(prob, fns, z) -> _Point:
+    """The solver's state at z."""
+    values = np.stack([fns[i](z[i]) for i in range(len(z))])
+    assignment, masses, jac = cell_split(prob.gf, prob.targets, z, prob.grid,
+                                         values)
+    at_x0 = prob.gf.bundle_batch(prob.anchor[0][None, :], prob.targets, z)
+    anchor = float(at_x0.value.max())
+    active = at_x0.value == anchor
+    return _Point(z.copy(), assignment, masses, jac, anchor,
+                  np.where(active, at_x0.dz, 0.0) / active.sum())
+
+
+def _start(prob, fns, z_anchor, z_lo, z_top) -> _Point:
+    """Every piece at its anchored parameter, then threshold passes (N > 1)
+    while a target is empty, at most START_PASSES; one may stay empty."""
+    z = z_anchor.copy()
+    if len(z) == 1:
+        return _point(prob, fns, z)
+    values = np.stack([fns[i](z[i]) for i in range(len(z))])
+    for _ in range(START_PASSES):
+        moved = _threshold_pass(prob, fns, z, values, z_lo, z_top)
+        pt = _point(prob, fns, z)
+        if not moved or np.all(pt.masses > 0):
+            break
+    return pt
+
+
 def solve(prob: SemiDiscreteProblem) -> SolutionState:
     """Damped Newton on the sub-cell masses and the anchor.
 
-    Raises NoConvergence with the best state attached when max_sweeps
-    Newton steps are used up, when a Newton system is singular, when the
-    damping falls below TAU_MIN or when threshold passes leave a target
-    empty, and InfeasibleBracket on a certificate: the threshold passes
-    reach a fixed point while a target stays empty and its Jacobian row
-    is zero (it can gain no mass by moving alone, as a duplicate target
-    cannot).  A problem that fails validate_problem raises its first
-    diagnostic's exception, with every diagnostic in its diagnostics
-    attribute.
+    Raises NoConvergence with the best state attached when the start
+    leaves a target empty, when max_sweeps Newton steps are used up,
+    when a Newton system is singular or when the damping falls below
+    TAU_MIN.  A problem that fails validate_problem raises its first
+    diagnostic's exception (the only source of InfeasibleBracket), with
+    every diagnostic in diagnostics and the first one's piece in
+    piece_index (None if it names none).
     """
     diags, z_anchor, z_lo, z_hi = _validate(prob)
     if diags:
         # a diagnostic's kind is the name of its exception class
         exc = getattr(errors, diags[0]["kind"])(diags[0]["message"])
-        exc.diagnostics = diags
+        exc.diagnostics, exc.piece_index = diags, diags[0].get("piece")
         raise exc
-    gf, grid = prob.gf, prob.grid
-    x0, u0 = prob.anchor
+    grid, u0 = prob.grid, prob.anchor[1]
     tol = prob.tolerances
-    anchor_tol = tol.anchor_tolerance(u0)
     total = grid.total_mass
-    n_pieces = len(prob.targets)
     g = prob.masses
     g_fit = g * (total / g.sum())     # the masses the cells can carry
     scale = total / (1.0 + abs(u0))   # anchor equation in mass units
     finite = np.where(np.isfinite(z_hi), z_hi, 0.0)
     z_top = np.where(np.isfinite(z_hi),
                      finite - 1e-12 * np.maximum(1.0, np.abs(finite)), np.inf)
-    fns = [gf.piece_values_fn(grid.centers, y) for y in prob.targets]
-
-    def evaluate(z, values=None):
-        if values is None:
-            values = np.stack([fns[i](z[i]) for i in range(n_pieces)])
-        assignment, masses, jac = cell_split(gf, prob.targets, z, grid,
-                                             values)
-        at_x0 = gf.bundle_batch(x0[None, :], prob.targets, z)
-        anchor = float(at_x0.value.max())
-        active = at_x0.value == anchor
-        return _Point(z.copy(), assignment, masses, jac, anchor,
-                      np.where(active, at_x0.dz, 0.0) / active.sum())
+    fns = [prob.gf.piece_values_fn(grid.centers, y) for y in prob.targets]
 
     def residual_of(pt):
         return float(np.max(np.abs(pt.masses - g)) / total)
@@ -289,7 +306,7 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
 
     def converged(pt):
         return residual_of(pt) <= tol.mass_tol_rel \
-            and abs(pt.anchor - u0) <= anchor_tol
+            and abs(pt.anchor - u0) <= tol.anchor_tolerance(u0)
 
     def state(pt, sweeps):
         return SolutionState(
@@ -299,31 +316,14 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
             residual_history=tuple(history),
             interface_cells=int(interface_mask(grid, pt.assignment).sum()))
 
-    z = z_anchor.copy()
-    values = np.stack([fns[i](z[i]) for i in range(n_pieces)])
-    moved = n_pieces > 1
-    pt = None if moved else evaluate(z, values)
-    for _ in range(START_PASSES if moved else 0):
-        moved = _threshold_pass(prob, fns, z, values, z_lo, z_top)
-        pt = evaluate(z, values)
-        if not moved or np.all(pt.masses > 0):
-            break
-    del values
+    pt = _start(prob, fns, z_anchor, z_lo, z_top)
     history = [residual_of(pt)]
     if converged(pt):
         return state(pt, 0)
-    empty = pt.masses == 0
-    if np.any(empty):
-        stuck = empty & ~pt.jac.any(axis=1)
-        if np.any(stuck) and not moved:
-            idx = int(np.argmax(stuck))
-            raise InfeasibleBracket(
-                f"target {idx} stays empty and no single move of its "
-                f"parameter gives it mass; it is unreachable at this "
-                f"normalization", piece_index=idx)
-        raise NoConvergence(
-            f"threshold passes left {int(empty.sum())} targets empty",
-            best=state(pt, 0))
+    empty = int(np.sum(pt.masses == 0))
+    if empty:
+        raise NoConvergence(f"threshold passes left {empty} targets empty",
+                            best=state(pt, 0))
 
     floor = 0.5 * min(float(pt.masses.min()), float(g.min()))
     best = (residual_of(pt), pt, 0)
@@ -336,7 +336,7 @@ def solve(prob: SemiDiscreteProblem) -> SolutionState:
         while True:
             z_try = pt.z + tau * step
             if np.all((z_lo < z_try) & (z_try < z_top)):
-                trial = evaluate(z_try)
+                trial = _point(prob, fns, z_try)
                 if trial.masses.min() >= floor \
                         and merit(trial) <= (1.0 - 0.5 * tau) * now:
                     break

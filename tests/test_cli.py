@@ -253,6 +253,35 @@ def test_solve_lists_every_missing_anchored_parameter(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_solve_repeated_target_exits_4_at_validation(tmp_path, capsys):
+    cfg = write_config(tmp_path, targets={
+        "points": [[0.25, 0.5], [0.25, 0.5]], "masses": [0.5, 0.5]})
+    out = tmp_path / "sol.json"
+    assert main(["solve", cfg, "--out", str(out)]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.splitlines() == [
+        "validation: InfeasibleBracket: target 1 repeats target 0: their "
+        "graphs are ordered on the whole box, so they cannot both own mass"]
+    assert not out.exists()
+
+
+def test_solve_light_target_left_empty_exits_3(tmp_path, capsys):
+    # ROADMAP item 13's witness: feasible, but the threshold passes leave
+    # the light target 0 empty; exit 3 with the best state, not exit 4
+    cfg = write_config(
+        tmp_path, generator={"kind": "quadratic_ot"}, dimension=1,
+        source={"box": {"lo": [0.0], "hi": [1.0]}, "resolution": 8},
+        targets={"points": [[0.6236], [0.4579], [0.6345]],
+                 "masses": [0.0568, 0.6779, 0.2653]},
+        normalization={"x0": [0.5], "u0": 0.0})
+    out = tmp_path / "sol.json"
+    assert main(["solve", cfg, "--out", str(out)]) == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err == \
+        "solver: threshold passes left 1 targets empty\n"
+    doc = json.loads(out.read_text())
+    assert doc["converged"] is False
+    assert doc["masses"][0] == 0.0 and doc["sweeps"] == 0
+
+
 def test_solve_four_targets_symmetric(tmp_path):
     cfg = write_config(tmp_path, targets={
         "points": [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]],

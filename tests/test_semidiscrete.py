@@ -141,8 +141,38 @@ def test_validate_infeasible_bracket(pb2):
     prob = unit_problem(pb2, [[60.0, 60.0]], u0=0.11, x0=[0.1, 0.1])
     diags = validate_problem(prob)
     assert any(d["kind"] == "InfeasibleBracket" for d in diags)
-    with pytest.raises(InfeasibleBracket):
+    with pytest.raises(InfeasibleBracket) as exc_info:
         solve(prob)
+    # the exception names the piece its diagnostic names
+    assert exc_info.value.diagnostics == diags
+    assert exc_info.value.piece_index == diags[0]["piece"] == 0
+
+
+def test_validate_rejects_a_nan_mass():
+    # NaN is not a positive mass: validation says so, instead of a Newton
+    # run on a NaN residual
+    prob = SemiDiscreteProblem(QuadraticOT(1), SourceGrid([0.0], [1.0], [16]),
+                               [[0.3], [0.7]], [np.nan, 1.0], ([0.5], 0.0))
+    assert validate_problem(prob) == [
+        {"kind": "MassImbalance", "message": "target masses must be positive"}]
+    with pytest.raises(MassImbalance) as exc_info:
+        solve(prob)
+    assert exc_info.value.piece_index is None
+
+
+def test_repeated_target_is_a_validation_diagnostic(pb2):
+    # for one y the graphs G(., y, z) are ordered in z, so the two copies
+    # cannot both own mass, at any anchor
+    prob = unit_problem(pb2, [[0.5, 0.5], [0.3, 0.6], [0.5, 0.5]])
+    diags = validate_problem(prob)
+    assert diags == [{
+        "kind": "InfeasibleBracket", "piece": 2,
+        "message": "target 2 repeats target 0: their graphs are ordered on "
+                   "the whole box, so they cannot both own mass"}]
+    with pytest.raises(InfeasibleBracket) as exc_info:
+        solve(prob)
+    assert exc_info.value.diagnostics == diags
+    assert exc_info.value.piece_index == 2
 
 
 # --------------------------------------------------------------------------
@@ -225,6 +255,26 @@ def test_duplicate_target_infeasible(pb2):
     with pytest.raises(InfeasibleBracket) as exc_info:
         solve(prob)
     assert exc_info.value.piece_index == 1
+
+
+# ROADMAP item 13's witness: target 0 is lighter than one cell (0.125);
+# by monotone rearrangement it owns [0.6779, 0.7347], so the problem is
+# feasible, and a target the threshold passes leave empty is no proof
+LIGHT_TARGET = dict(targets=[[0.6236], [0.4579], [0.6345]],
+                    masses=[0.0568, 0.6779, 0.2653], anchor=([0.5], 0.0))
+
+
+def test_a_light_target_left_empty_is_no_convergence():
+    prob = SemiDiscreteProblem(QuadraticOT(1), SourceGrid([0.0], [1.0], [8]),
+                               **LIGHT_TARGET)
+    assert validate_problem(prob) == []
+    with pytest.raises(NoConvergence) as exc_info:
+        solve(prob)
+    assert str(exc_info.value) == "threshold passes left 1 targets empty"
+    best = exc_info.value.best
+    assert best is not None and best.sweeps == 0
+    assert best.decomposition.masses[0] == 0.0
+    assert best.decomposition.masses.sum() == pytest.approx(1.0, rel=1e-13)
 
 
 def test_equal_mass_8x8_beam_converges(pb2):
